@@ -9,16 +9,17 @@ pencil (A + I/P_A, B + I/P_A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
-from .core import Beamformer, Scenario, as_coords, as_weights, steering_vector
+from .core import (AntennaPositions, Beamformer, Scenario, as_coords,
+                   as_weights, steering_vector)
 
 # Relative gap under which the top eigenvalue is flagged as degenerate.
 DEGENERACY_RTOL = 1e-10
 
-# Matrix entries per batched call in ``best_candidate``: the temporaries
+# Matrix entries per batched call in ``best_gap_layout``: the temporaries
 # grow as rows * N^2, so larger arrays are scored in fewer rows.
 CANDIDATE_CHUNK_ENTRIES = 1024
 
@@ -158,28 +159,31 @@ def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
     return np.maximum(np.log2(lam_max), 0.0)
 
 
-def best_candidate(index_tuples, to_positions, n: int, scenario: Scenario):
-    """Highest-rate layout over a stream of integer index tuples.
+def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
+    """Highest-rate layout on a gap grid with x_1 = 0.
 
-    Tuples are consumed in chunks of about ``CANDIDATE_CHUNK_ENTRIES``
-    matrix entries, so memory stays bounded however many there are;
-    ``to_positions`` maps an integer block of shape (K, m) to (K, N)
-    coordinates.  Exact rate ties keep the earliest tuple in stream order.
+    Candidates are x_j = (j-1) d_min + step k_j, clipped at L, for every
+    non-decreasing integer tuple 0 <= k_2 <= ... <= k_N <= ``levels`` in
+    lexicographic order, scored in chunks of about
+    ``CANDIDATE_CHUNK_ENTRIES`` matrix entries.  Exact rate ties keep the
+    earliest tuple; N = 1 scores its single layout x = [0].
 
     Returns:
-        (ndarray, float): positions of the best row and its clamped rate.
+        (AntennaPositions, float): the best layout and its clamped rate.
     """
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
+    tuples = combinations_with_replacement(range(levels + 1), n - 1)
+    base = scenario.min_spacing * np.arange(1, n, dtype=float)
     best_rate = -np.inf
     best_x = None
-    while True:
-        block = np.array(list(islice(index_tuples, rows)), dtype=int)
-        if block.size == 0:
-            break
-        X = to_positions(block)
+    while chunk := list(islice(tuples, rows)):
+        X = np.zeros((len(chunk), n))
+        X[:, 1:] = np.minimum(base + step * np.array(chunk, dtype=int),
+                              scenario.aperture)
         rates = best_secrecy_rates(X, scenario)
         j = int(np.argmax(rates))
         if rates[j] > best_rate:
             best_rate = float(rates[j])
             best_x = X[j].copy()
-    return best_x, best_rate
+    best_x.setflags(write=False)
+    return AntennaPositions(best_x), best_rate

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamformer import build_forms, optimal_beamformer
-from .core import InfeasibleError, beam_gain
+from .core import AntennaPositions, Beamformer, InfeasibleError, beam_gain
 from .driver import initial_positions, solve, solve_fpa
 from .oracle import run_verification
 from .positions import random_positions
@@ -66,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunSpec:
+    if args.restarts < 0:
+        raise ScenarioFileError("--restarts must be non-negative")
     spec = load_run_spec(args.scenario)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -111,6 +113,8 @@ def _cmd_beampattern(args) -> int:
             raise ScenarioFileError(
                 f"no solution file at {path}; run optimize first or pass --fpa")
         x, w, _ = load_solution(path)
+        x = AntennaPositions.create(x.x, spec.scenario)
+        w = Beamformer.create(w.w, spec.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     thetas = np.linspace(0.0, np.pi, args.angles)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .beamformer import best_candidate, build_forms, optimal_beamformer
+from .beamformer import best_gap_layout, build_forms, optimal_beamformer
 from .core import AntennaPositions, Beamformer, Scenario, secrecy_rate
 from .positions import PgaConfig, optimize_positions
 
@@ -114,23 +113,11 @@ def scan_start(n: int, scenario: Scenario) -> AntennaPositions:
     it; exact rate ties keep the earliest tuple.  Without slack (N = 1
     or L = (N-1) d_min) the FPA layout is the only candidate.
     """
-    x_fpa = initial_positions(n, scenario)
     slack = scenario.aperture - (n - 1) * scenario.min_spacing
     levels = _scan_levels(n, slack, scenario) if n > 1 else 0
     if levels < 1:
-        return x_fpa
-    step = slack / levels
-    # non-decreasing tuples are the running sums of the k_j
-    tuples = combinations_with_replacement(range(levels + 1), n - 1)
-
-    def to_positions(block):
-        X = np.zeros((block.shape[0], n))
-        X[:, 1:] = np.minimum(x_fpa.x[1:] + step * block, scenario.aperture)
-        return X
-
-    best_x, _ = best_candidate(tuples, to_positions, n, scenario)
-    best_x.setflags(write=False)
-    return AntennaPositions(best_x)
+        return initial_positions(n, scenario)
+    return best_gap_layout(n, scenario, levels, slack / levels)[0]
 
 
 def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,

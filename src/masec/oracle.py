@@ -3,32 +3,30 @@
 Everything here deliberately avoids the closed-form paths it checks:
 gradients are re-derived by central finite differences, the beamformer
 optimum is stress-tested against random sampling, and small instances
-are solved exhaustively on a position grid.  The grid's batched rate
-scorer also picks the solver's start layout, so the grid comparison
-reads the algorithm's rate from ``secrecy_rate`` at the returned
-solution, never from that scorer.  The oracles ship with the package
-(see the ``verify`` CLI command) so any scenario can be re-validated.
+are solved exhaustively on a gap grid with x_1 = 0.  The grid shares
+its enumerator and scorer with the solver's start scan, so the grid
+comparison reads the algorithm's rate from ``secrecy_rate`` at the
+returned solution, never from that scorer.  The oracles ship with the
+package (see the ``verify`` CLI command) so any scenario can be re-validated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .beamformer import (best_candidate, build_forms, optimal_beamformer,
+from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
                          solve_beamformer)
-from .core import (FEASIBILITY_TOL, AntennaPositions, Scenario, as_coords,
-                   as_weights, beam_gain)
+from .core import Scenario, as_coords, as_weights, beam_gain
 from .driver import SolveConfig, solve
 from .positions import gradient_psi, objective_psi, random_positions, real_lift
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Exhaustive-search grid: position step, antenna count, eval cap."""
+    """Exhaustive-search grid: gap step ``resolution``, antenna count, eval cap."""
 
     resolution: float
     n: int
@@ -85,49 +83,28 @@ def sample_beamformers(forms, scenario: Scenario, count: int, seed: int) -> floa
     return float(np.max(num / den))
 
 
-def _grid_points(scenario: Scenario, resolution: float) -> np.ndarray:
-    k_max = int(math.floor(scenario.aperture / resolution + 1e-9))
-    pts = resolution * np.arange(k_max + 1)
-    return np.minimum(pts, scenario.aperture)
-
-
-def _index_tuple_count(m: int, n: int) -> int:
-    return math.comb(m + n - 1, n)
-
-
 def grid_search(scenario: Scenario, spec: GridSpec):
-    """Exhaustive joint optimum over gridded positions (global oracle).
+    """Exhaustive joint optimum over a gap grid (global oracle).
 
-    Enumerates every sorted feasible N-tuple on the grid in lexicographic
-    order, computes the optimal-beamformer secrecy rate for each and
-    returns the best; exact rate ties resolve to the lexicographically
-    smallest tuple, so the result does not depend on enumeration order.
+    A shift of the array does not change the rate, so the grid fixes
+    x_1 = 0 and widens each gap from d_min in steps of ``spec.resolution``
+    while the layout fits the aperture.  Exact rate ties resolve to the
+    lexicographically smallest layout, independent of enumeration order.
 
     Returns:
         (AntennaPositions, Beamformer, float): best grid positions, the
         optimal beamformer there, and the clamped secrecy rate.
     """
     scenario.check_feasible(spec.n)
-    pts = _grid_points(scenario, spec.resolution)
-    gap = max(1, math.ceil(scenario.min_spacing / spec.resolution - 1e-9))
-    if gap * spec.resolution < scenario.min_spacing - FEASIBILITY_TOL:
-        raise ValueError("resolution does not resolve the minimum spacing")
-    m = (pts.size - 1) - (spec.n - 1) * gap + 1
-    if m < 1:
-        raise ValueError(
-            f"grid step {spec.resolution} leaves no feasible {spec.n}-tuple; "
-            "pick a resolution dividing min_spacing")
-    total = _index_tuple_count(m, spec.n)
+    slack = scenario.aperture - (spec.n - 1) * scenario.min_spacing
+    levels = max(0, math.floor(slack / spec.resolution + 1e-9))
+    total = math.comb(levels + spec.n - 1, spec.n - 1)
     if total > spec.max_evals:
         raise ValueError(f"grid too large: {total} evaluations exceed the cap "
                          f"{spec.max_evals}")
 
-    offsets = gap * np.arange(spec.n)
-    best_x, best_rate = best_candidate(
-        combinations_with_replacement(range(m), spec.n),
-        lambda block: pts[block + offsets], spec.n, scenario)
-    best_x.setflags(write=False)
-    positions = AntennaPositions(best_x)
+    positions, best_rate = best_gap_layout(spec.n, scenario, levels,
+                                           spec.resolution)
     w = optimal_beamformer(build_forms(positions, scenario), scenario)
     return positions, w, best_rate
 

@@ -49,15 +49,30 @@ class RunSpec:
     seed: int
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_number_list(v) -> bool:
+    return isinstance(v, list) and bool(v) and all(map(_is_number, v))
+
+
 def _require_number(data, key, default=None):
     if key not in data:
         if default is None:
             raise ScenarioFileError(f"missing required key {key!r}")
         return default
     v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ScenarioFileError(f"key {key!r} must be a number, got {v!r}")
     return float(v)
+
+
+def _require_int(data, key, default, minimum=0):
+    v = data.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        raise ScenarioFileError(f"key {key!r} must be an integer >= {minimum}")
+    return v
 
 
 def parse_run_spec(data: dict) -> RunSpec:
@@ -75,15 +90,12 @@ def parse_run_spec(data: dict) -> RunSpec:
     bob_key = "bob_angle_rad" if "bob_angle_rad" in data else "bob_angle_pi"
     bob = _require_number(data, bob_key) * factor
     eves = data.get("eve_angles")
-    if not isinstance(eves, list) or not eves or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in eves):
+    if not _is_number_list(eves):
         raise ScenarioFileError("eve_angles must be a non-empty list of numbers")
     eves = tuple(float(t) * factor for t in eves)
 
     wavelength = _require_number(data, "wavelength", 1.0)
-    n = data.get("n_antennas")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ScenarioFileError("n_antennas must be a positive integer")
+    n = _require_int(data, "n_antennas", None, minimum=1)
 
     tol = data.get("tolerances", {})
     if not isinstance(tol, dict):
@@ -104,21 +116,19 @@ def parse_run_spec(data: dict) -> RunSpec:
         )
         pga = PgaConfig(
             step_size=_require_number(data, "step_size", 0.01),
-            max_inner_iters=int(tol.get("max_inner_iters", 500)),
-            inner_tol=float(tol.get("inner_tol", 1e-8)),
+            max_inner_iters=_require_int(tol, "max_inner_iters", 500),
+            inner_tol=_require_number(tol, "inner_tol", 1e-8),
         )
         config = SolveConfig(
             pga=pga,
-            max_outer_iters=int(tol.get("max_outer_iters", 50)),
-            outer_tol=float(tol.get("outer_tol", 1e-6)),
+            max_outer_iters=_require_int(tol, "max_outer_iters", 50),
+            outer_tol=_require_number(tol, "outer_tol", 1e-6),
         )
     except ValueError as exc:
         raise ScenarioFileError(str(exc)) from exc
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioFileError("seed must be a non-negative integer")
-    return RunSpec(scenario=scenario, n_antennas=n, config=config, seed=seed)
+    return RunSpec(scenario=scenario, n_antennas=n, config=config,
+                   seed=_require_int(data, "seed", 0))
 
 
 def load_run_spec(path) -> RunSpec:
@@ -154,9 +164,15 @@ def write_outer_trace(path, trace: OptimizationTrace):
 
 
 def write_inner_traces(out_dir, trace: OptimizationTrace):
+    """One ``trace_inner_<k>.csv`` per round; older ones past the last go."""
+    out_dir = Path(out_dir)
     for k, psis in enumerate(trace.inner, start=1):
-        _write_csv(Path(out_dir) / f"trace_inner_{k}.csv", ["iter", "psi"],
+        _write_csv(out_dir / f"trace_inner_{k}.csv", ["iter", "psi"],
                    list(enumerate(psis)))
+    for path in out_dir.glob("trace_inner_*.csv"):
+        k = path.stem.removeprefix("trace_inner_")
+        if k.isdigit() and int(k) > trace.n_outer:
+            path.unlink()
 
 
 def write_beampattern(path, thetas, gains):
@@ -180,11 +196,22 @@ def write_solution(path, trace: OptimizationTrace):
 
 
 def load_solution(path):
-    """Read a solution file back as (positions, beamformer, rate)."""
+    """Read a solution file back as (positions, beamformer, rate), type-checked."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    x = np.asarray(doc["final_x"], dtype=float)
-    w = np.asarray([complex(re, im) for re, im in doc["final_w"]])
+    if not isinstance(doc, dict):
+        raise ScenarioFileError("solution file must hold a JSON object")
+    xs, ws = doc.get("final_x"), doc.get("final_w")
+    if not _is_number_list(xs):
+        raise ScenarioFileError("final_x must be a non-empty list of numbers")
+    if not (isinstance(ws, list) and len(ws) == len(xs)
+            and all(_is_number_list(p) and len(p) == 2 for p in ws)):
+        raise ScenarioFileError("final_w must hold one [re, im] per position")
+    rate = _require_number(doc, "final_rate")
+    x = np.asarray(xs, dtype=float)
+    w = np.asarray([complex(re, im) for re, im in ws])
+    if np.any(np.diff(x) < 0.0):
+        raise ScenarioFileError("final_x must be in ascending order")
     x.setflags(write=False)
     w.setflags(write=False)
-    return AntennaPositions(x), Beamformer(w), float(doc["final_rate"])
+    return AntennaPositions(x), Beamformer(w), rate

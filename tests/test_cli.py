@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from masec import load_run_spec, load_solution, mrt_beamformer, secrecy_rate
+from masec import (ScenarioFileError, load_run_spec, load_solution,
+                   mrt_beamformer, secrecy_rate)
 from masec.cli import main
 
 PAPER_N4 = {
@@ -93,6 +95,26 @@ class TestOptimize:
         assert main(["optimize", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_restarts_exit_2(self, tmp_path, capsys):
+        scenario = _write(tmp_path / "s.json", PAPER_N4)
+        for command in ("optimize", "sweep-n"):
+            assert main([command, "--scenario", scenario,
+                         "--out", str(tmp_path / "o"), "--restarts", "-5"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--restarts" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_shorter_run_removes_stale_inner_traces(self, n4_run, tmp_path):
+        scenario, run_out = n4_run
+        out = tmp_path / "out"
+        shutil.copytree(run_out, out)
+        assert len(list(out.glob("trace_inner_*.csv"))) >= 2
+        doc = dict(PAPER_N4, tolerances={"max_outer_iters": 1})
+        assert main(["optimize", "--scenario", _write(tmp_path / "s.json", doc),
+                     "--out", str(out)]) == 0
+        assert [p.name for p in out.glob("trace_inner_*.csv")] == \
+            ["trace_inner_1.csv"]
+
 
 class TestScenarioFiles:
     def test_unknown_key_rejected(self, tmp_path):
@@ -122,10 +144,13 @@ class TestScenarioFiles:
         spec = load_run_spec(_write(tmp_path / "s.json", doc))
         assert spec.config.outer_tol == 1e-3
         assert spec.config.pga.max_inner_iters == 40
-        doc = dict(PAPER_N4, tolerances={"weird": 1})
-        assert main(["optimize", "--scenario",
-                     _write(tmp_path / "t.json", doc),
-                     "--out", str(tmp_path / "o")]) == 2
+        for bad in ({"weird": 1}, {"max_inner_iters": 2.7},
+                    {"max_outer_iters": True}, {"inner_tol": True},
+                    {"outer_tol": "1e-3"}):
+            doc = dict(PAPER_N4, tolerances=bad)
+            assert main(["optimize", "--scenario",
+                         _write(tmp_path / "t.json", doc),
+                         "--out", str(tmp_path / "o")]) == 2
 
 
 class TestBeampattern:
@@ -176,6 +201,36 @@ class TestBeampattern:
         scenario = _write(tmp_path / "s.json", PAPER_N4)
         assert main(["beampattern", "--scenario", scenario,
                      "--out", str(tmp_path / "empty")]) == 2
+
+    def test_malformed_solution_rejected(self, n4_run, tmp_path, capsys):
+        scenario, run_out = n4_run
+        good = json.loads((run_out / "solution.json").read_text())
+        for key, value in (("final_w", None), ("final_x", "0 0.5"),
+                           ("final_rate", [1.0])):
+            doc = dict(good)
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+            path = _write(tmp_path / "bad.json", doc)
+            with pytest.raises(ScenarioFileError, match=key):
+                load_solution(path)
+            assert main(["beampattern", "--scenario", scenario,
+                         "--out", str(tmp_path / "o"),
+                         "--solution", path]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+
+    def test_infeasible_solution_exits_2(self, n4_run, tmp_path, capsys):
+        scenario, run_out = n4_run
+        good = json.loads((run_out / "solution.json").read_text())
+        for key, value in (("final_x", [-3.0, 0.0, 0.1, 20.0]),
+                           ("final_w", [[1.0, 0.0]] * 4)):
+            path = _write(tmp_path / "bad.json", dict(good, **{key: value}))
+            assert main(["beampattern", "--scenario", scenario,
+                         "--out", str(tmp_path / "o"),
+                         "--solution", path]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,18 +90,20 @@ class TestGridSearch:
         assert fine >= coarse
 
     def test_optimum_matches_per_tuple_brute_force(self):
-        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.7 * np.pi,),
-                       aperture=2.0)
-        _, _, rate_star = grid_search(scn, GridSpec(resolution=1 / 10, n=2))
+        # absolute tuples on the grid: their gaps are the gap grid's
         from masec import optimal_beamformer
-        pts = np.arange(0.0, 2.0 + 1e-12, 1 / 10)
-        best = -np.inf
-        for i in range(pts.size):
-            for j in range(i + 5, pts.size):
-                x = np.array([pts[i], pts[j]])
-                w = optimal_beamformer(build_forms(x, scn), scn)
-                best = max(best, secrecy_rate(x, w, scn))
-        assert rate_star == pytest.approx(best, abs=1e-9)
+        for n, aperture in ((2, 2.0), (3, 1.8)):
+            scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.7 * np.pi,),
+                           aperture=aperture)
+            _, _, rate_star = grid_search(scn, GridSpec(resolution=1 / 10, n=n))
+            pts = np.arange(0.0, aperture + 1e-12, 1 / 10)
+            best = -np.inf
+            for idx in itertools.combinations(range(pts.size), n):
+                if np.all(np.diff(idx) >= 5):
+                    x = pts[list(idx)]
+                    w = optimal_beamformer(build_forms(x, scn), scn)
+                    best = max(best, secrecy_rate(x, w, scn))
+            assert rate_star == pytest.approx(best, abs=1e-9)
 
     def test_enumeration_order_invariant(self):
         # shuffled selection over the same per-tuple rates must agree
@@ -108,9 +112,9 @@ class TestGridSearch:
                        aperture=2.0)
         spec = GridSpec(resolution=1 / 10, n=2)
         x_star, _, rate_star = grid_search(scn, spec)
-        pts = np.arange(0.0, 2.0 + 1e-12, 1 / 10)
-        cands = np.array([(pts[i], pts[j]) for i in range(pts.size)
-                          for j in range(i + 5, pts.size)])
+        # gap tuples: x_1 = 0, x_2 = d_min + k h for every k that fits L
+        cands = np.array([(0.0, min(0.5 + (1 / 10) * k, 2.0))
+                          for k in range(16)])
         rates = best_secrecy_rates(cands, scn)
         order = np.random.default_rng(43).permutation(len(cands))
         best = None
@@ -135,10 +139,11 @@ class TestGridSearch:
             GridSpec(resolution=0.1, n=4)
         with pytest.raises(ValueError, match="grid too large"):
             grid_search(scn, GridSpec(resolution=1e-4, n=3, max_evals=1000))
-        coarse = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
-                          aperture=1.0, min_spacing=0.5)
-        with pytest.raises(ValueError, match="resolution"):
-            grid_search(coarse, GridSpec(resolution=0.3, n=3))
+        # zero slack leaves the FPA layout as the only candidate
+        tight = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
+                         aperture=1.0, min_spacing=0.5)
+        x_star, _, _ = grid_search(tight, GridSpec(resolution=0.3, n=3))
+        assert np.array_equal(x_star.x, initial_positions(3, tight).x)
 
 
 class TestRunVerification:
@@ -150,6 +155,12 @@ class TestRunVerification:
         for name in ("lift-identity", "fd-gradient",
                      "beamformer-stationarity", "beamformer-sampling"):
             assert names[name] == "pass"
+
+    def test_paper_n3_runs_grid_comparison(self, paper_n3):
+        report = run_verification(paper_n3, 3, seed=0)
+        names = {c.name: c.status for c in report.checks}
+        assert names["grid-comparison"] == "pass"
+        assert report.passed
 
     def test_small_scenario_runs_grid_comparison(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
