@@ -10,6 +10,7 @@ onto the spacing and aperture constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,7 @@ class RealLift:
 
     def gains(self) -> np.ndarray:
         """Quadratic-form gains f_i = g_i^T C g_i + q_i^T C q_i + 2 g_i^T D q_i."""
-        gC = self.g @ self.C
-        qC = self.q @ self.C
-        gD = self.g @ self.D
-        return (np.einsum("ij,ij->i", gC, self.g)
-                + np.einsum("ij,ij->i", qC, self.q)
-                + 2.0 * np.einsum("ij,ij->i", gD, self.q))
+        return _lift_gains(self.g, self.q, self.C, self.D)[2]
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,22 @@ def objective_psi(x, w, scenario: Scenario) -> float:
     return rate_difference(x, w, scenario)
 
 
-def _gradient(g, q, C, D, cosines, wavelength, noise_power):
-    """Gradient of Psi from precomputed lift arrays; returns (grad, gains)."""
+def _lift_gains(g, q, C, D):
+    """Partial gradients of the gains along g and q, and the gains."""
     # rows of grad_g/grad_q are (2 C g_i + 2 D q_i)^T and (2 C q_i - 2 D g_i)^T
     grad_g = 2.0 * (g @ C - q @ D)
     grad_q = 2.0 * (q @ C + g @ D)
     gains = 0.5 * (np.einsum("ij,ij->i", g, grad_g)
                    + np.einsum("ij,ij->i", q, grad_q))
-    coeff = (TWO_PI / wavelength) * cosines
+    return grad_g, grad_q, gains
+
+
+def _gradient(g, q, C, D, coeff, noise_power):
+    """Gradient of Psi from the lift arrays and (2 pi / wavelength) cos(theta_i).
+
+    Returns (grad, gains): the gains are the ones the gradient is built on.
+    """
+    grad_g, grad_q, gains = _lift_gains(g, q, C, D)
     nabla_f = coeff[:, None] * (g * grad_q - q * grad_g)
     grad = (nabla_f[0] / (noise_power + gains[0])
             - nabla_f[1:].sum(axis=0) / (noise_power + gains[1:].sum())) / LN2
@@ -110,8 +114,8 @@ def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
     and the log2 terms contribute a 1/ln(2) factor.
     """
     lift = real_lift(x, w, scenario)
-    grad, _ = _gradient(lift.g, lift.q, lift.C, lift.D,
-                        np.cos(scenario.angles), scenario.wavelength,
+    coeff = (TWO_PI / scenario.wavelength) * np.cos(scenario.angles)
+    grad, _ = _gradient(lift.g, lift.q, lift.C, lift.D, coeff,
                         scenario.noise_power)
     return grad
 
@@ -152,34 +156,49 @@ def optimize_positions(x0, w, scenario: Scenario,
 
     Iterates x <- project(x + delta grad Psi(x)) until the per-iteration
     change of Psi falls below ``cfg.inner_tol`` or the iteration cap is
-    hit.  Fixed-step ascent is not monotone, so the best iterate seen is
+    hit.  One trig evaluation per step at the new iterate yields both
+    the next gradient and Psi, read from the gradient's beam gains.
+    Fixed-step ascent is not monotone, so the best iterate seen is
     returned rather than the last one; Psi(returned) >= Psi(x0) always.
+
+    Raises:
+        ValueError: ``x0`` is unsorted, or ``AntennaPositions.create``
+            rejects it for ``scenario`` (InfeasibleError for too many
+            antennas).
 
     Returns:
         (AntennaPositions, ndarray): best positions and the trace of Psi
-        values, entry 0 being Psi(x0).
+        values, entry 0 being ``objective_psi(x0)``.
     """
     if cfg is None:
         cfg = PgaConfig()
     x = np.array(as_coords(x0), dtype=float)
-    scenario.check_feasible(x.size)
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError(f"start positions must be sorted ascending: {x}")
+    x = np.array(AntennaPositions.create(x, scenario).x)
     wv = as_weights(w)
     cosines = np.cos(scenario.angles)
     u, z = wv.real, wv.imag
     C = np.outer(u, u) + np.outer(z, z)
     D = np.outer(u, z) - np.outer(z, u)
     scale = TWO_PI / scenario.wavelength
+    coeff = scale * cosines
+    sigma2 = scenario.noise_power
+
+    def gradient_and_gains(x):
+        phases = scale * np.outer(cosines, x)
+        return _gradient(np.cos(phases), np.sin(phases), C, D, coeff, sigma2)
 
     psi = objective_psi(x, wv, scenario)
     trace = [psi]
     best_x = x.copy()
     best_psi = psi
+    grad, _ = gradient_and_gains(x)
     for _ in range(cfg.max_inner_iters):
-        phases = scale * np.outer(cosines, x)
-        grad, _ = _gradient(np.cos(phases), np.sin(phases), C, D, cosines,
-                            scenario.wavelength, scenario.noise_power)
         x = _project(np.sort(x + cfg.step_size * grad), scenario)
-        psi_new = objective_psi(x, wv, scenario)
+        grad, gains = gradient_and_gains(x)
+        psi_new = (math.log2(1.0 + gains[0] / sigma2)
+                   - math.log2(1.0 + gains[1:].sum() / sigma2))
         trace.append(psi_new)
         if psi_new > best_psi:
             best_psi = psi_new

@@ -90,6 +90,11 @@ class TestSolve:
         with pytest.raises(InfeasibleError):
             solve(22, paper_n4)
 
+    def test_infeasible_start_rejected(self):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
+        with pytest.raises(ValueError, match="d_min"):
+            solve(3, scn, x0=[3.0, 3.1, 12.0])
+
     def test_custom_start(self, paper_n4):
         from masec import AntennaPositions
         x0 = AntennaPositions.create([0.0, 1.0, 2.0, 3.0], paper_n4)

@@ -4,7 +4,8 @@ import pytest
 from masec import (InfeasibleError, PgaConfig, Scenario, fd_gradient,
                    gradient_psi, initial_positions, mrt_beamformer,
                    objective_psi, optimize_positions, project_positions,
-                   random_positions, real_lift, secrecy_rate)
+                   random_positions, rate_difference, real_lift,
+                   secrecy_rate)
 
 TWO_PI = 2.0 * np.pi
 
@@ -209,6 +210,74 @@ class TestOptimizePositions:
                                                        max_inner_iters=40))
             assert objective_psi(best, w, scn) == pytest.approx(trace.max(),
                                                                 abs=1e-12)
+
+
+    @pytest.mark.parametrize("x0", [[3.0, 3.1, 12.0],    # gap below d_min
+                                    [3.0, 4.0, 12.0],    # past the aperture
+                                    [-1.0, 1.0, 2.0],    # below zero
+                                    [4.0, 1.0, 2.0],     # unsorted
+                                    [0.0, np.nan, 2.0]])
+    def test_rejects_infeasible_start(self, x0):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
+        w = np.ones(3) / np.sqrt(3.0)
+        with pytest.raises(ValueError):
+            optimize_positions(x0, w, scn)
+
+    def test_rejects_too_many_antennas(self, paper_n4):
+        x0 = np.linspace(0.0, 10.0, 22)
+        with pytest.raises(InfeasibleError):
+            optimize_positions(x0, np.ones(22) / np.sqrt(22.0), paper_n4)
+
+
+def _reference_ascent(x0, w, scn, cfg):
+    """Psi trace of the ascent built from the public per-step functions."""
+    x = x0
+    psi = objective_psi(x, w, scn)
+    trace = [psi]
+    for _ in range(cfg.max_inner_iters):
+        x = project_positions(x.x + cfg.step_size * gradient_psi(x, w, scn),
+                              scn)
+        psi_new = objective_psi(x, w, scn)
+        trace.append(psi_new)
+        if abs(psi_new - psi) <= cfg.inner_tol:
+            break
+        psi = psi_new
+    return np.asarray(trace)
+
+
+class TestFusedAscent:
+    """The loop reads Psi from its gradient's gains: same iterates, one
+    objective evaluation per call."""
+
+    @pytest.mark.parametrize("step_size", [0.01, 0.2])
+    def test_matches_reference_loop(self, step_size, make_scenario,
+                                    make_beamformer):
+        rng = np.random.default_rng(29)
+        cfg = PgaConfig(step_size=step_size, max_inner_iters=150)
+        for n in range(1, 9):
+            for _ in range(4):
+                scn = make_scenario(rng)
+                x0 = random_positions(n, scn, rng)
+                w = make_beamformer(n, scn, rng)
+                best, trace = optimize_positions(x0, w, scn, cfg)
+                expected = _reference_ascent(x0, w, scn, cfg)
+                assert trace.shape == expected.shape
+                assert np.max(np.abs(trace - expected)) <= 1e-12
+                assert objective_psi(best, w, scn) >= expected.max() - 1e-12
+
+    def test_one_objective_evaluation_per_call(self, paper_n4, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rate_difference(*args)
+
+        monkeypatch.setattr("masec.positions.rate_difference", counting)
+        x0 = initial_positions(4, paper_n4)
+        _, trace = optimize_positions(x0, mrt_beamformer(x0, paper_n4),
+                                      paper_n4)
+        assert len(trace) > 10
+        assert len(calls) <= 1
 
 
 class TestRandomPositions:

@@ -1,0 +1,64 @@
+"""Invariants of the problem, checked on hypothesis-drawn instances.
+
+Derandomized with a small example budget, so every run checks the same
+instances in bounded time.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from masec import (Scenario, build_forms, gradient_psi, objective_psi,
+                   optimal_beamformer, secrecy_rate)
+from masec.beamformer import best_secrecy_rates
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
+                    database=None)
+
+angles = st.floats(0.0, np.pi, exclude_max=True)
+
+
+@st.composite
+def instances(draw):
+    """(scenario, positions, beamformer) with N = 1..8 on a 10-wavelength aperture."""
+    scn = Scenario(bob_angle=draw(angles),
+                   eve_angles=tuple(draw(st.lists(angles, min_size=1,
+                                                  max_size=3))),
+                   noise_power=draw(st.floats(0.3, 2.0)),
+                   power_budget=draw(st.floats(0.2, 5.0)))
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.floats(0.5, 1.1), min_size=n - 1,
+                         max_size=n - 1))
+    x = draw(st.floats(0.0, 2.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    w = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    assume(np.linalg.norm(w) > 1e-3)
+    return scn, x, w * np.sqrt(scn.power_budget) / np.linalg.norm(w)
+
+
+@PROPERTY
+@given(instances(), st.floats(-5.0, 5.0))
+def test_translation_invariance(instance, shift):
+    scn, x, w = instance
+    assert abs(objective_psi(x + shift, w, scn)
+               - objective_psi(x, w, scn)) <= 1e-9
+    rates = best_secrecy_rates(np.vstack([x, x + shift]), scn)
+    assert abs(rates[1] - rates[0]) <= 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_gradient_sums_to_zero(instance):
+    scn, x, w = instance
+    grad = gradient_psi(x, w, scn)
+    assert abs(grad.sum()) <= 1e-9 * (1.0 + np.abs(grad).sum())
+
+
+@PROPERTY
+@given(instances())
+def test_optimal_rate_within_power_bound(instance):
+    scn, x, _ = instance
+    bound = np.log2(1.0 + x.size * scn.power_budget / scn.noise_power)
+    w = optimal_beamformer(build_forms(x, scn), scn)
+    assert secrecy_rate(x, w, scn) <= bound + 1e-9
+    assert best_secrecy_rates(x[None, :], scn)[0] <= bound + 1e-9
