@@ -7,8 +7,7 @@ differences, random sampling, exhaustive grid search) used to verify it.
 """
 
 from .beamformer import (BeamformerSolution, EigensolverError, QuadraticForms,
-                         build_forms, optimal_beamformer, rayleigh_objective,
-                         solve_beamformer)
+                         build_forms, optimal_beamformer, solve_beamformer)
 from .core import (AntennaPositions, Beamformer, InfeasibleError, Scenario,
                    beam_gain, mrt_beamformer, rate_difference, secrecy_rate,
                    steering_vector)
@@ -33,7 +32,7 @@ __all__ = [
     "initial_positions", "load_run_spec", "load_solution", "mrt_beamformer",
     "objective_psi", "optimal_beamformer", "optimize_positions",
     "parse_run_spec", "project_positions", "random_positions",
-    "rate_difference", "rayleigh_objective", "real_lift", "run_verification",
+    "rate_difference", "real_lift", "run_verification",
     "sample_beamformers", "secrecy_rate", "solve", "solve_beamformer",
     "solve_fpa", "steering_vector",
 ]

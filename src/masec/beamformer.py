@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, islice
 import numpy as np
 
 from .core import (AntennaPositions, Beamformer, Scenario, as_coords,
-                   as_weights, steering_vector)
+                   steering_vector)
 
 # Relative gap under which the top eigenvalue is flagged as degenerate.
 DEGENERACY_RTOL = 1e-10
@@ -33,7 +33,8 @@ class QuadraticForms:
     """Hermitian PSD quadratic forms of the secrecy objective.
 
     ``A`` is the rank-1 signal form (1/sigma^2) a_0 a_0^H toward Bob and
-    ``B`` the rank-<=M leakage form summed over eavesdropper angles.
+    ``B`` the rank-<=M leakage form summed over eavesdropper angles.  For
+    a stack of K layouts both have shape (K, N, N).
     """
 
     A: np.ndarray
@@ -41,32 +42,55 @@ class QuadraticForms:
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
 
 def build_forms(x, scenario: Scenario) -> QuadraticForms:
-    """Assemble the signal/leakage forms A and B at the given positions."""
+    """Assemble the signal/leakage forms A and B at the given positions.
+
+    ``x`` is one layout (N,) or a stack of layouts (K, N); the forms of
+    every angle come from a single ``steering_vector`` call.
+    """
     xs = as_coords(x)
-    lam = scenario.wavelength
+    thetas = scenario.angles.reshape((-1,) + (1,) * xs.ndim)
+    v = steering_vector(xs, thetas, scenario.wavelength)
+    outer = v[..., :, None] * v[..., None, :].conj()
     sigma2 = scenario.noise_power
-    a0 = steering_vector(xs, scenario.bob_angle, lam)
-    A = np.outer(a0, a0.conj()) / sigma2
-    B = np.zeros((xs.size, xs.size), dtype=complex)
-    for theta in scenario.eve_angles:
-        ai = steering_vector(xs, theta, lam)
-        B += np.outer(ai, ai.conj())
+    A = outer[0] / sigma2
+    B = np.zeros_like(A)
+    for form in outer[1:]:
+        B += form
     B /= sigma2
     A.setflags(write=False)
     B.setflags(write=False)
     return QuadraticForms(A=A, B=B)
 
 
-def rayleigh_objective(forms: QuadraticForms, w, scenario: Scenario) -> float:
-    """Value of (1 + w^H A w) / (1 + w^H B w) at the given beamformer."""
-    wv = as_weights(w)
-    num = 1.0 + float(np.vdot(wv, forms.A @ wv).real)
-    den = 1.0 + float(np.vdot(wv, forms.B @ wv).real)
-    return num / den
+def _pencil(forms: QuadraticForms, budget: float, vectors: bool = False):
+    """Ascending eigenvalues of the pencil (A + I/P_A, B + I/P_A).
+
+    The Cholesky factor L of the positive definite denominator reduces
+    the pencil to the Hermitian L^-1 (A + I/P_A) L^-H with the same
+    spectrum.  ``forms`` may hold one pair or a stack; a stack returns
+    one row of eigenvalues per layout.  With ``vectors`` the result is
+    (eigenvalues, reduced eigenvectors, L); a generalized eigenvector is
+    L^-H times a reduced one.
+
+    Raises:
+        EigensolverError: the factorization or the eigensolve failed.
+    """
+    shift = np.eye(forms.n) / budget
+    try:
+        chol = np.linalg.cholesky(forms.B + shift)
+        reduced = np.linalg.solve(chol, forms.A + shift)
+        reduced = np.linalg.solve(chol, reduced.conj().swapaxes(-1, -2))
+        reduced = 0.5 * (reduced + reduced.conj().swapaxes(-1, -2))
+        if not vectors:
+            return np.linalg.eigvalsh(reduced)
+        eigvals, eigvecs = np.linalg.eigh(reduced)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigen decomposition failed: {exc}") from exc
+    return eigvals, eigvecs, chol
 
 
 @dataclass(frozen=True)
@@ -88,26 +112,12 @@ class BeamformerSolution:
 def solve_beamformer(forms: QuadraticForms, scenario: Scenario) -> BeamformerSolution:
     """Maximize the Rayleigh objective over ||w||^2 = P_A.
 
-    Reduces the pencil (A + I/P_A, B + I/P_A) to a standard Hermitian
-    problem through the Cholesky factor of the (positive definite)
-    denominator, takes the top eigenpair and maps it back.  The returned
-    phase is normalized so the largest-modulus entry is real positive,
-    making the output deterministic.
+    Takes the top eigenpair of the pencil and maps it back.  The
+    returned phase is normalized so the largest-modulus entry is real
+    positive, making the output deterministic.
     """
-    n = forms.n
     budget = scenario.power_budget
-    shift = np.eye(n) / budget
-    num = forms.A + shift
-    den = forms.B + shift
-    try:
-        chol = np.linalg.cholesky(den)
-        # reduced = L^-1 (A + I/P_A) L^-H, Hermitian with the pencil's spectrum
-        reduced = np.linalg.solve(chol, num)
-        reduced = np.linalg.solve(chol, reduced.conj().T).conj().T
-        reduced = 0.5 * (reduced + reduced.conj().T)
-        eigvals, eigvecs = np.linalg.eigh(reduced)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigen decomposition failed: {exc}") from exc
+    eigvals, eigvecs, chol = _pencil(forms, budget, vectors=True)
     lam_max = float(eigvals[-1])
     o = np.linalg.solve(chol.conj().T, eigvecs[:, -1])
     o /= np.linalg.norm(o)
@@ -115,7 +125,7 @@ def solve_beamformer(forms: QuadraticForms, scenario: Scenario) -> BeamformerSol
     k = int(np.argmax(np.abs(w)))
     w = w * (w[k].conj() / abs(w[k]))
     w.setflags(write=False)
-    if n > 1:
+    if forms.n > 1:
         gap = float(eigvals[-1] - eigvals[-2])
         degenerate = gap <= DEGENERACY_RTOL * max(1.0, abs(lam_max))
     else:
@@ -137,26 +147,8 @@ def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
     [log2 lambda_max]^+ of its pencil, i.e. the secrecy rate reached by
     the optimal beamformer at that layout.
     """
-    k, n = X.shape
-    scale = 2.0 * np.pi / scenario.wavelength
-    sigma2 = scenario.noise_power
-
-    def outer_forms(theta):
-        a = np.exp(1j * scale * np.cos(theta) * X)
-        return a[:, :, None] * a[:, None, :].conj()
-
-    A = outer_forms(scenario.bob_angle) / sigma2
-    B = np.zeros((k, n, n), dtype=complex)
-    for theta in scenario.eve_angles:
-        B += outer_forms(theta)
-    B /= sigma2
-    shift = np.eye(n) / scenario.power_budget
-    chol = np.linalg.cholesky(B + shift)
-    reduced = np.linalg.solve(chol, A + shift)
-    reduced = np.linalg.solve(chol, reduced.conj().transpose(0, 2, 1))
-    reduced = 0.5 * (reduced + reduced.conj().transpose(0, 2, 1))
-    lam_max = np.linalg.eigvalsh(reduced)[:, -1]
-    return np.maximum(np.log2(lam_max), 0.0)
+    eigvals = _pencil(build_forms(X, scenario), scenario.power_budget)
+    return np.maximum(np.log2(eigvals[:, -1]), 0.0)
 
 
 def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):

@@ -8,7 +8,8 @@ Subcommands:
 
 All commands take ``--scenario`` and honor ``--out`` and ``--seed``;
 fixed seeds give byte-identical outputs.  Exit codes: 0 on success, 1
-when verification checks fail, 2 on validation or I/O errors.
+when verification checks fail, 2 on validation, I/O or eigensolver
+errors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamformer import build_forms, optimal_beamformer
+from .beamformer import EigensolverError, build_forms, optimal_beamformer
 from .core import AntennaPositions, Beamformer, InfeasibleError, beam_gain
 from .driver import initial_positions, solve, solve_fpa
 from .oracle import run_verification
@@ -178,7 +179,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioFileError, InfeasibleError, ValueError) as exc:
+    except (ScenarioFileError, InfeasibleError, ValueError,
+            EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -181,28 +181,30 @@ class Beamformer:
         return self.w.size
 
 
-def steering_vector(x, theta: float, wavelength: float = 1.0) -> np.ndarray:
+def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
     """Array steering vector a(x, theta).
 
-    Entry n equals exp(j (2 pi / wavelength) x_n cos(theta)); every entry
+    Entry n equals exp(j (2 pi / wavelength) cos(theta) x_n); every entry
     has unit modulus by construction.
 
     Args:
         x: antenna coordinates (``AntennaPositions`` or array-like).
-        theta: steering angle in radians.
+        theta: steering angle in radians, or an array of angles that
+            broadcasts against ``x`` (e.g. a column for one vector per
+            angle).
         wavelength: carrier wavelength in the same unit as ``x``.
 
     Returns:
-        Complex vector of length N.
+        Complex array of the broadcast shape; length N for a scalar angle.
     """
     xs = as_coords(x)
     if not np.isfinite(xs).all():
         raise ValueError("positions must be finite")
-    if not np.isfinite(theta):
+    if not np.isfinite(theta).all():
         raise ValueError("steering angle must be finite")
     if not np.isfinite(wavelength) or wavelength <= 0.0:
         raise ValueError("wavelength must be finite and positive")
-    return np.exp(1j * (TWO_PI / wavelength) * xs * np.cos(theta))
+    return np.exp(1j * (TWO_PI / wavelength) * np.cos(theta) * xs)
 
 
 def beam_gain(x, w, theta: float, scenario: Scenario) -> float:

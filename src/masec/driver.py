@@ -165,7 +165,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
             break
         prev_rate = rate_x
     return OptimizationTrace(outer=outer, inner=inner, final_x=x, final_w=w,
-                             final_rate=secrecy_rate(x, w, scenario),
+                             final_rate=outer[-1].rate_after_x,
                              converged=converged)
 
 

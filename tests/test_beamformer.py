@@ -3,8 +3,9 @@ import pytest
 
 from masec import (AntennaPositions, EigensolverError, QuadraticForms,
                    Scenario, build_forms, optimal_beamformer,
-                   rayleigh_objective, sample_beamformers, solve_beamformer,
+                   sample_beamformers, secrecy_rate, solve_beamformer,
                    steering_vector)
+from masec.beamformer import best_secrecy_rates
 
 
 def _stationarity_residual(forms, sol, scenario):
@@ -69,8 +70,8 @@ class TestOptimalBeamformer:
         sol = solve_beamformer(forms, scn)
         assert np.allclose(sol.beamformer.w, [1, 1] / np.sqrt(2), atol=1e-9)
         assert sol.eigenvalue == pytest.approx(3.0, rel=1e-12)
-        assert rayleigh_objective(forms, sol.beamformer, scn) == \
-            pytest.approx(3.0, rel=1e-12)
+        assert secrecy_rate([0.0, 0.5], sol.beamformer, scn) == \
+            pytest.approx(np.log2(3.0), rel=1e-12)
 
     def test_scalar_case(self):
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 4, 1.0),
@@ -141,3 +142,8 @@ class TestOptimalBeamformer:
                                B=-10.0 * np.eye(2, dtype=complex))
         with pytest.raises(EigensolverError):
             solve_beamformer(forms, scn)
+        # a budget so large that I/P_A vanishes next to the rank-1 leakage
+        huge = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
+                        power_budget=1e16)
+        with pytest.raises(EigensolverError):
+            best_secrecy_rates(np.array([[0.0, 0.5, 1.0]] * 2), huge)

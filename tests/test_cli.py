@@ -104,6 +104,18 @@ class TestOptimize:
             assert err.count("\n") == 1 and "--restarts" in err
         assert not (tmp_path / "o").exists()
 
+    def test_eigensolver_failure_exits_2(self, tmp_path, capsys):
+        # P_A = 1e16 leaves the leakage form's I/P_A shift below rounding,
+        # so the pencil's denominator is not positive definite
+        doc = {"n_antennas": 3, "bob_angle_pi": 0.5, "eve_angles": [0.25],
+               "power_budget": 1e16, "aperture": 2.0}
+        scenario = _write(tmp_path / "s.json", doc)
+        for command in (["optimize"], ["verify"], ["beampattern", "--fpa"]):
+            assert main(command + ["--scenario", scenario,
+                                   "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_shorter_run_removes_stale_inner_traces(self, n4_run, tmp_path):
         scenario, run_out = n4_run
         out = tmp_path / "out"
@@ -255,6 +267,18 @@ class TestSweep:
         assert len(rows) == 8
         for row in rows:
             assert float(row[2]) >= float(row[3]) - 1e-9
+        # the start scan decides which local optimum each cell reaches,
+        # so its scores must not move in the last digit
+        assert {f"{r[0]},{r[1]}": f"{r[2]},{r[3]}" for r in rows} == {
+            "2,1": "1.58496250035,0.746131505128",
+            "2,2": "2.3219261759,0.956123297383",
+            "3,1": "1.99999871781,1.99233362595",
+            "3,2": "2.80735194955,2.79786637813",
+            "4,1": "2.32192809487,2.19328980971",
+            "4,2": "3.16992500143,3.01602495228",
+            "5,1": "2.58495783417,2.52561832987",
+            "5,2": "3.45911184204,3.38865323193",
+        }
 
     def test_infeasible_cells_recorded_and_run_continues(self, tmp_path):
         # aperture 2.0 holds at most 5 antennas at spacing 0.5

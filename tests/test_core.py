@@ -40,6 +40,7 @@ class TestSteeringVector:
         ([0.0, 1.0], np.inf, 1.0),
         ([0.0, 1.0], 1.0, 0.0),
         ([0.0, 1.0], 1.0, -2.0),
+        ([0.0, 1.0], np.array([[0.3], [np.nan]]), 1.0),
     ])
     def test_rejects_bad_input(self, x, theta, lam):
         with pytest.raises(ValueError):

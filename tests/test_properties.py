@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from masec import (Scenario, build_forms, gradient_psi, objective_psi,
-                   optimal_beamformer, secrecy_rate)
+                   secrecy_rate, solve_beamformer, steering_vector)
 from masec.beamformer import best_secrecy_rates
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
@@ -47,6 +47,20 @@ def test_translation_invariance(instance, shift):
 
 
 @PROPERTY
+@given(instances(), st.floats(-5.0, 5.0))
+def test_stacked_forms_match_single_layouts(instance, shift):
+    scn, x, _ = instance
+    stacked = build_forms(np.vstack([x, x + shift]), scn)
+    for k, row in enumerate((x, x + shift)):
+        single = build_forms(row, scn)
+        assert np.array_equal(stacked.A[k], single.A)
+        assert np.array_equal(stacked.B[k], single.B)
+    column = steering_vector(x, scn.angles[:, None], scn.wavelength)
+    for theta, vector in zip(scn.angles, column):
+        assert np.array_equal(vector, steering_vector(x, theta, scn.wavelength))
+
+
+@PROPERTY
 @given(instances())
 def test_gradient_sums_to_zero(instance):
     scn, x, w = instance
@@ -59,6 +73,8 @@ def test_gradient_sums_to_zero(instance):
 def test_optimal_rate_within_power_bound(instance):
     scn, x, _ = instance
     bound = np.log2(1.0 + x.size * scn.power_budget / scn.noise_power)
-    w = optimal_beamformer(build_forms(x, scn), scn)
-    assert secrecy_rate(x, w, scn) <= bound + 1e-9
-    assert best_secrecy_rates(x[None, :], scn)[0] <= bound + 1e-9
+    sol = solve_beamformer(build_forms(x, scn), scn)
+    assert secrecy_rate(x, sol.beamformer, scn) <= bound + 1e-9
+    best = best_secrecy_rates(x[None, :], scn)[0]
+    assert best <= bound + 1e-9
+    assert abs(best - max(np.log2(sol.eigenvalue), 0.0)) <= 1e-12
