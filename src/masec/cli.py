@@ -69,6 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> RunSpec:
     if args.restarts < 0:
         raise ScenarioFileError("--restarts must be non-negative")
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioFileError("--seed must be non-negative")
     spec = load_run_spec(args.scenario)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -76,14 +78,13 @@ def _load(args) -> RunSpec:
 
 
 def _solve_with_restarts(spec: RunSpec, restarts: int, rng):
-    spec.scenario.check_feasible(spec.n_antennas)
-    best = solve(spec.n_antennas, spec.scenario, spec.config)
-    for _ in range(restarts):
-        x0 = random_positions(spec.n_antennas, spec.scenario, rng)
-        trial = solve(spec.n_antennas, spec.scenario, spec.config, x0=x0)
-        if trial.final_rate > best.final_rate:
-            best = trial
-    return best
+    """One solve whose chains start from the scan and ``restarts`` random layouts."""
+    n = spec.n_antennas
+    spec.scenario.check_feasible(n)
+    starts = [random_positions(n, spec.scenario, rng).x
+              for _ in range(restarts)]
+    return solve(n, spec.scenario, spec.config,
+                 extra_starts=np.reshape(starts, (restarts, n)))
 
 
 def _cmd_optimize(args) -> int:

@@ -5,7 +5,8 @@ antenna gaps, scored by the optimal-beamformer rate.  From there each
 outer round first solves the beamformer in closed form and then runs
 projected gradient ascent on the positions.  Both steps can only
 improve the unclamped objective, so the end-of-round secrecy rate is
-non-decreasing and the loop terminates at a prescribed accuracy.  The
+non-decreasing and the loop terminates at a prescribed accuracy.
+Further starts run as chains of the same loop, in lockstep.  The
 fixed-position (FPA) baseline keeps the uniform layout and optimizes
 the beamformer once; it is one of the scanned layouts, so the solver
 never reports less than the FPA rate.
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamformer import best_gap_layout, build_forms, optimal_beamformer
-from .core import AntennaPositions, Beamformer, Scenario, secrecy_rate
+from .core import (AntennaPositions, Beamformer, Scenario, as_coords,
+                   secrecy_rate)
 from .positions import PgaConfig, optimize_positions
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
@@ -121,7 +123,8 @@ def scan_start(n: int, scenario: Scenario) -> AntennaPositions:
 
 
 def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
-          x0: AntennaPositions | None = None) -> OptimizationTrace:
+          x0: AntennaPositions | None = None,
+          extra_starts=None) -> OptimizationTrace:
     """Alternating optimization of (w, x) for the secrecy rate.
 
     Each round updates the beamformer in closed form for the current
@@ -131,6 +134,11 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     through ``converged``).  The clamp [.]^+ is kept out of the
     optimization and reapplied in the reported rates.
 
+    Every start is one chain.  The chains run their rounds in lockstep,
+    with one stacked ``optimize_positions`` call per round, and each
+    keeps its own beamformer step and stop test; a chain follows the same
+    iterates as a solve from its start alone.
+
     Args:
         n: number of antennas.
         scenario: problem instance (must satisfy L >= (N-1) d_min).
@@ -139,34 +147,62 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
             ``scan_start(n, scenario)``, which makes the result never
             fall below the FPA rate; ``x0=initial_positions(n, scenario)``
             reproduces a run from the uniform FPA layout.
+        extra_starts: optional (k, N) stack of further feasible layouts,
+            one chain each after the first start.
 
     Returns:
-        OptimizationTrace with per-round rates, inner Psi traces and the
-        final solution.
+        OptimizationTrace of the first chain with the highest final
+        rate: per-round rates, inner Psi traces and the final solution.
     """
     if cfg is None:
         cfg = SolveConfig()
-    x = scan_start(n, scenario) if x0 is None else x0
-    outer = []
-    inner = []
-    prev_rate = None
-    converged = False
-    w = None
+    first = as_coords(scan_start(n, scenario) if x0 is None else x0)
+    if first.shape != (n,):
+        raise ValueError(f"x0 must be one layout of {n} antennas, "
+                         f"got shape {first.shape}")
+    X = np.array(first, dtype=float, ndmin=2)
+    if extra_starts is not None:
+        extra = np.asarray(extra_starts, dtype=float)
+        if extra.ndim != 2 or extra.shape[1] != n:
+            raise ValueError(f"extra starts must be a (k, {n}) stack, "
+                             f"got shape {extra.shape}")
+        X = np.vstack([X, extra])
+    chains = range(len(X))
+    outer = [[] for _ in chains]
+    inner = [[] for _ in chains]
+    w = [None for _ in chains]
+    prev_rate = [None for _ in chains]
+    converged = [False for _ in chains]
+    live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
-        w = optimal_beamformer(build_forms(x, scenario), scenario)
-        rate_w = secrecy_rate(x, w, scenario)
-        x, psi_trace = optimize_positions(x, w, scenario, cfg.pga)
-        rate_x = secrecy_rate(x, w, scenario)
-        outer.append(OuterRecord(iteration=k, rate_after_w=rate_w,
-                                 rate_after_x=rate_x))
-        inner.append(psi_trace)
-        if prev_rate is not None and abs(rate_x - prev_rate) <= cfg.outer_tol:
-            converged = True
+        rate_w = []
+        for j in live:
+            w[j] = optimal_beamformer(build_forms(X[j], scenario), scenario)
+            rate_w.append(secrecy_rate(X[j], w[j], scenario))
+        X[live], psi = optimize_positions(X[live], [w[j].w for j in live],
+                                          scenario, cfg.pga)
+        still = []
+        for r, j in enumerate(live):
+            rate_x = secrecy_rate(X[j], w[j], scenario)
+            outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w[r],
+                                        rate_after_x=rate_x))
+            inner[j].append(psi[:, r][~np.isnan(psi[:, r])])
+            if (prev_rate[j] is not None
+                    and abs(rate_x - prev_rate[j]) <= cfg.outer_tol):
+                converged[j] = True
+            else:
+                prev_rate[j] = rate_x
+                still.append(j)
+        live = still
+        if not live:
             break
-        prev_rate = rate_x
-    return OptimizationTrace(outer=outer, inner=inner, final_x=x, final_w=w,
-                             final_rate=outer[-1].rate_after_x,
-                             converged=converged)
+    j = max(chains, key=lambda j: outer[j][-1].rate_after_x)
+    x = X[j].copy()
+    x.setflags(write=False)
+    return OptimizationTrace(outer=outer[j], inner=inner[j],
+                             final_x=AntennaPositions(x), final_w=w[j],
+                             final_rate=outer[j][-1].rate_after_x,
+                             converged=converged[j])
 
 
 def solve_fpa(n: int, scenario: Scenario):

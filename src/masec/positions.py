@@ -37,7 +37,8 @@ class RealLift:
 
     def gains(self) -> np.ndarray:
         """Quadratic-form gains f_i = g_i^T C g_i + q_i^T C q_i + 2 g_i^T D q_i."""
-        return _lift_gains(self.g, self.q, self.C, self.D)[2]
+        return _lift_gains(self.g[None], self.q[None], self.C[None],
+                           self.D[None])[2][0]
 
 
 @dataclass(frozen=True)
@@ -81,25 +82,40 @@ def objective_psi(x, w, scenario: Scenario) -> float:
 
 
 def _lift_gains(g, q, C, D):
-    """Partial gradients of the gains along g and q, and the gains."""
-    # rows of grad_g/grad_q are (2 C g_i + 2 D q_i)^T and (2 C q_i - 2 D g_i)^T
-    grad_g = 2.0 * (g @ C - q @ D)
-    grad_q = 2.0 * (q @ C + g @ D)
-    gains = 0.5 * (np.einsum("ij,ij->i", g, grad_g)
-                   + np.einsum("ij,ij->i", q, grad_q))
-    return grad_g, grad_q, gains
+    """Halved partial gradients of the gains along g and q, and the gains.
 
-
-def _gradient(g, q, C, D, coeff, noise_power):
-    """Gradient of Psi from the lift arrays and (2 pi / wavelength) cos(theta_i).
-
-    Returns (grad, gains): the gains are the ones the gradient is built on.
+    Every array carries a leading axis with one entry per chain.
     """
-    grad_g, grad_q, gains = _lift_gains(g, q, C, D)
-    nabla_f = coeff[:, None] * (g * grad_q - q * grad_g)
-    grad = (nabla_f[0] / (noise_power + gains[0])
-            - nabla_f[1:].sum(axis=0) / (noise_power + gains[1:].sum())) / LN2
-    return grad, gains
+    # rows of half_g/half_q are (C g_i + D q_i)^T and (C q_i - D g_i)^T; the
+    # partial gradients are twice these, a factor that callers fold into
+    # their constants (scaling by 2 is exact, so the gains are the same)
+    half_g = g @ C - q @ D
+    half_q = q @ C + g @ D
+    gains = (np.einsum("kij,kij->ki", g, half_g)
+             + np.einsum("kij,kij->ki", q, half_q))
+    return half_g, half_q, gains
+
+
+def _gradient(g, q, C, D, two_k, noise_power):
+    """Gradient of Psi from the lift arrays.
+
+    ``two_k`` is the column 2 k_i of ``_two_k``.  Returns
+    (grad, bob, eve): Bob's gain and the eavesdroppers' summed gain, each
+    a (K, 1) column, are the ones the gradient is built on.
+    """
+    half_g, half_q, gains = _lift_gains(g, q, C, D)
+    nabla_f = two_k * (g * half_q - q * half_g)
+    bob = gains[:, :1]
+    eve = gains[:, 1:].sum(axis=1, keepdims=True)
+    grad = (nabla_f[:, 0] / (noise_power + bob)
+            - nabla_f[:, 1:].sum(axis=1) / (noise_power + eve)) / LN2
+    return grad, bob, eve
+
+
+def _two_k(scenario: Scenario) -> np.ndarray:
+    """Column of 2 k_i, k_i = (2 pi / wavelength) cos(theta_i) the phase slope."""
+    return 2.0 * ((TWO_PI / scenario.wavelength)
+                  * np.cos(scenario.angles))[:, None]
 
 
 def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
@@ -114,23 +130,29 @@ def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
     and the log2 terms contribute a 1/ln(2) factor.
     """
     lift = real_lift(x, w, scenario)
-    coeff = (TWO_PI / scenario.wavelength) * np.cos(scenario.angles)
-    grad, _ = _gradient(lift.g, lift.q, lift.C, lift.D, coeff,
-                        scenario.noise_power)
-    return grad
+    grad, _, _ = _gradient(lift.g[None], lift.q[None], lift.C[None],
+                           lift.D[None], _two_k(scenario), scenario.noise_power)
+    return grad[0]
 
 
-def _project(arr: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Sequential nearest-point clamp of a sorted position array, in place."""
-    n = arr.size
+def _project(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Sequential nearest-point clamp of each sorted row, in place.
+
+    The clamp runs over Python floats, one row of the (K, N) array after
+    another.
+    """
+    n = rows.shape[1]
     d = scenario.min_spacing
-    lo = 0.0
-    for k in range(n):
-        hi = scenario.aperture - (n - 1 - k) * d
-        v = arr[k] if arr[k] > lo else lo
-        arr[k] = v if v < hi else hi
-        lo = arr[k] + d
-    return arr
+    caps = [scenario.aperture - (n - 1 - k) * d for k in range(n)]
+    clamped = rows.tolist()
+    for row in clamped:
+        lo = 0.0
+        for k, hi in enumerate(caps):
+            v = row[k] if row[k] > lo else lo
+            row[k] = v = v if v < hi else hi
+            lo = v + d
+    rows[:] = clamped
+    return rows
 
 
 def project_positions(x_raw, scenario: Scenario) -> AntennaPositions:
@@ -145,7 +167,7 @@ def project_positions(x_raw, scenario: Scenario) -> AntennaPositions:
     if not np.isfinite(arr).all():
         raise ValueError("positions must be finite")
     scenario.check_feasible(arr.size)
-    arr = _project(arr, scenario)
+    arr = _project(arr[None], scenario)[0]
     arr.setflags(write=False)
     return AntennaPositions(arr)
 
@@ -161,53 +183,84 @@ def optimize_positions(x0, w, scenario: Scenario,
     Fixed-step ascent is not monotone, so the best iterate seen is
     returned rather than the last one; Psi(returned) >= Psi(x0) always.
 
+    ``x0`` and ``w`` are one layout and its beamformer, or (K, N) stacks
+    holding one chain per row.  The chains run in lockstep on stacked
+    arrays, each with its own Psi trace, stop test and best iterate; a
+    chain that stops leaves the stack, so a step costs what the live
+    chains need.  Every chain follows the same iterates as a call with
+    its row alone.
+
     Raises:
-        ValueError: ``x0`` is unsorted, or ``AntennaPositions.create``
-            rejects it for ``scenario`` (InfeasibleError for too many
-            antennas).
+        ValueError: ``x0`` and ``w`` are empty or differ in shape, a row
+            of ``x0`` is unsorted, or ``AntennaPositions.create`` rejects
+            it for ``scenario`` (InfeasibleError for too many antennas).
 
     Returns:
-        (AntennaPositions, ndarray): best positions and the trace of Psi
-        values, entry 0 being ``objective_psi(x0)``.
+        (best, trace).  For one layout, the best ``AntennaPositions`` and
+        the (T+1,) trace of Psi values, entry 0 being
+        ``objective_psi(x0)``.  For a stack, the (K, N) array of best
+        layouts and a (T+1, K) array whose column k is chain k's trace,
+        NaN after the chain stopped; T is the number of steps of the
+        longest chain.
     """
     if cfg is None:
         cfg = PgaConfig()
-    x = np.array(as_coords(x0), dtype=float)
-    if np.any(np.diff(x) < 0.0):
-        raise ValueError(f"start positions must be sorted ascending: {x}")
-    x = np.array(AntennaPositions.create(x, scenario).x)
-    wv = as_weights(w)
-    cosines = np.cos(scenario.angles)
-    u, z = wv.real, wv.imag
-    C = np.outer(u, u) + np.outer(z, z)
-    D = np.outer(u, z) - np.outer(z, u)
+    xs, ws = as_coords(x0), as_weights(w)
+    if xs.shape != ws.shape or xs.ndim > 2 or xs.size == 0:
+        raise ValueError(f"positions {xs.shape} and beamformers {ws.shape} "
+                         "must be one non-empty vector or (K, N) stacks "
+                         "of one shape")
+    X = np.array(np.atleast_2d(xs), dtype=float)
+    W = np.atleast_2d(ws)
+    for x in X:
+        if np.any(np.diff(x) < 0.0):
+            raise ValueError(f"start positions must be sorted ascending: {x}")
+        AntennaPositions.create(x, scenario)
+    column = np.cos(scenario.angles)[:, None]
+    U, Z = W.real[:, :, None], W.imag[:, :, None]
+    C = U * U.swapaxes(1, 2) + Z * Z.swapaxes(1, 2)
+    D = U * Z.swapaxes(1, 2) - Z * U.swapaxes(1, 2)
     scale = TWO_PI / scenario.wavelength
-    coeff = scale * cosines
+    two_k = _two_k(scenario)
     sigma2 = scenario.noise_power
 
-    def gradient_and_gains(x):
-        phases = scale * np.outer(cosines, x)
-        return _gradient(np.cos(phases), np.sin(phases), C, D, coeff, sigma2)
+    def gradient_and_gains(X, C, D):
+        phases = scale * (column * X[:, None, :])
+        return _gradient(np.cos(phases), np.sin(phases), C, D, two_k, sigma2)
 
-    psi = objective_psi(x, wv, scenario)
-    trace = [psi]
-    best_x = x.copy()
-    best_psi = psi
-    grad, _ = gradient_and_gains(x)
+    psi = [objective_psi(x, wv, scenario) for x, wv in zip(X, W)]
+    trace = [list(psi)]
+    best_psi = list(psi)
+    best_x = X.copy()
+    chains = list(range(len(X)))  # chain of each row of the live stack
+    grad, _, _ = gradient_and_gains(X, C, D)
     for _ in range(cfg.max_inner_iters):
-        x = _project(np.sort(x + cfg.step_size * grad), scenario)
-        grad, gains = gradient_and_gains(x)
-        psi_new = (math.log2(1.0 + gains[0] / sigma2)
-                   - math.log2(1.0 + gains[1:].sum() / sigma2))
-        trace.append(psi_new)
-        if psi_new > best_psi:
-            best_psi = psi_new
-            best_x = x.copy()
-        if abs(psi_new - psi) <= cfg.inner_tol:
+        X = _project(np.sort(X + cfg.step_size * grad, axis=1), scenario)
+        grad, bob, eve = gradient_and_gains(X, C, D)
+        step = [math.nan] * len(psi)
+        keep = []
+        for r, (k, g0, ge) in enumerate(zip(chains, bob[:, 0].tolist(),
+                                             eve[:, 0].tolist())):
+            psi_new = (math.log2(1.0 + g0 / sigma2)
+                       - math.log2(1.0 + ge / sigma2))
+            step[k] = psi_new
+            if psi_new > best_psi[k]:
+                best_psi[k] = psi_new
+                best_x[k] = X[r]
+            if not abs(psi_new - psi[k]) <= cfg.inner_tol:
+                psi[k] = psi_new
+                keep.append(r)
+        trace.append(step)
+        if not keep:
             break
-        psi = psi_new
+        if len(keep) < len(chains):
+            X, grad, C, D = X[keep], grad[keep], C[keep], D[keep]
+            chains = [chains[r] for r in keep]
     best_x.setflags(write=False)
-    return AntennaPositions(best_x), np.asarray(trace)
+    trace = np.array(trace)
+    if xs.ndim == 1:
+        return AntennaPositions(best_x[0]), trace[:, 0]
+    return best_x, trace
 
 
 def random_positions(n: int, scenario: Scenario, rng) -> AntennaPositions:

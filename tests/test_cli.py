@@ -104,6 +104,15 @@ class TestOptimize:
             assert err.count("\n") == 1 and "--restarts" in err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        scenario = _write(tmp_path / "s.json", PAPER_N4)
+        for command in ("optimize", "sweep-n", "verify"):
+            assert main([command, "--scenario", scenario,
+                         "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--seed" in err
+        assert not (tmp_path / "o").exists()
+
     def test_eigensolver_failure_exits_2(self, tmp_path, capsys):
         # P_A = 1e16 leaves the leakage form's I/P_A shift below rounding,
         # so the pencil's denominator is not positive definite

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from masec import (InfeasibleError, PgaConfig, Scenario, SolveConfig,
-                   beam_gain, initial_positions, objective_psi, secrecy_rate,
-                   solve, solve_fpa)
+                   beam_gain, initial_positions, objective_psi,
+                   random_positions, secrecy_rate, solve, solve_fpa)
 
 
 class TestInitialPositions:
@@ -94,6 +94,37 @@ class TestSolve:
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
         with pytest.raises(ValueError, match="d_min"):
             solve(3, scn, x0=[3.0, 3.1, 12.0])
+
+    def test_extra_starts_match_single_solves(self, paper_n3, make_scenario):
+        # default tolerances: chains stop at different inner steps and rounds
+        rng = np.random.default_rng(34)
+        cases = [(3, paper_n3)] + [(n, make_scenario(rng)) for n in (4, 5, 6)]
+        rounds, winners = set(), set()
+        for n, scn in cases:
+            starts = np.array([random_positions(n, scn, rng).x
+                               for _ in range(4)])
+            trace = solve(n, scn, x0=starts[0], extra_starts=starts[1:])
+            singles = [solve(n, scn, x0=x0) for x0 in starts]
+            rates = [t.final_rate for t in singles]
+            best = singles[rates.index(max(rates))]
+            assert trace.outer == best.outer
+            assert len(trace.inner) == len(best.inner)
+            for psi, expected in zip(trace.inner, best.inner):
+                assert np.array_equal(psi, expected)
+            assert np.array_equal(trace.final_x.x, best.final_x.x)
+            assert np.array_equal(trace.final_w.w, best.final_w.w)
+            assert trace.converged == best.converged
+            rounds |= {t.n_outer for t in singles}
+            winners.add(rates.index(max(rates)))
+        assert len(rounds) > 1 and winners != {0}
+
+    def test_extra_starts_shape_checked(self, paper_n4):
+        x0 = initial_positions(4, paper_n4).x
+        with pytest.raises(ValueError, match="extra starts"):
+            solve(4, paper_n4, x0=x0, extra_starts=x0[:3][None, :])
+        for bad in (np.vstack([x0, x0 + 1.0]), x0[:3]):
+            with pytest.raises(ValueError, match="one layout of 4"):
+                solve(4, paper_n4, x0=bad)
 
     def test_custom_start(self, paper_n4):
         from masec import AntennaPositions

@@ -212,14 +212,20 @@ class TestOptimizePositions:
                                                                 abs=1e-12)
 
 
-    @pytest.mark.parametrize("x0", [[3.0, 3.1, 12.0],    # gap below d_min
-                                    [3.0, 4.0, 12.0],    # past the aperture
-                                    [-1.0, 1.0, 2.0],    # below zero
-                                    [4.0, 1.0, 2.0],     # unsorted
-                                    [0.0, np.nan, 2.0]])
-    def test_rejects_infeasible_start(self, x0):
+    @pytest.mark.parametrize("x0, w_shape", [
+        ([3.0, 3.1, 12.0], None),    # gap below d_min
+        ([3.0, 4.0, 12.0], None),    # past the aperture
+        ([-1.0, 1.0, 2.0], None),    # below zero
+        ([4.0, 1.0, 2.0], None),     # unsorted
+        ([0.0, np.nan, 2.0], None),
+        ([[0.0, 1.0, 2.0], [3.0, 3.1, 12.0]], None),  # one infeasible row
+        ([[0.0, 1.0, 2.0], [4.0, 1.0, 2.0]], None),   # one unsorted row
+        ([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], (3, 3)),  # more beamformers
+        ([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], (3,)),    # one beamformer
+    ], ids=[f"x0{k}" for k in range(9)])
+    def test_rejects_infeasible_start(self, x0, w_shape):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
-        w = np.ones(3) / np.sqrt(3.0)
+        w = np.ones(w_shape or np.shape(x0)) / np.sqrt(3.0)
         with pytest.raises(ValueError):
             optimize_positions(x0, w, scn)
 
@@ -278,6 +284,53 @@ class TestFusedAscent:
                                       paper_n4)
         assert len(trace) > 10
         assert len(calls) <= 1
+
+
+class TestLockstep:
+    """A stacked call runs every row as its own chain."""
+
+    @staticmethod
+    def _check(X, W, scn, cfg):
+        best, trace = optimize_positions(X, W, scn, cfg)
+        assert best.shape == X.shape
+        steps = []
+        for k, (x0, w) in enumerate(zip(X, W)):
+            single_best, single_trace = optimize_positions(x0, w, scn, cfg)
+            assert np.array_equal(best[k], single_best.x)
+            n_steps = len(single_trace) - 1
+            assert np.array_equal(trace[:n_steps + 1, k], single_trace)
+            assert np.isnan(trace[n_steps + 1:, k]).all()
+            steps.append(n_steps)
+        assert len(trace) - 1 == max(steps)
+        return steps
+
+    def test_rows_match_single_calls(self, make_scenario, make_beamformer):
+        rng = np.random.default_rng(32)
+        cfg = PgaConfig(max_inner_iters=60)
+        steps = []
+        for n in range(1, 9):
+            for _ in range(3):
+                scn = make_scenario(rng)
+                k = int(rng.integers(1, 6))
+                X = np.array([random_positions(n, scn, rng).x
+                              for _ in range(k)])
+                W = np.array([make_beamformer(n, scn, rng) for _ in range(k)])
+                steps += self._check(X, W, scn, cfg)
+        assert min(steps) < max(steps) == cfg.max_inner_iters
+
+    def test_stopped_chain_next_to_capped_chains(self, make_beamformer):
+        # Bob and both eavesdroppers share one angle: the MRT chain starts
+        # at a stationary point and stops after one step, while the
+        # random beamformers lower the common gain, one at least to the cap
+        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3, np.pi / 3))
+        rng = np.random.default_rng(33)
+        cfg = PgaConfig(max_inner_iters=40, inner_tol=1e-14)
+        for n in range(2, 9):
+            X = np.array([random_positions(n, scn, rng).x for _ in range(4)])
+            W = np.array([mrt_beamformer(X[0], scn).w]
+                         + [make_beamformer(n, scn, rng) for _ in range(3)])
+            steps = self._check(X, W, scn, cfg)
+            assert steps[0] == 1 and max(steps) == cfg.max_inner_iters
 
 
 class TestRandomPositions:

@@ -8,9 +8,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from masec import (Scenario, build_forms, gradient_psi, objective_psi,
-                   secrecy_rate, solve_beamformer, steering_vector)
+from masec import (PgaConfig, Scenario, SolveConfig, build_forms,
+                   gradient_psi, objective_psi, random_positions,
+                   secrecy_rate, solve, solve_beamformer, solve_fpa,
+                   steering_vector)
 from masec.beamformer import best_secrecy_rates
+from masec.driver import scan_start
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
                     database=None)
@@ -78,3 +81,21 @@ def test_optimal_rate_within_power_bound(instance):
     best = best_secrecy_rates(x[None, :], scn)[0]
     assert best <= bound + 1e-9
     assert abs(best - max(np.log2(sol.eigenvalue), 0.0)) <= 1e-12
+
+
+@PROPERTY
+@given(instances(), st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_solve_dominates_every_start(instance, from_scan, k, seed):
+    scn, x, _ = instance
+    n = x.size
+    rng = np.random.default_rng(seed)
+    extra = np.reshape([random_positions(n, scn, rng).x for _ in range(k)],
+                       (k, n))
+    # scan_start(n, scn) as x0 is the chain that the default start runs
+    first = scan_start(n, scn).x if from_scan else x
+    cfg = SolveConfig(pga=PgaConfig(max_inner_iters=20), max_outer_iters=2)
+    rate = solve(n, scn, cfg, x0=first, extra_starts=extra).final_rate
+    starts = np.vstack([first, extra])
+    assert rate >= best_secrecy_rates(starts, scn).max() - 1e-12
+    if from_scan:
+        assert rate >= solve_fpa(n, scn)[1] - 1e-12
