@@ -9,7 +9,7 @@ pencil (A + I/P_A, B + I/P_A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -22,6 +22,11 @@ DEGENERACY_RTOL = 1e-10
 # Matrix entries per batched call in ``best_gap_layout``: the temporaries
 # grow as rows * N^2, so larger arrays are scored in fewer rows.
 CANDIDATE_CHUNK_ENTRIES = 1024
+
+# Relative rate band in ``best_gap_layout`` within which a scored
+# canonical tuple has its mirror scored as well; it covers the rounding
+# (about 1e-15 bps/Hz) by which the two rates of a mirror pair differ.
+MIRROR_RTOL = 1e-9
 
 
 class EigensolverError(RuntimeError):
@@ -151,31 +156,107 @@ def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
     return np.maximum(np.log2(eigvals[:, -1]), 0.0)
 
 
+def _canonical(K: np.ndarray) -> np.ndarray:
+    """Mask of the gap tuples that score for their mirror pair.
+
+    Row k_2 <= ... <= k_N of ``K`` has the gap increments
+    k_2, k_3 - k_2, ..., k_N - k_(N-1); it is canonical when that sequence
+    is lexicographically <= its reverse.  The signs of the elementwise
+    comparison, weighted by decreasing powers of two, sum to the sign of
+    the first difference.
+    """
+    gaps = K.copy()
+    gaps[:, 1:] -= K[:, :-1]
+    weights = 2 ** np.arange(K.shape[1])[::-1]
+    return np.sign(gaps - gaps[:, ::-1]) @ weights <= 0
+
+
+def _mirror(K: np.ndarray) -> np.ndarray:
+    """Tuples of the mirrored layouts: the gap increments reversed."""
+    full = np.hstack([np.zeros((len(K), 1), dtype=K.dtype), K])
+    return (full[:, -1:] - full[:, ::-1])[:, 1:]
+
+
+def _canonical_chunks(n: int, levels: int, rows: int):
+    """The canonical gap tuples in lexicographic order, ``rows`` at a time.
+
+    The tuples are enumerated ``CANDIDATE_CHUNK_ENTRIES`` at a time, so
+    the enumeration costs few numpy calls next to the scoring.
+    """
+    if n == 1:
+        yield np.zeros((1, 0), dtype=int)
+        return
+    flat = chain.from_iterable(
+        combinations_with_replacement(range(levels + 1), n - 1))
+    pending = np.zeros((0, n - 1), dtype=int)
+    while (K := np.fromiter(islice(flat, CANDIDATE_CHUNK_ENTRIES * (n - 1)),
+                            dtype=int)).size:
+        K = K.reshape(-1, n - 1)
+        pending = np.vstack([pending, K[_canonical(K)]])
+        while len(pending) >= rows:
+            yield pending[:rows]
+            pending = pending[rows:]
+    if len(pending):
+        yield pending
+
+
 def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
     """Highest-rate layout on a gap grid with x_1 = 0.
 
     Candidates are x_j = (j-1) d_min + step k_j, clipped at L, for every
     non-decreasing integer tuple 0 <= k_2 <= ... <= k_N <= ``levels`` in
-    lexicographic order, scored in chunks of about
-    ``CANDIDATE_CHUNK_ENTRIES`` matrix entries.  Exact rate ties keep the
-    earliest tuple; N = 1 scores its single layout x = [0].
+    lexicographic order.  Exact rate ties keep the earliest tuple; N = 1
+    scores its single layout x = [0].
+
+    Mirroring a layout, x' = x_N - reverse(x) with the beamformer
+    reverse(conj w), keeps every beam gain, so a tuple and the tuple of
+    its reversed gaps have the same rate up to rounding.  Only the
+    canonical tuple of each pair (``_canonical``) is scored, in chunks of
+    about ``CANDIDATE_CHUNK_ENTRIES`` matrix entries.  The canonical rows
+    within ``MIRROR_RTOL`` of the best (relative to at least 1 bps/Hz)
+    then have their mirrors scored too, and the highest of those rates
+    wins, so the result is the full grid's, bit for bit.  A best rate
+    within ``MIRROR_RTOL`` of 0 is rounding noise on a grid where every
+    rate is 0 (Bob among the eavesdroppers, say); there the all-zero
+    tuple, the FPA layout, wins with the rate scored for it.
 
     Returns:
         (AntennaPositions, float): the best layout and its clamped rate.
     """
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
-    tuples = combinations_with_replacement(range(levels + 1), n - 1)
     base = scenario.min_spacing * np.arange(1, n, dtype=float)
-    best_rate = -np.inf
-    best_x = None
-    while chunk := list(islice(tuples, rows)):
-        X = np.zeros((len(chunk), n))
-        X[:, 1:] = np.minimum(base + step * np.array(chunk, dtype=int),
-                              scenario.aperture)
-        rates = best_secrecy_rates(X, scenario)
-        j = int(np.argmax(rates))
-        if rates[j] > best_rate:
-            best_rate = float(rates[j])
-            best_x = X[j].copy()
+
+    def layouts(K):
+        X = np.zeros((len(K), n))
+        X[:, 1:] = np.minimum(base + step * K, scenario.aperture)
+        return X
+
+    def near(rates, best):
+        return rates >= best - MIRROR_RTOL * max(best, 1.0)
+
+    best = -np.inf
+    kept = []  # (tuples, rates) of canonical rows near the running best
+    for K in _canonical_chunks(n, levels, rows):
+        rates = best_secrecy_rates(layouts(K), scenario)
+        best = max(best, float(rates.max()))
+        mask = near(rates, best)
+        if mask.any():
+            kept.append((K[mask], rates[mask]))
+    K = np.vstack([k for k, _ in kept])
+    rates = np.concatenate([r for _, r in kept])
+    j = 0  # a best rate of zero up to rounding: the FPA layout wins
+    if best > MIRROR_RTOL:
+        mask = near(rates, best)
+        K, rates = K[mask], rates[mask]
+        mirrors = _mirror(K)
+        mirrors = mirrors[(mirrors != K).any(axis=1)]
+        scored = [best_secrecy_rates(layouts(mirrors[i:i + rows]), scenario)
+                  for i in range(0, len(mirrors), rows)]
+        K = np.vstack([K, mirrors])
+        rates = np.concatenate([rates, *scored])
+        j = min(np.flatnonzero(rates == rates.max()),
+                key=lambda i: K[i].tolist())
+    best_x = layouts(K[j:j + 1])[0]
     best_x.setflags(write=False)
-    return AntennaPositions(best_x), best_rate
+    return AntennaPositions(best_x), float(rates[j])
+

@@ -88,8 +88,11 @@ def grid_search(scenario: Scenario, spec: GridSpec):
 
     A shift of the array does not change the rate, so the grid fixes
     x_1 = 0 and widens each gap from d_min in steps of ``spec.resolution``
-    while the layout fits the aperture.  Exact rate ties resolve to the
-    lexicographically smallest layout, independent of enumeration order.
+    while the layout fits the aperture.  ``spec.max_evals`` caps the
+    number of these layouts.  Mirroring the array does not change the
+    rate either, so ``best_gap_layout`` scores about half of them, one of
+    each mirror pair, and returns the optimum of the full grid.  Exact
+    rate ties resolve to the lexicographically smallest layout.
 
     Returns:
         (AntennaPositions, Beamformer, float): best grid positions, the

@@ -96,20 +96,26 @@ def _lift_gains(g, q, C, D):
     return half_g, half_q, gains
 
 
-def _gradient(g, q, C, D, two_k, noise_power):
-    """Gradient of Psi from the lift arrays.
+def _lift_terms(g, q, C, D):
+    """What one ascent step reads at a layout: (g, q, half_g, half_q, bob, eve).
 
-    ``two_k`` is the column 2 k_i of ``_two_k``.  Returns
-    (grad, bob, eve): Bob's gain and the eavesdroppers' summed gain, each
-    a (K, 1) column, are the ones the gradient is built on.
+    ``half_g``/``half_q`` are the halved partial gradients of
+    ``_lift_gains``; Bob's gain and the eavesdroppers' summed gain are
+    each a (K, 1) column.
     """
     half_g, half_q, gains = _lift_gains(g, q, C, D)
+    return [g, q, half_g, half_q, gains[:, :1],
+            gains[:, 1:].sum(axis=1, keepdims=True)]
+
+
+def _gradient(g, q, half_g, half_q, bob, eve, two_k, noise_power):
+    """Gradient of Psi from the terms of ``_lift_terms``.
+
+    ``two_k`` is the column 2 k_i of ``_two_k``.
+    """
     nabla_f = two_k * (g * half_q - q * half_g)
-    bob = gains[:, :1]
-    eve = gains[:, 1:].sum(axis=1, keepdims=True)
-    grad = (nabla_f[:, 0] / (noise_power + bob)
+    return (nabla_f[:, 0] / (noise_power + bob)
             - nabla_f[:, 1:].sum(axis=1) / (noise_power + eve)) / LN2
-    return grad, bob, eve
 
 
 def _two_k(scenario: Scenario) -> np.ndarray:
@@ -130,9 +136,9 @@ def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
     and the log2 terms contribute a 1/ln(2) factor.
     """
     lift = real_lift(x, w, scenario)
-    grad, _, _ = _gradient(lift.g[None], lift.q[None], lift.C[None],
-                           lift.D[None], _two_k(scenario), scenario.noise_power)
-    return grad[0]
+    terms = _lift_terms(lift.g[None], lift.q[None], lift.C[None],
+                        lift.D[None])
+    return _gradient(*terms, _two_k(scenario), scenario.noise_power)[0]
 
 
 def _project(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -178,10 +184,11 @@ def optimize_positions(x0, w, scenario: Scenario,
 
     Iterates x <- project(x + delta grad Psi(x)) until the per-iteration
     change of Psi falls below ``cfg.inner_tol`` or the iteration cap is
-    hit.  One trig evaluation per step at the new iterate yields both
-    the next gradient and Psi, read from the gradient's beam gains.
-    Fixed-step ascent is not monotone, so the best iterate seen is
-    returned rather than the last one; Psi(returned) >= Psi(x0) always.
+    hit.  One trig evaluation per step at the new iterate yields the beam
+    gains, which give Psi and, for the chains that take another step, the
+    next gradient.  Fixed-step ascent is not monotone, so the best
+    iterate seen is returned rather than the last one;
+    Psi(returned) >= Psi(x0) always.
 
     ``x0`` and ``w`` are one layout and its beamformer, or (K, N) stacks
     holding one chain per row.  The chains run in lockstep on stacked
@@ -224,19 +231,21 @@ def optimize_positions(x0, w, scenario: Scenario,
     two_k = _two_k(scenario)
     sigma2 = scenario.noise_power
 
-    def gradient_and_gains(X, C, D):
+    def terms_at(X, C, D):
         phases = scale * (column * X[:, None, :])
-        return _gradient(np.cos(phases), np.sin(phases), C, D, two_k, sigma2)
+        return _lift_terms(np.cos(phases), np.sin(phases), C, D)
 
     psi = [objective_psi(x, wv, scenario) for x, wv in zip(X, W)]
     trace = [list(psi)]
     best_psi = list(psi)
     best_x = X.copy()
     chains = list(range(len(X)))  # chain of each row of the live stack
-    grad, _, _ = gradient_and_gains(X, C, D)
+    terms = terms_at(X, C, D)
     for _ in range(cfg.max_inner_iters):
+        grad = _gradient(*terms, two_k, sigma2)
         X = _project(np.sort(X + cfg.step_size * grad, axis=1), scenario)
-        grad, bob, eve = gradient_and_gains(X, C, D)
+        terms = terms_at(X, C, D)
+        bob, eve = terms[-2:]
         step = [math.nan] * len(psi)
         keep = []
         for r, (k, g0, ge) in enumerate(zip(chains, bob[:, 0].tolist(),
@@ -254,7 +263,8 @@ def optimize_positions(x0, w, scenario: Scenario,
         if not keep:
             break
         if len(keep) < len(chains):
-            X, grad, C, D = X[keep], grad[keep], C[keep], D[keep]
+            X, C, D = X[keep], C[keep], D[keep]
+            terms = [t[keep] for t in terms]
             chains = [chains[r] for r in keep]
     best_x.setflags(write=False)
     trace = np.array(trace)

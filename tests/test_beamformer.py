@@ -1,11 +1,20 @@
+import dataclasses
+from itertools import combinations_with_replacement
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import masec.beamformer
 from masec import (AntennaPositions, EigensolverError, QuadraticForms,
-                   Scenario, build_forms, optimal_beamformer,
-                   sample_beamformers, secrecy_rate, solve_beamformer,
-                   steering_vector)
-from masec.beamformer import best_secrecy_rates
+                   Scenario, build_forms, initial_positions, load_run_spec,
+                   optimal_beamformer, sample_beamformers, secrecy_rate,
+                   solve_beamformer, steering_vector)
+from masec.beamformer import (CANDIDATE_CHUNK_ENTRIES, _canonical, _mirror,
+                              best_gap_layout, best_secrecy_rates)
+from masec.driver import _scan_levels
+
+SWEEP_M3 = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_m3.json"
 
 
 def _stationarity_residual(forms, sol, scenario):
@@ -147,3 +156,114 @@ class TestOptimalBeamformer:
                         power_budget=1e16)
         with pytest.raises(EigensolverError):
             best_secrecy_rates(np.array([[0.0, 0.5, 1.0]] * 2), huge)
+
+
+def _scan_grid(n, power):
+    """``scan_start``'s grid for N antennas on sweep_m3 at power ``power``."""
+    scn = dataclasses.replace(load_run_spec(SWEEP_M3).scenario,
+                              power_budget=power)
+    slack = scn.aperture - (n - 1) * scn.min_spacing
+    levels = _scan_levels(n, slack, scn)
+    return scn, levels, slack / levels
+
+
+def _paper_n3_grid():
+    scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.55 * np.pi, 0.25 * np.pi))
+    return scn, 61, (scn.aperture - 2 * scn.min_spacing) / 61
+
+
+def _all_tuples(n, levels):
+    return np.array(list(combinations_with_replacement(range(levels + 1),
+                                                       n - 1)))
+
+
+# grids whose full-grid winner is the non-canonical tuple of its mirror pair
+MIRROR_WINNERS = {
+    "sweep_m3-n6-p10": (6, lambda: _scan_grid(6, 10.0)),
+    "sweep_m3-n7-p1": (7, lambda: _scan_grid(7, 1.0)),
+    "sweep_m3-n7-p10": (7, lambda: _scan_grid(7, 10.0)),
+    "paper_n3-61-levels": (3, _paper_n3_grid),
+}
+
+
+class TestBestGapLayout:
+    @pytest.mark.parametrize("name", MIRROR_WINNERS)
+    def test_matches_full_grid_argmax(self, name):
+        n, grid = MIRROR_WINNERS[name]
+        scn, levels, step = grid()
+        K = _all_tuples(n, levels)
+        X = np.zeros((len(K), n))
+        X[:, 1:] = np.minimum(scn.min_spacing * np.arange(1, n) + step * K,
+                              scn.aperture)
+        rates = best_secrecy_rates(X, scn)
+        j = int(np.argmax(rates))
+        assert not _canonical(K[j:j + 1])[0]
+        x, rate = best_gap_layout(n, scn, levels, step)
+        assert np.array_equal(x.x, X[j])
+        assert rate == rates[j]
+
+    @pytest.mark.parametrize("n,levels", [(2, 9), (3, 12), (5, 6), (8, 4)])
+    def test_mask_keeps_one_tuple_of_each_mirror_pair(self, n, levels):
+        K = _all_tuples(n, levels)
+        mirrors = _mirror(K)
+        assert np.array_equal(_mirror(mirrors), K)
+        assert (np.diff(mirrors, axis=1) >= 0).all()
+        assert ((mirrors >= 0) & (mirrors <= levels)).all()
+        palindromes = (mirrors == K).all(axis=1)
+        assert _canonical(K[palindromes]).all()
+        pairs = K[~palindromes], mirrors[~palindromes]
+        assert (_canonical(pairs[0]) != _canonical(pairs[1])).all()
+
+    @pytest.mark.parametrize("name", MIRROR_WINNERS)
+    def test_scores_one_tuple_of_each_mirror_pair(self, name, monkeypatch):
+        n, grid = MIRROR_WINNERS[name]
+        scn, levels, step = grid()
+        calls = self._count_rows(monkeypatch)
+        best_gap_layout(n, scn, levels, step)
+        K = _all_tuples(n, levels)
+        gaps = np.diff(K, axis=1, prepend=0)
+        half = (len(K) + int((gaps == gaps[:, ::-1]).all(axis=1).sum())) // 2
+        assert half <= sum(calls) <= half + 4
+        assert max(calls) * n * n <= CANDIDATE_CHUNK_ENTRIES
+
+    def test_rescores_mirrors_of_every_near_best_row(self, monkeypatch):
+        # rates that tie to rounding: the winner (2, 3) is non-canonical and
+        # its mirror (1, 3) scores one ulp below another canonical row (0, 4)
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        ulp = np.spacing(1.0)
+        planted = {(2, 3): 1.0 + 4 * ulp, (0, 4): 1.0 + 2 * ulp,
+                   (4, 4): 1.0 + 2 * ulp, (1, 3): 1.0 + ulp}
+        step = 0.25
+
+        def planted_rates(X, scenario):
+            K = np.rint((X[:, 1:] - scn.min_spacing * np.arange(1, 3))
+                        / step).astype(int)
+            return np.array([planted.get(tuple(k), 0.5) for k in K.tolist()])
+        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
+                            planted_rates)
+        x, rate = best_gap_layout(3, scn, 6, step)
+        assert rate == 1.0 + 4 * ulp
+        assert np.array_equal(x.x, [0.0, 1.0, 1.75])
+
+    def test_zero_rate_plateau_returns_fpa_layout(self, monkeypatch):
+        # Bob among the eavesdroppers: every rate is 0 up to rounding
+        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
+        calls = self._count_rows(monkeypatch)
+        levels = 40
+        x, rate = best_gap_layout(3, scn, levels,
+                                  (scn.aperture - 2 * scn.min_spacing) / levels)
+        K = _all_tuples(3, levels)
+        palindromes = levels // 2 + 1  # equal gaps, 2 k_2 = k_3 <= levels
+        assert sum(calls) <= (len(K) + palindromes) // 2
+        assert np.array_equal(x.x, initial_positions(3, scn).x)
+        assert 0.0 <= rate <= 1e-12
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        calls = []
+
+        def counting(X, scenario):
+            calls.append(len(X))
+            return best_secrecy_rates(X, scenario)
+        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates", counting)
+        return calls

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from masec import (PgaConfig, Scenario, SolveConfig, build_forms,
                    gradient_psi, objective_psi, random_positions,
-                   secrecy_rate, solve, solve_beamformer, solve_fpa,
-                   steering_vector)
+                   rate_difference, secrecy_rate, solve, solve_beamformer,
+                   solve_fpa, steering_vector)
 from masec.beamformer import best_secrecy_rates
 from masec.driver import scan_start
 
@@ -47,6 +47,20 @@ def test_translation_invariance(instance, shift):
                - objective_psi(x, w, scn)) <= 1e-9
     rates = best_secrecy_rates(np.vstack([x, x + shift]), scn)
     assert abs(rates[1] - rates[0]) <= 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_mirror_invariance(instance):
+    # x' = reverse(x_N - x), w' = reverse(conj w): a(x', theta)^H w' is a
+    # phase times conj(a(x, theta)^H w), so every beam gain is kept
+    scn, x, w = instance
+    mirror = x[-1] - x[::-1]
+    psi = rate_difference(x, w, scn)
+    assert (abs(rate_difference(mirror, w[::-1].conj(), scn) - psi)
+            <= 1e-12 * max(1.0, abs(psi)))
+    rates = best_secrecy_rates(np.vstack([x, mirror]), scn)
+    assert abs(rates[1] - rates[0]) <= 1e-12 * max(1.0, rates[0])
 
 
 @PROPERTY
