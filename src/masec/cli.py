@@ -6,10 +6,10 @@ Subcommands:
     sweep-n      secrecy rate vs antenna count for MA and FPA arrays
     verify       run the oracle suite against a scenario
 
-All commands take ``--scenario`` and honor ``--out`` and ``--seed``;
-fixed seeds give byte-identical outputs.  Exit codes: 0 on success, 1
-when verification checks fail, 2 on validation, I/O or eigensolver
-errors.
+All commands take ``--scenario``; all but ``verify`` write to ``--out``
+and all but ``beampattern`` (which draws nothing) honor ``--seed``.  Fixed
+seeds give byte-identical outputs.  Exit codes: 0 on success, 1 when
+verification checks fail, 2 on validation, I/O or eigensolver errors.
 """
 
 from __future__ import annotations

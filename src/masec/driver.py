@@ -175,16 +175,15 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     converged = [False for _ in chains]
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
-        rate_w = []
         for j in live:
             w[j] = optimal_beamformer(build_forms(X[j], scenario), scenario)
-            rate_w.append(secrecy_rate(X[j], w[j], scenario))
         X[live], psi = optimize_positions(X[live], [w[j].w for j in live],
                                           scenario, cfg.pga)
         still = []
         for r, j in enumerate(live):
             rate_x = secrecy_rate(X[j], w[j], scenario)
-            outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w[r],
+            rate_w = max(float(psi[0, r]), 0.0)  # Psi at the round's start
+            outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
                                         rate_after_x=rate_x))
             inner[j].append(psi[:, r][~np.isnan(psi[:, r])])
             if (prev_rate[j] is not None

@@ -134,14 +134,14 @@ def _random_beamformer(n, scenario, rng):
 
 
 def run_verification(scenario: Scenario, n: int, seed: int = 0,
-                     grid_resolution: float | None = None,
                      gradient_fn=None) -> VerifyReport:
     """Run the oracle suite against one scenario.
 
     Checks the lift identity, the analytic gradient against central
     finite differences, beamformer stationarity and sampling optimality,
     and (for N <= 3, when the grid fits the evaluation cap) the
-    alternating solver against the exhaustive grid oracle.
+    alternating solver against the exhaustive grid oracle, whose gap
+    step is a fiftieth of the wavelength.
 
     ``gradient_fn`` overrides the gradient under test; it exists as a
     hook for negative-control tests.
@@ -163,12 +163,20 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
         f"max relative error {err:.3e} (tol 1e-09)"))
 
     err = 0.0
+    h = 1e-6
     for _ in range(20):
         x = random_positions(n, scenario, rng)
         w = _random_beamformer(n, scenario, rng)
         analytic = grad_fn(x, w, scenario)
-        numeric = fd_gradient(x, w, scenario, h=1e-6)
-        scale = max(float(np.linalg.norm(numeric)), 1e-12)
+        numeric = fd_gradient(x, w, scenario, h=h)
+        # a central difference carries rounding noise of about eps S sqrt(N)/h,
+        # S the sum of Psi's log2 terms; flooring the denominator at 1e6 times
+        # that holds noise alone (all of the estimate at N = 1) to 1e-6
+        gains = [beam_gain(x, w, t, scenario) for t in scenario.angles]
+        size = sum(math.log2(1.0 + g / scenario.noise_power)
+                   for g in (gains[0], sum(gains[1:])))
+        noise = np.finfo(float).eps * size * math.sqrt(n) / h
+        scale = max(float(np.linalg.norm(numeric)), 1e6 * noise)
         err = max(err, float(np.linalg.norm(analytic - numeric)) / scale)
     checks.append(VerifyCheck(
         "fd-gradient", "pass" if err <= 1e-5 else "fail",
@@ -202,8 +210,7 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
         checks.append(VerifyCheck("grid-comparison", "skip",
                                   f"exhaustive search limited to N <= 3, N={n}"))
     else:
-        spec = GridSpec(resolution=(grid_resolution or scenario.wavelength / 50),
-                        n=n)
+        spec = GridSpec(resolution=scenario.wavelength / 50, n=n)
         try:
             _, _, grid_rate = grid_search(scenario, spec)
         except ValueError as exc:

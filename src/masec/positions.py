@@ -27,7 +27,8 @@ class RealLift:
 
     Rows of ``g``/``q`` hold the cosine/sine vectors per steering angle
     (Bob first, then the eavesdroppers), so g[i]**2 + q[i]**2 == 1
-    elementwise.  ``C`` is symmetric PSD, ``D`` antisymmetric.
+    elementwise.  ``C`` is symmetric PSD, ``D`` antisymmetric.  A stack
+    of K layouts has a leading axis of length K on every array.
     """
 
     g: np.ndarray
@@ -37,8 +38,7 @@ class RealLift:
 
     def gains(self) -> np.ndarray:
         """Quadratic-form gains f_i = g_i^T C g_i + q_i^T C q_i + 2 g_i^T D q_i."""
-        return _lift_gains(self.g[None], self.q[None], self.C[None],
-                           self.D[None])[2][0]
+        return _lift_gains(self.g, self.q, self.C, self.D)[2]
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,30 @@ class PgaConfig:
             raise ValueError("inner_tol must be positive")
 
 
+def _phase_trig(X, column, scale):
+    """Cosines and sines of the phases scale * cos(theta_i) * x_n.
+
+    ``column`` holds cos(theta_i) as an (M+1, 1) column and ``scale`` is
+    2 pi / wavelength; each layout of ``X`` gets an (M+1, N) block.
+    """
+    phases = scale * (column * X[..., None, :])
+    return np.cos(phases), np.sin(phases)
+
+
 def real_lift(x, w, scenario: Scenario) -> RealLift:
-    """Build the (g, q, C, D) lift of the beam gains at positions ``x``."""
-    xs = as_coords(x)
-    wv = as_weights(w)
-    if xs.size != wv.size:
-        raise ValueError(f"positions ({xs.size}) and beamformer ({wv.size}) "
+    """Build the (g, q, C, D) lift of the beam gains at positions ``x``.
+
+    (K, N) stacks of layouts and beamformers get one lift per row.
+    """
+    xs, wv = as_coords(x), as_weights(w)
+    if xs.shape != wv.shape or xs.ndim > 2:
+        raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
                          "dimensions disagree")
-    phases = (TWO_PI / scenario.wavelength) * np.outer(np.cos(scenario.angles), xs)
-    u, z = wv.real, wv.imag
-    return RealLift(g=np.cos(phases), q=np.sin(phases),
-                    C=np.outer(u, u) + np.outer(z, z),
-                    D=np.outer(u, z) - np.outer(z, u))
+    g, q = _phase_trig(xs, np.cos(scenario.angles)[:, None],
+                       TWO_PI / scenario.wavelength)
+    u, z = wv.real[..., :, None], wv.imag[..., :, None]
+    u_t, z_t = wv.real[..., None, :], wv.imag[..., None, :]
+    return RealLift(g=g, q=q, C=u * u_t + z * z_t, D=u * z_t - z * u_t)
 
 
 def objective_psi(x, w, scenario: Scenario) -> float:
@@ -82,46 +94,27 @@ def objective_psi(x, w, scenario: Scenario) -> float:
 
 
 def _lift_gains(g, q, C, D):
-    """Halved partial gradients of the gains along g and q, and the gains.
-
-    Every array carries a leading axis with one entry per chain.
-    """
+    """Halved partial gradients of the gains along g and q, and the gains."""
     # rows of half_g/half_q are (C g_i + D q_i)^T and (C q_i - D g_i)^T; the
     # partial gradients are twice these, a factor that callers fold into
     # their constants (scaling by 2 is exact, so the gains are the same)
     half_g = g @ C - q @ D
     half_q = q @ C + g @ D
-    gains = (np.einsum("kij,kij->ki", g, half_g)
-             + np.einsum("kij,kij->ki", q, half_q))
+    gains = (np.einsum("...ij,...ij->...i", g, half_g)
+             + np.einsum("...ij,...ij->...i", q, half_q))
     return half_g, half_q, gains
 
 
-def _lift_terms(g, q, C, D):
-    """What one ascent step reads at a layout: (g, q, half_g, half_q, bob, eve).
+def _gradient(g, q, half_g, half_q, gains, two_k, noise_power):
+    """Gradient of Psi from a lift's g, q and the output of ``_lift_gains``.
 
-    ``half_g``/``half_q`` are the halved partial gradients of
-    ``_lift_gains``; Bob's gain and the eavesdroppers' summed gain are
-    each a (K, 1) column.
-    """
-    half_g, half_q, gains = _lift_gains(g, q, C, D)
-    return [g, q, half_g, half_q, gains[:, :1],
-            gains[:, 1:].sum(axis=1, keepdims=True)]
-
-
-def _gradient(g, q, half_g, half_q, bob, eve, two_k, noise_power):
-    """Gradient of Psi from the terms of ``_lift_terms``.
-
-    ``two_k`` is the column 2 k_i of ``_two_k``.
+    ``two_k`` is the column of 2 k_i, k_i = (2 pi / wavelength) cos(theta_i).
     """
     nabla_f = two_k * (g * half_q - q * half_g)
-    return (nabla_f[:, 0] / (noise_power + bob)
-            - nabla_f[:, 1:].sum(axis=1) / (noise_power + eve)) / LN2
-
-
-def _two_k(scenario: Scenario) -> np.ndarray:
-    """Column of 2 k_i, k_i = (2 pi / wavelength) cos(theta_i) the phase slope."""
-    return 2.0 * ((TWO_PI / scenario.wavelength)
-                  * np.cos(scenario.angles))[:, None]
+    bob = gains[..., :1]
+    eve = gains[..., 1:].sum(axis=-1, keepdims=True)
+    return (nabla_f[..., 0, :] / (noise_power + bob)
+            - nabla_f[..., 1:, :].sum(axis=-2) / (noise_power + eve)) / LN2
 
 
 def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
@@ -136,9 +129,10 @@ def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
     and the log2 terms contribute a 1/ln(2) factor.
     """
     lift = real_lift(x, w, scenario)
-    terms = _lift_terms(lift.g[None], lift.q[None], lift.C[None],
-                        lift.D[None])
-    return _gradient(*terms, _two_k(scenario), scenario.noise_power)[0]
+    two_k = 2.0 * (TWO_PI / scenario.wavelength) * np.cos(scenario.angles)
+    return _gradient(lift.g, lift.q,
+                     *_lift_gains(lift.g, lift.q, lift.C, lift.D),
+                     two_k[:, None], scenario.noise_power)
 
 
 def _project(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -223,33 +217,29 @@ def optimize_positions(x0, w, scenario: Scenario,
         if np.any(np.diff(x) < 0.0):
             raise ValueError(f"start positions must be sorted ascending: {x}")
         AntennaPositions.create(x, scenario)
+    lift = real_lift(X, W, scenario)
+    g, q, C, D = lift.g, lift.q, lift.C, lift.D
     column = np.cos(scenario.angles)[:, None]
-    U, Z = W.real[:, :, None], W.imag[:, :, None]
-    C = U * U.swapaxes(1, 2) + Z * Z.swapaxes(1, 2)
-    D = U * Z.swapaxes(1, 2) - Z * U.swapaxes(1, 2)
     scale = TWO_PI / scenario.wavelength
-    two_k = _two_k(scenario)
+    two_k = 2.0 * scale * column
     sigma2 = scenario.noise_power
-
-    def terms_at(X, C, D):
-        phases = scale * (column * X[:, None, :])
-        return _lift_terms(np.cos(phases), np.sin(phases), C, D)
-
     psi = [objective_psi(x, wv, scenario) for x, wv in zip(X, W)]
     trace = [list(psi)]
     best_psi = list(psi)
     best_x = X.copy()
     chains = list(range(len(X)))  # chain of each row of the live stack
-    terms = terms_at(X, C, D)
+    terms = [g, q, *_lift_gains(g, q, C, D)]
     for _ in range(cfg.max_inner_iters):
         grad = _gradient(*terms, two_k, sigma2)
         X = _project(np.sort(X + cfg.step_size * grad, axis=1), scenario)
-        terms = terms_at(X, C, D)
-        bob, eve = terms[-2:]
+        g, q = _phase_trig(X, column, scale)
+        terms = [g, q, *_lift_gains(g, q, C, D)]
+        gains = terms[-1]
         step = [math.nan] * len(psi)
         keep = []
-        for r, (k, g0, ge) in enumerate(zip(chains, bob[:, 0].tolist(),
-                                             eve[:, 0].tolist())):
+        for r, (k, g0, ge) in enumerate(zip(
+                chains, gains[:, 0].tolist(),
+                gains[:, 1:].sum(axis=1).tolist())):
             psi_new = (math.log2(1.0 + g0 / sigma2)
                        - math.log2(1.0 + ge / sigma2))
             step[k] = psi_new

@@ -276,6 +276,9 @@ class TestSweep:
         assert len(rows) == 8
         for row in rows:
             assert float(row[2]) >= float(row[3]) - 1e-9
+        for power in ("1", "2"):
+            rates = [float(r[2]) for r in rows if r[1] == power]
+            assert len(rates) == 4 and rates == sorted(rates)
         # the start scan decides which local optimum each cell reaches,
         # so its scores must not move in the last digit
         assert {f"{r[0]},{r[1]}": f"{r[2]},{r[3]}" for r in rows} == {
@@ -315,6 +318,12 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert any(line.startswith("PASS") for line in lines)
         assert not any(line.startswith("FAIL") for line in lines)
+
+    def test_single_antenna_passes(self, tmp_path, capsys):
+        doc = {"n_antennas": 1, "bob_angle_pi": 0.5, "eve_angles": [0.25]}
+        scenario = _write(tmp_path / "s.json", doc)
+        assert main(["verify", "--scenario", scenario]) == 0
+        assert "PASS  fd-gradient" in capsys.readouterr().out
 
     def test_small_scenario_reports_grid(self, tmp_path, capsys):
         doc = dict(PAPER_N4, n_antennas=2, eve_angles=[0.25], aperture=2.0)

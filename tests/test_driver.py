@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from masec import (InfeasibleError, PgaConfig, Scenario, SolveConfig,
-                   beam_gain, initial_positions, objective_psi,
+                   beam_gain, build_forms, initial_positions, objective_psi,
+                   optimal_beamformer,
                    random_positions, secrecy_rate, solve, solve_fpa)
 
 
@@ -45,6 +46,19 @@ class TestSolve:
             # the w-step is an exact maximizer given x
             for rec, prev in zip(trace.outer[1:], rates):
                 assert rec.rate_after_w >= prev - 1e-9
+
+    def test_rate_after_w_is_the_secrecy_rate_at_the_start(self, paper_n4,
+                                                          make_scenario):
+        rng = np.random.default_rng(31)
+        cases = [(4, paper_n4), (2, Scenario(bob_angle=1.0, eve_angles=(1.0,)))]
+        cases += [(int(rng.integers(1, 7)), make_scenario(rng))
+                  for _ in range(6)]
+        cfg = SolveConfig(pga=PgaConfig(max_inner_iters=20), max_outer_iters=1)
+        for n, scn in cases:
+            x0 = random_positions(n, scn, rng)
+            w = optimal_beamformer(build_forms(x0, scn), scn)
+            trace = solve(n, scn, cfg, x0=x0)
+            assert trace.outer[0].rate_after_w == secrecy_rate(x0, w, scn)
 
     def test_final_rate_consistency(self, paper_n4):
         trace = solve(4, paper_n4)

@@ -170,6 +170,17 @@ class TestRunVerification:
         assert names["grid-comparison"] == "pass"
         assert report.passed
 
+    @pytest.mark.parametrize("power", [1.0, 1e3, 1e6])
+    def test_single_antenna_passes(self, power):
+        # Psi does not depend on x at N = 1: the central difference is
+        # rounding noise, and the check must not divide it by its own norm
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
+                       power_budget=power)
+        report = run_verification(scn, 1, seed=0)
+        names = {c.name: c.status for c in report.checks}
+        assert names["fd-gradient"] == "pass"
+        assert report.passed
+
     def test_corrupted_gradient_detected(self, paper_n4):
         flipped = lambda x, w, scn: -gradient_psi(x, w, scn)
         report = run_verification(paper_n4, 4, seed=0, gradient_fn=flipped)

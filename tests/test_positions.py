@@ -55,6 +55,35 @@ class TestRealLift:
                 assert abs(gains[i] - direct) <= 1e-9 * max(1.0, direct)
 
 
+    def test_stack_matches_single_layouts(self, make_scenario,
+                                          make_beamformer):
+        rng = np.random.default_rng(25)
+        for n in range(1, 9):
+            scn = make_scenario(rng)
+            X = np.array([random_positions(n, scn, rng).x for _ in range(3)])
+            W = np.array([make_beamformer(n, scn, rng) for _ in range(3)])
+            stack = real_lift(X, W, scn)
+            gains = stack.gains()
+            assert gains.shape == (3, scn.num_eves + 1)
+            for k in range(3):
+                one = real_lift(X[k], W[k], scn)
+                for name in ("g", "q", "C", "D"):
+                    assert np.array_equal(getattr(stack, name)[k],
+                                          getattr(one, name))
+                assert np.array_equal(gains[k], one.gains())
+
+    @pytest.mark.parametrize("x, w_shape", [
+        ([0.0, 0.7], (3,)),
+        ([[0.0, 0.7], [1.0, 2.0]], (2,)),
+        ([[0.0, 0.7], [1.0, 2.0]], (3, 2)),
+        ([[[0.0, 0.7]]], (1, 1, 2)),
+    ])
+    def test_shape_mismatch_rejected(self, x, w_shape):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            real_lift(x, np.ones(w_shape), scn)
+
+
 class TestObjectivePsi:
     def test_secrecy_rate_is_clamped_psi(self, make_scenario, make_beamformer):
         rng = np.random.default_rng(22)
