@@ -24,9 +24,15 @@ DEGENERACY_RTOL = 1e-10
 CANDIDATE_CHUNK_ENTRIES = 1024
 
 # Relative rate band in ``best_gap_layout`` within which a scored
-# canonical tuple has its mirror scored as well; it covers the rounding
-# (about 1e-15 bps/Hz) by which the two rates of a mirror pair differ.
+# canonical tuple has its mirror scored as well.  With ``_rate_slack``
+# added it covers the rounding by which the two rates of a mirror pair
+# differ: about 1e-15 bps/Hz at P_A / sigma^2 = 1, but 1e-5 at 1e10.
 MIRROR_RTOL = 1e-9
+
+# Rows per block that ``best_gap_layout`` screens with one rate-bound
+# call, in scorer chunks: a block spreads the bound's per-call cost over
+# hundreds of rows, and its arrays stay near 0.1 MB at N = 3, M = 3.
+BOUND_BLOCK_CHUNKS = 4
 
 
 class EigensolverError(RuntimeError):
@@ -156,6 +162,49 @@ def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
     return np.maximum(np.log2(eigvals[:, -1]), 0.0)
 
 
+def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
+    """Upper bound log2(1 + t) on the secrecy rate of each layout row.
+
+    With rho = P_A / sigma^2, a = a(x, theta_0) and the eavesdropper
+    steering vectors as the columns of E, t = rho a^H (I + rho E E^H)^-1 a
+    satisfies t < lambda_max <= 1 + t by Cauchy-Schwarz in the
+    (I + rho E E^H) inner product.  1 + t is the Schur complement of the
+    eavesdropper block of I + rho Gamma, Gamma the Gram matrix of the
+    steering vectors ordered eavesdroppers first and Bob last, so it is
+    the square of the last pivot of one batched Cholesky factor; no
+    N x N form is built.  The computed bound and ``best_secrecy_rates``
+    keep these inequalities up to ``_rate_slack``.
+
+    Raises:
+        EigensolverError: the factorization failed.
+    """
+    angles = np.roll(scenario.angles, -1)[:, None]  # eavesdroppers, then Bob
+    v = steering_vector(X[:, None, :], angles, scenario.wavelength)
+    gram = v.conj() @ v.swapaxes(-1, -2)
+    gram *= scenario.power_budget / scenario.noise_power
+    gram += np.eye(len(angles))
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"rate bound failed: {exc}") from exc
+    return 2.0 * np.log2(chol[:, -1, -1].real)
+
+
+def _rate_slack(n: int, scenario: Scenario) -> float:
+    """Rounding allowance, in bps/Hz, for rates of N-antenna layouts.
+
+    16 eps (1 + rho N (M + 1)) / ln 2 with rho = P_A / sigma^2.  The
+    matrices that ``_rate_bounds`` and ``best_secrecy_rates`` factor are
+    a unit shift plus terms of total size up to rho N (M + 1), and their
+    log2 arguments are at least 1.  On random layouts with rho up to
+    3e10 the two computations break the inequalities of
+    ``_rate_bounds`` by at most a tenth of this allowance.
+    """
+    rho = scenario.power_budget / scenario.noise_power
+    return (16 * np.finfo(float).eps * (1 + rho * n * (scenario.num_eves + 1))
+            / np.log(2.0))
+
+
 def _canonical(K: np.ndarray) -> np.ndarray:
     """Mask of the gap tuples that score for their mirror pair.
 
@@ -177,17 +226,15 @@ def _mirror(K: np.ndarray) -> np.ndarray:
     return (full[:, -1:] - full[:, ::-1])[:, 1:]
 
 
-def _canonical_chunks(n: int, levels: int, rows: int):
-    """The canonical gap tuples in lexicographic order, ``rows`` at a time.
+def _canonical_blocks(n: int, levels: int, rows: int):
+    """The canonical gap tuples after the all-zero one, ``rows`` at a time.
 
-    The tuples are enumerated ``CANDIDATE_CHUNK_ENTRIES`` at a time, so
-    the enumeration costs few numpy calls next to the scoring.
+    The tuples come in lexicographic order and are enumerated
+    ``CANDIDATE_CHUNK_ENTRIES`` at a time, so the enumeration costs few
+    numpy calls next to the scoring.
     """
-    if n == 1:
-        yield np.zeros((1, 0), dtype=int)
-        return
-    flat = chain.from_iterable(
-        combinations_with_replacement(range(levels + 1), n - 1))
+    tuples = combinations_with_replacement(range(levels + 1), n - 1)
+    flat = chain.from_iterable(islice(tuples, 1, None))
     pending = np.zeros((0, n - 1), dtype=int)
     while (K := np.fromiter(islice(flat, CANDIDATE_CHUNK_ENTRIES * (n - 1)),
                             dtype=int)).size:
@@ -211,42 +258,60 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
     Mirroring a layout, x' = x_N - reverse(x) with the beamformer
     reverse(conj w), keeps every beam gain, so a tuple and the tuple of
     its reversed gaps have the same rate up to rounding.  Only the
-    canonical tuple of each pair (``_canonical``) is scored, in chunks of
-    about ``CANDIDATE_CHUNK_ENTRIES`` matrix entries.  The canonical rows
-    within ``MIRROR_RTOL`` of the best (relative to at least 1 bps/Hz)
-    then have their mirrors scored too, and the highest of those rates
-    wins, so the result is the full grid's, bit for bit.  A best rate
-    within ``MIRROR_RTOL`` of 0 is rounding noise on a grid where every
-    rate is 0 (Bob among the eavesdroppers, say); there the all-zero
-    tuple, the FPA layout, wins with the rate scored for it.
+    canonical tuple of each pair (``_canonical``) can score, and only if
+    its rate can reach the band of the running best: ``MIRROR_RTOL``
+    relative to at least 1 bps/Hz, plus ``_rate_slack``.  The all-zero
+    tuple, the FPA layout, is scored first.  The other canonical tuples
+    come in blocks of ``BOUND_BLOCK_CHUNKS`` scorer chunks, and
+    ``_rate_bounds`` bounds a whole block before any pencil is solved.
+    A row whose bound plus ``_rate_slack`` lies below the band is
+    skipped: its rate is certified below the best, so neither it nor
+    its mirror can win or tie.  The others are scored in order of
+    decreasing bound, in chunks of about ``CANDIDATE_CHUNK_ENTRIES``
+    matrix entries, and the rest of the block is screened again after
+    each chunk.  The scored rows in the band of the best then have their
+    mirrors scored too, and the highest of those rates wins, so the
+    result is the full grid's, bit for bit.  A best rate within
+    ``MIRROR_RTOL`` plus ``_rate_slack`` of 0 is rounding noise on a grid
+    where every rate is 0 (Bob among the eavesdroppers, say); there the
+    FPA layout wins with the rate scored for it.
 
     Returns:
         (AntennaPositions, float): the best layout and its clamped rate.
     """
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
     base = scenario.min_spacing * np.arange(1, n, dtype=float)
+    slack = _rate_slack(n, scenario)
 
     def layouts(K):
         X = np.zeros((len(K), n))
         X[:, 1:] = np.minimum(base + step * K, scenario.aperture)
         return X
 
-    def near(rates, best):
-        return rates >= best - MIRROR_RTOL * max(best, 1.0)
+    def floor(best):
+        return best - MIRROR_RTOL * max(best, 1.0) - slack
 
-    best = -np.inf
-    kept = []  # (tuples, rates) of canonical rows near the running best
-    for K in _canonical_chunks(n, levels, rows):
-        rates = best_secrecy_rates(layouts(K), scenario)
-        best = max(best, float(rates.max()))
-        mask = near(rates, best)
-        if mask.any():
-            kept.append((K[mask], rates[mask]))
+    K = np.zeros((1, n - 1), dtype=int)
+    rates = best_secrecy_rates(layouts(K), scenario)
+    best = float(rates[0])
+    kept = [(K, rates)]  # (tuples, rates) of scored rows near the running best
+    for K in _canonical_blocks(n, levels, BOUND_BLOCK_CHUNKS * rows):
+        bounds = _rate_bounds(layouts(K), scenario) + slack
+        order = np.argsort(-bounds)
+        K, bounds = K[order], bounds[order]
+        # the rows that can still reach the band are a prefix of the block
+        while live := np.count_nonzero(bounds >= floor(best)):
+            chunk, K, bounds = K[:min(live, rows)], K[rows:], bounds[rows:]
+            rates = best_secrecy_rates(layouts(chunk), scenario)
+            best = max(best, float(rates.max()))
+            mask = rates >= floor(best)
+            if mask.any():
+                kept.append((chunk[mask], rates[mask]))
     K = np.vstack([k for k, _ in kept])
     rates = np.concatenate([r for _, r in kept])
     j = 0  # a best rate of zero up to rounding: the FPA layout wins
-    if best > MIRROR_RTOL:
-        mask = near(rates, best)
+    if best > MIRROR_RTOL + slack:
+        mask = rates >= floor(best)
         K, rates = K[mask], rates[mask]
         mirrors = _mirror(K)
         mirrors = mirrors[(mirrors != K).any(axis=1)]
@@ -259,4 +324,3 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
     best_x = layouts(K[j:j + 1])[0]
     best_x.setflags(write=False)
     return AntennaPositions(best_x), float(rates[j])
-

@@ -7,7 +7,8 @@ Subcommands:
     verify       run the oracle suite against a scenario
 
 All commands take ``--scenario``; all but ``verify`` write to ``--out``
-and all but ``beampattern`` (which draws nothing) honor ``--seed``.  Fixed
+and all but ``beampattern`` (which draws nothing) honor ``--seed``.
+``optimize`` and ``sweep-n`` take ``--restarts``.  Fixed
 seeds give byte-identical outputs.  Exit codes: 0 on success, 1 when
 verification checks fail, 2 on validation, I/O or eigensolver errors.
 """
@@ -39,14 +40,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=None,
                         help="override the scenario file seed")
-    common.add_argument("--restarts", type=int, default=0,
+    starts = argparse.ArgumentParser(add_help=False)
+    starts.add_argument("--restarts", type=int, default=0,
                         help="extra solves from random feasible layouts")
 
     parser = argparse.ArgumentParser(
         prog="masec",
         description="Secrecy-rate maximization for movable-antenna arrays")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("optimize", parents=[common],
+    sub.add_parser("optimize", parents=[common, starts],
                    help="run the alternating solver")
     bp = sub.add_parser("beampattern", parents=[common],
                         help="sample the beam gain over [0, pi]")
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="use the fixed-position baseline instead of a solution")
     bp.add_argument("--angles", type=int, default=DEFAULT_ANGLE_COUNT,
                     help="number of sample angles")
-    sw = sub.add_parser("sweep-n", parents=[common],
+    sw = sub.add_parser("sweep-n", parents=[common, starts],
                         help="sweep the antenna count for MA and FPA")
     sw.add_argument("--n-min", type=int, default=2)
     sw.add_argument("--n-max", type=int, default=8)
@@ -67,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunSpec:
-    if args.restarts < 0:
+    if getattr(args, "restarts", 0) < 0:
         raise ScenarioFileError("--restarts must be non-negative")
     if args.seed is not None and args.seed < 0:
         raise ScenarioFileError("--seed must be non-negative")

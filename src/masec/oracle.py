@@ -90,9 +90,12 @@ def grid_search(scenario: Scenario, spec: GridSpec):
     x_1 = 0 and widens each gap from d_min in steps of ``spec.resolution``
     while the layout fits the aperture.  ``spec.max_evals`` caps the
     number of these layouts.  Mirroring the array does not change the
-    rate either, so ``best_gap_layout`` scores about half of them, one of
-    each mirror pair, and returns the optimum of the full grid.  Exact
-    rate ties resolve to the lexicographically smallest layout.
+    rate either, so ``best_gap_layout`` considers one layout of each
+    mirror pair, and it solves the pencil only where a cheap upper bound
+    on the rate can still reach the best.  Every layout it skips is
+    certified below the best, so it returns the optimum of the full
+    grid.  Exact rate ties resolve to the lexicographically smallest
+    layout.
 
     Returns:
         (AntennaPositions, Beamformer, float): best grid positions, the

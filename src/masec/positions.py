@@ -74,6 +74,8 @@ def real_lift(x, w, scenario: Scenario) -> RealLift:
     (K, N) stacks of layouts and beamformers get one lift per row.
     """
     xs, wv = as_coords(x), as_weights(w)
+    if not np.isfinite(xs).all():
+        raise ValueError("positions must be finite")
     if xs.shape != wv.shape or xs.ndim > 2:
         raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
                          "dimensions disagree")

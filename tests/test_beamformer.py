@@ -10,8 +10,9 @@ from masec import (AntennaPositions, EigensolverError, QuadraticForms,
                    Scenario, build_forms, initial_positions, load_run_spec,
                    optimal_beamformer, sample_beamformers, secrecy_rate,
                    solve_beamformer, steering_vector)
-from masec.beamformer import (CANDIDATE_CHUNK_ENTRIES, _canonical, _mirror,
-                              best_gap_layout, best_secrecy_rates)
+from masec.beamformer import (BOUND_BLOCK_CHUNKS, CANDIDATE_CHUNK_ENTRIES,
+                              MIRROR_RTOL, _canonical, _mirror, _rate_bounds,
+                              _rate_slack, best_gap_layout, best_secrecy_rates)
 from masec.driver import _scan_levels
 
 SWEEP_M3 = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_m3.json"
@@ -177,6 +178,25 @@ def _all_tuples(n, levels):
                                                        n - 1)))
 
 
+def _layouts(K, scn, step):
+    """``best_gap_layout``'s layouts of the gap tuples ``K``."""
+    n = K.shape[1] + 1
+    X = np.zeros((len(K), n))
+    X[:, 1:] = np.minimum(scn.min_spacing * np.arange(1, n) + step * K,
+                          scn.aperture)
+    return X
+
+
+def _assert_full_grid_argmax(n, scn, levels, step):
+    X = _layouts(_all_tuples(n, levels), scn, step)
+    rates = best_secrecy_rates(X, scn)
+    j = int(np.argmax(rates))
+    x, rate = best_gap_layout(n, scn, levels, step)
+    assert np.array_equal(x.x, X[j])
+    assert rate == rates[j]
+    return j
+
+
 # grids whose full-grid winner is the non-canonical tuple of its mirror pair
 MIRROR_WINNERS = {
     "sweep_m3-n6-p10": (6, lambda: _scan_grid(6, 10.0)),
@@ -191,16 +211,18 @@ class TestBestGapLayout:
     def test_matches_full_grid_argmax(self, name):
         n, grid = MIRROR_WINNERS[name]
         scn, levels, step = grid()
-        K = _all_tuples(n, levels)
-        X = np.zeros((len(K), n))
-        X[:, 1:] = np.minimum(scn.min_spacing * np.arange(1, n) + step * K,
-                              scn.aperture)
-        rates = best_secrecy_rates(X, scn)
-        j = int(np.argmax(rates))
-        assert not _canonical(K[j:j + 1])[0]
-        x, rate = best_gap_layout(n, scn, levels, step)
-        assert np.array_equal(x.x, X[j])
-        assert rate == rates[j]
+        j = _assert_full_grid_argmax(n, scn, levels, step)
+        assert not _canonical(_all_tuples(n, levels)[j:j + 1])[0]
+
+    @pytest.mark.parametrize("power", [1e6, 1e10])
+    @pytest.mark.parametrize("n,levels", [(3, 60), (4, 20), (6, 6)])
+    def test_matches_full_grid_argmax_at_high_power(self, n, levels, power):
+        # rounding grows with P_A / sigma^2: mirror-pair rates differ by up
+        # to 1e-5 bps/Hz at 1e10, and the bound's slack must cover it
+        scn = Scenario(bob_angle=np.pi / 2, power_budget=power,
+                       eve_angles=(0.55 * np.pi, np.pi / 4))
+        step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
+        _assert_full_grid_argmax(n, scn, levels, step)
 
     @pytest.mark.parametrize("n,levels", [(2, 9), (3, 12), (5, 6), (8, 4)])
     def test_mask_keeps_one_tuple_of_each_mirror_pair(self, n, levels):
@@ -216,15 +238,23 @@ class TestBestGapLayout:
 
     @pytest.mark.parametrize("name", MIRROR_WINNERS)
     def test_scores_one_tuple_of_each_mirror_pair(self, name, monkeypatch):
+        # at most the canonical half (plus the mirrors of the best) is
+        # scored, and every canonical row left out is certified below the
+        # band of the best rate
         n, grid = MIRROR_WINNERS[name]
         scn, levels, step = grid()
-        calls = self._count_rows(monkeypatch)
-        best_gap_layout(n, scn, levels, step)
+        scored = self._record_rows(monkeypatch)
+        _, rate = best_gap_layout(n, scn, levels, step)
         K = _all_tuples(n, levels)
-        gaps = np.diff(K, axis=1, prepend=0)
-        half = (len(K) + int((gaps == gaps[:, ::-1]).all(axis=1).sum())) // 2
-        assert half <= sum(calls) <= half + 4
-        assert max(calls) * n * n <= CANDIDATE_CHUNK_ENTRIES
+        X = _layouts(K[_canonical(K)], scn, step)
+        assert sum(map(len, scored)) <= len(X) + 4
+        assert max(map(len, scored)) * n * n <= CANDIDATE_CHUNK_ENTRIES
+        seen = {row for rows in scored for row in map(tuple, rows.tolist())}
+        left = np.array([row not in seen for row in map(tuple, X.tolist())])
+        assert left.any()
+        slack = _rate_slack(n, scn)
+        band = rate - MIRROR_RTOL * max(rate, 1.0) - slack
+        assert (_rate_bounds(X[left], scn) + slack < band).all()
 
     def test_rescores_mirrors_of_every_near_best_row(self, monkeypatch):
         # rates that tie to rounding: the winner (2, 3) is non-canonical and
@@ -239,31 +269,74 @@ class TestBestGapLayout:
             K = np.rint((X[:, 1:] - scn.min_spacing * np.arange(1, 3))
                         / step).astype(int)
             return np.array([planted.get(tuple(k), 0.5) for k in K.tolist()])
+        # the planted rates serve as their own bounds, so the screen cannot
+        # skip a planted row
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
                             planted_rates)
+        monkeypatch.setattr(masec.beamformer, "_rate_bounds", planted_rates)
         x, rate = best_gap_layout(3, scn, 6, step)
         assert rate == 1.0 + 4 * ulp
         assert np.array_equal(x.x, [0.0, 1.0, 1.75])
 
+    def test_slack_widens_the_screen_and_the_mirror_band(self, monkeypatch):
+        # planted rates and bounds that disagree by less than the slack: the
+        # first block's best is W; C, in the second block, has a bound below
+        # its rate, and its mirror (22, 42) is the grid's best row
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        step, slack = 0.2, 1e-6
+        planted = {(0, 3): (1.0 + 5e-7, 1.0 - 3e-7),  # W
+                   (20, 42): (1.0 - 1e-7, 1.0 - 9e-7),  # C
+                   (22, 42): (1.0 + 6e-7, 0.0)}
+
+        def planted_column(column):
+            def values(X, scenario):
+                K = np.rint((X[:, 1:] - scn.min_spacing * np.arange(1, 3))
+                            / step).astype(int)
+                return np.array([planted.get(tuple(k), (0.5, 0.5))[column]
+                                 for k in K.tolist()])
+            return values
+        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
+                            planted_column(0))
+        monkeypatch.setattr(masec.beamformer, "_rate_bounds",
+                            planted_column(1))
+        monkeypatch.setattr(masec.beamformer, "_rate_slack",
+                            lambda n, scenario: slack)
+        K = _all_tuples(3, 44)
+        index = {tuple(k): i for i, k in enumerate(K[_canonical(K)].tolist())}
+        block = BOUND_BLOCK_CHUNKS * (CANDIDATE_CHUNK_ENTRIES // 9)
+        assert index[(0, 3)] <= block < index[(20, 42)]
+        x, rate = best_gap_layout(3, scn, 44, step)
+        assert rate == 1.0 + 6e-7
+        assert np.array_equal(x.x, [0.0, 0.5 + 22 * step, 1.0 + 42 * step])
+
     def test_zero_rate_plateau_returns_fpa_layout(self, monkeypatch):
         # Bob among the eavesdroppers: every rate is 0 up to rounding
-        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
-        calls = self._count_rows(monkeypatch)
+        self._assert_plateau_returns_fpa_layout(1.0, monkeypatch)
+
+    def test_zero_rate_plateau_at_high_power(self, monkeypatch):
+        # the rounding noise of the rates reaches 4e-6 bps/Hz at P_A = 1e10
+        self._assert_plateau_returns_fpa_layout(1e10, monkeypatch)
+
+    def _assert_plateau_returns_fpa_layout(self, power, monkeypatch):
+        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
+                       power_budget=power)
+        scored = self._record_rows(monkeypatch)
         levels = 40
         x, rate = best_gap_layout(3, scn, levels,
                                   (scn.aperture - 2 * scn.min_spacing) / levels)
         K = _all_tuples(3, levels)
         palindromes = levels // 2 + 1  # equal gaps, 2 k_2 = k_3 <= levels
-        assert sum(calls) <= (len(K) + palindromes) // 2
+        assert sum(map(len, scored)) <= (len(K) + palindromes) // 2
         assert np.array_equal(x.x, initial_positions(3, scn).x)
-        assert 0.0 <= rate <= 1e-12
+        assert rate == best_secrecy_rates(x.x[None, :], scn)[0]
+        assert 0.0 <= rate <= 1e-12 * power
 
     @staticmethod
-    def _count_rows(monkeypatch):
-        calls = []
+    def _record_rows(monkeypatch):
+        scored = []
 
-        def counting(X, scenario):
-            calls.append(len(X))
+        def recording(X, scenario):
+            scored.append(X)
             return best_secrecy_rates(X, scenario)
-        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates", counting)
-        return calls
+        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates", recording)
+        return scored

@@ -104,6 +104,17 @@ class TestOptimize:
             assert err.count("\n") == 1 and "--restarts" in err
         assert not (tmp_path / "o").exists()
 
+    def test_restarts_rejected_where_unused(self, tmp_path, capsys):
+        scenario = _write(tmp_path / "s.json", PAPER_N4)
+        for command in (["verify"], ["beampattern", "--fpa"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--scenario", scenario, "--out",
+                                str(tmp_path / "o"), "--restarts", "3"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --restarts 3" in err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         scenario = _write(tmp_path / "s.json", PAPER_N4)
         for command in ("optimize", "sweep-n", "verify"):

@@ -83,6 +83,16 @@ class TestRealLift:
         with pytest.raises(ValueError, match="dimensions disagree"):
             real_lift(x, np.ones(w_shape), scn)
 
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [0.0, np.inf],
+                                   [[0.0, 1.0], [np.nan, 1.0]]])
+    def test_non_finite_positions_rejected(self, x):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        w = np.ones(np.shape(x), dtype=complex)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            real_lift(x, w, scn).gains()
+        with pytest.raises(ValueError, match="positions must be finite"):
+            gradient_psi(x, w, scn)
+
 
 class TestObjectivePsi:
     def test_secrecy_rate_is_clamped_psi(self, make_scenario, make_beamformer):

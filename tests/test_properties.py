@@ -4,6 +4,8 @@ Derandomized with a small example budget, so every run checks the same
 instances in bounded time.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from masec import (PgaConfig, Scenario, SolveConfig, build_forms,
                    gradient_psi, objective_psi, random_positions,
                    rate_difference, secrecy_rate, solve, solve_beamformer,
                    solve_fpa, steering_vector)
-from masec.beamformer import best_secrecy_rates
+from masec.beamformer import _rate_bounds, _rate_slack, best_secrecy_rates
 from masec.driver import scan_start
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
@@ -95,6 +97,19 @@ def test_optimal_rate_within_power_bound(instance):
     best = best_secrecy_rates(x[None, :], scn)[0]
     assert best <= bound + 1e-9
     assert abs(best - max(np.log2(sol.eigenvalue), 0.0)) <= 1e-12
+
+
+@PROPERTY
+@given(instances(), st.floats(-3.0, 10.0))
+def test_rate_bound_brackets_the_scorer(instance, log_power):
+    # t < lambda_max <= 1 + t, up to the rounding slack of both computations
+    scn, x, _ = instance
+    scn = dataclasses.replace(scn, power_budget=10.0 ** log_power)
+    bound = _rate_bounds(x[None, :], scn)[0]
+    rate = best_secrecy_rates(x[None, :], scn)[0]
+    slack = _rate_slack(x.size, scn)
+    assert bound + slack >= rate
+    assert rate >= np.log2(np.expm1(bound * np.log(2.0))) - slack
 
 
 @PROPERTY
