@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamformer import EigensolverError, build_forms, optimal_beamformer
-from .core import AntennaPositions, Beamformer, InfeasibleError, beam_gain
+from .core import AntennaPositions, Beamformer, beam_gain
 from .driver import initial_positions, solve, solve_fpa
 from .oracle import run_verification
 from .positions import random_positions
@@ -144,8 +144,7 @@ def _cmd_sweep(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         for j, power in enumerate(powers):
             scenario = dataclasses.replace(spec.scenario, power_budget=power)
-            cell = RunSpec(scenario=scenario, n_antennas=n,
-                           config=spec.config, seed=spec.seed)
+            cell = dataclasses.replace(spec, scenario=scenario, n_antennas=n)
             try:
                 rng = np.random.default_rng([cell.seed, n, j])
                 trace = _solve_with_restarts(cell, args.restarts, rng)
@@ -160,7 +159,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _load(args)
-    report = run_verification(spec.scenario, spec.n_antennas, seed=spec.seed)
+    report = run_verification(spec.scenario, spec.n_antennas, seed=spec.seed,
+                              cfg=spec.config)
     for check in report.checks:
         print(f"{check.status.upper():4s}  {check.name:24s} {check.detail}")
     if not report.passed:
@@ -182,8 +182,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScenarioFileError, InfeasibleError, ValueError,
-            EigensolverError) as exc:
+    except (ValueError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

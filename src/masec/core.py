@@ -133,13 +133,6 @@ class AntennaPositions:
         arr.setflags(write=False)
         return cls(arr)
 
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def __len__(self) -> int:
-        return self.x.size
-
 
 @dataclass(frozen=True)
 class Beamformer:
@@ -162,23 +155,6 @@ class Beamformer:
                 f"||w||^2 = {power} violates power budget {budget}")
         arr.setflags(write=False)
         return cls(arr)
-
-    @property
-    def u(self) -> np.ndarray:
-        """Real part of the weights."""
-        return self.w.real
-
-    @property
-    def z(self) -> np.ndarray:
-        """Imaginary part of the weights."""
-        return self.w.imag
-
-    @property
-    def power(self) -> float:
-        return float(np.vdot(self.w, self.w).real)
-
-    def __len__(self) -> int:
-        return self.w.size
 
 
 def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:

@@ -122,6 +122,12 @@ def scan_start(n: int, scenario: Scenario) -> AntennaPositions:
     return best_gap_layout(n, scenario, levels, slack / levels)[0]
 
 
+def _settled(rounds, tol: float) -> bool:
+    """Whether the last two rounds' end rates differ by at most ``tol``."""
+    return (len(rounds) > 1
+            and abs(rounds[-1].rate_after_x - rounds[-2].rate_after_x) <= tol)
+
+
 def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
           x0: AntennaPositions | None = None,
           extra_starts=None) -> OptimizationTrace:
@@ -171,28 +177,19 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]
     w = [None for _ in chains]
-    prev_rate = [None for _ in chains]
-    converged = [False for _ in chains]
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
         for j in live:
             w[j] = optimal_beamformer(build_forms(X[j], scenario), scenario)
         X[live], psi = optimize_positions(X[live], [w[j].w for j in live],
                                           scenario, cfg.pga)
-        still = []
         for r, j in enumerate(live):
             rate_x = secrecy_rate(X[j], w[j], scenario)
             rate_w = max(float(psi[0, r]), 0.0)  # Psi at the round's start
             outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
                                         rate_after_x=rate_x))
             inner[j].append(psi[:, r][~np.isnan(psi[:, r])])
-            if (prev_rate[j] is not None
-                    and abs(rate_x - prev_rate[j]) <= cfg.outer_tol):
-                converged[j] = True
-            else:
-                prev_rate[j] = rate_x
-                still.append(j)
-        live = still
+        live = [j for j in live if not _settled(outer[j], cfg.outer_tol)]
         if not live:
             break
     j = max(chains, key=lambda j: outer[j][-1].rate_after_x)
@@ -201,7 +198,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     return OptimizationTrace(outer=outer[j], inner=inner[j],
                              final_x=AntennaPositions(x), final_w=w[j],
                              final_rate=outer[j][-1].rate_after_x,
-                             converged=converged[j])
+                             converged=_settled(outer[j], cfg.outer_tol))
 
 
 def solve_fpa(n: int, scenario: Scenario):

@@ -225,9 +225,8 @@ def optimize_positions(x0, w, scenario: Scenario,
     scale = TWO_PI / scenario.wavelength
     two_k = 2.0 * scale * column
     sigma2 = scenario.noise_power
-    psi = [objective_psi(x, wv, scenario) for x, wv in zip(X, W)]
-    trace = [list(psi)]
-    best_psi = list(psi)
+    trace = [[objective_psi(x, wv, scenario) for x, wv in zip(X, W)]]
+    best_psi = list(trace[0])
     best_x = X.copy()
     chains = list(range(len(X)))  # chain of each row of the live stack
     terms = [g, q, *_lift_gains(g, q, C, D)]
@@ -237,7 +236,7 @@ def optimize_positions(x0, w, scenario: Scenario,
         g, q = _phase_trig(X, column, scale)
         terms = [g, q, *_lift_gains(g, q, C, D)]
         gains = terms[-1]
-        step = [math.nan] * len(psi)
+        last, step = trace[-1], [math.nan] * len(best_psi)
         keep = []
         for r, (k, g0, ge) in enumerate(zip(
                 chains, gains[:, 0].tolist(),
@@ -248,8 +247,7 @@ def optimize_positions(x0, w, scenario: Scenario,
             if psi_new > best_psi[k]:
                 best_psi[k] = psi_new
                 best_x[k] = X[r]
-            if not abs(psi_new - psi[k]) <= cfg.inner_tol:
-                psi[k] = psi_new
+            if not abs(psi_new - last[k]) <= cfg.inner_tol:
                 keep.append(r)
         trace.append(step)
         if not keep:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -335,6 +336,20 @@ class TestVerify:
         scenario = _write(tmp_path / "s.json", doc)
         assert main(["verify", "--scenario", scenario]) == 0
         assert "PASS  fd-gradient" in capsys.readouterr().out
+
+    def test_grid_comparison_uses_the_file_solver_settings(self, tmp_path,
+                                                           capsys):
+        doc = {"n_antennas": 3, "bob_angle_pi": 0.5, "eve_angles": [0.55, 0.25],
+               "aperture": 4.0, "min_spacing": 0.5, "step_size": 0.2,
+               "tolerances": {"max_outer_iters": 1, "max_inner_iters": 3}}
+        scenario = _write(tmp_path / "s.json", doc)
+        out = tmp_path / "out"
+        assert main(["optimize", "--scenario", scenario, "--out", str(out)]) == 0
+        rate = json.loads((out / "solution.json").read_text())["final_rate"]
+        capsys.readouterr()
+        assert main(["verify", "--scenario", scenario]) == 0
+        m = re.search(r"algorithm (\S+) vs grid", capsys.readouterr().out)
+        assert m.group(1) == f"{rate:.6f}"
 
     def test_small_scenario_reports_grid(self, tmp_path, capsys):
         doc = dict(PAPER_N4, n_antennas=2, eve_angles=[0.25], aperture=2.0)

@@ -189,7 +189,3 @@ class TestBeamformerType:
         Beamformer.create(np.array([1.0, 1.0j]), scn)
         with pytest.raises(ValueError, match="power budget"):
             Beamformer.create(np.array([1.0, 0.5]), scn)
-
-    def test_real_imag_split(self):
-        w = Beamformer(np.array([0.6 + 0.8j]))
-        assert w.u[0] == 0.6 and w.z[0] == 0.8

@@ -94,6 +94,17 @@ class TestSolve:
         assert not trace.converged
         assert trace.n_outer == 1
 
+    def test_converged_on_the_cap_round(self, paper_n4):
+        trace = solve(4, paper_n4)
+        rounds = trace.n_outer
+        assert trace.converged and rounds >= 2
+        capped = solve(4, paper_n4, SolveConfig(max_outer_iters=rounds))
+        assert capped.converged
+        assert capped.n_outer == rounds
+        assert capped.final_rate == trace.final_rate
+        short = solve(4, paper_n4, SolveConfig(max_outer_iters=rounds - 1))
+        assert not short.converged
+
     def test_no_slack_keeps_fpa_layout(self, paper_n4):
         # one antenna, or 21 filling [0, 10] at d_min: no gap can widen
         for n in (1, 21):

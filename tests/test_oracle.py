@@ -138,7 +138,7 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="1 <= N <= 3"):
             GridSpec(resolution=0.1, n=4)
         with pytest.raises(ValueError, match="grid too large"):
-            grid_search(scn, GridSpec(resolution=1e-4, n=3, max_evals=1000))
+            grid_search(scn, GridSpec(resolution=1e-4, n=3))
         # zero slack leaves the FPA layout as the only candidate
         tight = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
                          aperture=1.0, min_spacing=0.5)
