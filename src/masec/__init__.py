@@ -8,9 +8,9 @@ differences, random sampling, exhaustive grid search) used to verify it.
 
 from .beamformer import (BeamformerSolution, EigensolverError, QuadraticForms,
                          build_forms, optimal_beamformer, solve_beamformer)
-from .core import (AntennaPositions, Beamformer, InfeasibleError, Scenario,
-                   beam_gain, mrt_beamformer, rate_difference, secrecy_rate,
-                   steering_vector)
+from .core import (InfeasibleError, Scenario, beam_gain, check_beamformer,
+                   check_positions, mrt_beamformer, rate_difference,
+                   secrecy_rate, steering_vector)
 from .driver import (OptimizationTrace, OuterRecord, SolveConfig,
                      initial_positions, solve, solve_fpa)
 from .oracle import (GridSpec, VerifyCheck, VerifyReport, fd_gradient,
@@ -24,11 +24,12 @@ from .scenario_io import (RunSpec, ScenarioFileError, load_run_spec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaPositions", "Beamformer", "BeamformerSolution", "EigensolverError",
-    "GridSpec", "InfeasibleError", "OptimizationTrace", "OuterRecord",
-    "PgaConfig", "QuadraticForms", "RealLift", "RunSpec", "Scenario",
-    "ScenarioFileError", "SolveConfig", "VerifyCheck", "VerifyReport",
-    "beam_gain", "build_forms", "fd_gradient", "gradient_psi", "grid_search",
+    "BeamformerSolution", "EigensolverError", "GridSpec", "InfeasibleError",
+    "OptimizationTrace", "OuterRecord", "PgaConfig", "QuadraticForms",
+    "RealLift", "RunSpec", "Scenario", "ScenarioFileError", "SolveConfig",
+    "VerifyCheck", "VerifyReport", "beam_gain", "build_forms",
+    "check_beamformer", "check_positions", "fd_gradient", "gradient_psi",
+    "grid_search",
     "initial_positions", "load_run_spec", "load_solution", "mrt_beamformer",
     "objective_psi", "optimal_beamformer", "optimize_positions",
     "parse_run_spec", "project_positions", "random_positions",

@@ -13,8 +13,7 @@ from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
-from .core import (AntennaPositions, Beamformer, Scenario, as_coords,
-                   steering_vector)
+from .core import Scenario, steering_vector
 
 # Relative gap under which the top eigenvalue is flagged as degenerate.
 DEGENERACY_RTOL = 1e-10
@@ -62,7 +61,7 @@ def build_forms(x, scenario: Scenario) -> QuadraticForms:
     ``x`` is one layout (N,) or a stack of layouts (K, N); the forms of
     every angle come from a single ``steering_vector`` call.
     """
-    xs = as_coords(x)
+    xs = np.asarray(x, dtype=float)
     thetas = scenario.angles.reshape((-1,) + (1,) * xs.ndim)
     v = steering_vector(xs, thetas, scenario.wavelength)
     outer = v[..., :, None] * v[..., None, :].conj()
@@ -114,7 +113,7 @@ class BeamformerSolution:
     eigenspace is returned.
     """
 
-    beamformer: Beamformer
+    beamformer: np.ndarray
     eigenvalue: float
     eigen_gap: float
     degenerate: bool
@@ -142,11 +141,11 @@ def solve_beamformer(forms: QuadraticForms, scenario: Scenario) -> BeamformerSol
     else:
         gap = float("inf")
         degenerate = False
-    return BeamformerSolution(beamformer=Beamformer(w), eigenvalue=lam_max,
+    return BeamformerSolution(beamformer=w, eigenvalue=lam_max,
                               eigen_gap=gap, degenerate=degenerate)
 
 
-def optimal_beamformer(forms: QuadraticForms, scenario: Scenario) -> Beamformer:
+def optimal_beamformer(forms: QuadraticForms, scenario: Scenario) -> np.ndarray:
     """Optimal beamformer sqrt(P_A) o_max for the given quadratic forms."""
     return solve_beamformer(forms, scenario).beamformer
 
@@ -277,7 +276,8 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
     FPA layout wins with the rate scored for it.
 
     Returns:
-        (AntennaPositions, float): the best layout and its clamped rate.
+        (ndarray, float): the best layout, read-only, and its clamped
+        rate.
     """
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
     base = scenario.min_spacing * np.arange(1, n, dtype=float)
@@ -323,4 +323,4 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
                 key=lambda i: K[i].tolist())
     best_x = layouts(K[j:j + 1])[0]
     best_x.setflags(write=False)
-    return AntennaPositions(best_x), float(rates[j])
+    return best_x, float(rates[j])

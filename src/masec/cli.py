@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .beamformer import EigensolverError, build_forms, optimal_beamformer
-from .core import AntennaPositions, Beamformer, beam_gain
+from .core import beam_gain, check_beamformer, check_positions
 from .driver import initial_positions, solve, solve_fpa
 from .oracle import run_verification
 from .positions import random_positions
@@ -83,8 +83,7 @@ def _solve_with_restarts(spec: RunSpec, restarts: int, rng):
     """One solve whose chains start from the scan and ``restarts`` random layouts."""
     n = spec.n_antennas
     spec.scenario.check_feasible(n)
-    starts = [random_positions(n, spec.scenario, rng).x
-              for _ in range(restarts)]
+    starts = [random_positions(n, spec.scenario, rng) for _ in range(restarts)]
     return solve(n, spec.scenario, spec.config,
                  extra_starts=np.reshape(starts, (restarts, n)))
 
@@ -117,8 +116,12 @@ def _cmd_beampattern(args) -> int:
             raise ScenarioFileError(
                 f"no solution file at {path}; run optimize first or pass --fpa")
         x, w, _ = load_solution(path)
-        x = AntennaPositions.create(x.x, spec.scenario)
-        w = Beamformer.create(w.w, spec.scenario)
+        if x.size != spec.n_antennas:
+            raise ScenarioFileError(
+                f"solution has {x.size} antennas but the scenario file "
+                f"has n_antennas={spec.n_antennas}")
+        x = check_positions(x, spec.scenario)
+        w = check_beamformer(w, spec.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     thetas = np.linspace(0.0, np.pi, args.angles)
@@ -138,12 +141,13 @@ def _cmd_sweep(args) -> int:
         powers = sorted(float(p) for p in args.powers.split(","))
     except ValueError as exc:
         raise ScenarioFileError(f"bad --powers list: {exc}") from exc
+    scenarios = [dataclasses.replace(spec.scenario, power_budget=p)
+                 for p in powers]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        for j, power in enumerate(powers):
-            scenario = dataclasses.replace(spec.scenario, power_budget=power)
+        for j, (power, scenario) in enumerate(zip(powers, scenarios)):
             cell = dataclasses.replace(spec, scenario=scenario, n_antennas=n)
             try:
                 rng = np.random.default_rng([cell.seed, n, j])

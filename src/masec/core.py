@@ -6,6 +6,10 @@ at steering angle theta_0, M colluding eavesdroppers at theta_1..theta_M.
 All lengths are in the scenario's length unit with the wavelength carried
 explicitly; with the default wavelength of 1.0 positions are expressed
 directly in wavelengths.
+
+A layout is a read-only float array of N sorted coordinates and a
+beamformer a read-only complex array of N weights.  Input from outside
+the library goes through ``check_positions`` and ``check_beamformer``.
 """
 
 from __future__ import annotations
@@ -24,20 +28,6 @@ FEASIBILITY_TOL = 1e-9
 
 class InfeasibleError(ValueError):
     """Aperture cannot hold the requested antenna count at min spacing."""
-
-
-def as_coords(x) -> np.ndarray:
-    """Coerce ``AntennaPositions`` or array-like to a float position array."""
-    if isinstance(x, AntennaPositions):
-        return x.x
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def as_weights(w) -> np.ndarray:
-    """Coerce ``Beamformer`` or array-like to a complex weight array."""
-    if isinstance(w, Beamformer):
-        return w.w
-    return np.atleast_1d(np.asarray(w, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -100,61 +90,42 @@ class Scenario:
                 f"spacing {self.min_spacing} (needs {need})")
 
 
-@dataclass(frozen=True)
-class AntennaPositions:
-    """Sorted antenna coordinates x_1 < x_2 < ... < x_N.
-
-    Use :meth:`create` to validate external input against a scenario;
-    library code constructs instances directly from arrays that are
-    feasible by construction (e.g. projection output).
-    """
-
-    x: np.ndarray
-
-    @classmethod
-    def create(cls, values, scenario: Scenario) -> "AntennaPositions":
-        """Validate, canonicalize (sort ascending) and freeze positions."""
-        arr = np.array(as_coords(values), dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("positions must be a non-empty 1-D vector")
-        if not np.isfinite(arr).all():
-            raise ValueError("positions must be finite")
-        if np.any(np.diff(arr) < 0.0):
-            warnings.warn("antenna positions were unsorted; sorting ascending",
-                          UserWarning, stacklevel=2)
-            arr = np.sort(arr)
-        scenario.check_feasible(arr.size)
-        if np.any(np.diff(arr) < scenario.min_spacing - FEASIBILITY_TOL):
-            raise ValueError(
-                f"adjacent spacing below d_min={scenario.min_spacing}: {arr}")
-        if arr[0] < -FEASIBILITY_TOL or arr[-1] > scenario.aperture + FEASIBILITY_TOL:
-            raise ValueError(
-                f"positions outside [0, {scenario.aperture}]: {arr}")
-        arr.setflags(write=False)
-        return cls(arr)
+def check_positions(values, scenario: Scenario) -> np.ndarray:
+    """Validate, canonicalize (sort ascending) and freeze positions."""
+    arr = np.array(values, dtype=float, ndmin=1)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("positions must be a non-empty 1-D vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("positions must be finite")
+    if np.any(np.diff(arr) < 0.0):
+        warnings.warn("antenna positions were unsorted; sorting ascending",
+                      UserWarning, stacklevel=2)
+        arr = np.sort(arr)
+    scenario.check_feasible(arr.size)
+    if np.any(np.diff(arr) < scenario.min_spacing - FEASIBILITY_TOL):
+        raise ValueError(
+            f"adjacent spacing below d_min={scenario.min_spacing}: {arr}")
+    if arr[0] < -FEASIBILITY_TOL or arr[-1] > scenario.aperture + FEASIBILITY_TOL:
+        raise ValueError(
+            f"positions outside [0, {scenario.aperture}]: {arr}")
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
-class Beamformer:
-    """Complex transmit weights w = u + j z with ||w||^2 = P_A."""
-
-    w: np.ndarray
-
-    @classmethod
-    def create(cls, values, scenario: Scenario) -> "Beamformer":
-        """Validate the power-budget invariant and freeze the weights."""
-        arr = np.array(as_weights(values), dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("beamformer must be a non-empty 1-D vector")
-        if not np.isfinite(arr).all():
-            raise ValueError("beamformer weights must be finite")
-        power = float(np.vdot(arr, arr).real)
-        budget = scenario.power_budget
-        if abs(power - budget) > 1e-10 * budget:
-            raise ValueError(
-                f"||w||^2 = {power} violates power budget {budget}")
-        arr.setflags(write=False)
-        return cls(arr)
+def check_beamformer(values, scenario: Scenario) -> np.ndarray:
+    """Validate the power budget ||w||^2 = P_A and freeze the weights."""
+    arr = np.array(values, dtype=complex, ndmin=1)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("beamformer must be a non-empty 1-D vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("beamformer weights must be finite")
+    power = float(np.vdot(arr, arr).real)
+    budget = scenario.power_budget
+    if abs(power - budget) > 1e-10 * budget:
+        raise ValueError(
+            f"||w||^2 = {power} violates power budget {budget}")
+    arr.setflags(write=False)
+    return arr
 
 
 def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
@@ -164,7 +135,7 @@ def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
     has unit modulus by construction.
 
     Args:
-        x: antenna coordinates (``AntennaPositions`` or array-like).
+        x: antenna coordinates, array-like.
         theta: steering angle in radians, or an array of angles that
             broadcasts against ``x`` (e.g. a column for one vector per
             angle).
@@ -173,7 +144,7 @@ def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
     Returns:
         Complex array of the broadcast shape; length N for a scalar angle.
     """
-    xs = as_coords(x)
+    xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("positions must be finite")
     if not np.isfinite(theta).all():
@@ -185,8 +156,8 @@ def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
 
 def beam_gain(x, w, theta: float, scenario: Scenario) -> float:
     """Beam gain |a^H(x, theta) w|^2 of the array toward ``theta``."""
-    xs = as_coords(x)
-    wv = as_weights(w)
+    xs = np.asarray(x, dtype=float)
+    wv = np.asarray(w, dtype=complex)
     if xs.size != wv.size:
         raise ValueError(f"positions ({xs.size}) and beamformer ({wv.size}) "
                          "dimensions disagree")
@@ -201,16 +172,11 @@ def rate_difference(x, w, scenario: Scenario) -> float:
     eavesdropper gains summed (colluding case).  May be negative; the
     reported secrecy rate clamps it at zero.
     """
-    xs = as_coords(x)
-    wv = as_weights(w)
-    if xs.size != wv.size:
-        raise ValueError(f"positions ({xs.size}) and beamformer ({wv.size}) "
-                         "dimensions disagree")
     sigma2 = scenario.noise_power
-    bob = beam_gain(xs, wv, scenario.bob_angle, scenario)
+    bob = beam_gain(x, w, scenario.bob_angle, scenario)
     eve_sum = 0.0
     for theta in scenario.eve_angles:
-        eve_sum += beam_gain(xs, wv, theta, scenario)
+        eve_sum += beam_gain(x, w, theta, scenario)
     return float(np.log2(1.0 + bob / sigma2) - np.log2(1.0 + eve_sum / sigma2))
 
 
@@ -219,9 +185,9 @@ def secrecy_rate(x, w, scenario: Scenario) -> float:
     return max(rate_difference(x, w, scenario), 0.0)
 
 
-def mrt_beamformer(x, scenario: Scenario) -> Beamformer:
+def mrt_beamformer(x, scenario: Scenario) -> np.ndarray:
     """Maximum-ratio transmission toward Bob: sqrt(P_A) a(x, theta_0) / ||a||."""
     a = steering_vector(x, scenario.bob_angle, scenario.wavelength)
     w = np.sqrt(scenario.power_budget) * a / np.linalg.norm(a)
     w.setflags(write=False)
-    return Beamformer(w)
+    return w

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamformer import best_gap_layout, build_forms, optimal_beamformer
-from .core import (AntennaPositions, Beamformer, Scenario, as_coords,
-                   secrecy_rate)
+from .core import Scenario, secrecy_rate
 from .positions import PgaConfig, optimize_positions
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
@@ -67,8 +66,8 @@ class OptimizationTrace:
 
     outer: list
     inner: list
-    final_x: AntennaPositions
-    final_w: Beamformer
+    final_x: np.ndarray
+    final_w: np.ndarray
     final_rate: float
     converged: bool
 
@@ -77,12 +76,12 @@ class OptimizationTrace:
         return len(self.outer)
 
 
-def initial_positions(n: int, scenario: Scenario) -> AntennaPositions:
+def initial_positions(n: int, scenario: Scenario) -> np.ndarray:
     """Uniform layout [0, d_min, ..., (N-1) d_min]; also the FPA layout."""
     scenario.check_feasible(n)
     x = scenario.min_spacing * np.arange(n, dtype=float)
     x.setflags(write=False)
-    return AntennaPositions(x)
+    return x
 
 
 def _scan_levels(n: int, slack: float, scenario: Scenario) -> int:
@@ -103,7 +102,7 @@ def _scan_levels(n: int, slack: float, scenario: Scenario) -> int:
     return lo
 
 
-def scan_start(n: int, scenario: Scenario) -> AntennaPositions:
+def scan_start(n: int, scenario: Scenario) -> np.ndarray:
     """Best layout of a gap grid, scored by the optimal-beamformer rate.
 
     Shifting every antenna by c multiplies each steering vector by one
@@ -129,8 +128,7 @@ def _settled(rounds, tol: float) -> bool:
 
 
 def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
-          x0: AntennaPositions | None = None,
-          extra_starts=None) -> OptimizationTrace:
+          x0=None, extra_starts=None) -> OptimizationTrace:
     """Alternating optimization of (w, x) for the secrecy rate.
 
     Each round updates the beamformer in closed form for the current
@@ -149,8 +147,8 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
         n: number of antennas.
         scenario: problem instance (must satisfy L >= (N-1) d_min).
         cfg: solver settings; defaults reproduce the reference setup.
-        x0: optional feasible starting layout.  The default is
-            ``scan_start(n, scenario)``, which makes the result never
+        x0: optional feasible starting layout (array-like).  The default
+            is ``scan_start(n, scenario)``, which makes the result never
             fall below the FPA rate; ``x0=initial_positions(n, scenario)``
             reproduces a run from the uniform FPA layout.
         extra_starts: optional (k, N) stack of further feasible layouts,
@@ -162,11 +160,12 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     """
     if cfg is None:
         cfg = SolveConfig()
-    first = as_coords(scan_start(n, scenario) if x0 is None else x0)
+    first = np.asarray(scan_start(n, scenario) if x0 is None else x0,
+                       dtype=float)
     if first.shape != (n,):
         raise ValueError(f"x0 must be one layout of {n} antennas, "
                          f"got shape {first.shape}")
-    X = np.array(first, dtype=float, ndmin=2)
+    X = np.array(first, ndmin=2)
     if extra_starts is not None:
         extra = np.asarray(extra_starts, dtype=float)
         if extra.ndim != 2 or extra.shape[1] != n:
@@ -181,7 +180,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     for k in range(1, cfg.max_outer_iters + 1):
         for j in live:
             w[j] = optimal_beamformer(build_forms(X[j], scenario), scenario)
-        X[live], psi = optimize_positions(X[live], [w[j].w for j in live],
+        X[live], psi = optimize_positions(X[live], [w[j] for j in live],
                                           scenario, cfg.pga)
         for r, j in enumerate(live):
             rate_x = secrecy_rate(X[j], w[j], scenario)
@@ -196,7 +195,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     x = X[j].copy()
     x.setflags(write=False)
     return OptimizationTrace(outer=outer[j], inner=inner[j],
-                             final_x=AntennaPositions(x), final_w=w[j],
+                             final_x=x, final_w=w[j],
                              final_rate=outer[j][-1].rate_after_x,
                              converged=_settled(outer[j], cfg.outer_tol))
 
@@ -205,7 +204,7 @@ def solve_fpa(n: int, scenario: Scenario):
     """Fixed-position baseline: uniform layout, one beamformer solve.
 
     Returns:
-        (Beamformer, float): optimal beamformer and its secrecy rate.
+        (ndarray, float): optimal beamformer and its secrecy rate.
     """
     x = initial_positions(n, scenario)
     w = optimal_beamformer(build_forms(x, scenario), scenario)

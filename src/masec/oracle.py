@@ -19,7 +19,7 @@ import numpy as np
 
 from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
                          solve_beamformer)
-from .core import Scenario, as_coords, as_weights, beam_gain
+from .core import Scenario, beam_gain
 from .driver import SolveConfig, solve
 from .positions import gradient_psi, objective_psi, random_positions, real_lift
 
@@ -50,15 +50,14 @@ def fd_gradient(x, w, scenario: Scenario, h: float = 1e-6) -> np.ndarray:
     """
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    xs = np.array(as_coords(x), dtype=float)
-    wv = as_weights(w)
+    xs = np.array(x, dtype=float)
     grad = np.zeros(xs.size)
     for i in range(xs.size):
         orig = xs[i]
         xs[i] = orig + h
-        plus = objective_psi(xs, wv, scenario)
+        plus = objective_psi(xs, w, scenario)
         xs[i] = orig - h
-        minus = objective_psi(xs, wv, scenario)
+        minus = objective_psi(xs, w, scenario)
         xs[i] = orig
         grad[i] = (plus - minus) / (2.0 * h)
     return grad
@@ -98,8 +97,8 @@ def grid_search(scenario: Scenario, spec: GridSpec):
     layout.
 
     Returns:
-        (AntennaPositions, Beamformer, float): best grid positions, the
-        optimal beamformer there, and the clamped secrecy rate.
+        (ndarray, ndarray, float): best grid positions, the optimal
+        beamformer there, both read-only, and the clamped secrecy rate.
     """
     scenario.check_feasible(spec.n)
     slack = scenario.aperture - (spec.n - 1) * scenario.min_spacing
@@ -193,7 +192,7 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
         x = random_positions(n, scenario, rng)
         forms = build_forms(x, scenario)
         sol = solve_beamformer(forms, scenario)
-        wv = sol.beamformer.w
+        wv = sol.beamformer
         shift = np.eye(n) / scenario.power_budget
         resid = np.linalg.norm((forms.A + shift) @ wv
                                - sol.eigenvalue * ((forms.B + shift) @ wv))

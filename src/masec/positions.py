@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (TWO_PI, AntennaPositions, Scenario, as_coords, as_weights,
-                   rate_difference)
+from .core import TWO_PI, Scenario, check_positions, rate_difference
 
 LN2 = np.log(2.0)
 
@@ -73,7 +72,7 @@ def real_lift(x, w, scenario: Scenario) -> RealLift:
 
     (K, N) stacks of layouts and beamformers get one lift per row.
     """
-    xs, wv = as_coords(x), as_weights(w)
+    xs, wv = np.asarray(x, dtype=float), np.asarray(w, dtype=complex)
     if not np.isfinite(xs).all():
         raise ValueError("positions must be finite")
     if xs.shape != wv.shape or xs.ndim > 2:
@@ -157,7 +156,7 @@ def _project(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
     return rows
 
 
-def project_positions(x_raw, scenario: Scenario) -> AntennaPositions:
+def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
     """Project raw coordinates onto the feasible set.
 
     Sorts ascending, then clamps sequentially: x_1 into
@@ -165,13 +164,13 @@ def project_positions(x_raw, scenario: Scenario) -> AntennaPositions:
     [x_{n-1} + d_min, L - (N-n) d_min].  Idempotent; the output satisfies
     the spacing and aperture constraints.
     """
-    arr = np.sort(as_coords(x_raw))
+    arr = np.sort(np.asarray(x_raw, dtype=float))
     if not np.isfinite(arr).all():
         raise ValueError("positions must be finite")
     scenario.check_feasible(arr.size)
     arr = _project(arr[None], scenario)[0]
     arr.setflags(write=False)
-    return AntennaPositions(arr)
+    return arr
 
 
 def optimize_positions(x0, w, scenario: Scenario,
@@ -195,30 +194,29 @@ def optimize_positions(x0, w, scenario: Scenario,
 
     Raises:
         ValueError: ``x0`` and ``w`` are empty or differ in shape, a row
-            of ``x0`` is unsorted, or ``AntennaPositions.create`` rejects
-            it for ``scenario`` (InfeasibleError for too many antennas).
+            of ``x0`` is unsorted, or ``check_positions`` rejects it for
+            ``scenario`` (InfeasibleError for too many antennas).
 
     Returns:
-        (best, trace).  For one layout, the best ``AntennaPositions`` and
-        the (T+1,) trace of Psi values, entry 0 being
-        ``objective_psi(x0)``.  For a stack, the (K, N) array of best
-        layouts and a (T+1, K) array whose column k is chain k's trace,
-        NaN after the chain stopped; T is the number of steps of the
-        longest chain.
+        (best, trace).  For one layout, the best (N,) layout and the
+        (T+1,) trace of Psi values, entry 0 being ``objective_psi(x0)``.
+        For a stack, the (K, N) array of best layouts and a (T+1, K)
+        array whose column k is chain k's trace, NaN after the chain
+        stopped; T is the number of steps of the longest chain.  The
+        layouts are read-only.
     """
     if cfg is None:
         cfg = PgaConfig()
-    xs, ws = as_coords(x0), as_weights(w)
-    if xs.shape != ws.shape or xs.ndim > 2 or xs.size == 0:
+    xs, ws = np.asarray(x0, dtype=float), np.asarray(w, dtype=complex)
+    if xs.shape != ws.shape or not 1 <= xs.ndim <= 2 or xs.size == 0:
         raise ValueError(f"positions {xs.shape} and beamformers {ws.shape} "
                          "must be one non-empty vector or (K, N) stacks "
                          "of one shape")
-    X = np.array(np.atleast_2d(xs), dtype=float)
-    W = np.atleast_2d(ws)
+    X, W = np.atleast_2d(xs, ws)
     for x in X:
         if np.any(np.diff(x) < 0.0):
             raise ValueError(f"start positions must be sorted ascending: {x}")
-        AntennaPositions.create(x, scenario)
+        check_positions(x, scenario)
     lift = real_lift(X, W, scenario)
     g, q, C, D = lift.g, lift.q, lift.C, lift.D
     column = np.cos(scenario.angles)[:, None]
@@ -259,11 +257,11 @@ def optimize_positions(x0, w, scenario: Scenario,
     best_x.setflags(write=False)
     trace = np.array(trace)
     if xs.ndim == 1:
-        return AntennaPositions(best_x[0]), trace[:, 0]
+        return best_x[0], trace[:, 0]
     return best_x, trace
 
 
-def random_positions(n: int, scenario: Scenario, rng) -> AntennaPositions:
+def random_positions(n: int, scenario: Scenario, rng) -> np.ndarray:
     """Draw feasible positions uniformly.
 
     Uses the slack parameterization y_n = x_n - (n-1) d_min, under which
@@ -275,4 +273,4 @@ def random_positions(n: int, scenario: Scenario, rng) -> AntennaPositions:
     y = np.sort(rng.uniform(0.0, max(span, 0.0), size=n))
     x = y + scenario.min_spacing * np.arange(n)
     x.setflags(write=False)
-    return AntennaPositions(x)
+    return x

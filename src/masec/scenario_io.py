@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AntennaPositions, Beamformer, Scenario
+from .core import Scenario
 from .driver import OptimizationTrace, SolveConfig
 from .positions import PgaConfig
 
@@ -186,8 +186,8 @@ def write_sweep(path, rows):
 
 def write_solution(path, trace: OptimizationTrace):
     doc = {
-        "final_x": [float(v) for v in trace.final_x.x],
-        "final_w": [[float(c.real), float(c.imag)] for c in trace.final_w.w],
+        "final_x": [float(v) for v in trace.final_x],
+        "final_w": [[float(c.real), float(c.imag)] for c in trace.final_w],
         "final_rate": float(trace.final_rate),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -196,7 +196,11 @@ def write_solution(path, trace: OptimizationTrace):
 
 
 def load_solution(path):
-    """Read a solution file back as (positions, beamformer, rate), type-checked."""
+    """Read a solution file as (positions, beamformer, rate), type-checked.
+
+    The positions and the beamformer are read-only arrays; they are not
+    checked against a scenario.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -214,4 +218,4 @@ def load_solution(path):
         raise ScenarioFileError("final_x must be in ascending order")
     x.setflags(write=False)
     w.setflags(write=False)
-    return AntennaPositions(x), Beamformer(w), rate
+    return x, w, rate

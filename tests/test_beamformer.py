@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import masec.beamformer
-from masec import (AntennaPositions, EigensolverError, QuadraticForms,
-                   Scenario, build_forms, initial_positions, load_run_spec,
+from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
+                   check_positions, initial_positions, load_run_spec,
                    optimal_beamformer, sample_beamformers, secrecy_rate,
                    solve_beamformer, steering_vector)
 from masec.beamformer import (BOUND_BLOCK_CHUNKS, CANDIDATE_CHUNK_ENTRIES,
@@ -21,7 +21,7 @@ SWEEP_M3 = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_m3.json"
 def _stationarity_residual(forms, sol, scenario):
     n = forms.n
     shift = np.eye(n) / scenario.power_budget
-    wv = sol.beamformer.w
+    wv = sol.beamformer
     resid = np.linalg.norm((forms.A + shift) @ wv
                            - sol.eigenvalue * ((forms.B + shift) @ wv))
     return resid / (np.linalg.norm(wv) * np.linalg.norm(forms.A + shift, 2))
@@ -68,7 +68,7 @@ class TestOptimalBeamformer:
         a0 = steering_vector([0.0, 0.7, 1.9], np.pi / 3)
         forms = QuadraticForms(A=np.outer(a0, a0.conj()),
                                B=np.zeros((3, 3), dtype=complex))
-        w = optimal_beamformer(forms, scn).w
+        w = optimal_beamformer(forms, scn)
         collinearity = abs(np.vdot(a0, w)) / (np.linalg.norm(a0)
                                               * np.linalg.norm(w))
         assert collinearity == pytest.approx(1.0, abs=1e-12)
@@ -78,7 +78,7 @@ class TestOptimalBeamformer:
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.0,))
         forms = build_forms([0.0, 0.5], scn)
         sol = solve_beamformer(forms, scn)
-        assert np.allclose(sol.beamformer.w, [1, 1] / np.sqrt(2), atol=1e-9)
+        assert np.allclose(sol.beamformer, [1, 1] / np.sqrt(2), atol=1e-9)
         assert sol.eigenvalue == pytest.approx(3.0, rel=1e-12)
         assert secrecy_rate([0.0, 0.5], sol.beamformer, scn) == \
             pytest.approx(np.log2(3.0), rel=1e-12)
@@ -87,7 +87,7 @@ class TestOptimalBeamformer:
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 4, 1.0),
                        power_budget=3.0)
         sol = solve_beamformer(build_forms([1.3], scn), scn)
-        w = sol.beamformer.w
+        w = sol.beamformer
         assert w[0].imag == pytest.approx(0.0, abs=1e-12)
         assert w[0].real == pytest.approx(np.sqrt(3.0), rel=1e-12)
         assert sol.eigenvalue == pytest.approx((1 + 3.0) / (1 + 2 * 3.0),
@@ -119,13 +119,13 @@ class TestOptimalBeamformer:
             scn = make_scenario(rng)
             x = np.sort(rng.uniform(0.0, scn.aperture, size=3))
             w = optimal_beamformer(build_forms(x, scn), scn)
-            power = np.vdot(w.w, w.w).real
+            power = np.vdot(w, w).real
             assert power == pytest.approx(scn.power_budget, rel=1e-10)
 
     def test_bitwise_determinism(self, paper_n4):
-        x = AntennaPositions.create([0.0, 0.9, 1.7, 3.2], paper_n4)
-        w1 = optimal_beamformer(build_forms(x, paper_n4), paper_n4).w
-        w2 = optimal_beamformer(build_forms(x, paper_n4), paper_n4).w
+        x = check_positions([0.0, 0.9, 1.7, 3.2], paper_n4)
+        w1 = optimal_beamformer(build_forms(x, paper_n4), paper_n4)
+        w2 = optimal_beamformer(build_forms(x, paper_n4), paper_n4)
         assert np.array_equal(w1.view(np.float64), w2.view(np.float64))
 
     def test_phase_normalization(self, make_scenario):
@@ -133,7 +133,7 @@ class TestOptimalBeamformer:
         for _ in range(10):
             scn = make_scenario(rng)
             x = np.sort(rng.uniform(0.0, scn.aperture, size=4))
-            w = optimal_beamformer(build_forms(x, scn), scn).w
+            w = optimal_beamformer(build_forms(x, scn), scn)
             k = int(np.argmax(np.abs(w)))
             assert w[k].imag == pytest.approx(0.0, abs=1e-12)
             assert w[k].real > 0.0
@@ -144,7 +144,7 @@ class TestOptimalBeamformer:
                                B=np.zeros((3, 3), dtype=complex))
         sol = solve_beamformer(forms, scn)
         assert sol.degenerate
-        w = sol.beamformer.w
+        w = sol.beamformer
         assert np.vdot(w, w).real == pytest.approx(1.0, rel=1e-10)
 
     def test_solver_failure_is_distinct(self):
@@ -194,7 +194,7 @@ def _assert_full_grid_argmax(n, scn, levels, step):
     rates = best_secrecy_rates(X, scn)
     j = int(np.argmax(rates))
     x, rate = best_gap_layout(n, scn, levels, step)
-    assert np.array_equal(x.x, X[j])
+    assert np.array_equal(x, X[j])
     assert rate == rates[j]
     return j
 
@@ -278,7 +278,7 @@ class TestBestGapLayout:
         monkeypatch.setattr(masec.beamformer, "_rate_bounds", planted_rates)
         x, rate = best_gap_layout(3, scn, 6, step)
         assert rate == 1.0 + 4 * ulp
-        assert np.array_equal(x.x, [0.0, 1.0, 1.75])
+        assert np.array_equal(x, [0.0, 1.0, 1.75])
 
     def test_slack_widens_the_screen_and_the_mirror_band(self, monkeypatch):
         # planted rates and bounds that disagree by less than the slack: the
@@ -309,7 +309,7 @@ class TestBestGapLayout:
         assert index[(0, 3)] <= block < index[(20, 42)]
         x, rate = best_gap_layout(3, scn, 44, step)
         assert rate == 1.0 + 6e-7
-        assert np.array_equal(x.x, [0.0, 0.5 + 22 * step, 1.0 + 42 * step])
+        assert np.array_equal(x, [0.0, 0.5 + 22 * step, 1.0 + 42 * step])
 
     def test_zero_rate_plateau_returns_fpa_layout(self, monkeypatch):
         # Bob among the eavesdroppers: every rate is 0 up to rounding
@@ -329,8 +329,8 @@ class TestBestGapLayout:
         K = _all_tuples(3, levels)
         palindromes = levels // 2 + 1  # equal gaps, 2 k_2 = k_3 <= levels
         assert sum(map(len, scored)) <= (len(K) + palindromes) // 2
-        assert np.array_equal(x.x, initial_positions(3, scn).x)
-        assert rate == best_secrecy_rates(x.x[None, :], scn)[0]
+        assert np.array_equal(x, initial_positions(3, scn))
+        assert rate == best_secrecy_rates(x[None, :], scn)[0]
         assert 0.0 <= rate <= 1e-12 * power
 
     @staticmethod

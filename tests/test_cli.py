@@ -7,8 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
+import masec.cli
 from masec import (ScenarioFileError, load_run_spec, load_solution,
-                   mrt_beamformer, secrecy_rate)
+                   mrt_beamformer, secrecy_rate, solve)
 from masec.cli import main
 
 PAPER_N4 = {
@@ -191,7 +192,7 @@ class TestBeampattern:
         scenario = _write(tmp_path / "s.json", PAPER_N4)
         spec = load_run_spec(scenario)
         x = [0.0, 0.5, 1.0, 1.5]
-        w = mrt_beamformer(x, spec.scenario).w
+        w = mrt_beamformer(x, spec.scenario)
         sol = {"final_x": x,
                "final_w": [[c.real, c.imag] for c in w],
                "final_rate": 0.0}
@@ -256,9 +257,12 @@ class TestBeampattern:
     def test_infeasible_solution_exits_2(self, n4_run, tmp_path, capsys):
         scenario, run_out = n4_run
         good = json.loads((run_out / "solution.json").read_text())
-        for key, value in (("final_x", [-3.0, 0.0, 0.1, 20.0]),
-                           ("final_w", [[1.0, 0.0]] * 4)):
-            path = _write(tmp_path / "bad.json", dict(good, **{key: value}))
+        # the last one is feasible for three antennas, not for the file's four
+        for bad in ({"final_x": [-3.0, 0.0, 0.1, 20.0]},
+                    {"final_w": [[1.0, 0.0]] * 4},
+                    {"final_x": [0.0, 0.5, 1.0],
+                     "final_w": [[1.0 / math.sqrt(3.0), 0.0]] * 3}):
+            path = _write(tmp_path / "bad.json", dict(good, **bad))
             assert main(["beampattern", "--scenario", scenario,
                          "--out", str(tmp_path / "o"),
                          "--solution", path]) == 2
@@ -316,6 +320,20 @@ class TestSweep:
         assert by_n[4][4] == "" and by_n[5][4] == ""
         assert "aperture" in by_n[6][4]
         assert by_n[6][2] == "" and by_n[6][3] == ""
+
+    def test_bad_power_rejected_before_any_solve(self, tmp_path, capsys,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(masec.cli, "solve",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        scenario = _write(tmp_path / "s.json", PAPER_N4)
+        for powers in ("1,nan", "1,inf"):
+            assert main(["sweep-n", "--scenario", scenario,
+                         "--out", str(tmp_path / "o"), "--n-min", "2",
+                         "--n-max", "2", "--powers", powers]) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_n_min_guard(self, tmp_path):
         scenario = _write(tmp_path / "s.json", PAPER_N4)

@@ -1,9 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from masec import (AntennaPositions, Beamformer, InfeasibleError, Scenario,
-                   beam_gain, mrt_beamformer, rate_difference, real_lift,
-                   secrecy_rate, steering_vector)
+from masec import (GridSpec, InfeasibleError, Scenario, beam_gain,
+                   build_forms, check_beamformer, check_positions,
+                   grid_search, initial_positions, load_solution,
+                   mrt_beamformer, optimal_beamformer, optimize_positions,
+                   project_positions, random_positions, rate_difference,
+                   real_lift, secrecy_rate, solve, solve_beamformer,
+                   solve_fpa, steering_vector)
+from masec.beamformer import best_gap_layout
+from masec.driver import scan_start
 
 
 class TestSteeringVector:
@@ -51,7 +59,7 @@ class TestBeamGain:
     def test_mrt_peak_is_n_times_power(self):
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 4,),
                        power_budget=2.5)
-        x = AntennaPositions.create([0.0, 0.6, 1.7, 2.9], scn)
+        x = check_positions([0.0, 0.6, 1.7, 2.9], scn)
         w = mrt_beamformer(x, scn)
         assert beam_gain(x, w, scn.bob_angle, scn) == pytest.approx(
             4 * 2.5, rel=1e-12)
@@ -162,30 +170,99 @@ class TestAntennaPositions:
     def test_unsorted_input_warns_and_sorts(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         with pytest.warns(UserWarning, match="unsorted"):
-            pos = AntennaPositions.create([1.0, 0.0, 2.5], scn)
-        assert np.array_equal(pos.x, [0.0, 1.0, 2.5])
+            pos = check_positions([1.0, 0.0, 2.5], scn)
+        assert np.array_equal(pos, [0.0, 1.0, 2.5])
 
     def test_spacing_violation_rejected(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         with pytest.raises(ValueError, match="spacing"):
-            AntennaPositions.create([0.0, 0.3], scn)
+            check_positions([0.0, 0.3], scn)
 
     def test_box_violation_rejected(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         with pytest.raises(ValueError, match="outside"):
-            AntennaPositions.create([0.0, 10.5], scn)
+            check_positions([0.0, 10.5], scn)
 
     def test_immutable(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
-        pos = AntennaPositions.create([0.0, 0.5], scn)
+        pos = check_positions([0.0, 0.5], scn)
         with pytest.raises(ValueError):
-            pos.x[0] = 3.0
+            pos[0] = 3.0
+
+    @pytest.mark.parametrize("values, error, match", [
+        ([], ValueError, "non-empty 1-D"),
+        ([[0.0, 1.0]], ValueError, "non-empty 1-D"),
+        ([0.0, np.nan], ValueError, "finite"),
+        (np.arange(22.0), InfeasibleError, "cannot hold 22"),
+    ])
+    def test_malformed_input_rejected(self, values, error, match):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        with pytest.raises(error, match=match):
+            check_positions(values, scn)
 
 
 class TestBeamformerType:
     def test_power_invariant_enforced(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
                        power_budget=2.0)
-        Beamformer.create(np.array([1.0, 1.0j]), scn)
+        check_beamformer(np.array([1.0, 1.0j]), scn)
         with pytest.raises(ValueError, match="power budget"):
-            Beamformer.create(np.array([1.0, 0.5]), scn)
+            check_beamformer(np.array([1.0, 0.5]), scn)
+
+    @pytest.mark.parametrize("values, match", [
+        ([], "non-empty 1-D"),
+        ([[1.0, 0.0]], "non-empty 1-D"),
+        ([1.0, np.inf], "finite"),
+    ])
+    def test_malformed_input_rejected(self, values, match):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        with pytest.raises(ValueError, match=match):
+            check_beamformer(values, scn)
+
+
+# N=3 on a short aperture keeps the scan and the grid small
+SMALL = Scenario(bob_angle=np.pi / 2, eve_angles=(0.55 * np.pi, 0.25 * np.pi),
+                 aperture=2.0)
+X3 = np.array([0.0, 0.7, 1.5])
+W3 = np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
+
+
+def _loaded(tmp_path):
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({
+        "final_x": X3.tolist(),
+        "final_w": [[c.real, c.imag] for c in W3], "final_rate": 0.0}))
+    return load_solution(path)
+
+
+@pytest.mark.parametrize("kind, make", [
+    (float, lambda tmp: initial_positions(3, SMALL)),
+    (float, lambda tmp: random_positions(3, SMALL, np.random.default_rng(0))),
+    (float, lambda tmp: project_positions([1.5, 0.0, 0.2], SMALL)),
+    (float, lambda tmp: scan_start(3, SMALL)),
+    (float, lambda tmp: best_gap_layout(3, SMALL, 10, 0.1)[0]),
+    (float, lambda tmp: optimize_positions(X3, W3, SMALL)[0]),
+    (float, lambda tmp: solve(3, SMALL).final_x),
+    (complex, lambda tmp: solve(3, SMALL).final_w),
+    (float, lambda tmp: grid_search(SMALL, GridSpec(0.05, 3))[0]),
+    (complex, lambda tmp: grid_search(SMALL, GridSpec(0.05, 3))[1]),
+    (complex, lambda tmp: optimal_beamformer(build_forms(X3, SMALL), SMALL)),
+    (complex, lambda tmp: solve_beamformer(build_forms(X3, SMALL),
+                                           SMALL).beamformer),
+    (complex, lambda tmp: mrt_beamformer(X3, SMALL)),
+    (complex, lambda tmp: solve_fpa(3, SMALL)[0]),
+    (float, lambda tmp: _loaded(tmp)[0]),
+    (complex, lambda tmp: _loaded(tmp)[1]),
+    (float, lambda tmp: check_positions(X3.tolist(), SMALL)),
+    (complex, lambda tmp: check_beamformer(W3.tolist(), SMALL)),
+], ids=["initial_positions", "random_positions", "project_positions",
+        "scan_start", "best_gap_layout", "optimize_positions",
+        "solve.final_x", "solve.final_w", "grid_search.x", "grid_search.w",
+        "optimal_beamformer", "solve_beamformer", "mrt_beamformer",
+        "solve_fpa", "load_solution.x", "load_solution.w",
+        "check_positions", "check_beamformer"])
+def test_layouts_and_beamformers_are_read_only_arrays(kind, make, tmp_path):
+    arr = make(tmp_path)
+    assert type(arr) is np.ndarray
+    assert arr.shape == (3,) and arr.dtype == kind
+    assert not arr.flags.writeable

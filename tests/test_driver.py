@@ -9,14 +9,14 @@ from masec import (InfeasibleError, PgaConfig, Scenario, SolveConfig,
 
 class TestInitialPositions:
     def test_paper_layout(self, paper_n4):
-        assert np.array_equal(initial_positions(4, paper_n4).x,
+        assert np.array_equal(initial_positions(4, paper_n4),
                               [0.0, 0.5, 1.0, 1.5])
 
     def test_single_antenna(self, paper_n4):
-        assert np.array_equal(initial_positions(1, paper_n4).x, [0.0])
+        assert np.array_equal(initial_positions(1, paper_n4), [0.0])
 
     def test_boundary_fill(self, paper_n4):
-        x = initial_positions(21, paper_n4).x
+        x = initial_positions(21, paper_n4)
         assert x[-1] == 10.0
         assert np.allclose(np.diff(x), 0.5)
 
@@ -109,8 +109,8 @@ class TestSolve:
         # one antenna, or 21 filling [0, 10] at d_min: no gap can widen
         for n in (1, 21):
             trace = solve(n, paper_n4)
-            assert np.array_equal(trace.final_x.x,
-                                  initial_positions(n, paper_n4).x)
+            assert np.array_equal(trace.final_x,
+                                  initial_positions(n, paper_n4))
             assert trace.final_rate == solve_fpa(n, paper_n4)[1]
         with pytest.raises(InfeasibleError):
             solve(22, paper_n4)
@@ -126,7 +126,7 @@ class TestSolve:
         cases = [(3, paper_n3)] + [(n, make_scenario(rng)) for n in (4, 5, 6)]
         rounds, winners = set(), set()
         for n, scn in cases:
-            starts = np.array([random_positions(n, scn, rng).x
+            starts = np.array([random_positions(n, scn, rng)
                                for _ in range(4)])
             trace = solve(n, scn, x0=starts[0], extra_starts=starts[1:])
             singles = [solve(n, scn, x0=x0) for x0 in starts]
@@ -136,15 +136,15 @@ class TestSolve:
             assert len(trace.inner) == len(best.inner)
             for psi, expected in zip(trace.inner, best.inner):
                 assert np.array_equal(psi, expected)
-            assert np.array_equal(trace.final_x.x, best.final_x.x)
-            assert np.array_equal(trace.final_w.w, best.final_w.w)
+            assert np.array_equal(trace.final_x, best.final_x)
+            assert np.array_equal(trace.final_w, best.final_w)
             assert trace.converged == best.converged
             rounds |= {t.n_outer for t in singles}
             winners.add(rates.index(max(rates)))
         assert len(rounds) > 1 and winners != {0}
 
     def test_extra_starts_shape_checked(self, paper_n4):
-        x0 = initial_positions(4, paper_n4).x
+        x0 = initial_positions(4, paper_n4)
         with pytest.raises(ValueError, match="extra starts"):
             solve(4, paper_n4, x0=x0, extra_starts=x0[:3][None, :])
         for bad in (np.vstack([x0, x0 + 1.0]), x0[:3]):
@@ -152,8 +152,8 @@ class TestSolve:
                 solve(4, paper_n4, x0=bad)
 
     def test_custom_start(self, paper_n4):
-        from masec import AntennaPositions
-        x0 = AntennaPositions.create([0.0, 1.0, 2.0, 3.0], paper_n4)
+        from masec import check_positions
+        x0 = check_positions([0.0, 1.0, 2.0, 3.0], paper_n4)
         trace = solve(4, paper_n4, x0=x0)
         assert trace.final_rate >= secrecy_rate(
             x0, trace.final_w, paper_n4) - 1e-9

@@ -123,7 +123,7 @@ class TestGridSearch:
             if best is None or key < best:
                 best = key
         assert rate_star == -best[0]
-        assert np.array_equal(x_star.x, np.asarray(best[1]))
+        assert np.array_equal(x_star, np.asarray(best[1]))
 
     def test_matches_best_beamformer_at_winner(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
@@ -143,7 +143,7 @@ class TestGridSearch:
         tight = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
                          aperture=1.0, min_spacing=0.5)
         x_star, _, _ = grid_search(tight, GridSpec(resolution=0.3, n=3))
-        assert np.array_equal(x_star.x, initial_positions(3, tight).x)
+        assert np.array_equal(x_star, initial_positions(3, tight))
 
 
 class TestRunVerification:

@@ -60,7 +60,7 @@ class TestRealLift:
         rng = np.random.default_rng(25)
         for n in range(1, 9):
             scn = make_scenario(rng)
-            X = np.array([random_positions(n, scn, rng).x for _ in range(3)])
+            X = np.array([random_positions(n, scn, rng) for _ in range(3)])
             W = np.array([make_beamformer(n, scn, rng) for _ in range(3)])
             stack = real_lift(X, W, scn)
             gains = stack.gains()
@@ -112,8 +112,8 @@ class TestObjectivePsi:
     def test_paper_start_matches_hand_recomputation(self, paper_n4):
         x = initial_positions(4, paper_n4)
         w = mrt_beamformer(x, paper_n4)
-        g0 = _gain_by_hand(x.x, w.w, paper_n4.bob_angle, 1.0)
-        leak = sum(_gain_by_hand(x.x, w.w, t, 1.0) for t in paper_n4.eve_angles)
+        g0 = _gain_by_hand(x, w, paper_n4.bob_angle, 1.0)
+        leak = sum(_gain_by_hand(x, w, t, 1.0) for t in paper_n4.eve_angles)
         expected = np.log2(1.0 + g0) - np.log2(1.0 + leak)
         assert objective_psi(x, w, paper_n4) == pytest.approx(expected,
                                                               rel=1e-12)
@@ -145,15 +145,15 @@ class TestGradientPsi:
 class TestProjection:
     def test_worked_examples(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
-        assert np.array_equal(project_positions([-1.0, 0.1, 0.3], scn).x,
+        assert np.array_equal(project_positions([-1.0, 0.1, 0.3], scn),
                               [0.0, 0.5, 1.0])
-        assert np.array_equal(project_positions([11.0, 12.0], scn).x,
+        assert np.array_equal(project_positions([11.0, 12.0], scn),
                               [9.5, 10.0])
 
     def test_feasible_point_unchanged(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         x = np.array([0.2, 1.0, 4.5])
-        assert np.array_equal(project_positions(x, scn).x, x)
+        assert np.array_equal(project_positions(x, scn), x)
 
     def test_idempotent(self, make_scenario):
         rng = np.random.default_rng(24)
@@ -161,8 +161,8 @@ class TestProjection:
             scn = make_scenario(rng)
             n = int(rng.integers(1, 9))
             raw = rng.uniform(-3.0, scn.aperture + 3.0, size=n)
-            once = project_positions(raw, scn).x
-            twice = project_positions(once, scn).x
+            once = project_positions(raw, scn)
+            twice = project_positions(once, scn)
             assert np.array_equal(once, twice)
 
     def test_output_feasible(self, make_scenario):
@@ -171,7 +171,7 @@ class TestProjection:
             scn = make_scenario(rng)
             n = int(rng.integers(1, 9))
             raw = rng.uniform(-5.0, scn.aperture + 5.0, size=n)
-            out = project_positions(raw, scn).x
+            out = project_positions(raw, scn)
             assert out[0] >= 0.0
             assert out[-1] <= scn.aperture
             if n > 1:
@@ -179,9 +179,9 @@ class TestProjection:
 
     def test_sorts_before_clamping(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
-        shuffled = project_positions([4.0, 0.3, 2.0], scn).x
+        shuffled = project_positions([4.0, 0.3, 2.0], scn)
         assert np.array_equal(shuffled, project_positions([0.3, 2.0, 4.0],
-                                                          scn).x)
+                                                          scn))
 
     def test_infeasible_scenario_raises(self):
         # three antennas at spacing 0.5 need an aperture of at least 1.0
@@ -197,7 +197,7 @@ class TestOptimizePositions:
         x0 = initial_positions(3, scn)
         best, trace = optimize_positions(x0, mrt_beamformer(x0, scn), scn)
         assert len(trace) - 1 == 1
-        assert np.array_equal(best.x, x0.x)
+        assert np.array_equal(best, x0)
 
     def test_paper_mrt_round_converges_within_50(self, paper_n4):
         # reference convergence claim for the first ascent round
@@ -280,7 +280,7 @@ def _reference_ascent(x0, w, scn, cfg):
     psi = objective_psi(x, w, scn)
     trace = [psi]
     for _ in range(cfg.max_inner_iters):
-        x = project_positions(x.x + cfg.step_size * gradient_psi(x, w, scn),
+        x = project_positions(x + cfg.step_size * gradient_psi(x, w, scn),
                               scn)
         psi_new = objective_psi(x, w, scn)
         trace.append(psi_new)
@@ -335,7 +335,7 @@ class TestLockstep:
         steps = []
         for k, (x0, w) in enumerate(zip(X, W)):
             single_best, single_trace = optimize_positions(x0, w, scn, cfg)
-            assert np.array_equal(best[k], single_best.x)
+            assert np.array_equal(best[k], single_best)
             n_steps = len(single_trace) - 1
             assert np.array_equal(trace[:n_steps + 1, k], single_trace)
             assert np.isnan(trace[n_steps + 1:, k]).all()
@@ -351,7 +351,7 @@ class TestLockstep:
             for _ in range(3):
                 scn = make_scenario(rng)
                 k = int(rng.integers(1, 6))
-                X = np.array([random_positions(n, scn, rng).x
+                X = np.array([random_positions(n, scn, rng)
                               for _ in range(k)])
                 W = np.array([make_beamformer(n, scn, rng) for _ in range(k)])
                 steps += self._check(X, W, scn, cfg)
@@ -365,8 +365,8 @@ class TestLockstep:
         rng = np.random.default_rng(33)
         cfg = PgaConfig(max_inner_iters=40, inner_tol=1e-14)
         for n in range(2, 9):
-            X = np.array([random_positions(n, scn, rng).x for _ in range(4)])
-            W = np.array([mrt_beamformer(X[0], scn).w]
+            X = np.array([random_positions(n, scn, rng) for _ in range(4)])
+            W = np.array([mrt_beamformer(X[0], scn)]
                          + [make_beamformer(n, scn, rng) for _ in range(3)])
             steps = self._check(X, W, scn, cfg)
             assert steps[0] == 1 and max(steps) == cfg.max_inner_iters
@@ -378,7 +378,7 @@ class TestRandomPositions:
         for _ in range(100):
             scn = make_scenario(rng)
             n = int(rng.integers(1, 10))
-            x = random_positions(n, scn, rng).x
+            x = random_positions(n, scn, rng)
             assert x[0] >= 0.0 and x[-1] <= scn.aperture
             if n > 1:
                 assert np.min(np.diff(x)) >= scn.min_spacing - 1e-12

@@ -125,10 +125,10 @@ def test_solve_dominates_every_start(instance, from_scan, k, seed):
     scn, x, _ = instance
     n = x.size
     rng = np.random.default_rng(seed)
-    extra = np.reshape([random_positions(n, scn, rng).x for _ in range(k)],
+    extra = np.reshape([random_positions(n, scn, rng) for _ in range(k)],
                        (k, n))
     # scan_start(n, scn) as x0 is the chain that the default start runs
-    first = scan_start(n, scn).x if from_scan else x
+    first = scan_start(n, scn) if from_scan else x
     cfg = SolveConfig(pga=PgaConfig(max_inner_iters=20), max_outer_iters=2)
     rate = solve(n, scn, cfg, x0=first, extra_starts=extra).final_rate
     starts = np.vstack([first, extra])
