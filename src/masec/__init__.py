@@ -1,9 +1,11 @@
 """Secrecy-rate maximization for movable-antenna linear arrays.
 
-Alternates a closed-form optimal transmit beamformer with projected
-gradient ascent over antenna positions to maximize the secrecy rate
-against colluding eavesdroppers, and ships the oracles (finite
-differences, random sampling, exhaustive grid search) used to verify it.
+Maximizes the secrecy rate against colluding eavesdroppers over the
+antenna positions and a closed-form optimal transmit beamformer, either
+by alternating the beamformer with projected gradient ascent (the
+paper's Algorithm 1) or by a line-searched ascent on the best rate at
+each layout, and ships the oracles (finite differences, random
+sampling, exhaustive grid search) used to verify it.
 """
 
 from .beamformer import (BeamformerSolution, EigensolverError, QuadraticForms,

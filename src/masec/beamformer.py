@@ -110,7 +110,8 @@ class BeamformerSolution:
     ``eigenvalue`` is the top generalized eigenvalue, which equals the
     optimal Rayleigh objective; ``degenerate`` flags a (numerically)
     multiple top eigenvalue, in which case any vector of the top
-    eigenspace is returned.
+    eigenspace is returned.  For a stack of K forms the beamformer is a
+    (K, N) array and the other fields are (K,) arrays.
     """
 
     beamformer: np.ndarray
@@ -124,29 +125,42 @@ def solve_beamformer(forms: QuadraticForms, scenario: Scenario) -> BeamformerSol
 
     Takes the top eigenpair of the pencil and maps it back.  The
     returned phase is normalized so the largest-modulus entry is real
-    positive, making the output deterministic.
+    positive, making the output deterministic.  ``forms`` may hold one
+    pair or a (K, N, N) stack; a stack is solved in one batched call,
+    and each of its rows equals the solve of that layout alone, bit for
+    bit.
     """
     budget = scenario.power_budget
     eigvals, eigvecs, chol = _pencil(forms, budget, vectors=True)
-    lam_max = float(eigvals[-1])
-    o = np.linalg.solve(chol.conj().T, eigvecs[:, -1])
-    o /= np.linalg.norm(o)
-    w = np.sqrt(budget) * o
-    k = int(np.argmax(np.abs(w)))
-    w = w * (w[k].conj() / abs(w[k]))
+    o = np.linalg.solve(chol.conj().swapaxes(-1, -2), eigvecs[..., -1:])[..., 0]
+    w = np.empty_like(o)
+    # row by row: numpy's scalar norm and abs round unlike their batched forms
+    for row, out in zip(np.atleast_2d(o), np.atleast_2d(w)):
+        row /= np.linalg.norm(row)
+        out[:] = np.sqrt(budget) * row
+        peak = out[np.argmax(np.abs(out))]
+        out *= peak.conj() / abs(peak)
     w.setflags(write=False)
+    lam_max = eigvals[..., -1]
     if forms.n > 1:
-        gap = float(eigvals[-1] - eigvals[-2])
-        degenerate = gap <= DEGENERACY_RTOL * max(1.0, abs(lam_max))
+        gap = eigvals[..., -1] - eigvals[..., -2]
+        degenerate = gap <= DEGENERACY_RTOL * np.maximum(1.0, np.abs(lam_max))
     else:
-        gap = float("inf")
-        degenerate = False
-    return BeamformerSolution(beamformer=w, eigenvalue=lam_max,
-                              eigen_gap=gap, degenerate=degenerate)
+        gap = np.full_like(lam_max, np.inf)
+        degenerate = np.zeros_like(lam_max, dtype=bool)
+    if lam_max.ndim:
+        return BeamformerSolution(beamformer=w, eigenvalue=lam_max,
+                                  eigen_gap=gap, degenerate=degenerate)
+    return BeamformerSolution(beamformer=w, eigenvalue=float(lam_max),
+                              eigen_gap=float(gap), degenerate=bool(degenerate))
 
 
 def optimal_beamformer(forms: QuadraticForms, scenario: Scenario) -> np.ndarray:
-    """Optimal beamformer sqrt(P_A) o_max for the given quadratic forms."""
+    """Optimal beamformer sqrt(P_A) o_max for the given quadratic forms.
+
+    One (N,) beamformer for one pair of forms, a (K, N) stack for a
+    stack of forms.
+    """
     return solve_beamformer(forms, scenario).beamformer
 
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    optimize     alternating solve; writes trace CSVs and solution.json
+    optimize     solve; writes trace CSVs and solution.json
     beampattern  beam gain over [0, pi] for a solution or the FPA baseline
     sweep-n      secrecy rate vs antenna count for MA and FPA arrays
     verify       run the oracle suite against a scenario
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Secrecy-rate maximization for movable-antenna arrays")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("optimize", parents=[common, starts],
-                   help="run the alternating solver")
+                   help="run the solver")
     bp = sub.add_parser("beampattern", parents=[common],
                         help="sample the beam gain over [0, pi]")
     bp.add_argument("--solution", default=None,
@@ -153,9 +153,10 @@ def _cmd_sweep(args) -> int:
                 rng = np.random.default_rng([cell.seed, n, j])
                 trace = _solve_with_restarts(cell, args.restarts, rng)
                 _, fpa_rate = solve_fpa(n, scenario)
-                rows.append((n, power, trace.final_rate, fpa_rate, ""))
+                rows.append((n, power, trace.final_rate, fpa_rate, "",
+                             int(trace.converged), trace.n_outer))
             except (ValueError, RuntimeError) as exc:
-                rows.append((n, power, "", "", str(exc)))
+                rows.append((n, power, "", "", str(exc), "", ""))
     write_sweep(out / "sweep_n.csv", rows)
     print(f"wrote sweep_n.csv ({len(rows)} rows)")
     return 0

@@ -1,15 +1,19 @@
-"""Alternating optimization of beamformer and antenna positions.
+"""Ascent on antenna positions with the closed-form optimal beamformer.
 
 The start layout is the best point of a deterministic scan over the
-antenna gaps, scored by the optimal-beamformer rate.  From there each
-outer round first solves the beamformer in closed form and then runs
-projected gradient ascent on the positions.  Both steps can only
-improve the unclamped objective, so the end-of-round secrecy rate is
-non-decreasing and the loop terminates at a prescribed accuracy.
-Further starts run as chains of the same loop, in lockstep.  The
-fixed-position (FPA) baseline keeps the uniform layout and optimizes
-the beamformer once; it is one of the scanned layouts, so the solver
-never reports less than the FPA rate.
+antenna gaps, scored by the optimal-beamformer rate.  Two ascents run
+from there, in rounds.  ``"alternating"`` is the paper's Algorithm 1:
+each round solves the beamformer in closed form and then runs
+fixed-step projected gradient ascent on the positions.  Both steps can
+only improve the unclamped objective, so the end-of-round secrecy rate
+is non-decreasing.  ``"value"`` ascends the value function
+F(x) = log2 lambda_max(x) of the beamformer problem, one projected step
+per round with a Barzilai-Borwein trial step and Armijo backtracking;
+by Danskin's theorem its gradient is the position gradient of the
+objective at the optimal beamformer.  Further starts run as chains of
+the same loop, in lockstep.  The fixed-position (FPA) baseline keeps
+the uniform layout and optimizes the beamformer once; it is one of the
+scanned layouts, so the solver never reports less than the FPA rate.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamformer import best_gap_layout, build_forms, optimal_beamformer
+from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
+                         solve_beamformer)
 from .core import Scenario, secrecy_rate
-from .positions import PgaConfig, optimize_positions
+from .positions import (PgaConfig, _project_euclidean, gradient_psi,
+                        optimize_positions)
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
 # one solve may score, for N <= 4 and for larger N; past the budget the
@@ -30,16 +36,35 @@ SCAN_STEPS_PER_WAVELENGTH = 50
 SCAN_BUDGET_SMALL_N = 100_000
 SCAN_BUDGET_LARGE_N = 3_000
 
+ASCENTS = ("alternating", "value")
+
+# Value ascent: Armijo's sufficient-increase constant, the halvings of a
+# trial step before a chain stalls, and the range of the
+# Barzilai-Borwein trial step.
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 30
+MIN_STEP, MAX_STEP = 1e-8, 1e3
+
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Outer-loop settings around the per-round PGA configuration."""
+    """Outer-loop settings around the per-round PGA configuration.
+
+    ``ascent`` picks the paper's ``"alternating"`` Algorithm 1 or the
+    ``"value"`` ascent.  Of the PGA settings the value ascent reads only
+    ``pga.step_size`` (its first trial step) and ``pga.inner_tol`` (its
+    stop test), and it ignores ``outer_tol``.
+    """
 
     pga: PgaConfig = field(default_factory=PgaConfig)
     max_outer_iters: int = 50
     outer_tol: float = 1e-6
+    ascent: str = "alternating"
 
     def __post_init__(self):
+        if self.ascent not in ASCENTS:
+            raise ValueError(f"ascent must be 'alternating' or 'value', "
+                             f"got {self.ascent!r}")
         if not self.max_outer_iters >= 1:
             raise ValueError("max_outer_iters must be positive")
         if not self.outer_tol > 0.0:
@@ -57,10 +82,12 @@ class OuterRecord:
 
 @dataclass
 class OptimizationTrace:
-    """Full record of one alternating solve.
+    """Full record of one solve.
 
-    ``inner[k]`` holds the Psi trace of round k's position ascent
-    (entry 0 is the starting value).  The sequence of ``rate_after_x``
+    ``inner[k]`` holds the trace of round k's position ascent, entry 0
+    being the value at the round's start: the Psi values of the PGA
+    steps (alternating), or F at each trial step of the line search,
+    the accepted one last (value).  The sequence of ``rate_after_x``
     values is non-decreasing up to floating-point noise.
     """
 
@@ -127,21 +154,89 @@ def _settled(rounds, tol: float) -> bool:
             and abs(rounds[-1].rate_after_x - rounds[-2].rate_after_x) <= tol)
 
 
+def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
+    """One projected ascent step on F for the chains ``rows``, in place.
+
+    Row j of ``X``, ``W`` and ``G`` holds chain j's layout, its optimal
+    beamformer and the gradient of F there, and ``F[j]`` the value
+    log2 lambda_max.  The trial x <- P(x + alpha grad F) starts at
+    alpha = ``step[j]`` and halves until Armijo's test
+    F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
+    ``MAX_HALVINGS`` times; P is the Euclidean projection.  Each trial
+    solves the pencil of every pending chain in one batched call, and an
+    accepted trial's beamformer and value replace the chain's.
+
+    Returns:
+        (traces, settled, stalled), per chain: F at the start and at
+        each trial; whether the accepted step raised F by at most
+        ``tol`` max(1, |F|); whether no trial was accepted.
+    """
+    x0, g0 = X[rows], G[rows]
+    f0 = [F[j] for j in rows]
+    traces = [[f] for f in f0]
+    stalled = [True] * len(rows)
+    alpha = step[rows]
+    pending = list(range(len(rows)))
+    for _ in range(MAX_HALVINGS + 1):
+        Z = _project_euclidean(x0[pending] + alpha[pending, None] * g0[pending],
+                               scenario)
+        sol = solve_beamformer(build_forms(Z, scenario), scenario)
+        rises = np.einsum("ij,ij->i", g0[pending], Z - x0[pending]).tolist()
+        waiting = []
+        for r, (i, lam, rise) in enumerate(zip(pending,
+                                               sol.eigenvalue.tolist(), rises)):
+            f = math.log2(lam)
+            traces[i].append(f)
+            if f >= f0[i] + ARMIJO_C * rise:
+                j = rows[i]
+                X[j], W[j], F[j] = Z[r], sol.beamformer[r], f
+                stalled[i] = False
+            else:
+                waiting.append(i)
+        if not waiting:
+            break
+        pending = waiting
+        alpha[pending] *= 0.5
+    settled = [not halted and t[-1] - t[0] <= tol * max(1.0, abs(t[0]))
+               for t, halted in zip(traces, stalled)]
+    return [np.array(t) for t in traces], settled, stalled
+
+
+def _bb_steps(S, Y) -> np.ndarray:
+    """Barzilai-Borwein steps s.s / -s.y for ascent, clipped to the step range.
+
+    Rows of ``S`` are position steps, rows of ``Y`` the changes of the
+    gradient; a step without negative curvature along s gets the
+    largest step.
+    """
+    ss = np.einsum("ij,ij->i", S, S)
+    sy = -np.einsum("ij,ij->i", S, Y)
+    steps = np.full(len(S), MAX_STEP)
+    curved = sy > 0.0
+    steps[curved] = ss[curved] / sy[curved]
+    return np.clip(steps, MIN_STEP, MAX_STEP)
+
+
 def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
           x0=None, extra_starts=None) -> OptimizationTrace:
-    """Alternating optimization of (w, x) for the secrecy rate.
+    """Ascent on (w, x) for the secrecy rate, in rounds.
 
-    Each round updates the beamformer in closed form for the current
-    positions, then improves the positions by projected gradient ascent;
-    the loop stops when the end-of-round rate changes by at most
-    ``cfg.outer_tol`` or after ``cfg.max_outer_iters`` rounds (reported
-    through ``converged``).  The clamp [.]^+ is kept out of the
+    With ``cfg.ascent == "alternating"`` (Algorithm 1) each round
+    updates the beamformer in closed form for the current positions,
+    then improves the positions by projected gradient ascent; the loop
+    stops when the end-of-round rate changes by at most ``cfg.outer_tol``.
+    With ``"value"`` each round takes one line-searched projected step
+    on F(x) = log2 lambda_max(x) (``_value_round``); a chain stops when
+    a round raises F by at most ``cfg.pga.inner_tol`` max(1, |F|), or
+    when no trial step is accepted.  Either loop also stops after
+    ``cfg.max_outer_iters`` rounds; ``converged`` is False then, and
+    after a failed line search.  The clamp [.]^+ is kept out of the
     optimization and reapplied in the reported rates.
 
     Every start is one chain.  The chains run their rounds in lockstep,
-    with one stacked ``optimize_positions`` call per round, and each
-    keeps its own beamformer step and stop test; a chain follows the same
-    iterates as a solve from its start alone.
+    each round solving the beamformers of every live chain in one
+    batched call, and each keeps its own stop test; a chain follows the
+    same iterates as a solve from its start alone.
 
     Args:
         n: number of antennas.
@@ -156,7 +251,8 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
 
     Returns:
         OptimizationTrace of the first chain with the highest final
-        rate: per-round rates, inner Psi traces and the final solution.
+        rate: per-round rates, inner traces and the final solution.
+        ``final_w`` is optimal at ``final_x`` in the value ascent.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -175,29 +271,58 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     chains = range(len(X))
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]
-    w = [None for _ in chains]
+    converged = [False for _ in chains]
+    rate = [0.0 for _ in chains]  # end rate of each chain's last round
+    W = np.zeros(X.shape, dtype=complex)
+    value = cfg.ascent == "value"
+    if value:
+        sol = solve_beamformer(build_forms(X, scenario), scenario)
+        W[:] = sol.beamformer
+        F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
+        G = gradient_psi(X, W, scenario)
+        step = np.full(len(X), cfg.pga.step_size)
+        rate = [secrecy_rate(x, w, scenario) for x, w in zip(X, W)]
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
-        for j in live:
-            w[j] = optimal_beamformer(build_forms(X[j], scenario), scenario)
-        X[live], psi = optimize_positions(X[live], [w[j] for j in live],
-                                          scenario, cfg.pga)
-        for r, j in enumerate(live):
-            rate_x = secrecy_rate(X[j], w[j], scenario)
-            rate_w = max(float(psi[0, r]), 0.0)  # Psi at the round's start
+        if value:
+            start_x, start_g = X[live], G[live]
+            rates_w = [rate[j] for j in live]
+            traces, settled, stalled = _value_round(X, W, F, G, step, live,
+                                                    scenario, cfg.pga.inner_tol)
+        else:
+            W[live] = optimal_beamformer(build_forms(X[live], scenario),
+                                         scenario)
+            X[live], psi = optimize_positions(X[live], W[live], scenario,
+                                              cfg.pga)
+            traces = [col[~np.isnan(col)] for col in psi.T]
+            rates_w = [max(float(t[0]), 0.0) for t in traces]  # Psi at start
+        going = []
+        for r, (j, trace, rate_w) in enumerate(zip(live, traces, rates_w)):
+            rate[j] = secrecy_rate(X[j], W[j], scenario)
             outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
-                                        rate_after_x=rate_x))
-            inner[j].append(psi[:, r][~np.isnan(psi[:, r])])
-        live = [j for j in live if not _settled(outer[j], cfg.outer_tol)]
+                                        rate_after_x=rate[j]))
+            inner[j].append(trace)
+            if value:
+                converged[j], stop = settled[r], settled[r] or stalled[r]
+            else:
+                converged[j] = stop = _settled(outer[j], cfg.outer_tol)
+            if not stop:
+                going.append(r)
+        live = [live[r] for r in going]
         if not live:
             break
+        if value:
+            G[live] = gradient_psi(X[live], W[live], scenario)
+            step[live] = _bb_steps(X[live] - start_x[going],
+                                   G[live] - start_g[going])
     j = max(chains, key=lambda j: outer[j][-1].rate_after_x)
-    x = X[j].copy()
+    x, w = X[j].copy(), W[j].copy()
     x.setflags(write=False)
+    w.setflags(write=False)
     return OptimizationTrace(outer=outer[j], inner=inner[j],
-                             final_x=x, final_w=w[j],
+                             final_x=x, final_w=w,
                              final_rate=outer[j][-1].rate_after_x,
-                             converged=_settled(outer[j], cfg.outer_tol))
+                             converged=converged[j])
 
 
 def solve_fpa(n: int, scenario: Scenario):

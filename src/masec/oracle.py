@@ -143,7 +143,7 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     Checks the lift identity, the analytic gradient against central
     finite differences, beamformer stationarity and sampling optimality,
     and (for N <= 3, when the grid fits the evaluation cap) the
-    alternating solver, run with ``cfg`` (the default settings when
+    solver, run with ``cfg`` (the default settings, Algorithm 1, when
     None), against the exhaustive grid oracle, whose gap step is a
     fiftieth of the wavelength.
 

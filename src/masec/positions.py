@@ -156,6 +156,40 @@ def _project(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
     return rows
 
 
+def _project_euclidean(Z, scenario: Scenario) -> np.ndarray:
+    """Nearest feasible layout to each row of the (K, N) array ``Z``.
+
+    In slack coordinates y_n = x_n - (n-1) d_min the feasible set is
+    0 <= y_1 <= ... <= y_N <= L - (N-1) d_min, and the nearest point is
+    the isotonic regression of y (pool adjacent violators) clipped to
+    that interval.  Unlike ``project_positions`` the rows are not sorted
+    first: antenna n stays antenna n.  A coordinate that is neither
+    pooled nor clipped is returned unchanged, so a feasible row maps to
+    itself.
+    """
+    n = Z.shape[1]
+    offsets = scenario.min_spacing * np.arange(n)
+    span = scenario.aperture - (n - 1) * scenario.min_spacing
+    out = np.array(Z, dtype=float)
+    for row, y in zip(out, (out - offsets).tolist()):
+        blocks = []  # [sum, count] of the pooled runs, means increasing
+        for v in y:
+            blocks.append([v, 1])
+            while (len(blocks) > 1 and blocks[-2][0] / blocks[-2][1]
+                   > blocks[-1][0] / blocks[-1][1]):
+                total, count = blocks.pop()
+                blocks[-1][0] += total
+                blocks[-1][1] += count
+        i = 0
+        for total, count in blocks:
+            mean = total / count
+            clipped = min(max(mean, 0.0), span)
+            if count > 1 or clipped != mean:
+                row[i:i + count] = clipped + offsets[i:i + count]
+            i += count
+    return out
+
+
 def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
     """Project raw coordinates onto the feasible set.
 

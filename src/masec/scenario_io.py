@@ -4,8 +4,9 @@ Scenario files are JSON.  Angles are given either in radians
 (``bob_angle_rad``) or as fractions of pi (``bob_angle_pi``), one form
 per file, with ``eve_angles`` interpreted in the same form.  Omitted
 fields fall back to the reference setup: unit noise power and power
-budget, aperture of ten wavelengths, half-wavelength spacing and step
-size 0.01.  Unknown keys are rejected.
+budget, aperture of ten wavelengths, half-wavelength spacing, step
+size 0.01 and the value ascent (``"ascent": "value"``; ``"alternating"``
+selects the paper's Algorithm 1).  Unknown keys are rejected.
 
 CSV output follows RFC 4180 (CRLF, header row); numbers carry 12
 significant digits.  ``solution.json`` stores the beamformer as
@@ -34,7 +35,7 @@ class ScenarioFileError(ValueError):
 _TOP_KEYS = {
     "wavelength", "bob_angle_rad", "bob_angle_pi", "eve_angles",
     "noise_power", "power_budget", "aperture", "min_spacing",
-    "n_antennas", "step_size", "tolerances", "seed",
+    "n_antennas", "step_size", "tolerances", "seed", "ascent",
 }
 _TOL_KEYS = {"inner_tol", "outer_tol", "max_inner_iters", "max_outer_iters"}
 
@@ -123,6 +124,7 @@ def parse_run_spec(data: dict) -> RunSpec:
             pga=pga,
             max_outer_iters=_require_int(tol, "max_outer_iters", 50),
             outer_tol=_require_number(tol, "outer_tol", 1e-6),
+            ascent=data.get("ascent", "value"),
         )
     except ValueError as exc:
         raise ScenarioFileError(str(exc)) from exc
@@ -180,8 +182,13 @@ def write_beampattern(path, thetas, gains):
 
 
 def write_sweep(path, rows):
-    """Rows of (N, P_A, rate_ma, rate_fpa, error-or-empty-string)."""
-    _write_csv(path, ["N", "P_A", "rate_ma", "rate_fpa", "error"], rows)
+    """Rows of (N, P_A, rate_ma, rate_fpa, error, converged, n_outer).
+
+    ``error`` is empty on a solved cell; the other fields are empty on a
+    failed one.  ``converged`` is 1 or 0.
+    """
+    _write_csv(path, ["N", "P_A", "rate_ma", "rate_fpa", "error",
+                      "converged", "n_outer"], rows)
 
 
 def write_solution(path, trace: OptimizationTrace):

@@ -128,6 +128,26 @@ class TestOptimalBeamformer:
         w2 = optimal_beamformer(build_forms(x, paper_n4), paper_n4)
         assert np.array_equal(w1.view(np.float64), w2.view(np.float64))
 
+    def test_stack_matches_single_layouts(self, make_scenario):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            scn = make_scenario(rng)
+            n = int(rng.integers(1, 9))
+            X = np.sort(rng.uniform(0.0, scn.aperture, size=(5, n)), axis=1)
+            stack = solve_beamformer(build_forms(X, scn), scn)
+            assert stack.beamformer.shape == (5, n)
+            assert not stack.beamformer.flags.writeable
+            assert np.array_equal(
+                optimal_beamformer(build_forms(X, scn), scn),
+                stack.beamformer)
+            for r, x in enumerate(X):
+                one = solve_beamformer(build_forms(x, scn), scn)
+                assert np.array_equal(stack.beamformer[r], one.beamformer)
+                assert stack.eigenvalue[r] == one.eigenvalue
+                assert stack.eigen_gap[r] == one.eigen_gap
+                assert stack.degenerate[r] == one.degenerate
+                assert isinstance(one.eigenvalue, float)
+
     def test_phase_normalization(self, make_scenario):
         rng = np.random.default_rng(15)
         for _ in range(10):

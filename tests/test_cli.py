@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import re
-import shutil
 
 import numpy as np
 import pytest
@@ -138,10 +137,13 @@ class TestOptimize:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("error: ")
 
-    def test_shorter_run_removes_stale_inner_traces(self, n4_run, tmp_path):
-        scenario, run_out = n4_run
+    def test_shorter_run_removes_stale_inner_traces(self, tmp_path):
+        # Algorithm 1 takes two rounds on this file, the value ascent one
+        long_run = _write(tmp_path / "a.json",
+                          dict(PAPER_N4, ascent="alternating"))
         out = tmp_path / "out"
-        shutil.copytree(run_out, out)
+        assert main(["optimize", "--scenario", long_run,
+                     "--out", str(out)]) == 0
         assert len(list(out.glob("trace_inner_*.csv"))) >= 2
         doc = dict(PAPER_N4, tolerances={"max_outer_iters": 1})
         assert main(["optimize", "--scenario", _write(tmp_path / "s.json", doc),
@@ -171,6 +173,22 @@ class TestScenarioFiles:
         doc["eve_angles"] = [0.75 * math.pi, 0.25 * math.pi]
         rad_form = load_run_spec(_write(tmp_path / "b.json", doc))
         assert pi_form.scenario == rad_form.scenario
+
+    def test_ascent_key(self, tmp_path, capsys):
+        assert load_run_spec(_write(tmp_path / "a.json", PAPER_N4)) \
+            .config.ascent == "value"
+        doc = dict(PAPER_N4, ascent="alternating")
+        assert load_run_spec(_write(tmp_path / "b.json", doc)) \
+            .config.ascent == "alternating"
+        for bad in ("Value", "", 1, None, ["value"]):
+            scenario = _write(tmp_path / "c.json", dict(PAPER_N4, ascent=bad))
+            for command in (["optimize"], ["sweep-n"], ["verify"]):
+                assert main(command + ["--scenario", scenario,
+                                       "--out", str(tmp_path / "o")]) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1
+                assert err.startswith("error: ascent must be")
+        assert not (tmp_path / "o").exists()
 
     def test_tolerances_block(self, tmp_path):
         doc = dict(PAPER_N4, tolerances={"outer_tol": 1e-3,
@@ -277,14 +295,28 @@ class TestSweep:
         assert main(["sweep-n", "--scenario", scenario, "--out", str(out),
                      "--n-min", "4", "--n-max", "4", "--powers", "1"]) == 0
         header, rows = _read_csv(out / "sweep_n.csv")
-        assert header == ["N", "P_A", "rate_ma", "rate_fpa", "error"]
+        assert header == ["N", "P_A", "rate_ma", "rate_fpa", "error",
+                          "converged", "n_outer"]
         assert len(rows) == 1
         _, _, rate = load_solution(run_out / "solution.json")
         assert float(rows[0][2]) == pytest.approx(rate, rel=1e-11)
         assert rows[0][4] == ""
+        _, outer = _read_csv(run_out / "trace_outer.csv")
+        assert rows[0][5:] == ["1", str(len(outer))]
+
+    def test_capped_cell_not_converged(self, tmp_path):
+        doc = dict(PAPER_N4, tolerances={"max_outer_iters": 2})
+        out = tmp_path / "sweep"
+        assert main(["sweep-n", "--scenario", _write(tmp_path / "s.json", doc),
+                     "--out", str(out), "--n-min", "3", "--n-max", "4",
+                     "--powers", "1"]) == 0
+        _, rows = _read_csv(out / "sweep_n.csv")
+        # N=3 is still climbing after two rounds; N=4 starts at the bound
+        assert [r[5:] for r in rows] == [["0", "2"], ["1", "1"]]
 
     def test_ma_dominates_fpa_rows(self, tmp_path):
-        scenario = _write(tmp_path / "s.json", PAPER_N4)
+        scenario = _write(tmp_path / "s.json",
+                          dict(PAPER_N4, ascent="alternating"))
         out = tmp_path / "sweep"
         assert main(["sweep-n", "--scenario", scenario, "--out", str(out),
                      "--n-min", "2", "--n-max", "5", "--powers", "1,2"]) == 0
@@ -320,6 +352,7 @@ class TestSweep:
         assert by_n[4][4] == "" and by_n[5][4] == ""
         assert "aperture" in by_n[6][4]
         assert by_n[6][2] == "" and by_n[6][3] == ""
+        assert by_n[6][5:] == ["", ""]
 
     def test_bad_power_rejected_before_any_solve(self, tmp_path, capsys,
                                                  monkeypatch):

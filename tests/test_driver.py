@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import masec.driver
 from masec import (InfeasibleError, PgaConfig, Scenario, SolveConfig,
                    beam_gain, build_forms, initial_positions, objective_psi,
                    optimal_beamformer,
                    random_positions, secrecy_rate, solve, solve_fpa)
+
+VALUE = SolveConfig(ascent="value")
 
 
 class TestInitialPositions:
@@ -69,7 +72,8 @@ class TestSolve:
 
     def test_identical_bob_eve_gives_zero(self):
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
-        assert solve(3, scn).final_rate == 0.0
+        for cfg in (None, VALUE):
+            assert solve(3, scn, cfg).final_rate == 0.0
 
     def test_dominates_fpa(self, paper_n4, paper_n3, make_scenario):
         rng = np.random.default_rng(31)
@@ -108,10 +112,11 @@ class TestSolve:
     def test_no_slack_keeps_fpa_layout(self, paper_n4):
         # one antenna, or 21 filling [0, 10] at d_min: no gap can widen
         for n in (1, 21):
-            trace = solve(n, paper_n4)
-            assert np.array_equal(trace.final_x,
-                                  initial_positions(n, paper_n4))
-            assert trace.final_rate == solve_fpa(n, paper_n4)[1]
+            for cfg in (None, VALUE):
+                trace = solve(n, paper_n4, cfg)
+                assert np.array_equal(trace.final_x,
+                                      initial_positions(n, paper_n4))
+                assert trace.final_rate == solve_fpa(n, paper_n4)[1]
         with pytest.raises(InfeasibleError):
             solve(22, paper_n4)
 
@@ -151,6 +156,12 @@ class TestSolve:
             with pytest.raises(ValueError, match="one layout of 4"):
                 solve(4, paper_n4, x0=bad)
 
+    def test_paper_n3_from_the_fpa_layout(self, paper_n3):
+        # Algorithm 1 from the uniform layout, as in the reference setup
+        trace = solve(3, paper_n3, x0=initial_positions(3, paper_n3))
+        assert trace.final_rate == 1.0430214839778427
+        assert trace.n_outer == 47 and trace.converged
+
     def test_custom_start(self, paper_n4):
         from masec import check_positions
         x0 = check_positions([0.0, 1.0, 2.0, 3.0], paper_n4)
@@ -189,3 +200,91 @@ class TestSolveConfig:
     def test_rejects_nonpositive(self, kw):
         with pytest.raises(ValueError):
             SolveConfig(**kw)
+
+    def test_ascent(self):
+        assert SolveConfig().ascent == "alternating"
+        for bad in ("Value", "", None):
+            with pytest.raises(ValueError, match="ascent"):
+                SolveConfig(ascent=bad)
+
+
+class TestValueAscent:
+    def test_extra_starts_match_single_solves(self, paper_n3, make_scenario):
+        rng = np.random.default_rng(35)
+        cases = [(3, paper_n3)] + [(n, make_scenario(rng)) for n in (2, 5, 7)]
+        rounds, winners = set(), set()
+        for n, scn in cases:
+            starts = np.array([random_positions(n, scn, rng)
+                               for _ in range(4)])
+            trace = solve(n, scn, VALUE, x0=starts[0],
+                          extra_starts=starts[1:])
+            singles = [solve(n, scn, VALUE, x0=x0) for x0 in starts]
+            rates = [t.final_rate for t in singles]
+            best = singles[rates.index(max(rates))]
+            assert trace.outer == best.outer
+            assert len(trace.inner) == len(best.inner)
+            for trials, expected in zip(trace.inner, best.inner):
+                assert np.array_equal(trials, expected)
+            assert np.array_equal(trace.final_x, best.final_x)
+            assert np.array_equal(trace.final_w, best.final_w)
+            assert trace.converged == best.converged
+            rounds |= {t.n_outer for t in singles}
+            winners.add(rates.index(max(rates)))
+        assert len(rounds) > 1 and winners != {0}
+
+    def test_final_beamformer_is_optimal_at_final_layout(self, paper_n3,
+                                                         make_scenario):
+        rng = np.random.default_rng(36)
+        cases = [(3, paper_n3)] + [(int(rng.integers(2, 7)), make_scenario(rng))
+                                   for _ in range(6)]
+        for n, scn in cases:
+            trace = solve(n, scn, VALUE)
+            w = optimal_beamformer(build_forms(trace.final_x, scn), scn)
+            assert np.array_equal(trace.final_w, w)
+            assert not trace.final_w.flags.writeable
+            assert trace.final_rate == secrecy_rate(trace.final_x,
+                                                    trace.final_w, scn)
+
+    def test_rounds_raise_the_rate(self, paper_n4, paper_n3, make_scenario):
+        rng = np.random.default_rng(37)
+        cases = [(4, paper_n4), (3, paper_n3)]
+        cases += [(int(rng.integers(2, 7)), make_scenario(rng))
+                  for _ in range(8)]
+        for n, scn in cases:
+            trace = solve(n, scn, VALUE)
+            _, fpa = solve_fpa(n, scn)
+            assert trace.final_rate >= fpa - 1e-9
+            rates = [r.rate_after_x for r in trace.outer]
+            assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+            # a round starts where the last one ended
+            for rec, prev in zip(trace.outer[1:], rates):
+                assert rec.rate_after_w == prev
+            for rec, trials in zip(trace.outer, trace.inner):
+                assert len(trials) >= 2
+                assert rec.rate_after_w == pytest.approx(
+                    max(trials[0], 0.0), abs=1e-12)
+
+    def test_stops_when_a_round_gains_nothing(self, paper_n3):
+        trace = solve(3, paper_n3, VALUE)
+        assert trace.converged and trace.n_outer > 2
+        tol = VALUE.pga.inner_tol
+        gains = [trials[-1] - trials[0] for trials in trace.inner]
+        starts = [trials[0] for trials in trace.inner]
+        assert gains[-1] <= tol * max(1.0, abs(starts[-1]))
+        assert all(g > tol * max(1.0, abs(f))
+                   for g, f in zip(gains[:-1], starts[:-1]))
+
+    def test_round_cap_reported(self, paper_n3):
+        trace = solve(3, paper_n3, SolveConfig(ascent="value",
+                                               max_outer_iters=1))
+        assert trace.n_outer == 1 and not trace.converged
+
+    def test_failed_line_search_stops_in_place(self, paper_n3, monkeypatch):
+        # no trial can pass an Armijo test this strict
+        monkeypatch.setattr(masec.driver, "ARMIJO_C", 1e9)
+        x0 = initial_positions(3, paper_n3)
+        trace = solve(3, paper_n3, VALUE, x0=x0)
+        assert trace.n_outer == 1 and not trace.converged
+        assert len(trace.inner[0]) == 1 + masec.driver.MAX_HALVINGS + 1
+        assert np.array_equal(trace.final_x, x0)
+        assert trace.outer[0].rate_after_x == trace.outer[0].rate_after_w

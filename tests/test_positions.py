@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from masec import (InfeasibleError, PgaConfig, Scenario, fd_gradient,
                    objective_psi, optimize_positions, project_positions,
                    random_positions, rate_difference, real_lift,
                    secrecy_rate)
+from masec.positions import _project_euclidean
 
 TWO_PI = 2.0 * np.pi
 
@@ -189,6 +192,79 @@ class TestProjection:
                        aperture=0.9)
         with pytest.raises(InfeasibleError):
             project_positions([0.0, 0.4, 0.9], scn)
+
+
+def _nearest_by_active_sets(z, scn):
+    """Nearest feasible layout to ``z`` by trying every set of active constraints.
+
+    The feasible set is {x : a_i . x >= b_i} with x_1 >= 0, the spacings
+    x_(n+1) - x_n >= d_min and -x_N >= -L; each set of constraints held
+    with equality gives the nearest point of its affine subspace, and
+    the nearest feasible one of those is the projection.
+    """
+    n = len(z)
+    eye = np.eye(n)
+    A = np.array([eye[0]] + [eye[i + 1] - eye[i] for i in range(n - 1)]
+                 + [-eye[-1]])
+    b = np.array([0.0] + [scn.min_spacing] * (n - 1) + [-scn.aperture])
+    best, nearest = np.inf, None
+    for k in range(n + 1):
+        for active in combinations(range(len(b)), k):
+            Aa, ba = A[list(active)], b[list(active)]
+            gram = Aa @ Aa.T
+            if k and abs(np.linalg.det(gram)) < 1e-12:
+                continue
+            x = z - Aa.T @ np.linalg.solve(gram, Aa @ z - ba) if k else z
+            dist = float(np.sum((x - z) ** 2))
+            if (A @ x >= b - 1e-9).all() and dist < best:
+                best, nearest = dist, x
+    return nearest
+
+
+class TestEuclideanProjection:
+    def test_matches_active_set_enumeration(self, make_scenario):
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            scn = make_scenario(rng, aperture=float(rng.uniform(0.5 * n, 6.0)))
+            Z = rng.uniform(-2.0, scn.aperture + 2.0, size=(3, n))
+            for z, x in zip(Z, _project_euclidean(Z, scn)):
+                assert np.max(np.abs(x - _nearest_by_active_sets(z, scn))) \
+                    <= 1e-12
+
+    def test_feasible_idempotent_and_non_expansive(self, make_scenario):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            scn = make_scenario(rng)
+            n = int(rng.integers(1, 9))
+            Z = rng.uniform(-5.0, scn.aperture + 5.0, size=(2, n))
+            P = _project_euclidean(Z, scn)
+            assert np.all(P[:, 0] >= 0.0) and np.all(P[:, -1] <= scn.aperture)
+            assert np.all(np.diff(P, axis=1) >= scn.min_spacing - 1e-12)
+            # pooled coordinates are recomputed from their slack values,
+            # so a second pass may move them by rounding
+            assert np.max(np.abs(_project_euclidean(P, scn) - P)) <= 1e-12
+            assert np.linalg.norm(P[0] - P[1]) \
+                <= np.linalg.norm(Z[0] - Z[1]) + 1e-12
+
+    def test_feasible_rows_unchanged(self, make_scenario):
+        rng = np.random.default_rng(28)
+        scn = make_scenario(rng)
+        X = np.array([random_positions(6, scn, rng) for _ in range(20)])
+        assert np.array_equal(_project_euclidean(X, scn), X)
+
+    def test_clamp_examples(self):
+        # the hand-computed inputs of the sequential clamp give its outputs
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        for raw in ([-1.0, 0.1, 0.3], [11.0, 12.0], [0.2, 1.0, 4.5]):
+            x = _project_euclidean(np.array([raw]), scn)[0]
+            assert np.array_equal(x, project_positions(raw, scn))
+
+    def test_keeps_antenna_order(self):
+        # an unsorted row is pooled, not sorted: the two antennas meet
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        x = _project_euclidean(np.array([[4.0, 2.0]]), scn)[0]
+        assert np.array_equal(x, [2.75, 3.25])
 
 
 class TestOptimizePositions:
