@@ -17,7 +17,7 @@ from .driver import (OptimizationTrace, OuterRecord, SolveConfig,
                      initial_positions, solve, solve_fpa)
 from .oracle import (GridSpec, VerifyCheck, VerifyReport, fd_gradient,
                      grid_search, run_verification, sample_beamformers)
-from .positions import (PgaConfig, RealLift, gradient_psi, objective_psi,
+from .positions import (RealLift, gradient_psi, objective_psi,
                         optimize_positions, project_positions,
                         random_positions, real_lift)
 from .scenario_io import (RunSpec, ScenarioFileError, load_run_spec,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamformerSolution", "EigensolverError", "GridSpec", "InfeasibleError",
-    "OptimizationTrace", "OuterRecord", "PgaConfig", "QuadraticForms",
+    "OptimizationTrace", "OuterRecord", "QuadraticForms",
     "RealLift", "RunSpec", "Scenario", "ScenarioFileError", "SolveConfig",
     "VerifyCheck", "VerifyReport", "beam_gain", "build_forms",
     "check_beamformer", "check_positions", "fd_gradient", "gradient_psi",

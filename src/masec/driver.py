@@ -19,14 +19,14 @@ scanned layouts, so the solver never reports less than the FPA rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
-                         solve_beamformer)
+from .beamformer import (_rate_slack, best_gap_layout, build_forms,
+                         optimal_beamformer, solve_beamformer)
 from .core import Scenario, secrecy_rate
-from .positions import (PgaConfig, _project_euclidean, gradient_psi,
+from .positions import (_check_starts, _project_euclidean, gradient_psi,
                         optimize_positions)
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
@@ -48,27 +48,31 @@ MIN_STEP, MAX_STEP = 1e-8, 1e3
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Outer-loop settings around the per-round PGA configuration.
+    """Every solver setting, with the reference defaults.
 
-    ``ascent`` picks the paper's ``"alternating"`` Algorithm 1 or the
-    ``"value"`` ascent.  Of the PGA settings the value ascent reads only
-    ``pga.step_size`` (its first trial step) and ``pga.inner_tol`` (its
-    stop test), and it ignores ``outer_tol``.
+    ``ascent`` picks the paper's ``"alternating"`` Algorithm 1, which
+    reads every field, or the ``"value"`` ascent, which reads
+    ``step_size`` (its first trial step), ``inner_tol`` (its stop test)
+    and ``max_outer_iters``.
     """
 
-    pga: PgaConfig = field(default_factory=PgaConfig)
-    max_outer_iters: int = 50
-    outer_tol: float = 1e-6
     ascent: str = "alternating"
+    step_size: float = 0.01
+    inner_tol: float = 1e-8
+    max_inner_iters: int = 500
+    outer_tol: float = 1e-6
+    max_outer_iters: int = 50
 
     def __post_init__(self):
+        for name in ("step_size", "inner_tol", "outer_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("max_inner_iters", "max_outer_iters"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be positive")
         if self.ascent not in ASCENTS:
             raise ValueError(f"ascent must be 'alternating' or 'value', "
                              f"got {self.ascent!r}")
-        if not self.max_outer_iters >= 1:
-            raise ValueError("max_outer_iters must be positive")
-        if not self.outer_tol > 0.0:
-            raise ValueError("outer_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,8 @@ def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
     Returns:
         (traces, settled, stalled), per chain: F at the start and at
         each trial; whether the accepted step raised F by at most
-        ``tol`` max(1, |F|); whether no trial was accepted.
+        ``tol`` max(1, |F|), or every trial failed within ``_rate_slack``
+        of F; whether no trial was accepted.
     """
     x0, g0 = X[rows], G[rows]
     f0 = [F[j] for j in rows]
@@ -197,7 +202,10 @@ def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
             break
         pending = waiting
         alpha[pending] *= 0.5
-    settled = [not halted and t[-1] - t[0] <= tol * max(1.0, abs(t[0]))
+    # a failed search whose trials stay within rounding of F is stationary
+    slack = _rate_slack(X.shape[1], scenario)
+    settled = [max(t[1:]) - t[0] <= slack if halted
+               else t[-1] - t[0] <= tol * max(1.0, abs(t[0]))
                for t, halted in zip(traces, stalled)]
     return [np.array(t) for t in traces], settled, stalled
 
@@ -227,11 +235,12 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     stops when the end-of-round rate changes by at most ``cfg.outer_tol``.
     With ``"value"`` each round takes one line-searched projected step
     on F(x) = log2 lambda_max(x) (``_value_round``); a chain stops when
-    a round raises F by at most ``cfg.pga.inner_tol`` max(1, |F|), or
+    a round raises F by at most ``cfg.inner_tol`` max(1, |F|), or
     when no trial step is accepted.  Either loop also stops after
     ``cfg.max_outer_iters`` rounds; ``converged`` is False then, and
-    after a failed line search.  The clamp [.]^+ is kept out of the
-    optimization and reapplied in the reported rates.
+    after a failed line search unless no trial rose above F by more
+    than its rounding (``beamformer._rate_slack``).  The clamp [.]^+ is
+    kept out of the optimization and reapplied in the reported rates.
 
     Every start is one chain.  The chains run their rounds in lockstep,
     each round solving the beamformers of every live chain in one
@@ -248,6 +257,10 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
             reproduces a run from the uniform FPA layout.
         extra_starts: optional (k, N) stack of further feasible layouts,
             one chain each after the first start.
+
+    Raises:
+        ValueError: a start has the wrong shape, is unsorted, or
+            ``check_positions`` rejects it, in either ascent.
 
     Returns:
         OptimizationTrace of the first chain with the highest final
@@ -268,6 +281,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
             raise ValueError(f"extra starts must be a (k, {n}) stack, "
                              f"got shape {extra.shape}")
         X = np.vstack([X, extra])
+    _check_starts(X, scenario)
     chains = range(len(X))
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]
@@ -280,7 +294,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
         W[:] = sol.beamformer
         F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
         G = gradient_psi(X, W, scenario)
-        step = np.full(len(X), cfg.pga.step_size)
+        step = np.full(len(X), cfg.step_size)
         rate = [secrecy_rate(x, w, scenario) for x, w in zip(X, W)]
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
@@ -288,12 +302,12 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
             start_x, start_g = X[live], G[live]
             rates_w = [rate[j] for j in live]
             traces, settled, stalled = _value_round(X, W, F, G, step, live,
-                                                    scenario, cfg.pga.inner_tol)
+                                                    scenario, cfg.inner_tol)
         else:
             W[live] = optimal_beamformer(build_forms(X[live], scenario),
                                          scenario)
             X[live], psi = optimize_positions(X[live], W[live], scenario,
-                                              cfg.pga)
+                                              cfg)
             traces = [col[~np.isnan(col)] for col in psi.T]
             rates_w = [max(float(t[0]), 0.0) for t in traces]  # Psi at start
         going = []

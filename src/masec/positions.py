@@ -40,23 +40,6 @@ class RealLift:
         return _lift_gains(self.g, self.q, self.C, self.D)[2]
 
 
-@dataclass(frozen=True)
-class PgaConfig:
-    """Inner-loop settings: step size delta, iteration cap, |dPsi| stop."""
-
-    step_size: float = 0.01
-    max_inner_iters: int = 500
-    inner_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-        if not self.max_inner_iters >= 1:
-            raise ValueError("max_inner_iters must be positive")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
-
-
 def _phase_trig(X, column, scale):
     """Cosines and sines of the phases scale * cos(theta_i) * x_n.
 
@@ -207,16 +190,26 @@ def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
     return arr
 
 
-def optimize_positions(x0, w, scenario: Scenario,
-                       cfg: PgaConfig | None = None):
+def _check_starts(X, scenario: Scenario) -> None:
+    """Reject a row of ``X`` that is unsorted or that ``check_positions``
+    rejects."""
+    for x in X:
+        if np.any(np.diff(x) < 0.0):
+            raise ValueError(f"start positions must be sorted ascending: {x}")
+        check_positions(x, scenario)
+
+
+def optimize_positions(x0, w, scenario: Scenario, cfg):
     """Projected gradient ascent on Psi with the beamformer held fixed.
 
-    Iterates x <- project(x + delta grad Psi(x)) until the per-iteration
-    change of Psi falls below ``cfg.inner_tol`` or the iteration cap is
-    hit.  One trig evaluation per step at the new iterate yields the beam
-    gains, which give Psi and, for the chains that take another step, the
-    next gradient.  Fixed-step ascent is not monotone, so the best
-    iterate seen is returned rather than the last one;
+    Iterates x <- project(x + delta grad Psi(x)) with
+    delta = ``cfg.step_size`` until the per-iteration change of Psi falls
+    below ``cfg.inner_tol`` or ``cfg.max_inner_iters`` steps are taken.
+    ``cfg`` is required: a ``SolveConfig``, of which only those three
+    fields are read.  One trig evaluation per step at the new iterate
+    yields the beam gains, which give Psi and, for the chains that take
+    another step, the next gradient.  Fixed-step ascent is not monotone,
+    so the best iterate seen is returned rather than the last one;
     Psi(returned) >= Psi(x0) always.
 
     ``x0`` and ``w`` are one layout and its beamformer, or (K, N) stacks
@@ -239,18 +232,13 @@ def optimize_positions(x0, w, scenario: Scenario,
         stopped; T is the number of steps of the longest chain.  The
         layouts are read-only.
     """
-    if cfg is None:
-        cfg = PgaConfig()
     xs, ws = np.asarray(x0, dtype=float), np.asarray(w, dtype=complex)
     if xs.shape != ws.shape or not 1 <= xs.ndim <= 2 or xs.size == 0:
         raise ValueError(f"positions {xs.shape} and beamformers {ws.shape} "
                          "must be one non-empty vector or (K, N) stacks "
                          "of one shape")
     X, W = np.atleast_2d(xs, ws)
-    for x in X:
-        if np.any(np.diff(x) < 0.0):
-            raise ValueError(f"start positions must be sorted ascending: {x}")
-        check_positions(x, scenario)
+    _check_starts(X, scenario)
     lift = real_lift(X, W, scenario)
     g, q, C, D = lift.g, lift.q, lift.C, lift.D
     column = np.cos(scenario.angles)[:, None]

@@ -2,11 +2,12 @@
 
 Scenario files are JSON.  Angles are given either in radians
 (``bob_angle_rad``) or as fractions of pi (``bob_angle_pi``), one form
-per file, with ``eve_angles`` interpreted in the same form.  Omitted
-fields fall back to the reference setup: unit noise power and power
-budget, aperture of ten wavelengths, half-wavelength spacing, step
-size 0.01 and the value ascent (``"ascent": "value"``; ``"alternating"``
-selects the paper's Algorithm 1).  Unknown keys are rejected.
+per file, with ``eve_angles`` interpreted in the same form.  An omitted
+field takes the default of ``Scenario`` or ``SolveConfig``, with three
+rules of the file format: an omitted ``aperture`` or ``min_spacing``
+scales with the file's ``wavelength`` (ten and half a wavelength), the
+ascent defaults to ``"value"`` (``"alternating"`` selects the paper's
+Algorithm 1), and the seed to 0.  Unknown keys are rejected.
 
 CSV output follows RFC 4180 (CRLF, header row); numbers carry 12
 significant digits.  ``solution.json`` stores the beamformer as
@@ -25,7 +26,6 @@ import numpy as np
 
 from .core import Scenario
 from .driver import OptimizationTrace, SolveConfig
-from .positions import PgaConfig
 
 
 class ScenarioFileError(ValueError):
@@ -38,6 +38,8 @@ _TOP_KEYS = {
     "n_antennas", "step_size", "tolerances", "seed", "ascent",
 }
 _TOL_KEYS = {"inner_tol", "outer_tol", "max_inner_iters", "max_outer_iters"}
+_SCENARIO_KEYS = ("wavelength", "noise_power", "power_budget", "aperture",
+                  "min_spacing")
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,9 @@ def _is_number_list(v) -> bool:
     return isinstance(v, list) and bool(v) and all(map(_is_number, v))
 
 
-def _require_number(data, key, default=None):
+def _require_number(data, key):
     if key not in data:
-        if default is None:
-            raise ScenarioFileError(f"missing required key {key!r}")
-        return default
+        raise ScenarioFileError(f"missing required key {key!r}")
     v = data[key]
     if not _is_number(v):
         raise ScenarioFileError(f"key {key!r} must be a number, got {v!r}")
@@ -95,7 +95,8 @@ def parse_run_spec(data: dict) -> RunSpec:
         raise ScenarioFileError("eve_angles must be a non-empty list of numbers")
     eves = tuple(float(t) * factor for t in eves)
 
-    wavelength = _require_number(data, "wavelength", 1.0)
+    geometry = {key: _require_number(data, key) for key in _SCENARIO_KEYS
+                if key in data}
     n = _require_int(data, "n_antennas", None, minimum=1)
 
     tol = data.get("tolerances", {})
@@ -105,27 +106,19 @@ def parse_run_spec(data: dict) -> RunSpec:
     if unknown:
         raise ScenarioFileError(f"unknown tolerance keys: {sorted(unknown)}")
 
+    # omitted lengths scale with the wavelength: Scenario's defaults, its
+    # class attributes, are in unit wavelengths
+    wavelength = geometry.get("wavelength", Scenario.wavelength)
+    for key in ("aperture", "min_spacing"):
+        geometry.setdefault(key, getattr(Scenario, key) * wavelength)
     try:
-        scenario = Scenario(
-            bob_angle=bob,
-            eve_angles=eves,
-            noise_power=_require_number(data, "noise_power", 1.0),
-            power_budget=_require_number(data, "power_budget", 1.0),
-            wavelength=wavelength,
-            aperture=_require_number(data, "aperture", 10.0 * wavelength),
-            min_spacing=_require_number(data, "min_spacing", 0.5 * wavelength),
-        )
-        pga = PgaConfig(
-            step_size=_require_number(data, "step_size", 0.01),
-            max_inner_iters=_require_int(tol, "max_inner_iters", 500),
-            inner_tol=_require_number(tol, "inner_tol", 1e-8),
-        )
-        config = SolveConfig(
-            pga=pga,
-            max_outer_iters=_require_int(tol, "max_outer_iters", 50),
-            outer_tol=_require_number(tol, "outer_tol", 1e-6),
-            ascent=data.get("ascent", "value"),
-        )
+        scenario = Scenario(bob_angle=bob, eve_angles=eves, **geometry)
+        settings = {key: _require_int(tol, key, None)
+                    if key.startswith("max_") else _require_number(tol, key)
+                    for key in tol}
+        if "step_size" in data:
+            settings["step_size"] = _require_number(data, "step_size")
+        config = SolveConfig(ascent=data.get("ascent", "value"), **settings)
     except ValueError as exc:
         raise ScenarioFileError(str(exc)) from exc
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import masec.cli
-from masec import (ScenarioFileError, load_run_spec, load_solution,
-                   mrt_beamformer, secrecy_rate, solve)
+from masec import (ScenarioFileError, SolveConfig, load_run_spec,
+                   load_solution, mrt_beamformer, secrecy_rate, solve)
 from masec.cli import main
 
 PAPER_N4 = {
@@ -195,7 +195,29 @@ class TestScenarioFiles:
                                          "max_inner_iters": 40})
         spec = load_run_spec(_write(tmp_path / "s.json", doc))
         assert spec.config.outer_tol == 1e-3
-        assert spec.config.pga.max_inner_iters == 40
+        assert spec.config.max_inner_iters == 40
+        # each solver setting reaches the SolveConfig field of its name
+        settings = {"step_size": 0.02, "inner_tol": 1e-9,
+                    "max_inner_iters": 7, "outer_tol": 1e-4,
+                    "max_outer_iters": 3}
+        for key, v in settings.items():
+            doc = dict(PAPER_N4)
+            if key == "step_size":
+                doc[key] = v
+            else:
+                doc["tolerances"] = {key: v}
+            config = load_run_spec(_write(tmp_path / "s.json", doc)).config
+            assert config == SolveConfig(ascent="value", **{key: v})
+        # a file that sets none of them gets the SolveConfig defaults
+        doc = {k: v for k, v in PAPER_N4.items() if k != "step_size"}
+        assert load_run_spec(_write(tmp_path / "s.json", doc)).config \
+            == SolveConfig(ascent="value")
+        # omitted lengths scale with the wavelength
+        doc = {k: v for k, v in PAPER_N4.items()
+               if k not in ("aperture", "min_spacing")}
+        scenario = load_run_spec(_write(tmp_path / "s.json",
+                                        dict(doc, wavelength=2))).scenario
+        assert (scenario.aperture, scenario.min_spacing) == (20.0, 1.0)
         for bad in ({"weird": 1}, {"max_inner_iters": 2.7},
                     {"max_outer_iters": True}, {"inner_tol": True},
                     {"outer_tol": "1e-3"}):

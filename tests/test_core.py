@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from masec import (GridSpec, InfeasibleError, Scenario, beam_gain,
-                   build_forms, check_beamformer, check_positions,
+from masec import (GridSpec, InfeasibleError, Scenario, SolveConfig,
+                   beam_gain, build_forms, check_beamformer, check_positions,
                    grid_search, initial_positions, load_solution,
                    mrt_beamformer, optimal_beamformer, optimize_positions,
                    project_positions, random_positions, rate_difference,
@@ -241,7 +241,7 @@ def _loaded(tmp_path):
     (float, lambda tmp: project_positions([1.5, 0.0, 0.2], SMALL)),
     (float, lambda tmp: scan_start(3, SMALL)),
     (float, lambda tmp: best_gap_layout(3, SMALL, 10, 0.1)[0]),
-    (float, lambda tmp: optimize_positions(X3, W3, SMALL)[0]),
+    (float, lambda tmp: optimize_positions(X3, W3, SMALL, SolveConfig())[0]),
     (float, lambda tmp: solve(3, SMALL).final_x),
     (complex, lambda tmp: solve(3, SMALL).final_w),
     (float, lambda tmp: grid_search(SMALL, GridSpec(0.05, 3))[0]),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import masec.driver
-from masec import (InfeasibleError, PgaConfig, Scenario, SolveConfig,
+from masec import (InfeasibleError, Scenario, SolveConfig,
                    beam_gain, build_forms, initial_positions, objective_psi,
                    optimal_beamformer,
                    random_positions, secrecy_rate, solve, solve_fpa)
@@ -56,7 +56,7 @@ class TestSolve:
         cases = [(4, paper_n4), (2, Scenario(bob_angle=1.0, eve_angles=(1.0,)))]
         cases += [(int(rng.integers(1, 7)), make_scenario(rng))
                   for _ in range(6)]
-        cfg = SolveConfig(pga=PgaConfig(max_inner_iters=20), max_outer_iters=1)
+        cfg = SolveConfig(max_inner_iters=20, max_outer_iters=1)
         for n, scn in cases:
             x0 = random_positions(n, scn, rng)
             w = optimal_beamformer(build_forms(x0, scn), scn)
@@ -92,8 +92,7 @@ class TestSolve:
             list(range(1, trace.n_outer + 1))
 
     def test_nonconvergence_reported(self, paper_n4):
-        cfg = SolveConfig(pga=PgaConfig(max_inner_iters=5),
-                          max_outer_iters=1)
+        cfg = SolveConfig(max_inner_iters=5, max_outer_iters=1)
         trace = solve(4, paper_n4, cfg)
         assert not trace.converged
         assert trace.n_outer == 1
@@ -122,8 +121,16 @@ class TestSolve:
 
     def test_infeasible_start_rejected(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
-        with pytest.raises(ValueError, match="d_min"):
-            solve(3, scn, x0=[3.0, 3.1, 12.0])
+        good, bad = [0.0, 1.0, 2.0], [3.0, 3.1, 12.0]
+        for cfg in (None, VALUE):
+            with pytest.raises(ValueError, match="d_min"):
+                solve(3, scn, cfg, x0=bad)
+            with pytest.raises(ValueError, match="d_min"):
+                solve(3, scn, cfg, x0=good, extra_starts=[good, bad])
+            with pytest.raises(ValueError, match="sorted ascending"):
+                solve(3, scn, cfg, x0=[2.0, 1.0, 0.0])
+            with pytest.raises(ValueError, match="outside"):
+                solve(3, scn, cfg, x0=[0.0, 1.0, 10.5])
 
     def test_extra_starts_match_single_solves(self, paper_n3, make_scenario):
         # default tolerances: chains stop at different inner steps and rounds
@@ -196,9 +203,13 @@ class TestSolveFpa:
 
 class TestSolveConfig:
     @pytest.mark.parametrize("kw", [dict(max_outer_iters=0),
-                                    dict(outer_tol=0.0)])
+                                    dict(outer_tol=0.0),
+                                    dict(step_size=0.0),
+                                    dict(max_inner_iters=0),
+                                    dict(inner_tol=0.0)])
     def test_rejects_nonpositive(self, kw):
-        with pytest.raises(ValueError):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
             SolveConfig(**kw)
 
     def test_ascent(self):
@@ -267,7 +278,7 @@ class TestValueAscent:
     def test_stops_when_a_round_gains_nothing(self, paper_n3):
         trace = solve(3, paper_n3, VALUE)
         assert trace.converged and trace.n_outer > 2
-        tol = VALUE.pga.inner_tol
+        tol = VALUE.inner_tol
         gains = [trials[-1] - trials[0] for trials in trace.inner]
         starts = [trials[0] for trials in trace.inner]
         assert gains[-1] <= tol * max(1.0, abs(starts[-1]))
@@ -278,6 +289,18 @@ class TestValueAscent:
         trace = solve(3, paper_n3, SolveConfig(ascent="value",
                                                max_outer_iters=1))
         assert trace.n_outer == 1 and not trace.converged
+
+    def test_stationary_chain_at_high_power_converges(self):
+        # at P_A = 1e10 the last round's trials all lie within the rounding
+        # of F, a few 1e-6 below it: the search fails at a stationary point
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
+                       power_budget=1e10)
+        trace = solve(3, scn, VALUE)
+        assert trace.converged
+        last = trace.inner[-1]
+        assert len(last) == 1 + masec.driver.MAX_HALVINGS + 1
+        assert max(last[1:]) <= last[0]
+        assert trace.final_rate == pytest.approx(34.804243449, abs=1e-9)
 
     def test_failed_line_search_stops_in_place(self, paper_n3, monkeypatch):
         # no trial can pass an Armijo test this strict

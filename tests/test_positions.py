@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from masec import (InfeasibleError, PgaConfig, Scenario, fd_gradient,
+from masec import (InfeasibleError, Scenario, SolveConfig, fd_gradient,
                    gradient_psi, initial_positions, mrt_beamformer,
                    objective_psi, optimize_positions, project_positions,
                    random_positions, rate_difference, real_lift,
@@ -271,7 +271,8 @@ class TestOptimizePositions:
     def test_zero_gradient_stops_after_one_iteration(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
         x0 = initial_positions(3, scn)
-        best, trace = optimize_positions(x0, mrt_beamformer(x0, scn), scn)
+        best, trace = optimize_positions(x0, mrt_beamformer(x0, scn), scn,
+                                         SolveConfig())
         assert len(trace) - 1 == 1
         assert np.array_equal(best, x0)
 
@@ -279,7 +280,7 @@ class TestOptimizePositions:
         # reference convergence claim for the first ascent round
         x0 = initial_positions(4, paper_n4)
         w = mrt_beamformer(x0, paper_n4)
-        cfg = PgaConfig(step_size=0.01, max_inner_iters=500, inner_tol=1e-8)
+        cfg = SolveConfig(step_size=0.01, max_inner_iters=500, inner_tol=1e-8)
         best, trace = optimize_positions(x0, w, paper_n4, cfg)
         iters = len(trace) - 1
         assert iters <= 50
@@ -292,7 +293,7 @@ class TestOptimizePositions:
             n = int(rng.integers(2, 6))
             x0 = random_positions(n, scn, rng)
             w = make_beamformer(n, scn, rng)
-            cfg = PgaConfig(max_inner_iters=80)
+            cfg = SolveConfig(max_inner_iters=80)
             best, trace = optimize_positions(x0, w, scn, cfg)
             psi0 = objective_psi(x0, w, scn)
             assert objective_psi(best, w, scn) >= psi0
@@ -304,7 +305,7 @@ class TestOptimizePositions:
                        aperture=2.0)
         x0 = initial_positions(2, scn)
         w = mrt_beamformer(x0, scn)
-        _, trace = optimize_positions(x0, w, scn)
+        _, trace = optimize_positions(x0, w, scn, SolveConfig())
         pts = np.arange(0.0, 2.0 + 1e-12, 1.0 / 100)
         best_grid = -np.inf
         for i in range(pts.size):
@@ -321,8 +322,8 @@ class TestOptimizePositions:
             x0 = random_positions(3, scn, rng)
             w = make_beamformer(3, scn, rng)
             best, trace = optimize_positions(x0, w, scn,
-                                             PgaConfig(step_size=0.2,
-                                                       max_inner_iters=40))
+                                             SolveConfig(step_size=0.2,
+                                                         max_inner_iters=40))
             assert objective_psi(best, w, scn) == pytest.approx(trace.max(),
                                                                 abs=1e-12)
 
@@ -342,12 +343,13 @@ class TestOptimizePositions:
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
         w = np.ones(w_shape or np.shape(x0)) / np.sqrt(3.0)
         with pytest.raises(ValueError):
-            optimize_positions(x0, w, scn)
+            optimize_positions(x0, w, scn, SolveConfig())
 
     def test_rejects_too_many_antennas(self, paper_n4):
         x0 = np.linspace(0.0, 10.0, 22)
         with pytest.raises(InfeasibleError):
-            optimize_positions(x0, np.ones(22) / np.sqrt(22.0), paper_n4)
+            optimize_positions(x0, np.ones(22) / np.sqrt(22.0), paper_n4,
+                               SolveConfig())
 
 
 def _reference_ascent(x0, w, scn, cfg):
@@ -374,7 +376,7 @@ class TestFusedAscent:
     def test_matches_reference_loop(self, step_size, make_scenario,
                                     make_beamformer):
         rng = np.random.default_rng(29)
-        cfg = PgaConfig(step_size=step_size, max_inner_iters=150)
+        cfg = SolveConfig(step_size=step_size, max_inner_iters=150)
         for n in range(1, 9):
             for _ in range(4):
                 scn = make_scenario(rng)
@@ -396,7 +398,7 @@ class TestFusedAscent:
         monkeypatch.setattr("masec.positions.rate_difference", counting)
         x0 = initial_positions(4, paper_n4)
         _, trace = optimize_positions(x0, mrt_beamformer(x0, paper_n4),
-                                      paper_n4)
+                                      paper_n4, SolveConfig())
         assert len(trace) > 10
         assert len(calls) <= 1
 
@@ -421,7 +423,7 @@ class TestLockstep:
 
     def test_rows_match_single_calls(self, make_scenario, make_beamformer):
         rng = np.random.default_rng(32)
-        cfg = PgaConfig(max_inner_iters=60)
+        cfg = SolveConfig(max_inner_iters=60)
         steps = []
         for n in range(1, 9):
             for _ in range(3):
@@ -439,7 +441,7 @@ class TestLockstep:
         # random beamformers lower the common gain, one at least to the cap
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3, np.pi / 3))
         rng = np.random.default_rng(33)
-        cfg = PgaConfig(max_inner_iters=40, inner_tol=1e-14)
+        cfg = SolveConfig(max_inner_iters=40, inner_tol=1e-14)
         for n in range(2, 9):
             X = np.array([random_positions(n, scn, rng) for _ in range(4)])
             W = np.array([mrt_beamformer(X[0], scn)]
@@ -459,11 +461,3 @@ class TestRandomPositions:
             if n > 1:
                 assert np.min(np.diff(x)) >= scn.min_spacing - 1e-12
 
-
-class TestPgaConfig:
-    @pytest.mark.parametrize("kw", [dict(step_size=0.0),
-                                    dict(max_inner_iters=0),
-                                    dict(inner_tol=0.0)])
-    def test_rejects_nonpositive(self, kw):
-        with pytest.raises(ValueError):
-            PgaConfig(**kw)

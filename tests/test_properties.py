@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from masec import (PgaConfig, Scenario, SolveConfig, build_forms,
+from masec import (Scenario, SolveConfig, build_forms,
                    gradient_psi, objective_psi, random_positions,
                    rate_difference, secrecy_rate, solve, solve_beamformer,
                    solve_fpa, steering_vector)
@@ -129,7 +129,7 @@ def test_solve_dominates_every_start(instance, from_scan, k, seed):
                        (k, n))
     # scan_start(n, scn) as x0 is the chain that the default start runs
     first = scan_start(n, scn) if from_scan else x
-    cfg = SolveConfig(pga=PgaConfig(max_inner_iters=20), max_outer_iters=2)
+    cfg = SolveConfig(max_inner_iters=20, max_outer_iters=2)
     rate = solve(n, scn, cfg, x0=first, extra_starts=extra).final_rate
     starts = np.vstack([first, extra])
     assert rate >= best_secrecy_rates(starts, scn).max() - 1e-12
