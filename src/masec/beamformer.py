@@ -9,7 +9,6 @@ pencil (A + I/P_A, B + I/P_A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -28,10 +27,10 @@ CANDIDATE_CHUNK_ENTRIES = 1024
 # differ: about 1e-15 bps/Hz at P_A / sigma^2 = 1, but 1e-5 at 1e10.
 MIRROR_RTOL = 1e-9
 
-# Rows per block that ``best_gap_layout`` screens with one rate-bound
-# call, in scorer chunks: a block spreads the bound's per-call cost over
-# hundreds of rows, and its arrays stay near 0.1 MB at N = 3, M = 3.
-BOUND_BLOCK_CHUNKS = 4
+# Most gap tuples per block that ``best_gap_layout`` enumerates and bounds
+# at once: a block spreads the few dozen vector operations of its bound
+# over a thousand rows or so, and its arrays stay near 0.2 MB at M = 3.
+BOUND_BLOCK_ROWS = 2048
 
 
 class EigensolverError(RuntimeError):
@@ -175,6 +174,54 @@ def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
     return np.maximum(np.log2(eigvals[:, -1]), 0.0)
 
 
+def _pair_phases(x, scenario: Scenario) -> np.ndarray:
+    """Products conj(v_a) v_b of steering-vector entries at positions ``x``.
+
+    The angles are ordered eavesdroppers first and Bob last, and row p of
+    the (P,) + x.shape result is the pair a < b at ``np.triu_indices``
+    position p, P = M (M + 1) / 2.  Summed over the antennas of a layout,
+    row p is the Gram entry Gamma_ab = v_a^H v_b.  The entries come from
+    ``steering_vector``, as the scorer's forms do.
+    """
+    angles = np.roll(scenario.angles, -1)
+    v = steering_vector(x, angles.reshape((-1,) + (1,) * np.ndim(x)),
+                        scenario.wavelength)
+    a, b = np.triu_indices(len(angles), 1)
+    return v[a].conj() * v[b]
+
+
+def _last_pivot(gram: np.ndarray, n: int, scenario: Scenario) -> np.ndarray:
+    """Last pivot of I + rho Gamma for a batch of N-antenna Gram matrices.
+
+    ``gram`` holds the entries of Gamma above the diagonal, shape (P, K)
+    in ``_pair_phases`` order (row-major above the diagonal); the
+    diagonal is N.  The LDL^H elimination is unrolled over the
+    (M+1) x (M+1) entries, each step one vector operation on all K rows,
+    and its last pivot is the Schur complement of the eavesdropper
+    block.
+
+    Raises:
+        EigensolverError: a pivot is not positive and finite, where a
+            Cholesky factorization would fail.
+    """
+    rho = scenario.power_budget / scenario.noise_power
+    size = scenario.num_eves + 1
+    pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+    upper = dict(zip(pairs, rho * gram))
+    pivots = [np.float64(1.0 + rho * n)] * size
+    for k in range(size):
+        d = pivots[k]
+        if not (d.min() > 0.0 and d.max() < np.inf):
+            raise EigensolverError("rate bound failed: a pivot is not "
+                                   "positive and finite")
+        for j in range(k + 1, size):
+            f = upper[k, j].conj() / d
+            pivots[j] = pivots[j] - (f * upper[k, j]).real
+            for m in range(j + 1, size):
+                upper[j, m] = upper[j, m] - f * upper[k, m]
+    return pivots[-1]
+
+
 def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
     """Upper bound log2(1 + t) on the secrecy rate of each layout row.
 
@@ -184,34 +231,30 @@ def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
     (I + rho E E^H) inner product.  1 + t is the Schur complement of the
     eavesdropper block of I + rho Gamma, Gamma the Gram matrix of the
     steering vectors ordered eavesdroppers first and Bob last, so it is
-    the square of the last pivot of one batched Cholesky factor; no
-    N x N form is built.  The computed bound and ``best_secrecy_rates``
-    keep these inequalities up to ``_rate_slack``.
+    the pivot that ``_last_pivot`` returns; no N x N form is built.  The
+    computed bound and ``best_secrecy_rates`` keep these inequalities up
+    to ``_rate_slack``.  ``best_gap_layout`` gathers the Gram entries of
+    its grid from tables (``_gap_bounds``) and runs the same elimination.
 
     Raises:
-        EigensolverError: the factorization failed.
+        EigensolverError: a pivot is not positive and finite.
     """
-    angles = np.roll(scenario.angles, -1)[:, None]  # eavesdroppers, then Bob
-    v = steering_vector(X[:, None, :], angles, scenario.wavelength)
-    gram = v.conj() @ v.swapaxes(-1, -2)
-    gram *= scenario.power_budget / scenario.noise_power
-    gram += np.eye(len(angles))
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"rate bound failed: {exc}") from exc
-    return 2.0 * np.log2(chol[:, -1, -1].real)
+    X = np.asarray(X, dtype=float)
+    gram = _pair_phases(X, scenario).sum(axis=-1)
+    return np.log2(_last_pivot(gram, X.shape[-1], scenario))
 
 
 def _rate_slack(n: int, scenario: Scenario) -> float:
     """Rounding allowance, in bps/Hz, for rates of N-antenna layouts.
 
     16 eps (1 + rho N (M + 1)) / ln 2 with rho = P_A / sigma^2.  The
-    matrices that ``_rate_bounds`` and ``best_secrecy_rates`` factor are
-    a unit shift plus terms of total size up to rho N (M + 1), and their
-    log2 arguments are at least 1.  On random layouts with rho up to
-    3e10 the two computations break the inequalities of
-    ``_rate_bounds`` by at most a tenth of this allowance.
+    matrices that ``_last_pivot`` eliminates and ``best_secrecy_rates``
+    factors are a unit shift plus terms of total size up to
+    rho N (M + 1), and their log2 arguments are at least 1.  On random
+    layouts with rho up to 3e10 the two computations break the
+    inequalities of ``_rate_bounds`` by at most a tenth of this
+    allowance, with the Gram entries summed over the antennas or
+    gathered from ``_gap_bounds``' tables.
     """
     rho = scenario.power_budget / scenario.noise_power
     return (16 * np.finfo(float).eps * (1 + rho * n * (scenario.num_eves + 1))
@@ -239,25 +282,95 @@ def _mirror(K: np.ndarray) -> np.ndarray:
     return (full[:, -1:] - full[:, ::-1])[:, 1:]
 
 
-def _canonical_blocks(n: int, levels: int, rows: int):
-    """The canonical gap tuples after the all-zero one, ``rows`` at a time.
+def _colex_tuples(m: int, levels: int) -> np.ndarray:
+    """Every non-decreasing m-tuple over 0..``levels``, in colex order.
 
-    The tuples come in lexicographic order and are enumerated
-    ``CANDIDATE_CHUNK_ENTRIES`` at a time, so the enumeration costs few
-    numpy calls next to the scoring.
+    Rows run by their last entry, then the one before, and so on, so the
+    C(h + m, m) tuples with entries <= h come first.  One row of width 0
+    for m = 0.
     """
-    tuples = combinations_with_replacement(range(levels + 1), n - 1)
-    flat = chain.from_iterable(islice(tuples, 1, None))
-    pending = np.zeros((0, n - 1), dtype=int)
-    while (K := np.fromiter(islice(flat, CANDIDATE_CHUNK_ENTRIES * (n - 1)),
-                            dtype=int)).size:
-        K = K.reshape(-1, n - 1)
-        pending = np.vstack([pending, K[_canonical(K)]])
-        while len(pending) >= rows:
-            yield pending[:rows]
-            pending = pending[rows:]
-    if len(pending):
-        yield pending
+    tuples = np.zeros((1, 0), dtype=np.intp)
+    values = np.arange(levels + 1)
+    for _ in range(m):
+        # entry u follows the first counts[u] rows: those with entries <= u
+        counts = np.searchsorted(tuples.max(axis=1, initial=0), values,
+                                 side="right")
+        rows = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+        tuples = np.column_stack([tuples[rows], np.repeat(values, counts)])
+    return tuples
+
+
+def _gap_blocks(n: int, levels: int):
+    """The canonical gap tuples after the all-zero one, in blocks.
+
+    The tuples with leading gap value k_2 are (k_2, k_2 + t) for the
+    tails t of ``_colex_tuples(N - 2, levels - k_2)``, which are a prefix
+    of the table for ``levels``.  The tuples run by k_2, then in that
+    order, and are cut into blocks of ``BOUND_BLOCK_ROWS``, so one block
+    holds many leading values at N = 2 and part of one where they are
+    many.  Each block keeps its ``_canonical`` rows; an empty one is not
+    yielded.  Memory grows with the block and the table, never with the
+    grid.
+    """
+    if n < 2:
+        return
+    tails = _colex_tuples(n - 2, levels)
+    tops = tails.max(axis=1, initial=0)
+    lead, start = 0, 1  # the all-zero tuple is scored on its own
+    while lead <= levels:
+        # a block starts at tuple ``start`` of k_2 = ``lead``; every k_2
+        # has a tuple, so the block spans at most BOUND_BLOCK_ROWS of them
+        leads = np.arange(lead, min(lead + BOUND_BLOCK_ROWS, levels + 1))
+        ends = np.cumsum(np.searchsorted(tops, levels - leads, side="right"))
+        flat = np.arange(start, min(start + BOUND_BLOCK_ROWS, ends[-1]))
+        i = np.searchsorted(ends, flat, side="right")
+        firsts = np.concatenate(([0], ends[:-1]))  # flat index of each k_2
+        K = np.empty((len(flat), n - 1), dtype=np.intp)
+        K[:, 0] = leads[i]
+        K[:, 1:] = tails[flat - firsts[i]] + K[:, :1]
+        stop = start + len(flat)
+        done = int(np.searchsorted(ends, stop, side="right"))  # whole k_2s
+        start = stop - int(firsts[done]) if done < len(leads) else 0
+        lead += done
+        K = np.compress(_canonical(K), K, axis=0)
+        if len(K):
+            yield K
+
+
+def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
+    """Layouts x_j = min((j-1) d_min + step k_j, L), x_1 = 0, of ``K``."""
+    n = K.shape[1] + 1
+    X = np.zeros((len(K), n))
+    X[:, 1:] = np.minimum(scenario.min_spacing * np.arange(1, n, dtype=float)
+                          + step * K, scenario.aperture)
+    return X
+
+
+def _gap_bounds(n: int, scenario: Scenario, levels: int, step: float):
+    """``_rate_bounds`` of gap tuples, as a function of a (K, N-1) block.
+
+    Gap coordinate j takes only ``levels + 1`` positions, so the pair
+    phases P[j, k] of each coordinate are tabulated once, and a tuple's
+    Gram entries are 1 + sum_j P[j, k_j]: one gather and add per gap
+    before ``_last_pivot``.  The tables hold M (M + 1) / 2 (N - 1)
+    (levels + 1) complex entries.  At N = 2 each level is one tuple, so
+    no table is built and each block's layouts go to ``_rate_bounds``.
+    """
+    if n == 2:
+        return lambda K: _rate_bounds(_gap_layouts(K, scenario, step),
+                                      scenario)
+    # row k of the grid: every gap coordinate at level k
+    grid = _gap_layouts(np.arange(levels + 1)[:, None].repeat(n - 1, axis=1),
+                        scenario, step)[:, 1:]
+    tables = _pair_phases(grid.T, scenario).swapaxes(0, 1).copy()
+
+    def bounds(K):
+        gram = 1.0 + np.take(tables[0], K[:, 0], axis=1)
+        for table, k in zip(tables[1:], K[:, 1:].T):
+            gram += np.take(table, k, axis=1)
+        return np.log2(_last_pivot(gram, n, scenario))
+    return bounds
 
 
 def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
@@ -275,14 +388,16 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
     its rate can reach the band of the running best: ``MIRROR_RTOL``
     relative to at least 1 bps/Hz, plus ``_rate_slack``.  The all-zero
     tuple, the FPA layout, is scored first.  The other canonical tuples
-    come in blocks of ``BOUND_BLOCK_CHUNKS`` scorer chunks, and
-    ``_rate_bounds`` bounds a whole block before any pencil is solved.
-    A row whose bound plus ``_rate_slack`` lies below the band is
-    skipped: its rate is certified below the best, so neither it nor
-    its mirror can win or tie.  The others are scored in order of
-    decreasing bound, in chunks of about ``CANDIDATE_CHUNK_ENTRIES``
-    matrix entries, and the rest of the block is screened again after
-    each chunk.  The scored rows in the band of the best then have their
+    come from ``_gap_blocks`` in blocks of at most ``BOUND_BLOCK_ROWS``,
+    and ``_gap_bounds`` bounds a whole block, from per-gap phase tables
+    and an unrolled elimination, before any pencil is solved.  A row
+    whose bound plus ``_rate_slack`` lies below the band is skipped: its
+    rate is certified below the best, so neither it nor its mirror can
+    win or tie.  The others are scored in order of decreasing bound, in
+    chunks of about ``CANDIDATE_CHUNK_ENTRIES`` matrix entries, and the
+    rest of the block is screened again after each chunk.  The band only
+    rises as the best does, so every row in the final band is scored,
+    whatever the order of the blocks.  Those rows then have their
     mirrors scored too, and the highest of those rates wins, so the
     result is the full grid's, bit for bit.  A best rate within
     ``MIRROR_RTOL`` plus ``_rate_slack`` of 0 is rounding noise on a grid
@@ -294,24 +409,23 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
         rate.
     """
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
-    base = scenario.min_spacing * np.arange(1, n, dtype=float)
     slack = _rate_slack(n, scenario)
 
     def layouts(K):
-        X = np.zeros((len(K), n))
-        X[:, 1:] = np.minimum(base + step * K, scenario.aperture)
-        return X
+        return _gap_layouts(K, scenario, step)
 
     def floor(best):
         return best - MIRROR_RTOL * max(best, 1.0) - slack
 
-    K = np.zeros((1, n - 1), dtype=int)
+    K = np.zeros((1, n - 1), dtype=np.intp)
     rates = best_secrecy_rates(layouts(K), scenario)
     best = float(rates[0])
     kept = [(K, rates)]  # (tuples, rates) of scored rows near the running best
-    for K in _canonical_blocks(n, levels, BOUND_BLOCK_CHUNKS * rows):
-        bounds = _rate_bounds(layouts(K), scenario) + slack
-        order = np.argsort(-bounds)
+    rate_bounds = _gap_bounds(n, scenario, levels, step)
+    for K in _gap_blocks(n, levels):
+        bounds = rate_bounds(K) + slack
+        keep = np.flatnonzero(bounds >= floor(best))
+        order = keep[np.argsort(-bounds[keep])]
         K, bounds = K[order], bounds[order]
         # the rows that can still reach the band are a prefix of the block
         while live := np.count_nonzero(bounds >= floor(best)):

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the closed-form paths it checks:
 gradients are re-derived by central finite differences, the beamformer
 optimum is stress-tested against random sampling, and small instances
-are solved exhaustively on a gap grid with x_1 = 0.  The grid shares
-its enumerator and scorer with the solver's start scan, so the grid
+are solved exhaustively on a gap grid with x_1 = 0.  The grid runs
+the solver's start-scan routine, ``best_gap_layout``: its block
+enumerator, its table-driven rate bound and its scorer.  So the grid
 comparison reads the algorithm's rate from ``secrecy_rate`` at the
 returned solution, never from that scorer.  The oracles ship with the
 package (see the ``verify`` CLI command) so any scenario can be re-validated.
@@ -94,7 +95,8 @@ def grid_search(scenario: Scenario, spec: GridSpec):
     on the rate can still reach the best.  Every layout it skips is
     certified below the best, so it returns the optimum of the full
     grid.  Exact rate ties resolve to the lexicographically smallest
-    layout.
+    layout.  The layouts come in blocks of bounded size, so the memory
+    does not grow with the grid, even at N = 2 with millions of levels.
 
     Returns:
         (ndarray, ndarray, float): best grid positions, the optimal

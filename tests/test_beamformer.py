@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -10,10 +11,11 @@ from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
                    check_positions, initial_positions, load_run_spec,
                    optimal_beamformer, sample_beamformers, secrecy_rate,
                    solve_beamformer, steering_vector)
-from masec.beamformer import (BOUND_BLOCK_CHUNKS, CANDIDATE_CHUNK_ENTRIES,
-                              MIRROR_RTOL, _canonical, _mirror, _rate_bounds,
+from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
+                              MIRROR_RTOL, _canonical, _gap_blocks,
+                              _gap_bounds, _last_pivot, _mirror, _rate_bounds,
                               _rate_slack, best_gap_layout, best_secrecy_rates)
-from masec.driver import _scan_levels
+from masec.driver import _scan_levels, scan_start
 
 SWEEP_M3 = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_m3.json"
 
@@ -209,9 +211,17 @@ def _layouts(K, scn, step):
     return X
 
 
+def _tuples(X, scn, step):
+    """The gap tuples of unclipped grid layouts ``X``."""
+    n = X.shape[1]
+    return np.rint((X[:, 1:] - scn.min_spacing * np.arange(1, n))
+                   / step).astype(int)
+
+
 def _assert_full_grid_argmax(n, scn, levels, step):
     X = _layouts(_all_tuples(n, levels), scn, step)
-    rates = best_secrecy_rates(X, scn)
+    rates = np.concatenate([best_secrecy_rates(X[i:i + 4096], scn)
+                            for i in range(0, len(X), 4096)])
     j = int(np.argmax(rates))
     x, rate = best_gap_layout(n, scn, levels, step)
     assert np.array_equal(x, X[j])
@@ -228,7 +238,99 @@ MIRROR_WINNERS = {
 }
 
 
+class TestGapBlocks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_canonical_tuple_once(self, n):
+        for levels in range(13):
+            self._assert_blocks(n, levels)
+
+    @pytest.mark.parametrize("n,levels", [(2, 5000), (3, 150), (4, 70)])
+    def test_blocks_span_and_split_leading_values(self, n, levels):
+        # many leading values per block at N = 2, several blocks per
+        # leading value k_2 = 0 at N = 4 (C(72, 2) = 2556 tuples)
+        assert len(self._assert_blocks(n, levels)) > 2
+
+    @staticmethod
+    def _assert_blocks(n, levels):
+        blocks = list(_gap_blocks(n, levels))
+        assert all(0 < len(K) <= BOUND_BLOCK_ROWS for K in blocks)
+        got = sorted(tuple(k) for K in blocks for k in K.tolist())
+        K = _all_tuples(n, levels)[1:]
+        assert got == sorted(map(tuple, K[_canonical(K)].tolist()))
+        return blocks
+
+
+class TestRateBound:
+    def test_bounds_match_cholesky_reference(self, make_scenario):
+        # the elimination against LAPACK's Cholesky factor of I + rho Gamma,
+        # whose last diagonal entry squared is the last pivot
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            scn = make_scenario(rng)
+            n = int(rng.integers(2, 7))
+            levels = int(rng.integers(1, 30))
+            step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
+            K = np.sort(rng.integers(0, levels + 1, size=(20, n - 1)), axis=1)
+            X = _layouts(K, scn, step)
+            angles = np.roll(scn.angles, -1)[:, None]  # Bob last
+            v = steering_vector(X[:, None, :], angles, scn.wavelength)
+            gram = v.conj() @ v.swapaxes(-1, -2)
+            rho = scn.power_budget / scn.noise_power
+            chol = np.linalg.cholesky(np.eye(scn.num_eves + 1) + rho * gram)
+            reference = 2.0 * np.log2(chol[:, -1, -1].real)
+            slack = _rate_slack(n, scn)
+            assert np.abs(_gap_bounds(n, scn, levels, step)(K)
+                          - reference).max() <= slack
+            assert np.abs(_rate_bounds(X, scn) - reference).max() <= slack
+
+    @pytest.mark.parametrize("power", [1e16, 1e17])
+    def test_nonpositive_pivot_raises(self, power):
+        # Bob among the eavesdroppers: I + rho Gamma is singular up to
+        # rounding, and its last pivot rounds to zero or below
+        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
+                       power_budget=power)
+        with pytest.raises(EigensolverError):
+            _rate_bounds(np.array([[0.0, 0.5], [0.0, 1.5]]), scn)
+        with pytest.raises(EigensolverError):
+            _gap_bounds(3, scn, 10, 0.3)(np.array([[1, 4], [0, 2]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, 4.0])
+    def test_bad_pivot_never_becomes_a_bound(self, entry):
+        # a NaN or negative pivot must not skip or keep a row
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4, 0.3))
+        gram = np.zeros((3, 4), dtype=complex)
+        gram[2, 1] = entry  # Gamma between the second eavesdropper and Bob
+        with pytest.raises(EigensolverError):
+            _last_pivot(gram, 2, scn)
+        gram[2, 1] = 0.0
+        assert np.array_equal(_last_pivot(gram, 2, scn), np.full(4, 3.0))
+
+    def test_memory_does_not_grow_with_levels_at_two_antennas(self):
+        # 99,975 levels: the parent's enumerator held a tuple of that many
+        # Python ints (4.95 MB peak)
+        scn = Scenario(bob_angle=np.pi / 2,
+                       eve_angles=(0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi))
+        levels = 99_975
+        tracemalloc.start()
+        try:
+            best_gap_layout(2, scn, levels,
+                            (scn.aperture - scn.min_spacing) / levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
 class TestBestGapLayout:
+    @pytest.mark.parametrize("power", [1.0, 10.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scan_matches_full_grid_on_sweep_m3(self, n, power):
+        scn, levels, step = _scan_grid(n, power)
+        j = _assert_full_grid_argmax(n, scn, levels, step)
+        assert np.array_equal(scan_start(n, scn),
+                              _layouts(_all_tuples(n, levels)[j:j + 1],
+                                       scn, step)[0])
+
     @pytest.mark.parametrize("name", MIRROR_WINNERS)
     def test_matches_full_grid_argmax(self, name):
         n, grid = MIRROR_WINNERS[name]
@@ -287,49 +389,47 @@ class TestBestGapLayout:
                    (4, 4): 1.0 + 2 * ulp, (1, 3): 1.0 + ulp}
         step = 0.25
 
-        def planted_rates(X, scenario):
-            K = np.rint((X[:, 1:] - scn.min_spacing * np.arange(1, 3))
-                        / step).astype(int)
+        def planted_bounds(K):
             return np.array([planted.get(tuple(k), 0.5) for k in K.tolist()])
+
+        def planted_rates(X, scenario):
+            return planted_bounds(_tuples(X, scn, step))
         # the planted rates serve as their own bounds, so the screen cannot
         # skip a planted row
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
                             planted_rates)
-        monkeypatch.setattr(masec.beamformer, "_rate_bounds", planted_rates)
+        monkeypatch.setattr(masec.beamformer, "_gap_bounds",
+                            lambda *grid: planted_bounds)
         x, rate = best_gap_layout(3, scn, 6, step)
         assert rate == 1.0 + 4 * ulp
         assert np.array_equal(x, [0.0, 1.0, 1.75])
 
     def test_slack_widens_the_screen_and_the_mirror_band(self, monkeypatch):
         # planted rates and bounds that disagree by less than the slack: the
-        # first block's best is W; C, in the second block, has a bound below
-        # its rate, and its mirror (22, 42) is the grid's best row
+        # first block's best is W; C, in a later block, has a bound below
+        # its rate, and its mirror (42, 82) is the grid's best row
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
-        step, slack = 0.2, 1e-6
+        levels, step, slack = 90, 0.1, 1e-6
         planted = {(0, 3): (1.0 + 5e-7, 1.0 - 3e-7),  # W
-                   (20, 42): (1.0 - 1e-7, 1.0 - 9e-7),  # C
-                   (22, 42): (1.0 + 6e-7, 0.0)}
+                   (40, 82): (1.0 - 1e-7, 1.0 - 9e-7),  # C
+                   (42, 82): (1.0 + 6e-7, 0.0)}
 
-        def planted_column(column):
-            def values(X, scenario):
-                K = np.rint((X[:, 1:] - scn.min_spacing * np.arange(1, 3))
-                            / step).astype(int)
-                return np.array([planted.get(tuple(k), (0.5, 0.5))[column]
-                                 for k in K.tolist()])
-            return values
-        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
-                            planted_column(0))
-        monkeypatch.setattr(masec.beamformer, "_rate_bounds",
-                            planted_column(1))
+        def planted_column(K, column):
+            return np.array([planted.get(tuple(k), (0.5, 0.5))[column]
+                             for k in K.tolist()])
+        monkeypatch.setattr(
+            masec.beamformer, "best_secrecy_rates",
+            lambda X, scenario: planted_column(_tuples(X, scn, step), 0))
+        monkeypatch.setattr(masec.beamformer, "_gap_bounds",
+                            lambda *grid: lambda K: planted_column(K, 1))
         monkeypatch.setattr(masec.beamformer, "_rate_slack",
                             lambda n, scenario: slack)
-        K = _all_tuples(3, 44)
-        index = {tuple(k): i for i, k in enumerate(K[_canonical(K)].tolist())}
-        block = BOUND_BLOCK_CHUNKS * (CANDIDATE_CHUNK_ENTRIES // 9)
-        assert index[(0, 3)] <= block < index[(20, 42)]
-        x, rate = best_gap_layout(3, scn, 44, step)
+        block = {tuple(k): b for b, K in enumerate(_gap_blocks(3, levels))
+                 for k in K.tolist()}
+        assert block[(0, 3)] < block[(40, 82)]
+        x, rate = best_gap_layout(3, scn, levels, step)
         assert rate == 1.0 + 6e-7
-        assert np.array_equal(x, [0.0, 0.5 + 22 * step, 1.0 + 42 * step])
+        assert np.array_equal(x, [0.0, 0.5 + 42 * step, 1.0 + 82 * step])
 
     def test_zero_rate_plateau_returns_fpa_layout(self, monkeypatch):
         # Bob among the eavesdroppers: every rate is 0 up to rounding

@@ -14,8 +14,8 @@ from masec import (Scenario, SolveConfig, build_forms,
                    gradient_psi, objective_psi, random_positions,
                    rate_difference, secrecy_rate, solve, solve_beamformer,
                    solve_fpa, steering_vector)
-from masec.beamformer import (MIRROR_RTOL, _rate_bounds, _rate_slack,
-                              best_secrecy_rates)
+from masec.beamformer import (MIRROR_RTOL, _gap_bounds, _gap_layouts,
+                              _rate_bounds, _rate_slack, best_secrecy_rates)
 from masec.driver import scan_start
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
@@ -115,6 +115,24 @@ def test_rate_bound_brackets_the_scorer(instance, log_power):
     bound = _rate_bounds(x[None, :], scn)[0]
     rate = best_secrecy_rates(x[None, :], scn)[0]
     slack = _rate_slack(x.size, scn)
+    assert bound + slack >= rate
+    assert rate >= np.log2(np.expm1(bound * np.log(2.0))) - slack
+
+
+@PROPERTY
+@given(instances(), st.floats(-3.0, 10.0), st.integers(1, 60), st.data())
+def test_grid_rate_bound_brackets_the_scorer(instance, log_power, levels, data):
+    # the same inequalities for the table-driven bound of a gap-grid tuple
+    scn, x, _ = instance
+    n = x.size
+    assume(n > 1)
+    scn = dataclasses.replace(scn, power_budget=10.0 ** log_power)
+    step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
+    K = np.sort(data.draw(st.lists(st.integers(0, levels), min_size=n - 1,
+                                   max_size=n - 1)))[None, :]
+    bound = _gap_bounds(n, scn, levels, step)(K)[0]
+    rate = best_secrecy_rates(_gap_layouts(K, scn, step), scn)[0]
+    slack = _rate_slack(n, scn)
     assert bound + slack >= rate
     assert rate >= np.log2(np.expm1(bound * np.log(2.0))) - slack
 
