@@ -2,9 +2,9 @@
 
 Maximizes the secrecy rate against colluding eavesdroppers over the
 antenna positions and a closed-form optimal transmit beamformer, either
-by alternating the beamformer with projected gradient ascent (the
-paper's Algorithm 1) or by a line-searched ascent on the best rate at
-each layout, and ships the oracles (finite differences, random
+by a line-searched ascent on the best rate at each layout, the default,
+or by alternating the beamformer with projected gradient ascent (the
+paper's Algorithm 1), and ships the oracles (finite differences, random
 sampling, exhaustive grid search) used to verify it.
 """
 

@@ -354,10 +354,10 @@ def _gap_bounds(n: int, scenario: Scenario, levels: int, step: float):
     phases P[j, k] of each coordinate are tabulated once, and a tuple's
     Gram entries are 1 + sum_j P[j, k_j]: one gather and add per gap
     before ``_last_pivot``.  The tables hold M (M + 1) / 2 (N - 1)
-    (levels + 1) complex entries.  At N = 2 each level is one tuple, so
-    no table is built and each block's layouts go to ``_rate_bounds``.
+    (levels + 1) complex entries.  At N = 2 each level is one tuple and
+    at N = 1 there is no block, so no table is built for N <= 2.
     """
-    if n == 2:
+    if n <= 2:
         return lambda K: _rate_bounds(_gap_layouts(K, scenario, step),
                                       scenario)
     # row k of the grid: every gap coordinate at level k

@@ -6,7 +6,7 @@ from there, in rounds.  ``"alternating"`` is the paper's Algorithm 1:
 each round solves the beamformer in closed form and then runs
 fixed-step projected gradient ascent on the positions.  Both steps can
 only improve the unclamped objective, so the end-of-round secrecy rate
-is non-decreasing.  ``"value"`` ascends the value function
+is non-decreasing.  ``"value"``, the default, ascends the value function
 F(x) = log2 lambda_max(x) of the beamformer problem, one projected step
 per round with a Barzilai-Borwein trial step and Armijo backtracking;
 by Danskin's theorem its gradient is the position gradient of the
@@ -48,15 +48,15 @@ MIN_STEP, MAX_STEP = 1e-8, 1e3
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Every solver setting, with the reference defaults.
+    """Every solver setting and its default, the one the CLI runs.
 
-    ``ascent`` picks the paper's ``"alternating"`` Algorithm 1, which
-    reads every field, or the ``"value"`` ascent, which reads
+    ``ascent`` picks the ``"value"`` ascent, the default, which reads
     ``step_size`` (its first trial step), ``inner_tol`` (its stop test)
-    and ``max_outer_iters``.
+    and ``max_outer_iters``, or the paper's ``"alternating"`` Algorithm 1,
+    which reads every field with its reference values.
     """
 
-    ascent: str = "alternating"
+    ascent: str = "value"
     step_size: float = 0.01
     inner_tol: float = 1e-8
     max_inner_iters: int = 500
@@ -152,12 +152,6 @@ def scan_start(n: int, scenario: Scenario) -> np.ndarray:
     return best_gap_layout(n, scenario, levels, slack / levels)[0]
 
 
-def _settled(rounds, tol: float) -> bool:
-    """Whether the last two rounds' end rates differ by at most ``tol``."""
-    return (len(rounds) > 1
-            and abs(rounds[-1].rate_after_x - rounds[-2].rate_after_x) <= tol)
-
-
 def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
     """One projected ascent step on F for the chains ``rows``, in place.
 
@@ -168,7 +162,9 @@ def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
     F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
     ``MAX_HALVINGS`` times; P is the Euclidean projection.  Each trial
     solves the pencil of every pending chain in one batched call, and an
-    accepted trial's beamformer and value replace the chain's.
+    accepted trial's beamformer and value replace the chain's.  A chain
+    that goes on gets its next gradient in ``G``, and in ``step`` the
+    Barzilai-Borwein step of its move (``_bb_steps``).
 
     Returns:
         (traces, settled, stalled), per chain: F at the start and at
@@ -207,6 +203,12 @@ def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
     settled = [max(t[1:]) - t[0] <= slack if halted
                else t[-1] - t[0] <= tol * max(1.0, abs(t[0]))
                for t, halted in zip(traces, stalled)]
+    going = [i for i, (s, halted) in enumerate(zip(settled, stalled))
+             if not (s or halted)]
+    if going:
+        on = [rows[i] for i in going]
+        G[on] = gradient_psi(X[on], W[on], scenario)
+        step[on] = _bb_steps(X[on] - x0[going], G[on] - g0[going])
     return [np.array(t) for t in traces], settled, stalled
 
 
@@ -225,7 +227,7 @@ def _bb_steps(S, Y) -> np.ndarray:
     return np.clip(steps, MIN_STEP, MAX_STEP)
 
 
-def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
+def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
           x0=None, extra_starts=None) -> OptimizationTrace:
     """Ascent on (w, x) for the secrecy rate, in rounds.
 
@@ -250,7 +252,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     Args:
         n: number of antennas.
         scenario: problem instance (must satisfy L >= (N-1) d_min).
-        cfg: solver settings; defaults reproduce the reference setup.
+        cfg: solver settings; the default runs the value ascent.
         x0: optional feasible starting layout (array-like).  The default
             is ``scan_start(n, scenario)``, which makes the result never
             fall below the FPA rate; ``x0=initial_positions(n, scenario)``
@@ -267,8 +269,6 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
         rate: per-round rates, inner traces and the final solution.
         ``final_w`` is optimal at ``final_x`` in the value ascent.
     """
-    if cfg is None:
-        cfg = SolveConfig()
     first = np.asarray(scan_start(n, scenario) if x0 is None else x0,
                        dtype=float)
     if first.shape != (n,):
@@ -299,7 +299,6 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
         if value:
-            start_x, start_g = X[live], G[live]
             rates_w = [rate[j] for j in live]
             traces, settled, stalled = _value_round(X, W, F, G, step, live,
                                                     scenario, cfg.inner_tol)
@@ -319,16 +318,13 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig | None = None,
             if value:
                 converged[j], stop = settled[r], settled[r] or stalled[r]
             else:
-                converged[j] = stop = _settled(outer[j], cfg.outer_tol)
+                converged[j] = stop = k > 1 and abs(
+                    rate[j] - outer[j][-2].rate_after_x) <= cfg.outer_tol
             if not stop:
-                going.append(r)
-        live = [live[r] for r in going]
+                going.append(j)
+        live = going
         if not live:
             break
-        if value:
-            G[live] = gradient_psi(X[live], W[live], scenario)
-            step[live] = _bb_steps(X[live] - start_x[going],
-                                   G[live] - start_g[going])
     j = max(chains, key=lambda j: outer[j][-1].rate_after_x)
     x, w = X[j].copy(), W[j].copy()
     x.setflags(write=False)

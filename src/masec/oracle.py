@@ -139,14 +139,14 @@ def _random_beamformer(n, scenario, rng):
 
 def run_verification(scenario: Scenario, n: int, seed: int = 0,
                      gradient_fn=None,
-                     cfg: SolveConfig | None = None) -> VerifyReport:
+                     cfg: SolveConfig = SolveConfig()) -> VerifyReport:
     """Run the oracle suite against one scenario.
 
     Checks the lift identity, the analytic gradient against central
     finite differences, beamformer stationarity and sampling optimality,
     and (for N <= 3, when the grid fits the evaluation cap) the
-    solver, run with ``cfg`` (the default settings, Algorithm 1, when
-    None), against the exhaustive grid oracle, whose gap step is a
+    solver, run with ``cfg`` (by default the value ascent, as ``verify``
+    runs it), against the exhaustive grid oracle, whose gap step is a
     fiftieth of the wavelength.
 
     ``gradient_fn`` overrides the gradient under test; it exists as a

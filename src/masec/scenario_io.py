@@ -3,11 +3,11 @@
 Scenario files are JSON.  Angles are given either in radians
 (``bob_angle_rad``) or as fractions of pi (``bob_angle_pi``), one form
 per file, with ``eve_angles`` interpreted in the same form.  An omitted
-field takes the default of ``Scenario`` or ``SolveConfig``, with three
+field takes the default of ``Scenario`` or ``SolveConfig``, with two
 rules of the file format: an omitted ``aperture`` or ``min_spacing``
-scales with the file's ``wavelength`` (ten and half a wavelength), the
-ascent defaults to ``"value"`` (``"alternating"`` selects the paper's
-Algorithm 1), and the seed to 0.  Unknown keys are rejected.
+scales with the file's ``wavelength`` (ten and half a wavelength), and
+the seed defaults to 0.  ``"ascent": "alternating"`` selects the paper's
+Algorithm 1.  Unknown keys are rejected.
 
 CSV output follows RFC 4180 (CRLF, header row); numbers carry 12
 significant digits.  ``solution.json`` stores the beamformer as
@@ -118,7 +118,9 @@ def parse_run_spec(data: dict) -> RunSpec:
                     for key in tol}
         if "step_size" in data:
             settings["step_size"] = _require_number(data, "step_size")
-        config = SolveConfig(ascent=data.get("ascent", "value"), **settings)
+        if "ascent" in data:
+            settings["ascent"] = data["ascent"]
+        config = SolveConfig(**settings)
     except ValueError as exc:
         raise ScenarioFileError(str(exc)) from exc
 

@@ -10,11 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from masec import (GridSpec, Scenario, build_forms, fd_gradient,
+from masec import (GridSpec, Scenario, SolveConfig, build_forms, fd_gradient,
                    grid_search, gradient_psi, initial_positions,
                    project_positions, random_positions, sample_beamformers,
                    secrecy_rate, solve, solve_beamformer, solve_fpa)
 from masec.cli import main
+
+ALGORITHM_1 = SolveConfig(ascent="alternating")
 
 N4 = Scenario(bob_angle=np.pi / 2, eve_angles=(0.75 * np.pi, 0.25 * np.pi))
 N3 = Scenario(bob_angle=np.pi / 2, eve_angles=(0.55 * np.pi, 0.25 * np.pi))
@@ -139,7 +141,8 @@ def test_criterion_5_algorithm1_convergence():
     details = []
     ok = True
     for n, scn in ((4, N4), (3, N3)):
-        trace = solve(n, scn)  # defaults: delta=0.01, 1e-8 inner, 1e-6 outer
+        # delta=0.01, 1e-8 inner, 1e-6 outer: Algorithm 1's defaults
+        trace = solve(n, scn, ALGORITHM_1)
         max_inner = max(len(t) - 1 for t in trace.inner)
         ok &= trace.converged and trace.n_outer <= 4 and max_inner <= 50
         details.append(f"N={n}: outer={trace.n_outer} (need <=4), "
@@ -150,13 +153,13 @@ def test_criterion_5_algorithm1_convergence():
 def test_criterion_6_null_steering():
     t0 = time.perf_counter()
     from masec import beam_gain
-    tr4 = solve(4, N4)
+    tr4 = solve(4, N4, ALGORITHM_1)
     g0 = beam_gain(tr4.final_x, tr4.final_w, N4.bob_angle, N4)
     ratios = [beam_gain(tr4.final_x, tr4.final_w, t, N4) / g0
               for t in N4.eve_angles]
     ok = all(r <= 1e-3 for r in ratios)
 
-    tr3 = solve(3, N3)
+    tr3 = solve(3, N3, ALGORITHM_1)
     w_fpa, _ = solve_fpa(3, N3)
     x_fpa = initial_positions(3, N3)
     ma_g1 = beam_gain(tr3.final_x, tr3.final_w, N3.eve_angles[0], N3)
@@ -178,7 +181,7 @@ def test_criterion_7_ma_dominance():
         scn = FIG5(power)
         rates = {}
         for n in range(2, 9):
-            ma = solve(n, scn).final_rate
+            ma = solve(n, scn, ALGORITHM_1).final_rate
             _, fpa = solve_fpa(n, scn)
             ok &= ma >= fpa - 1e-9
             rates[n] = ma
@@ -189,7 +192,7 @@ def test_criterion_7_ma_dominance():
     for _ in range(50):
         scn = _random_scenario(rng)
         n = int(rng.integers(2, 6))
-        ma = solve(n, scn).final_rate
+        ma = solve(n, scn, ALGORITHM_1).final_rate
         _, fpa = solve_fpa(n, scn)
         worst_gap = min(worst_gap, ma - fpa)
     ok &= worst_gap >= -1e-9
@@ -210,7 +213,7 @@ def test_criterion_8_global_quality():
         scn = Scenario(bob_angle=float(angles[0]),
                        eve_angles=tuple(angles[1:]), aperture=2.0)
         _, _, grid_rate = grid_search(scn, GridSpec(resolution=1 / 50, n=2))
-        alg_rate = solve(2, scn).final_rate
+        alg_rate = solve(2, scn, ALGORITHM_1).final_rate
         ok &= alg_rate >= 0.95 * grid_rate - 1e-12
         results.append(f"{alg_rate:.3f}/{grid_rate:.3f}")
     _report(8, "global quality at N=2", bool(ok),
@@ -226,7 +229,7 @@ def test_criterion_9_outer_monotonicity():
               for _ in range(8)]
     worst = np.inf
     for n, scn in cases:
-        trace = solve(n, scn)
+        trace = solve(n, scn, ALGORITHM_1)
         rates = [r.rate_after_x for r in trace.outer]
         if len(rates) > 1:
             worst = min(worst, min(b - a for a, b in zip(rates, rates[1:])))

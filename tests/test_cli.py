@@ -2,14 +2,18 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import masec.cli
 from masec import (ScenarioFileError, SolveConfig, load_run_spec,
-                   load_solution, mrt_beamformer, secrecy_rate, solve)
+                   load_solution, mrt_beamformer, run_verification,
+                   secrecy_rate, solve)
 from masec.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 PAPER_N4 = {
     "n_antennas": 4,
@@ -151,6 +155,17 @@ class TestOptimize:
         assert [p.name for p in out.glob("trace_inner_*.csv")] == \
             ["trace_inner_1.csv"]
 
+    def test_library_default_is_the_cli_run(self, tmp_path):
+        scenario = str(SCENARIOS / "paper_n4.json")
+        out = tmp_path / "out"
+        assert main(["optimize", "--scenario", scenario, "--out", str(out)]) == 0
+        spec = load_run_spec(scenario)
+        trace = solve(spec.n_antennas, spec.scenario)
+        x, w, rate = load_solution(out / "solution.json")
+        assert np.array_equal(trace.final_x, x)
+        assert np.array_equal(trace.final_w, w)
+        assert trace.final_rate == rate
+
 
 class TestScenarioFiles:
     def test_unknown_key_rejected(self, tmp_path):
@@ -207,11 +222,11 @@ class TestScenarioFiles:
             else:
                 doc["tolerances"] = {key: v}
             config = load_run_spec(_write(tmp_path / "s.json", doc)).config
-            assert config == SolveConfig(ascent="value", **{key: v})
+            assert config == SolveConfig(**{key: v})
         # a file that sets none of them gets the SolveConfig defaults
         doc = {k: v for k, v in PAPER_N4.items() if k != "step_size"}
         assert load_run_spec(_write(tmp_path / "s.json", doc)).config \
-            == SolveConfig(ascent="value")
+            == SolveConfig()
         # omitted lengths scale with the wavelength
         doc = {k: v for k, v in PAPER_N4.items()
                if k not in ("aperture", "min_spacing")}
@@ -423,6 +438,16 @@ class TestVerify:
         assert main(["verify", "--scenario", scenario]) == 0
         m = re.search(r"algorithm (\S+) vs grid", capsys.readouterr().out)
         assert m.group(1) == f"{rate:.6f}"
+
+    def test_library_default_is_the_cli_check(self, capsys):
+        scenario = str(SCENARIOS / "toy_n2.json")
+        assert main(["verify", "--scenario", scenario]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        spec = load_run_spec(scenario)
+        report = run_verification(spec.scenario, spec.n_antennas,
+                                  seed=spec.seed)
+        assert lines[:-1] == [f"{c.status.upper():4s}  {c.name:24s} {c.detail}"
+                              for c in report.checks]
 
     def test_small_scenario_reports_grid(self, tmp_path, capsys):
         doc = dict(PAPER_N4, n_antennas=2, eve_angles=[0.25], aperture=2.0)

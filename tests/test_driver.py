@@ -7,6 +7,7 @@ from masec import (InfeasibleError, Scenario, SolveConfig,
                    optimal_beamformer,
                    random_positions, secrecy_rate, solve, solve_fpa)
 
+ALGORITHM_1 = SolveConfig(ascent="alternating")
 VALUE = SolveConfig(ascent="value")
 
 
@@ -30,7 +31,7 @@ class TestInitialPositions:
 
 class TestSolve:
     def test_paper_n4_reaches_reference_rate(self, paper_n4):
-        trace = solve(4, paper_n4)
+        trace = solve(4, paper_n4, ALGORITHM_1)
         assert trace.converged
         # the optimum of this scenario is capped by log2(1 + N P_A / sigma^2)
         assert trace.final_rate <= np.log2(5.0) + 1e-9
@@ -43,7 +44,7 @@ class TestSolve:
         cases += [(int(rng.integers(2, 6)), make_scenario(rng))
                   for _ in range(8)]
         for n, scn in cases:
-            trace = solve(n, scn)
+            trace = solve(n, scn, ALGORITHM_1)
             rates = [r.rate_after_x for r in trace.outer]
             assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
             # the w-step is an exact maximizer given x
@@ -56,7 +57,8 @@ class TestSolve:
         cases = [(4, paper_n4), (2, Scenario(bob_angle=1.0, eve_angles=(1.0,)))]
         cases += [(int(rng.integers(1, 7)), make_scenario(rng))
                   for _ in range(6)]
-        cfg = SolveConfig(max_inner_iters=20, max_outer_iters=1)
+        cfg = SolveConfig(ascent="alternating", max_inner_iters=20,
+                          max_outer_iters=1)
         for n, scn in cases:
             x0 = random_positions(n, scn, rng)
             w = optimal_beamformer(build_forms(x0, scn), scn)
@@ -64,7 +66,7 @@ class TestSolve:
             assert trace.outer[0].rate_after_w == secrecy_rate(x0, w, scn)
 
     def test_final_rate_consistency(self, paper_n4):
-        trace = solve(4, paper_n4)
+        trace = solve(4, paper_n4, ALGORITHM_1)
         assert trace.final_rate == secrecy_rate(trace.final_x, trace.final_w,
                                                 paper_n4)
         assert trace.final_rate == max(
@@ -72,7 +74,7 @@ class TestSolve:
 
     def test_identical_bob_eve_gives_zero(self):
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
-        for cfg in (None, VALUE):
+        for cfg in (ALGORITHM_1, VALUE):
             assert solve(3, scn, cfg).final_rate == 0.0
 
     def test_dominates_fpa(self, paper_n4, paper_n3, make_scenario):
@@ -81,48 +83,51 @@ class TestSolve:
         cases += [(int(rng.integers(2, 6)), make_scenario(rng))
                   for _ in range(10)]
         for n, scn in cases:
-            ma = solve(n, scn).final_rate
+            ma = solve(n, scn, ALGORITHM_1).final_rate
             _, fpa = solve_fpa(n, scn)
             assert ma >= fpa - 1e-9
 
     def test_trace_shape(self, paper_n4):
-        trace = solve(4, paper_n4)
+        trace = solve(4, paper_n4, ALGORITHM_1)
         assert len(trace.inner) == trace.n_outer
         assert [r.iteration for r in trace.outer] == \
             list(range(1, trace.n_outer + 1))
 
     def test_nonconvergence_reported(self, paper_n4):
-        cfg = SolveConfig(max_inner_iters=5, max_outer_iters=1)
+        cfg = SolveConfig(ascent="alternating", max_inner_iters=5,
+                          max_outer_iters=1)
         trace = solve(4, paper_n4, cfg)
         assert not trace.converged
         assert trace.n_outer == 1
 
     def test_converged_on_the_cap_round(self, paper_n4):
-        trace = solve(4, paper_n4)
+        trace = solve(4, paper_n4, ALGORITHM_1)
         rounds = trace.n_outer
         assert trace.converged and rounds >= 2
-        capped = solve(4, paper_n4, SolveConfig(max_outer_iters=rounds))
+        capped = solve(4, paper_n4, SolveConfig(ascent="alternating",
+                                                max_outer_iters=rounds))
         assert capped.converged
         assert capped.n_outer == rounds
         assert capped.final_rate == trace.final_rate
-        short = solve(4, paper_n4, SolveConfig(max_outer_iters=rounds - 1))
+        short = solve(4, paper_n4, SolveConfig(ascent="alternating",
+                                               max_outer_iters=rounds - 1))
         assert not short.converged
 
     def test_no_slack_keeps_fpa_layout(self, paper_n4):
         # one antenna, or 21 filling [0, 10] at d_min: no gap can widen
         for n in (1, 21):
-            for cfg in (None, VALUE):
+            for cfg in (ALGORITHM_1, VALUE):
                 trace = solve(n, paper_n4, cfg)
                 assert np.array_equal(trace.final_x,
                                       initial_positions(n, paper_n4))
                 assert trace.final_rate == solve_fpa(n, paper_n4)[1]
         with pytest.raises(InfeasibleError):
-            solve(22, paper_n4)
+            solve(22, paper_n4, ALGORITHM_1)
 
     def test_infeasible_start_rejected(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 2,))
         good, bad = [0.0, 1.0, 2.0], [3.0, 3.1, 12.0]
-        for cfg in (None, VALUE):
+        for cfg in (ALGORITHM_1, VALUE):
             with pytest.raises(ValueError, match="d_min"):
                 solve(3, scn, cfg, x0=bad)
             with pytest.raises(ValueError, match="d_min"):
@@ -140,8 +145,9 @@ class TestSolve:
         for n, scn in cases:
             starts = np.array([random_positions(n, scn, rng)
                                for _ in range(4)])
-            trace = solve(n, scn, x0=starts[0], extra_starts=starts[1:])
-            singles = [solve(n, scn, x0=x0) for x0 in starts]
+            trace = solve(n, scn, ALGORITHM_1, x0=starts[0],
+                          extra_starts=starts[1:])
+            singles = [solve(n, scn, ALGORITHM_1, x0=x0) for x0 in starts]
             rates = [t.final_rate for t in singles]
             best = singles[rates.index(max(rates))]
             assert trace.outer == best.outer
@@ -158,21 +164,23 @@ class TestSolve:
     def test_extra_starts_shape_checked(self, paper_n4):
         x0 = initial_positions(4, paper_n4)
         with pytest.raises(ValueError, match="extra starts"):
-            solve(4, paper_n4, x0=x0, extra_starts=x0[:3][None, :])
+            solve(4, paper_n4, ALGORITHM_1, x0=x0,
+                  extra_starts=x0[:3][None, :])
         for bad in (np.vstack([x0, x0 + 1.0]), x0[:3]):
             with pytest.raises(ValueError, match="one layout of 4"):
-                solve(4, paper_n4, x0=bad)
+                solve(4, paper_n4, ALGORITHM_1, x0=bad)
 
     def test_paper_n3_from_the_fpa_layout(self, paper_n3):
         # Algorithm 1 from the uniform layout, as in the reference setup
-        trace = solve(3, paper_n3, x0=initial_positions(3, paper_n3))
+        trace = solve(3, paper_n3, ALGORITHM_1,
+                      x0=initial_positions(3, paper_n3))
         assert trace.final_rate == 1.0430214839778427
         assert trace.n_outer == 47 and trace.converged
 
     def test_custom_start(self, paper_n4):
         from masec import check_positions
         x0 = check_positions([0.0, 1.0, 2.0, 3.0], paper_n4)
-        trace = solve(4, paper_n4, x0=x0)
+        trace = solve(4, paper_n4, ALGORITHM_1, x0=x0)
         assert trace.final_rate >= secrecy_rate(
             x0, trace.final_w, paper_n4) - 1e-9
 
@@ -190,7 +198,7 @@ class TestSolveFpa:
     def test_paper_n3_leaks_and_ma_wins(self, paper_n3):
         w_fpa, _ = solve_fpa(3, paper_n3)
         x_fpa = initial_positions(3, paper_n3)
-        trace = solve(3, paper_n3)
+        trace = solve(3, paper_n3, ALGORITHM_1)
         theta1 = paper_n3.eve_angles[0]
         ma_g1 = beam_gain(trace.final_x, trace.final_w, theta1, paper_n3)
         fpa_g1 = beam_gain(x_fpa, w_fpa, theta1, paper_n3)
@@ -213,7 +221,7 @@ class TestSolveConfig:
             SolveConfig(**kw)
 
     def test_ascent(self):
-        assert SolveConfig().ascent == "alternating"
+        assert SolveConfig().ascent == "value"
         for bad in ("Value", "", None):
             with pytest.raises(ValueError, match="ascent"):
                 SolveConfig(ascent=bad)

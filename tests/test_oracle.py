@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from masec import (GridSpec, Scenario, build_forms, fd_gradient, grid_search,
                    gradient_psi, initial_positions, mrt_beamformer,
-                   random_positions, run_verification, sample_beamformers,
-                   secrecy_rate, solve)
+                   SolveConfig, random_positions, run_verification,
+                   sample_beamformers, secrecy_rate, solve)
+
+ALGORITHM_1 = SolveConfig(ascent="alternating")
 
 
 class TestFdGradient:
@@ -82,6 +85,21 @@ class TestGridSearch:
         expected = max(np.log2((1 + 2.0 / 0.5) / (1 + 2.0 / 0.5)), 0.0)
         assert rate == pytest.approx(expected, abs=1e-12)
 
+    def test_single_antenna_memory_does_not_grow_with_aperture(self):
+        # one layout, x = [0], whatever the aperture: a phase table over
+        # its 10,000,001 levels would peak at 80 MB
+        scn = Scenario(bob_angle=np.pi / 2,
+                       eve_angles=(0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi),
+                       aperture=200_000.0)
+        tracemalloc.start()
+        try:
+            x, _, rate = grid_search(scn, GridSpec(resolution=1 / 50, n=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert np.array_equal(x, [0.0]) and rate == 0.0
+
     def test_refinement_never_decreases(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.3 * np.pi,),
                        aperture=2.0)
@@ -148,7 +166,7 @@ class TestGridSearch:
 
 class TestRunVerification:
     def test_paper_scenario_passes(self, paper_n4):
-        report = run_verification(paper_n4, 4, seed=0)
+        report = run_verification(paper_n4, 4, seed=0, cfg=ALGORITHM_1)
         assert report.passed
         names = {c.name: c.status for c in report.checks}
         assert names["grid-comparison"] == "skip"
@@ -157,7 +175,7 @@ class TestRunVerification:
             assert names[name] == "pass"
 
     def test_paper_n3_runs_grid_comparison(self, paper_n3):
-        report = run_verification(paper_n3, 3, seed=0)
+        report = run_verification(paper_n3, 3, seed=0, cfg=ALGORITHM_1)
         names = {c.name: c.status for c in report.checks}
         assert names["grid-comparison"] == "pass"
         assert report.passed
@@ -165,7 +183,7 @@ class TestRunVerification:
     def test_small_scenario_runs_grid_comparison(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
                        aperture=2.0)
-        report = run_verification(scn, 2, seed=0)
+        report = run_verification(scn, 2, seed=0, cfg=ALGORITHM_1)
         names = {c.name: c.status for c in report.checks}
         assert names["grid-comparison"] == "pass"
         assert report.passed
@@ -176,21 +194,22 @@ class TestRunVerification:
         # rounding noise, and the check must not divide it by its own norm
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
                        power_budget=power)
-        report = run_verification(scn, 1, seed=0)
+        report = run_verification(scn, 1, seed=0, cfg=ALGORITHM_1)
         names = {c.name: c.status for c in report.checks}
         assert names["fd-gradient"] == "pass"
         assert report.passed
 
     def test_corrupted_gradient_detected(self, paper_n4):
         flipped = lambda x, w, scn: -gradient_psi(x, w, scn)
-        report = run_verification(paper_n4, 4, seed=0, gradient_fn=flipped)
+        report = run_verification(paper_n4, 4, seed=0, gradient_fn=flipped,
+                                  cfg=ALGORITHM_1)
         names = {c.name: c.status for c in report.checks}
         assert names["fd-gradient"] == "fail"
         assert not report.passed
 
     def test_deterministic(self, paper_n4):
-        a = run_verification(paper_n4, 4, seed=7)
-        b = run_verification(paper_n4, 4, seed=7)
+        a = run_verification(paper_n4, 4, seed=7, cfg=ALGORITHM_1)
+        b = run_verification(paper_n4, 4, seed=7, cfg=ALGORITHM_1)
         assert a == b
 
 
@@ -199,5 +218,5 @@ def test_grid_search_vs_algorithm_reference():
     scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
                    aperture=2.0)
     _, _, grid_rate = grid_search(scn, GridSpec(resolution=1 / 50, n=2))
-    alg_rate = solve(2, scn).final_rate
+    alg_rate = solve(2, scn, ALGORITHM_1).final_rate
     assert alg_rate >= 0.95 * grid_rate

@@ -147,7 +147,8 @@ def test_solve_dominates_every_start(instance, from_scan, k, seed):
                        (k, n))
     # scan_start(n, scn) as x0 is the chain that the default start runs
     first = scan_start(n, scn) if from_scan else x
-    cfg = SolveConfig(max_inner_iters=20, max_outer_iters=2)
+    cfg = SolveConfig(ascent="alternating", max_inner_iters=20,
+                      max_outer_iters=2)
     rate = solve(n, scn, cfg, x0=first, extra_starts=extra).final_rate
     starts = np.vstack([first, extra])
     assert rate >= best_secrecy_rates(starts, scn).max() - 1e-12
