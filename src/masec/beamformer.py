@@ -75,20 +75,21 @@ def build_forms(x, scenario: Scenario) -> QuadraticForms:
     return QuadraticForms(A=A, B=B)
 
 
-def _pencil(forms: QuadraticForms, budget: float, vectors: bool = False):
+def _pencil(forms: QuadraticForms, budget, vectors: bool = False):
     """Ascending eigenvalues of the pencil (A + I/P_A, B + I/P_A).
 
     The Cholesky factor L of the positive definite denominator reduces
     the pencil to the Hermitian L^-1 (A + I/P_A) L^-H with the same
     spectrum.  ``forms`` may hold one pair or a stack; a stack returns
-    one row of eigenvalues per layout.  With ``vectors`` the result is
-    (eigenvalues, reduced eigenvectors, L); a generalized eigenvector is
-    L^-H times a reduced one.
+    one row of eigenvalues per layout.  ``budget`` is P_A, one float or,
+    for a stack, a (K,) array of one budget per layout.  With
+    ``vectors`` the result is (eigenvalues, reduced eigenvectors, L); a
+    generalized eigenvector is L^-H times a reduced one.
 
     Raises:
         EigensolverError: the factorization or the eigensolve failed.
     """
-    shift = np.eye(forms.n) / budget
+    shift = np.eye(forms.n) / np.asarray(budget)[..., None, None]
     try:
         chol = np.linalg.cholesky(forms.B + shift)
         reduced = np.linalg.solve(chol, forms.A + shift)
@@ -119,24 +120,27 @@ class BeamformerSolution:
     degenerate: bool
 
 
-def solve_beamformer(forms: QuadraticForms, scenario: Scenario) -> BeamformerSolution:
+def solve_beamformer(forms: QuadraticForms, scenario: Scenario,
+                     budget=None) -> BeamformerSolution:
     """Maximize the Rayleigh objective over ||w||^2 = P_A.
 
     Takes the top eigenpair of the pencil and maps it back.  The
     returned phase is normalized so the largest-modulus entry is real
     positive, making the output deterministic.  ``forms`` may hold one
-    pair or a (K, N, N) stack; a stack is solved in one batched call,
-    and each of its rows equals the solve of that layout alone, bit for
-    bit.
+    pair or a (K, N, N) stack; a stack is solved in one batched call.
+    ``budget`` is P_A, ``scenario.power_budget`` by default; a (K,)
+    array gives each layout of a stack its own.  Each row of a stack
+    equals the solve of that layout alone at its budget, bit for bit.
     """
-    budget = scenario.power_budget
+    budget = scenario.power_budget if budget is None else budget
     eigvals, eigvecs, chol = _pencil(forms, budget, vectors=True)
     o = np.linalg.solve(chol.conj().swapaxes(-1, -2), eigvecs[..., -1:])[..., 0]
     w = np.empty_like(o)
+    roots = np.full(o.shape[:-1], np.sqrt(budget)).reshape(-1)
     # row by row: numpy's scalar norm and abs round unlike their batched forms
-    for row, out in zip(np.atleast_2d(o), np.atleast_2d(w)):
+    for row, out, root in zip(np.atleast_2d(o), np.atleast_2d(w), roots):
         row /= np.linalg.norm(row)
-        out[:] = np.sqrt(budget) * row
+        out[:] = root * row
         peak = out[np.argmax(np.abs(out))]
         out *= peak.conj() / abs(peak)
     w.setflags(write=False)
@@ -154,13 +158,14 @@ def solve_beamformer(forms: QuadraticForms, scenario: Scenario) -> BeamformerSol
                               eigen_gap=float(gap), degenerate=bool(degenerate))
 
 
-def optimal_beamformer(forms: QuadraticForms, scenario: Scenario) -> np.ndarray:
+def optimal_beamformer(forms: QuadraticForms, scenario: Scenario,
+                       budget=None) -> np.ndarray:
     """Optimal beamformer sqrt(P_A) o_max for the given quadratic forms.
 
     One (N,) beamformer for one pair of forms, a (K, N) stack for a
-    stack of forms.
+    stack of forms; ``budget`` as in ``solve_beamformer``.
     """
-    return solve_beamformer(forms, scenario).beamformer
+    return solve_beamformer(forms, scenario, budget).beamformer
 
 
 def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
@@ -198,7 +203,9 @@ def _last_pivot(gram: np.ndarray, n: int, scenario: Scenario) -> np.ndarray:
     diagonal is N.  The LDL^H elimination is unrolled over the
     (M+1) x (M+1) entries, each step one vector operation on all K rows,
     and its last pivot is the Schur complement of the eavesdropper
-    block.
+    block.  Gamma does not depend on the power: rho = P_A / sigma^2 is
+    read from ``scenario`` here, so one batch of entries serves a call
+    per power budget, and ``gram`` is left unchanged.
 
     Raises:
         EigensolverError: a pivot is not positive and finite, where a
@@ -244,10 +251,12 @@ def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
     return np.log2(_last_pivot(gram, X.shape[-1], scenario))
 
 
-def _rate_slack(n: int, scenario: Scenario) -> float:
+def _rate_slack(n: int, scenario: Scenario, budget=None):
     """Rounding allowance, in bps/Hz, for rates of N-antenna layouts.
 
-    16 eps (1 + rho N (M + 1)) / ln 2 with rho = P_A / sigma^2.  The
+    16 eps (1 + rho N (M + 1)) / ln 2 with rho = P_A / sigma^2, P_A being
+    ``budget`` or, by default, ``scenario.power_budget``; a (K,) array
+    of budgets gives a (K,) array of allowances.  The
     matrices that ``_last_pivot`` eliminates and ``best_secrecy_rates``
     factors are a unit shift plus terms of total size up to
     rho N (M + 1), and their log2 arguments are at least 1.  On random
@@ -256,7 +265,8 @@ def _rate_slack(n: int, scenario: Scenario) -> float:
     allowance, with the Gram entries summed over the antennas or
     gathered from ``_gap_bounds``' tables.
     """
-    rho = scenario.power_budget / scenario.noise_power
+    budget = scenario.power_budget if budget is None else budget
+    rho = budget / scenario.noise_power
     return (16 * np.finfo(float).eps * (1 + rho * n * (scenario.num_eves + 1))
             / np.log(2.0))
 
@@ -347,35 +357,110 @@ def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
     return X
 
 
-def _gap_bounds(n: int, scenario: Scenario, levels: int, step: float):
-    """``_rate_bounds`` of gap tuples, as a function of a (K, N-1) block.
+def _gap_bounds(n: int, scenarios, levels: int, step: float):
+    """Each power's ``_rate_bounds``, as a function of a block of gap tuples.
 
-    Gap coordinate j takes only ``levels + 1`` positions, so the pair
-    phases P[j, k] of each coordinate are tabulated once, and a tuple's
-    Gram entries are 1 + sum_j P[j, k_j]: one gather and add per gap
-    before ``_last_pivot``.  The tables hold M (M + 1) / 2 (N - 1)
+    The block is a (K, N-1) array, and ``scenarios`` differ only in
+    ``power_budget``.  Gap coordinate j takes only ``levels + 1``
+    positions, so the pair phases P[j, k] of each coordinate are
+    tabulated once, and a tuple's Gram entries are 1 + sum_j P[j, k_j]:
+    one gather and add per gap.  The tables hold M (M + 1) / 2 (N - 1)
     (levels + 1) complex entries.  At N = 2 each level is one tuple and
-    at N = 1 there is no block, so no table is built for N <= 2.
+    at N = 1 there is no block, so no table is built for N <= 2 and the
+    entries are summed over the antennas as in ``_rate_bounds``.
+    Neither depends on the power, so a block's entries are gathered
+    once, and each scenario runs ``_last_pivot`` on them with its own
+    rho.  The function returns one (K,) array of bounds per scenario, in
+    order.
     """
+    base = scenarios[0]
     if n <= 2:
-        return lambda K: _rate_bounds(_gap_layouts(K, scenario, step),
-                                      scenario)
-    # row k of the grid: every gap coordinate at level k
-    grid = _gap_layouts(np.arange(levels + 1)[:, None].repeat(n - 1, axis=1),
-                        scenario, step)[:, 1:]
-    tables = _pair_phases(grid.T, scenario).swapaxes(0, 1).copy()
+        def gram(K):
+            X = _gap_layouts(K, base, step)
+            return _pair_phases(X, base).sum(axis=-1)
+    else:
+        # row k of the grid: every gap coordinate at level k
+        grid = _gap_layouts(
+            np.arange(levels + 1)[:, None].repeat(n - 1, axis=1), base,
+            step)[:, 1:]
+        tables = _pair_phases(grid.T, base).swapaxes(0, 1).copy()
+
+        def gram(K):
+            entries = 1.0 + np.take(tables[0], K[:, 0], axis=1)
+            for table, k in zip(tables[1:], K[:, 1:].T):
+                entries += np.take(table, k, axis=1)
+            return entries
 
     def bounds(K):
-        gram = 1.0 + np.take(tables[0], K[:, 0], axis=1)
-        for table, k in zip(tables[1:], K[:, 1:].T):
-            gram += np.take(table, k, axis=1)
-        return np.log2(_last_pivot(gram, n, scenario))
+        entries = gram(K)
+        return [np.log2(_last_pivot(entries, n, scenario))
+                for scenario in scenarios]
     return bounds
 
 
-def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
-    """Highest-rate layout on a gap grid with x_1 = 0.
+class _PowerScreen:
+    """One power's side of ``best_gap_layout``.
 
+    It holds the power's running best rate and the scored rows near it.
+    The all-zero tuple, the FPA layout, is scored when the screen is made.
+    """
+
+    def __init__(self, n: int, scenario: Scenario, layouts, rows: int):
+        self.scenario, self.layouts, self.rows = scenario, layouts, rows
+        self.slack = _rate_slack(n, scenario)
+        K = np.zeros((1, n - 1), dtype=np.intp)
+        rates = best_secrecy_rates(layouts(K), scenario)
+        self.best = float(rates[0])
+        self.kept = [(K, rates)]  # (tuples, rates) of rows near the best
+
+    def floor(self) -> float:
+        """Lower edge of the band that a row must reach to be kept."""
+        return self.best - MIRROR_RTOL * max(self.best, 1.0) - self.slack
+
+    def screen(self, K: np.ndarray, bounds: np.ndarray) -> None:
+        """Score the rows of block ``K`` whose bound reaches the band."""
+        bounds = bounds + self.slack
+        keep = np.flatnonzero(bounds >= self.floor())
+        order = keep[np.argsort(-bounds[keep])]
+        K, bounds = K[order], bounds[order]
+        rows = self.rows
+        # the rows that can still reach the band are a prefix of the block
+        while live := np.count_nonzero(bounds >= self.floor()):
+            chunk, K, bounds = K[:min(live, rows)], K[rows:], bounds[rows:]
+            rates = best_secrecy_rates(self.layouts(chunk), self.scenario)
+            self.best = max(self.best, float(rates.max()))
+            mask = rates >= self.floor()
+            if mask.any():
+                self.kept.append((chunk[mask], rates[mask]))
+
+    def winner(self):
+        """Score the mirrors of the rows in the band; the best row and rate."""
+        K = np.vstack([k for k, _ in self.kept])
+        rates = np.concatenate([r for _, r in self.kept])
+        j = 0  # a best rate of zero up to rounding: the FPA layout wins
+        if self.best > MIRROR_RTOL + self.slack:
+            mask = rates >= self.floor()
+            K, rates = K[mask], rates[mask]
+            mirrors = _mirror(K)
+            mirrors = mirrors[(mirrors != K).any(axis=1)]
+            rows = self.rows
+            scored = [best_secrecy_rates(self.layouts(mirrors[i:i + rows]),
+                                         self.scenario)
+                      for i in range(0, len(mirrors), rows)]
+            K = np.vstack([K, mirrors])
+            rates = np.concatenate([rates, *scored])
+            j = min(np.flatnonzero(rates == rates.max()),
+                    key=lambda i: K[i].tolist())
+        best_x = self.layouts(K[j:j + 1])[0]
+        best_x.setflags(write=False)
+        return best_x, float(rates[j])
+
+
+def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
+    """Highest-rate layout on a gap grid with x_1 = 0, at each power.
+
+    ``scenarios`` is a sequence of scenarios that differ only in
+    ``power_budget``; the start scan and the grid oracle pass one.
     Candidates are x_j = (j-1) d_min + step k_j, clipped at L, for every
     non-decreasing integer tuple 0 <= k_2 <= ... <= k_N <= ``levels`` in
     lexicographic order.  Exact rate ties keep the earliest tuple; N = 1
@@ -390,65 +475,37 @@ def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float):
     tuple, the FPA layout, is scored first.  The other canonical tuples
     come from ``_gap_blocks`` in blocks of at most ``BOUND_BLOCK_ROWS``,
     and ``_gap_bounds`` bounds a whole block, from per-gap phase tables
-    and an unrolled elimination, before any pencil is solved.  A row
-    whose bound plus ``_rate_slack`` lies below the band is skipped: its
-    rate is certified below the best, so neither it nor its mirror can
-    win or tie.  The others are scored in order of decreasing bound, in
-    chunks of about ``CANDIDATE_CHUNK_ENTRIES`` matrix entries, and the
-    rest of the block is screened again after each chunk.  The band only
-    rises as the best does, so every row in the final band is scored,
-    whatever the order of the blocks.  Those rows then have their
-    mirrors scored too, and the highest of those rates wins, so the
-    result is the full grid's, bit for bit.  A best rate within
+    and an unrolled elimination, before any pencil is solved.  The
+    tables and a block's Gram entries do not depend on the power, so
+    they are built once for every scenario; each power then screens the
+    block with its own bounds, running best, band and kept rows
+    (``_PowerScreen``), as a call with that scenario alone would.  A
+    row whose bound plus ``_rate_slack`` lies below the band is skipped:
+    its rate is certified below the best, so neither it nor its mirror
+    can win or tie.  The others are scored in order of decreasing bound,
+    in chunks of about ``CANDIDATE_CHUNK_ENTRIES`` matrix entries, and
+    the rest of the block is screened again after each chunk.  The band
+    only rises as the best does, so every row in the final band is
+    scored, whatever the order of the blocks.  Those rows then have
+    their mirrors scored too, and the highest of those rates wins, so
+    the result is the full grid's, bit for bit.  A best rate within
     ``MIRROR_RTOL`` plus ``_rate_slack`` of 0 is rounding noise on a grid
     where every rate is 0 (Bob among the eavesdroppers, say); there the
     FPA layout wins with the rate scored for it.
 
     Returns:
-        (ndarray, float): the best layout, read-only, and its clamped
-        rate.
+        list of (ndarray, float), one per scenario in order: the best
+        layout, read-only, and its clamped rate.
     """
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
-    slack = _rate_slack(n, scenario)
 
     def layouts(K):
-        return _gap_layouts(K, scenario, step)
+        return _gap_layouts(K, scenarios[0], step)
 
-    def floor(best):
-        return best - MIRROR_RTOL * max(best, 1.0) - slack
-
-    K = np.zeros((1, n - 1), dtype=np.intp)
-    rates = best_secrecy_rates(layouts(K), scenario)
-    best = float(rates[0])
-    kept = [(K, rates)]  # (tuples, rates) of scored rows near the running best
-    rate_bounds = _gap_bounds(n, scenario, levels, step)
+    screens = [_PowerScreen(n, scenario, layouts, rows)
+               for scenario in scenarios]
+    rate_bounds = _gap_bounds(n, scenarios, levels, step)
     for K in _gap_blocks(n, levels):
-        bounds = rate_bounds(K) + slack
-        keep = np.flatnonzero(bounds >= floor(best))
-        order = keep[np.argsort(-bounds[keep])]
-        K, bounds = K[order], bounds[order]
-        # the rows that can still reach the band are a prefix of the block
-        while live := np.count_nonzero(bounds >= floor(best)):
-            chunk, K, bounds = K[:min(live, rows)], K[rows:], bounds[rows:]
-            rates = best_secrecy_rates(layouts(chunk), scenario)
-            best = max(best, float(rates.max()))
-            mask = rates >= floor(best)
-            if mask.any():
-                kept.append((chunk[mask], rates[mask]))
-    K = np.vstack([k for k, _ in kept])
-    rates = np.concatenate([r for _, r in kept])
-    j = 0  # a best rate of zero up to rounding: the FPA layout wins
-    if best > MIRROR_RTOL + slack:
-        mask = rates >= floor(best)
-        K, rates = K[mask], rates[mask]
-        mirrors = _mirror(K)
-        mirrors = mirrors[(mirrors != K).any(axis=1)]
-        scored = [best_secrecy_rates(layouts(mirrors[i:i + rows]), scenario)
-                  for i in range(0, len(mirrors), rows)]
-        K = np.vstack([K, mirrors])
-        rates = np.concatenate([rates, *scored])
-        j = min(np.flatnonzero(rates == rates.max()),
-                key=lambda i: K[i].tolist())
-    best_x = layouts(K[j:j + 1])[0]
-    best_x.setflags(write=False)
-    return best_x, float(rates[j])
+        for screen, bounds in zip(screens, rate_bounds(K)):
+            screen.screen(K, bounds)
+    return [screen.winner() for screen in screens]

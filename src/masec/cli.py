@@ -24,7 +24,7 @@ import numpy as np
 
 from .beamformer import EigensolverError, build_forms, optimal_beamformer
 from .core import beam_gain, check_beamformer, check_positions
-from .driver import initial_positions, solve, solve_fpa
+from .driver import initial_positions, solve, solve_fpa, solve_powers
 from .oracle import run_verification
 from .positions import random_positions
 from .scenario_io import (RunSpec, ScenarioFileError, load_run_spec,
@@ -79,21 +79,16 @@ def _load(args) -> RunSpec:
     return spec
 
 
-def _solve_with_restarts(spec: RunSpec, restarts: int, rng):
-    """One solve whose chains start from the scan and ``restarts`` random layouts."""
-    n = spec.n_antennas
-    spec.scenario.check_feasible(n)
-    starts = [random_positions(n, spec.scenario, rng) for _ in range(restarts)]
-    return solve(n, spec.scenario, spec.config,
-                 extra_starts=np.reshape(starts, (restarts, n)))
-
-
 def _cmd_optimize(args) -> int:
     spec = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    n, restarts = spec.n_antennas, args.restarts
+    spec.scenario.check_feasible(n)
     rng = np.random.default_rng(spec.seed)
-    trace = _solve_with_restarts(spec, args.restarts, rng)
+    starts = [random_positions(n, spec.scenario, rng) for _ in range(restarts)]
+    trace = solve(n, spec.scenario, spec.config,
+                  extra_starts=np.reshape(starts, (restarts, n)))
     write_outer_trace(out / "trace_outer.csv", trace)
     write_inner_traces(out, trace)
     write_solution(out / "solution.json", trace)
@@ -131,6 +126,26 @@ def _cmd_beampattern(args) -> int:
     return 0
 
 
+def _sweep_rows(spec: RunSpec, n: int, cells, restarts: int) -> list:
+    """CSV rows of the (j, scenario) ``cells`` of one N, solved together.
+
+    Cell j draws its ``restarts`` starts from ``default_rng([seed, n, j])``,
+    and ``solve_powers`` runs every cell's chains in one lockstep solve.
+    """
+    spec.scenario.check_feasible(n)
+    starts = []
+    for j, scenario in cells:
+        rng = np.random.default_rng([spec.seed, n, j])
+        starts.append(np.reshape([random_positions(n, scenario, rng)
+                                  for _ in range(restarts)], (restarts, n)))
+    traces = solve_powers(n, [scenario for _, scenario in cells], spec.config,
+                          starts)
+    return [(n, scenario.power_budget, trace.final_rate,
+             solve_fpa(n, scenario)[1], "", int(trace.converged),
+             trace.n_outer)
+            for (_, scenario), trace in zip(cells, traces)]
+
+
 def _cmd_sweep(args) -> int:
     spec = _load(args)
     if args.n_min < 2:
@@ -141,22 +156,22 @@ def _cmd_sweep(args) -> int:
         powers = sorted(float(p) for p in args.powers.split(","))
     except ValueError as exc:
         raise ScenarioFileError(f"bad --powers list: {exc}") from exc
-    scenarios = [dataclasses.replace(spec.scenario, power_budget=p)
-                 for p in powers]
+    cells = [(j, dataclasses.replace(spec.scenario, power_budget=p))
+             for j, p in enumerate(powers)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        for j, (power, scenario) in enumerate(zip(powers, scenarios)):
-            cell = dataclasses.replace(spec, scenario=scenario, n_antennas=n)
-            try:
-                rng = np.random.default_rng([cell.seed, n, j])
-                trace = _solve_with_restarts(cell, args.restarts, rng)
-                _, fpa_rate = solve_fpa(n, scenario)
-                rows.append((n, power, trace.final_rate, fpa_rate, "",
-                             int(trace.converged), trace.n_outer))
-            except (ValueError, RuntimeError) as exc:
-                rows.append((n, power, "", "", str(exc), "", ""))
+        try:
+            rows += _sweep_rows(spec, n, cells, args.restarts)
+        except (ValueError, RuntimeError):
+            # one failing cell must not take the others down: each alone
+            for cell in cells:
+                try:
+                    rows += _sweep_rows(spec, n, [cell], args.restarts)
+                except (ValueError, RuntimeError) as exc:
+                    rows.append((n, cell[1].power_budget, "", "", str(exc),
+                                 "", ""))
     write_sweep(out / "sweep_n.csv", rows)
     print(f"wrote sweep_n.csv ({len(rows)} rows)")
     return 0

@@ -11,13 +11,17 @@ F(x) = log2 lambda_max(x) of the beamformer problem, one projected step
 per round with a Barzilai-Borwein trial step and Armijo backtracking;
 by Danskin's theorem its gradient is the position gradient of the
 objective at the optimal beamformer.  Further starts run as chains of
-the same loop, in lockstep.  The fixed-position (FPA) baseline keeps
+the same loop, in lockstep.  Each chain carries its own power budget,
+so ``solve_powers`` solves one antenna count at several budgets in one
+loop, from one start scan.  The fixed-position (FPA) baseline keeps
 the uniform layout and optimizes the beamformer once; it is one of the
 scanned layouts, so the solver never reports less than the FPA rate.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,19 +149,33 @@ def scan_start(n: int, scenario: Scenario) -> np.ndarray:
     it; exact rate ties keep the earliest tuple.  Without slack (N = 1
     or L = (N-1) d_min) the FPA layout is the only candidate.
     """
+    return _scan_starts(n, [scenario])[0]
+
+
+def _scan_starts(n: int, scenarios) -> list:
+    """``scan_start`` at each of ``scenarios``, from one screen.
+
+    The scenarios differ only in ``power_budget``, and the grid does not
+    depend on it: ``best_gap_layout`` screens it for every power at once.
+    """
+    scenario = scenarios[0]
     slack = scenario.aperture - (n - 1) * scenario.min_spacing
     levels = _scan_levels(n, slack, scenario) if n > 1 else 0
     if levels < 1:
-        return initial_positions(n, scenario)
-    return best_gap_layout(n, scenario, levels, slack / levels)[0]
+        return [initial_positions(n, s) for s in scenarios]
+    return [x for x, _ in best_gap_layout(n, scenarios, levels,
+                                          slack / levels)]
 
 
-def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
+def _value_round(X, W, F, G, step, budget, rows, scenario: Scenario,
+                 tol: float):
     """One projected ascent step on F for the chains ``rows``, in place.
 
     Row j of ``X``, ``W`` and ``G`` holds chain j's layout, its optimal
-    beamformer and the gradient of F there, and ``F[j]`` the value
-    log2 lambda_max.  The trial x <- P(x + alpha grad F) starts at
+    beamformer and the gradient of F there, ``F[j]`` the value
+    log2 lambda_max and ``budget[j]`` its power budget, which its
+    beamformer solves and its ``_rate_slack`` read in place of
+    ``scenario.power_budget``.  The trial x <- P(x + alpha grad F) starts at
     alpha = ``step[j]`` and halves until Armijo's test
     F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
     ``MAX_HALVINGS`` times; P is the Euclidean projection.  Each trial
@@ -176,12 +194,13 @@ def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
     f0 = [F[j] for j in rows]
     traces = [[f] for f in f0]
     stalled = [True] * len(rows)
-    alpha = step[rows]
+    alpha, power = step[rows], budget[rows]
     pending = list(range(len(rows)))
     for _ in range(MAX_HALVINGS + 1):
         Z = _project_euclidean(x0[pending] + alpha[pending, None] * g0[pending],
                                scenario)
-        sol = solve_beamformer(build_forms(Z, scenario), scenario)
+        sol = solve_beamformer(build_forms(Z, scenario), scenario,
+                               power[pending])
         rises = np.einsum("ij,ij->i", g0[pending], Z - x0[pending]).tolist()
         waiting = []
         for r, (i, lam, rise) in enumerate(zip(pending,
@@ -199,10 +218,10 @@ def _value_round(X, W, F, G, step, rows, scenario: Scenario, tol: float):
         pending = waiting
         alpha[pending] *= 0.5
     # a failed search whose trials stay within rounding of F is stationary
-    slack = _rate_slack(X.shape[1], scenario)
-    settled = [max(t[1:]) - t[0] <= slack if halted
+    n = X.shape[1]
+    settled = [max(t[1:]) - t[0] <= _rate_slack(n, scenario, p) if halted
                else t[-1] - t[0] <= tol * max(1.0, abs(t[0]))
-               for t, halted in zip(traces, stalled)]
+               for t, halted, p in zip(traces, stalled, power.tolist())]
     going = [i for i, (s, halted) in enumerate(zip(settled, stalled))
              if not (s or halted)]
     if going:
@@ -244,10 +263,12 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     than its rounding (``beamformer._rate_slack``).  The clamp [.]^+ is
     kept out of the optimization and reapplied in the reported rates.
 
-    Every start is one chain.  The chains run their rounds in lockstep,
-    each round solving the beamformers of every live chain in one
-    batched call, and each keeps its own stop test; a chain follows the
-    same iterates as a solve from its start alone.
+    Every start is one chain.  The chains run their rounds in lockstep
+    (``_ascend_chains``), each round solving the beamformers of every
+    live chain in one batched call, and each keeps its own stop test; a
+    chain follows the same iterates as a solve from its start alone.
+    ``solve_powers`` runs the chains of several power budgets in the
+    same way; here every chain has ``scenario.power_budget``.
 
     Args:
         n: number of antennas.
@@ -269,8 +290,55 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
         rate: per-round rates, inner traces and the final solution.
         ``final_w`` is optimal at ``final_x`` in the value ascent.
     """
-    first = np.asarray(scan_start(n, scenario) if x0 is None else x0,
-                       dtype=float)
+    first = scan_start(n, scenario) if x0 is None else x0
+    X = _stack_starts(n, first, extra_starts)
+    chains = _ascend_chains(X, np.full(len(X), scenario.power_budget),
+                            scenario, cfg)
+    return max(chains, key=lambda trace: trace.final_rate)
+
+
+def solve_powers(n: int, scenarios, cfg: SolveConfig = SolveConfig(),
+                 extra_starts=None) -> list:
+    """``solve`` at each of several power budgets, as one lockstep solve.
+
+    ``scenarios`` differ only in ``power_budget``.  One screen finds the
+    start scan of every power (``_scan_starts``).  Scenario i gets a
+    group of chains: its scan start, then the rows of
+    ``extra_starts[i]``, an optional (k, N) stack as in ``solve``.  All
+    groups run as chains of one loop, each chain with its group's
+    budget, so a round costs one batched call for every power.  A chain
+    follows the same iterates as in ``solve(n, scenarios[i], cfg,
+    extra_starts=extra_starts[i])``, so each result equals that solve,
+    bit for bit.
+
+    Raises:
+        ValueError: the scenarios differ in more than the power, there
+            is not one entry of ``extra_starts`` per scenario, or a start
+            is rejected as in ``solve``.
+
+    Returns:
+        list of OptimizationTrace, one per scenario in order: the first
+        chain of its group with the highest final rate.
+    """
+    base = scenarios[0]
+    if any(dataclasses.replace(s, power_budget=base.power_budget) != base
+           for s in scenarios):
+        raise ValueError("the scenarios of one solve may differ only in "
+                         "power_budget")
+    if extra_starts is None:
+        extra_starts = [None] * len(scenarios)
+    groups = [_stack_starts(n, first, extra) for first, extra in
+              zip(_scan_starts(n, scenarios), extra_starts, strict=True)]
+    budget = np.repeat([s.power_budget for s in scenarios],
+                       [len(X) for X in groups])
+    chains = iter(_ascend_chains(np.vstack(groups), budget, base, cfg))
+    return [max(itertools.islice(chains, len(X)),
+                key=lambda trace: trace.final_rate) for X in groups]
+
+
+def _stack_starts(n: int, first, extra_starts) -> np.ndarray:
+    """The (k+1, N) stack of the start ``first`` and the k ``extra_starts``."""
+    first = np.asarray(first, dtype=float)
     if first.shape != (n,):
         raise ValueError(f"x0 must be one layout of {n} antennas, "
                          f"got shape {first.shape}")
@@ -281,6 +349,21 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
             raise ValueError(f"extra starts must be a (k, {n}) stack, "
                              f"got shape {extra.shape}")
         X = np.vstack([X, extra])
+    return X
+
+
+def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
+    """Run the rounds of ``solve`` on every chain, in lockstep.
+
+    Row j of the (K, N) array ``X`` starts chain j, whose power budget is
+    ``budget[j]``; ``scenario`` holds the rest of the instance.  The
+    budget enters where a chain solves its beamformer and, in the value
+    ascent, its stop test (``_value_round``); the gradients, projections
+    and rates read the beamformer and the noise power only.
+
+    Returns:
+        list of OptimizationTrace, one per chain in order.
+    """
     _check_starts(X, scenario)
     chains = range(len(X))
     outer = [[] for _ in chains]
@@ -290,7 +373,7 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     W = np.zeros(X.shape, dtype=complex)
     value = cfg.ascent == "value"
     if value:
-        sol = solve_beamformer(build_forms(X, scenario), scenario)
+        sol = solve_beamformer(build_forms(X, scenario), scenario, budget)
         W[:] = sol.beamformer
         F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
         G = gradient_psi(X, W, scenario)
@@ -300,11 +383,12 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     for k in range(1, cfg.max_outer_iters + 1):
         if value:
             rates_w = [rate[j] for j in live]
-            traces, settled, stalled = _value_round(X, W, F, G, step, live,
-                                                    scenario, cfg.inner_tol)
+            traces, settled, stalled = _value_round(X, W, F, G, step, budget,
+                                                    live, scenario,
+                                                    cfg.inner_tol)
         else:
             W[live] = optimal_beamformer(build_forms(X[live], scenario),
-                                         scenario)
+                                         scenario, budget[live])
             X[live], psi = optimize_positions(X[live], W[live], scenario,
                                               cfg)
             traces = [col[~np.isnan(col)] for col in psi.T]
@@ -325,14 +409,15 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
         live = going
         if not live:
             break
-    j = max(chains, key=lambda j: outer[j][-1].rate_after_x)
-    x, w = X[j].copy(), W[j].copy()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return OptimizationTrace(outer=outer[j], inner=inner[j],
-                             final_x=x, final_w=w,
-                             final_rate=outer[j][-1].rate_after_x,
-                             converged=converged[j])
+    results = []
+    for j in chains:
+        x, w = X[j].copy(), W[j].copy()
+        x.setflags(write=False)
+        w.setflags(write=False)
+        results.append(OptimizationTrace(
+            outer=outer[j], inner=inner[j], final_x=x, final_w=w,
+            final_rate=outer[j][-1].rate_after_x, converged=converged[j]))
+    return results
 
 
 def solve_fpa(n: int, scenario: Scenario):

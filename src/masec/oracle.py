@@ -110,8 +110,8 @@ def grid_search(scenario: Scenario, spec: GridSpec):
         raise ValueError(f"grid too large: {total} evaluations exceed the cap "
                          f"{GRID_MAX_EVALS}")
 
-    positions, best_rate = best_gap_layout(spec.n, scenario, levels,
-                                           spec.resolution)
+    [(positions, best_rate)] = best_gap_layout(spec.n, [scenario], levels,
+                                               spec.resolution)
     w = optimal_beamformer(build_forms(positions, scenario), scenario)
     return positions, w, best_rate
 

@@ -150,6 +150,28 @@ class TestOptimalBeamformer:
                 assert stack.degenerate[r] == one.degenerate
                 assert isinstance(one.eigenvalue, float)
 
+    def test_stack_with_budgets_matches_single_layouts(self, make_scenario):
+        # one power budget per layout, as the lockstep chains of several
+        # powers solve them
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            scn = make_scenario(rng)
+            n = int(rng.integers(1, 9))
+            X = np.sort(rng.uniform(0.0, scn.aperture, size=(5, n)), axis=1)
+            budget = 10.0 ** rng.uniform(-2.0, 6.0, size=5)
+            stack = solve_beamformer(build_forms(X, scn), scn, budget)
+            assert np.array_equal(
+                optimal_beamformer(build_forms(X, scn), scn, budget),
+                stack.beamformer)
+            for r, (x, power) in enumerate(zip(X, budget.tolist())):
+                alone = dataclasses.replace(scn, power_budget=power)
+                one = solve_beamformer(build_forms(x, alone), alone)
+                assert np.array_equal(stack.beamformer[r], one.beamformer)
+                assert stack.eigenvalue[r] == one.eigenvalue
+                assert stack.eigen_gap[r] == one.eigen_gap
+                assert stack.degenerate[r] == one.degenerate
+                assert _rate_slack(n, scn, budget)[r] == _rate_slack(n, alone)
+
     def test_phase_normalization(self, make_scenario):
         rng = np.random.default_rng(15)
         for _ in range(10):
@@ -223,7 +245,7 @@ def _assert_full_grid_argmax(n, scn, levels, step):
     rates = np.concatenate([best_secrecy_rates(X[i:i + 4096], scn)
                             for i in range(0, len(X), 4096)])
     j = int(np.argmax(rates))
-    x, rate = best_gap_layout(n, scn, levels, step)
+    [(x, rate)] = best_gap_layout(n, [scn], levels, step)
     assert np.array_equal(x, X[j])
     assert rate == rates[j]
     return j
@@ -279,7 +301,7 @@ class TestRateBound:
             chol = np.linalg.cholesky(np.eye(scn.num_eves + 1) + rho * gram)
             reference = 2.0 * np.log2(chol[:, -1, -1].real)
             slack = _rate_slack(n, scn)
-            assert np.abs(_gap_bounds(n, scn, levels, step)(K)
+            assert np.abs(_gap_bounds(n, [scn], levels, step)(K)[0]
                           - reference).max() <= slack
             assert np.abs(_rate_bounds(X, scn) - reference).max() <= slack
 
@@ -292,7 +314,7 @@ class TestRateBound:
         with pytest.raises(EigensolverError):
             _rate_bounds(np.array([[0.0, 0.5], [0.0, 1.5]]), scn)
         with pytest.raises(EigensolverError):
-            _gap_bounds(3, scn, 10, 0.3)(np.array([[1, 4], [0, 2]]))
+            _gap_bounds(3, [scn], 10, 0.3)(np.array([[1, 4], [0, 2]]))
 
     @pytest.mark.parametrize("entry", [np.nan, 4.0])
     def test_bad_pivot_never_becomes_a_bound(self, entry):
@@ -313,7 +335,7 @@ class TestRateBound:
         levels = 99_975
         tracemalloc.start()
         try:
-            best_gap_layout(2, scn, levels,
+            best_gap_layout(2, [scn], levels,
                             (scn.aperture - scn.min_spacing) / levels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -368,7 +390,7 @@ class TestBestGapLayout:
         n, grid = MIRROR_WINNERS[name]
         scn, levels, step = grid()
         scored = self._record_rows(monkeypatch)
-        _, rate = best_gap_layout(n, scn, levels, step)
+        [(_, rate)] = best_gap_layout(n, [scn], levels, step)
         K = _all_tuples(n, levels)
         X = _layouts(K[_canonical(K)], scn, step)
         assert sum(map(len, scored)) <= len(X) + 4
@@ -399,8 +421,8 @@ class TestBestGapLayout:
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
                             planted_rates)
         monkeypatch.setattr(masec.beamformer, "_gap_bounds",
-                            lambda *grid: planted_bounds)
-        x, rate = best_gap_layout(3, scn, 6, step)
+                            lambda *grid: lambda K: [planted_bounds(K)])
+        [(x, rate)] = best_gap_layout(3, [scn], 6, step)
         assert rate == 1.0 + 4 * ulp
         assert np.array_equal(x, [0.0, 1.0, 1.75])
 
@@ -421,13 +443,13 @@ class TestBestGapLayout:
             masec.beamformer, "best_secrecy_rates",
             lambda X, scenario: planted_column(_tuples(X, scn, step), 0))
         monkeypatch.setattr(masec.beamformer, "_gap_bounds",
-                            lambda *grid: lambda K: planted_column(K, 1))
+                            lambda *grid: lambda K: [planted_column(K, 1)])
         monkeypatch.setattr(masec.beamformer, "_rate_slack",
                             lambda n, scenario: slack)
         block = {tuple(k): b for b, K in enumerate(_gap_blocks(3, levels))
                  for k in K.tolist()}
         assert block[(0, 3)] < block[(40, 82)]
-        x, rate = best_gap_layout(3, scn, levels, step)
+        [(x, rate)] = best_gap_layout(3, [scn], levels, step)
         assert rate == 1.0 + 6e-7
         assert np.array_equal(x, [0.0, 0.5 + 42 * step, 1.0 + 82 * step])
 
@@ -444,14 +466,51 @@ class TestBestGapLayout:
                        power_budget=power)
         scored = self._record_rows(monkeypatch)
         levels = 40
-        x, rate = best_gap_layout(3, scn, levels,
-                                  (scn.aperture - 2 * scn.min_spacing) / levels)
+        step = (scn.aperture - 2 * scn.min_spacing) / levels
+        [(x, rate)] = best_gap_layout(3, [scn], levels, step)
         K = _all_tuples(3, levels)
         palindromes = levels // 2 + 1  # equal gaps, 2 k_2 = k_3 <= levels
         assert sum(map(len, scored)) <= (len(K) + palindromes) // 2
         assert np.array_equal(x, initial_positions(3, scn))
         assert rate == best_secrecy_rates(x[None, :], scn)[0]
         assert 0.0 <= rate <= 1e-12 * power
+
+    @pytest.mark.parametrize("n,levels", [(1, 0), (2, 400), (3, 40)])
+    def test_several_powers_match_one_power_calls(self, n, levels,
+                                                  fig5_scenario, monkeypatch):
+        scns = [fig5_scenario(p) for p in (0.1, 1.0, 10.0, 1e6)]
+        slack = scns[0].aperture - (n - 1) * scns[0].min_spacing
+        step = slack / max(levels, 1)
+        alone = [best_gap_layout(n, [scn], levels, step)[0] for scn in scns]
+        pair_phases = masec.beamformer._pair_phases
+        tables = []
+
+        def recording(x, scenario):
+            tables.append(np.shape(x))
+            return pair_phases(x, scenario)
+        monkeypatch.setattr(masec.beamformer, "_pair_phases", recording)
+        joint = best_gap_layout(n, scns, levels, step)
+        assert len(joint) == len(scns)
+        for (x, rate), (x1, rate1) in zip(joint, alone):
+            assert np.array_equal(x, x1) and rate == rate1
+            assert not x.flags.writeable
+        if n == 3:
+            # one phase table serves every power, and the winners differ
+            assert tables == [(n - 1, levels + 1)]
+            assert len({tuple(x.tolist()) for x, _ in joint}) > 1
+
+    def test_several_powers_on_a_zero_rate_plateau(self):
+        # Bob among the eavesdroppers: the FPA layout wins at each power
+        powers = (1.0, 1e4, 1e10)
+        scns = [Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
+                         power_budget=p) for p in powers]
+        levels = 40
+        step = (scns[0].aperture - 2 * scns[0].min_spacing) / levels
+        joint = best_gap_layout(3, scns, levels, step)
+        for scn, (x, rate) in zip(scns, joint):
+            assert np.array_equal(x, initial_positions(3, scn))
+            [(x1, rate1)] = best_gap_layout(3, [scn], levels, step)
+            assert np.array_equal(x, x1) and rate == rate1
 
     @staticmethod
     def _record_rows(monkeypatch):

@@ -12,6 +12,7 @@ from masec import (ScenarioFileError, SolveConfig, load_run_spec,
                    load_solution, mrt_beamformer, run_verification,
                    secrecy_rate, solve)
 from masec.cli import main
+from masec.driver import solve_powers
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -391,11 +392,32 @@ class TestSweep:
         assert by_n[6][2] == "" and by_n[6][3] == ""
         assert by_n[6][5:] == ["", ""]
 
+    def test_failing_power_cell_keeps_the_other_cells(self, tmp_path):
+        # the pencil fails at P_A = 1e16; the P_A = 1 cells of each N are
+        # still solved, as in a sweep of that power alone
+        doc = {"n_antennas": 3, "bob_angle_pi": 0.5, "eve_angles": [0.25],
+               "aperture": 2.0}
+        scenario = _write(tmp_path / "s.json", doc)
+        for powers in ("1,1e16", "1"):
+            assert main(["sweep-n", "--scenario", scenario,
+                         "--out", str(tmp_path / powers), "--n-min", "2",
+                         "--n-max", "3", "--powers", powers]) == 0
+        _, rows = _read_csv(tmp_path / "1,1e16" / "sweep_n.csv")
+        _, alone = _read_csv(tmp_path / "1" / "sweep_n.csv")
+        assert [r[:2] for r in rows] == [["2", "1"], ["2", "1e+16"],
+                                         ["3", "1"], ["3", "1e+16"]]
+        assert rows[0::2] == alone
+        assert all(r[2] and r[4] == "" for r in alone)
+        for row in rows[1::2]:
+            assert row[2:4] == ["", ""] and row[5:] == ["", ""]
+            assert row[4].startswith("eigen decomposition failed")
+
     def test_bad_power_rejected_before_any_solve(self, tmp_path, capsys,
                                                  monkeypatch):
         calls = []
-        monkeypatch.setattr(masec.cli, "solve",
-                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        monkeypatch.setattr(masec.cli, "solve_powers",
+                            lambda *a, **k: calls.append(a)
+                            or solve_powers(*a, **k))
         scenario = _write(tmp_path / "s.json", PAPER_N4)
         for powers in ("1,nan", "1,inf"):
             assert main(["sweep-n", "--scenario", scenario,

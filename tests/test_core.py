@@ -242,7 +242,7 @@ def _loaded(tmp_path):
     (float, lambda tmp: random_positions(3, SMALL, np.random.default_rng(0))),
     (float, lambda tmp: project_positions([1.5, 0.0, 0.2], SMALL)),
     (float, lambda tmp: scan_start(3, SMALL)),
-    (float, lambda tmp: best_gap_layout(3, SMALL, 10, 0.1)[0]),
+    (float, lambda tmp: best_gap_layout(3, [SMALL], 10, 0.1)[0][0]),
     (float, lambda tmp: optimize_positions(X3, W3, SMALL, SolveConfig())[0]),
     (float, lambda tmp: solve(3, SMALL, ALGORITHM_1).final_x),
     (complex, lambda tmp: solve(3, SMALL, ALGORITHM_1).final_w),

@@ -6,6 +6,7 @@ from masec import (InfeasibleError, Scenario, SolveConfig,
                    beam_gain, build_forms, initial_positions, objective_psi,
                    optimal_beamformer,
                    random_positions, secrecy_rate, solve, solve_fpa)
+from masec.driver import solve_powers
 
 ALGORITHM_1 = SolveConfig(ascent="alternating")
 VALUE = SolveConfig(ascent="value")
@@ -319,3 +320,37 @@ class TestValueAscent:
         assert len(trace.inner[0]) == 1 + masec.driver.MAX_HALVINGS + 1
         assert np.array_equal(trace.final_x, x0)
         assert trace.outer[0].rate_after_x == trace.outer[0].rate_after_w
+
+
+class TestSolvePowers:
+    @pytest.mark.parametrize("cfg", [VALUE, ALGORITHM_1],
+                             ids=["value", "alternating"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matches_one_solve_per_power(self, n, cfg, fig5_scenario):
+        # the sweep_m3 cells with two restarts each, as sweep-n runs them
+        scns = [fig5_scenario(p) for p in (1.0, 10.0)]
+        extra = []
+        for j, scn in enumerate(scns):
+            rng = np.random.default_rng([0, n, j])
+            extra.append(np.array([random_positions(n, scn, rng)
+                                   for _ in range(2)]))
+        joint = solve_powers(n, scns, cfg, extra)
+        assert len(joint) == 2
+        for scn, starts, trace in zip(scns, extra, joint):
+            alone = solve(n, scn, cfg, extra_starts=starts)
+            assert trace.outer == alone.outer
+            assert trace.n_outer == alone.n_outer
+            assert len(trace.inner) == len(alone.inner)
+            for got, expected in zip(trace.inner, alone.inner):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(trace.final_x, alone.final_x)
+            assert np.array_equal(trace.final_w, alone.final_w)
+            assert trace.final_rate == alone.final_rate
+            assert trace.converged == alone.converged
+
+    def test_rejects_scenarios_that_differ_in_more_than_power(
+            self, paper_n3, paper_n4):
+        with pytest.raises(ValueError, match="only in power_budget"):
+            solve_powers(3, [paper_n3, paper_n4])
+        with pytest.raises(ValueError):
+            solve_powers(3, [paper_n3, paper_n3], extra_starts=[None])
