@@ -154,30 +154,40 @@ def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
     return np.exp(1j * (TWO_PI / wavelength) * np.cos(theta) * xs)
 
 
-def beam_gain(x, w, theta: float, scenario: Scenario) -> float:
-    """Beam gain |a^H(x, theta) w|^2 of the array toward ``theta``."""
+def beam_gain(x, w, theta: float, scenario: Scenario):
+    """Beam gain |a^H(x, theta) w|^2 of the array toward ``theta``.
+
+    ``x`` and ``w`` are one layout and its beamformer, which gives a
+    float, or (K, N) stacks of one shape, which give a (K,) array of
+    one gain per row.
+    """
     xs = np.asarray(x, dtype=float)
     wv = np.asarray(w, dtype=complex)
-    if xs.size != wv.size:
-        raise ValueError(f"positions ({xs.size}) and beamformer ({wv.size}) "
+    if xs.shape != wv.shape or xs.ndim > 2:
+        raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
                          "dimensions disagree")
     a = steering_vector(xs, theta, scenario.wavelength)
-    return float(abs(np.vdot(a, wv)) ** 2)
+    if xs.ndim < 2:
+        return float(abs(np.vdot(a, wv)) ** 2)
+    inner = np.einsum("kn,kn->k", a.conj(), wv)
+    return inner.real ** 2 + inner.imag ** 2
 
 
-def rate_difference(x, w, scenario: Scenario) -> float:
+def rate_difference(x, w, scenario: Scenario):
     """Unclamped secrecy objective in bps/Hz.
 
     log2(1 + G_0 / sigma^2) - log2(1 + sum_i G_i / sigma^2) with the
     eavesdropper gains summed (colluding case).  May be negative; the
-    reported secrecy rate clamps it at zero.
+    reported secrecy rate clamps it at zero.  A float for one layout, a
+    (K,) array for (K, N) stacks, as ``beam_gain`` takes them.
     """
     sigma2 = scenario.noise_power
     bob = beam_gain(x, w, scenario.bob_angle, scenario)
     eve_sum = 0.0
     for theta in scenario.eve_angles:
         eve_sum += beam_gain(x, w, theta, scenario)
-    return float(np.log2(1.0 + bob / sigma2) - np.log2(1.0 + eve_sum / sigma2))
+    diff = np.log2(1.0 + bob / sigma2) - np.log2(1.0 + eve_sum / sigma2)
+    return diff if np.ndim(diff) else float(diff)
 
 
 def secrecy_rate(x, w, scenario: Scenario) -> float:

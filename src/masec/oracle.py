@@ -3,7 +3,11 @@
 Everything here deliberately avoids the closed-form paths it checks:
 gradients are re-derived by central finite differences, the beamformer
 optimum is stress-tested against random sampling, and small instances
-are solved exhaustively on a gap grid with x_1 = 0.  The grid runs
+are solved exhaustively on a gap grid with x_1 = 0.  Each check draws
+its random samples first and then evaluates them as one (K, N) stack:
+the lift identity compares ``real_lift`` with the steering-vector gains
+of ``beam_gain`` on 200 samples, and ``fd_gradient`` perturbs every
+coordinate of every sample in one ``objective_psi`` call.  The grid runs
 the solver's start-scan routine, ``best_gap_layout``: its block
 enumerator, its table-driven rate bound and its scorer.  So the grid
 comparison reads the algorithm's rate from ``secrecy_rate`` at the
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
-                         solve_beamformer)
+from .beamformer import (QuadraticForms, best_gap_layout, build_forms,
+                         optimal_beamformer, solve_beamformer)
 from .core import Scenario, beam_gain
 from .driver import SolveConfig, solve
 from .positions import gradient_psi, objective_psi, random_positions, real_lift
@@ -48,20 +52,26 @@ def fd_gradient(x, w, scenario: Scenario, h: float = 1e-6) -> np.ndarray:
     Component n is (Psi(x + h e_n) - Psi(x - h e_n)) / (2 h), evaluated
     without projection: this checks the smooth objective that the
     analytic gradient differentiates, not the constrained update.
+
+    ``x`` and ``w`` are one layout and its beamformer, or (K, N) stacks
+    that give one gradient per row.  All 2 K N perturbed layouts go to
+    one ``objective_psi`` call; adding h I moves one coordinate of each
+    and adds exact zeros to the others.
     """
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    xs = np.array(x, dtype=float)
-    grad = np.zeros(xs.size)
-    for i in range(xs.size):
-        orig = xs[i]
-        xs[i] = orig + h
-        plus = objective_psi(xs, w, scenario)
-        xs[i] = orig - h
-        minus = objective_psi(xs, w, scenario)
-        xs[i] = orig
-        grad[i] = (plus - minus) / (2.0 * h)
-    return grad
+    xs, wv = np.asarray(x, dtype=float), np.asarray(w, dtype=complex)
+    if xs.shape != wv.shape or not 1 <= xs.ndim <= 2:
+        raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
+                         "dimensions disagree")
+    X, W = np.atleast_2d(xs, wv)
+    k, n = X.shape
+    step = h * np.eye(n)
+    shifted = np.concatenate([X[:, None] + step, X[:, None] - step], axis=1)
+    psi = objective_psi(shifted.reshape(-1, n), np.repeat(W, 2 * n, axis=0),
+                        scenario).reshape(k, 2, n)
+    grad = (psi[:, 0] - psi[:, 1]) / (2.0 * h)
+    return grad if xs.ndim == 2 else grad[0]
 
 
 def sample_beamformers(forms, scenario: Scenario, count: int, seed: int) -> float:
@@ -78,9 +88,14 @@ def sample_beamformers(forms, scenario: Scenario, count: int, seed: int) -> floa
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     W *= (np.sqrt(scenario.power_budget) / np.linalg.norm(W, axis=1))[:, None]
-    num = 1.0 + np.einsum("ki,ij,kj->k", W.conj(), forms.A, W).real
-    den = 1.0 + np.einsum("ki,ij,kj->k", W.conj(), forms.B, W).real
-    return float(np.max(num / den))
+
+    def form(M):
+        # w^H M w is real for Hermitian M: Re(w)^T Re(M w) + Im(w)^T Im(M w)
+        V = W @ M.T
+        return (np.einsum("ki,ki->k", W.real, V.real)
+                + np.einsum("ki,ki->k", W.imag, V.imag))
+
+    return float(np.max((1.0 + form(forms.A)) / (1.0 + form(forms.B))))
 
 
 def grid_search(scenario: Scenario, spec: GridSpec):
@@ -132,9 +147,19 @@ class VerifyReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def _random_beamformer(n, scenario, rng):
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return w * np.sqrt(scenario.power_budget) / np.linalg.norm(w)
+def _random_samples(count, n, scenario, rng):
+    """``count`` random layouts and power-feasible beamformers as (K, N) stacks.
+
+    Each sample draws its positions, then the real and the imaginary
+    parts of its beamformer.
+    """
+    X = np.empty((count, n))
+    W = np.empty((count, n), dtype=complex)
+    for x, w in zip(X, W):
+        x[:] = random_positions(n, scenario, rng)
+        w[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    W *= np.sqrt(scenario.power_budget) / np.linalg.norm(W, axis=1)[:, None]
+    return X, W
 
 
 def run_verification(scenario: Scenario, n: int, seed: int = 0,
@@ -149,60 +174,61 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     runs it), against the exhaustive grid oracle, whose gap step is a
     fiftieth of the wavelength.
 
-    ``gradient_fn`` overrides the gradient under test; it exists as a
+    The lift identity and the gradient check each evaluate their samples
+    as one (K, N) stack, and the stationarity check solves its five
+    layouts in one ``solve_beamformer`` call.  ``gradient_fn`` overrides
+    the gradient under test; it receives (K, N) stacks of layouts and
+    beamformers and returns a (K, N) stack of gradients.  It exists as a
     hook for negative-control tests.
     """
     rng = np.random.default_rng(seed)
     grad_fn = gradient_psi if gradient_fn is None else gradient_fn
     checks = []
 
-    err = 0.0
-    for _ in range(200):
-        x = random_positions(n, scenario, rng)
-        w = _random_beamformer(n, scenario, rng)
-        gains = real_lift(x, w, scenario).gains()
-        for i, theta in enumerate(scenario.angles):
-            direct = beam_gain(x, w, theta, scenario)
-            err = max(err, abs(gains[i] - direct) / max(1.0, direct))
+    X, W = _random_samples(200, n, scenario, rng)
+    direct = np.stack([beam_gain(X, W, t, scenario) for t in scenario.angles],
+                      axis=1)
+    lifted = real_lift(X, W, scenario).gains()
+    err = float(np.max(np.abs(lifted - direct) / np.maximum(1.0, direct)))
     checks.append(VerifyCheck(
         "lift-identity", "pass" if err <= 1e-9 else "fail",
         f"max relative error {err:.3e} (tol 1e-09)"))
 
-    err = 0.0
     h = 1e-6
-    for _ in range(20):
-        x = random_positions(n, scenario, rng)
-        w = _random_beamformer(n, scenario, rng)
-        analytic = grad_fn(x, w, scenario)
-        numeric = fd_gradient(x, w, scenario, h=h)
-        # a central difference carries rounding noise of about eps S sqrt(N)/h,
-        # S the sum of Psi's log2 terms; flooring the denominator at 1e6 times
-        # that holds noise alone (all of the estimate at N = 1) to 1e-6
-        gains = [beam_gain(x, w, t, scenario) for t in scenario.angles]
-        size = sum(math.log2(1.0 + g / scenario.noise_power)
-                   for g in (gains[0], sum(gains[1:])))
-        noise = np.finfo(float).eps * size * math.sqrt(n) / h
-        scale = max(float(np.linalg.norm(numeric)), 1e6 * noise)
-        err = max(err, float(np.linalg.norm(analytic - numeric)) / scale)
+    X, W = _random_samples(20, n, scenario, rng)
+    analytic = grad_fn(X, W, scenario)
+    numeric = fd_gradient(X, W, scenario, h=h)
+    # a central difference carries rounding noise of about eps S sqrt(N)/h,
+    # S the sum of Psi's log2 terms; flooring the denominator at 1e6 times
+    # that holds noise alone (all of the estimate at N = 1) to 1e-6
+    gains = [beam_gain(X, W, t, scenario) for t in scenario.angles]
+    size = (np.log2(1.0 + gains[0] / scenario.noise_power)
+            + np.log2(1.0 + sum(gains[1:]) / scenario.noise_power))
+    noise = np.finfo(float).eps * size * math.sqrt(n) / h
+    scale = np.maximum(np.linalg.norm(numeric, axis=1), 1e6 * noise)
+    err = float(np.max(np.linalg.norm(analytic - numeric, axis=1) / scale))
     checks.append(VerifyCheck(
         "fd-gradient", "pass" if err <= 1e-5 else "fail",
         f"max relative L2 error {err:.3e} (tol 1e-05)"))
 
+    X = np.empty((5, n))
+    seeds = []
+    for x in X:
+        x[:] = random_positions(n, scenario, rng)
+        seeds.append(int(rng.integers(2**31)))
+    forms = build_forms(X, scenario)
+    sol = solve_beamformer(forms, scenario)
+    shift = np.eye(n) / scenario.power_budget
     resid_worst = 0.0
     margin_worst = np.inf
-    for _ in range(5):
-        x = random_positions(n, scenario, rng)
-        forms = build_forms(x, scenario)
-        sol = solve_beamformer(forms, scenario)
-        wv = sol.beamformer
-        shift = np.eye(n) / scenario.power_budget
-        resid = np.linalg.norm((forms.A + shift) @ wv
-                               - sol.eigenvalue * ((forms.B + shift) @ wv))
-        resid /= np.linalg.norm(wv) * np.linalg.norm(forms.A + shift, 2)
+    for A, B, wv, lam, sample_seed in zip(forms.A, forms.B, sol.beamformer,
+                                          sol.eigenvalue, seeds):
+        resid = np.linalg.norm((A + shift) @ wv - lam * ((B + shift) @ wv))
+        resid /= np.linalg.norm(wv) * np.linalg.norm(A + shift, 2)
         resid_worst = max(resid_worst, float(resid))
-        best = sample_beamformers(forms, scenario, 10_000,
-                                  int(rng.integers(2**31)))
-        margin_worst = min(margin_worst, sol.eigenvalue - best)
+        best = sample_beamformers(QuadraticForms(A=A, B=B), scenario, 10_000,
+                                  sample_seed)
+        margin_worst = min(margin_worst, lam - best)
     checks.append(VerifyCheck(
         "beamformer-stationarity",
         "pass" if resid_worst <= 1e-8 else "fail",

@@ -68,11 +68,12 @@ def real_lift(x, w, scenario: Scenario) -> RealLift:
     return RealLift(g=g, q=q, C=u * u_t + z * z_t, D=u * z_t - z * u_t)
 
 
-def objective_psi(x, w, scenario: Scenario) -> float:
+def objective_psi(x, w, scenario: Scenario):
     """Unclamped position objective Psi in bps/Hz.
 
     Identical to the secrecy rate except that the [.]^+ clamp is omitted,
-    which keeps gradients alive when the eavesdroppers dominate.
+    which keeps gradients alive when the eavesdroppers dominate.  (K, N)
+    stacks give a (K,) array, as in ``rate_difference``.
     """
     return rate_difference(x, w, scenario)
 

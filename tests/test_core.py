@@ -106,6 +106,49 @@ class TestBeamGain:
             beam_gain([0.0, 0.5, 1.0], [1.0, 0.0], np.pi / 2, scn)
 
 
+class TestStackedEvaluation:
+    """``beam_gain`` and ``rate_difference`` on (K, N) stacks."""
+
+    @pytest.fixture
+    def stack(self, make_scenario, make_beamformer):
+        rng = np.random.default_rng(6)
+        scn = make_scenario(rng, m=3)
+        X = np.array([random_positions(4, scn, rng) for _ in range(7)])
+        W = np.array([make_beamformer(4, scn, rng) for _ in range(7)])
+        return scn, X, W
+
+    def test_gains_match_rows(self, stack):
+        scn, X, W = stack
+        for theta in scn.angles:
+            gains = beam_gain(X, W, theta, scn)
+            assert gains.shape == (len(X),)
+            rows = [beam_gain(x, w, theta, scn) for x, w in zip(X, W)]
+            assert gains == pytest.approx(rows, rel=1e-13)
+
+    def test_rates_match_rows(self, stack):
+        scn, X, W = stack
+        rates = rate_difference(X, W, scn)
+        assert rates.shape == (len(X),)
+        rows = [rate_difference(x, w, scn) for x, w in zip(X, W)]
+        # abs covers a rate near zero, whose log2 terms nearly cancel
+        assert rates == pytest.approx(rows, rel=1e-13, abs=1e-13)
+
+    def test_one_layout_returns_a_float(self, stack):
+        scn, X, W = stack
+        assert type(beam_gain(X[0], W[0], scn.bob_angle, scn)) is float
+        assert type(rate_difference(X[0], W[0], scn)) is float
+
+    @pytest.mark.parametrize("fn", ["gain", "rate"])
+    def test_rejects_mismatched_and_3d_input(self, stack, fn):
+        scn, X, W = stack
+        call = {"gain": lambda x, w: beam_gain(x, w, scn.bob_angle, scn),
+                "rate": lambda x, w: rate_difference(x, w, scn)}[fn]
+        for x, w in ((X, W[:-1]), (X, W[:, :-1]), (X[0], W),
+                     (X[None], W[None])):
+            with pytest.raises(ValueError, match="dimensions disagree"):
+                call(x, w)
+
+
 class TestSecrecyRate:
     def test_identical_bob_eve_clamps_to_zero(self):
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))

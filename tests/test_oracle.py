@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -39,6 +40,25 @@ class TestFdGradient:
         assert errs[0] > errs[1] > errs[2]
         # central differences shrink roughly like h^2
         assert errs[1] <= 0.05 * errs[0]
+
+    def test_stack_matches_rows(self, paper_n4, make_beamformer):
+        rng = np.random.default_rng(44)
+        X = np.array([random_positions(4, paper_n4, rng) for _ in range(6)])
+        W = np.array([make_beamformer(4, paper_n4, rng) for _ in range(6)])
+        stacked = fd_gradient(X, W, paper_n4)
+        assert stacked.shape == X.shape
+        rows = np.array([fd_gradient(x, w, paper_n4) for x, w in zip(X, W)])
+        # the rounding noise of a central difference, eps |Psi| / h, is
+        # about 1e-9 here; the two evaluations may round Psi differently
+        assert np.abs(stacked - rows).max() <= 1e-7
+
+    def test_rejects_mismatched_and_3d_input(self, paper_n4, make_beamformer):
+        rng = np.random.default_rng(45)
+        X = np.array([random_positions(4, paper_n4, rng) for _ in range(3)])
+        W = np.array([make_beamformer(4, paper_n4, rng) for _ in range(3)])
+        for x, w in ((X, W[:-1]), (X[0], W), (X[None], W[None])):
+            with pytest.raises(ValueError, match="dimensions disagree"):
+                fd_gradient(x, w, paper_n4)
 
     def test_rejects_bad_step(self, paper_n4):
         with pytest.raises(ValueError):
@@ -205,6 +225,42 @@ class TestRunVerification:
                                   cfg=ALGORITHM_1)
         names = {c.name: c.status for c in report.checks}
         assert names["fd-gradient"] == "fail"
+        assert not report.passed
+
+    def test_corrupted_lift_detected(self, paper_n4, monkeypatch):
+        from masec import oracle
+        real_lift = oracle.real_lift
+
+        def scaled(x, w, scn):
+            lift = real_lift(x, w, scn)
+            return dataclasses.replace(lift, C=1.01 * lift.C)
+        monkeypatch.setattr("masec.oracle.real_lift", scaled)
+        report = run_verification(paper_n4, 4, seed=0, cfg=ALGORITHM_1)
+        names = {c.name: c.status for c in report.checks}
+        assert names["lift-identity"] == "fail"
+        assert not report.passed
+
+    @pytest.mark.parametrize("corruption, check", [
+        ("beamformer", "beamformer-stationarity"),
+        ("eigenvalue", "beamformer-sampling"),
+    ])
+    def test_corrupted_beamformer_detected(self, paper_n4, monkeypatch,
+                                           corruption, check):
+        from masec import oracle
+        solve_beamformer = oracle.solve_beamformer
+
+        def corrupted(forms, scn, budget=None):
+            sol = solve_beamformer(forms, scn, budget)
+            if corruption == "beamformer":
+                # same norm, but no longer an eigenvector of the pencil
+                return dataclasses.replace(
+                    sol, beamformer=np.roll(sol.beamformer, 1, axis=-1))
+            # an optimum below what random beamformers reach
+            return dataclasses.replace(sol, eigenvalue=0.5 * sol.eigenvalue)
+        monkeypatch.setattr("masec.oracle.solve_beamformer", corrupted)
+        report = run_verification(paper_n4, 4, seed=0, cfg=ALGORITHM_1)
+        names = {c.name: c.status for c in report.checks}
+        assert names[check] == "fail"
         assert not report.passed
 
     def test_deterministic(self, paper_n4):
