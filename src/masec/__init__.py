@@ -15,8 +15,8 @@ from .core import (InfeasibleError, Scenario, beam_gain, check_beamformer,
                    secrecy_rate, steering_vector)
 from .driver import (OptimizationTrace, OuterRecord, SolveConfig,
                      initial_positions, solve, solve_fpa)
-from .oracle import (GridSpec, VerifyCheck, VerifyReport, fd_gradient,
-                     grid_search, run_verification, sample_beamformers)
+from .oracle import (VerifyCheck, VerifyReport, fd_gradient, grid_search,
+                     run_verification, sample_beamformers)
 from .positions import (RealLift, gradient_psi, objective_psi,
                         optimize_positions, project_positions,
                         random_positions, real_lift)
@@ -26,7 +26,7 @@ from .scenario_io import (RunSpec, ScenarioFileError, load_run_spec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamformerSolution", "EigensolverError", "GridSpec", "InfeasibleError",
+    "BeamformerSolution", "EigensolverError", "InfeasibleError",
     "OptimizationTrace", "OuterRecord", "QuadraticForms",
     "RealLift", "RunSpec", "Scenario", "ScenarioFileError", "SolveConfig",
     "VerifyCheck", "VerifyReport", "beam_gain", "build_forms",

@@ -8,6 +8,7 @@ pencil (A + I/P_A, B + I/P_A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,60 +293,62 @@ def _mirror(K: np.ndarray) -> np.ndarray:
     return (full[:, -1:] - full[:, ::-1])[:, 1:]
 
 
-def _colex_tuples(m: int, levels: int) -> np.ndarray:
-    """Every non-decreasing m-tuple over 0..``levels``, in colex order.
-
-    Rows run by their last entry, then the one before, and so on, so the
-    C(h + m, m) tuples with entries <= h come first.  One row of width 0
-    for m = 0.
-    """
-    tuples = np.zeros((1, 0), dtype=np.intp)
-    values = np.arange(levels + 1)
-    for _ in range(m):
-        # entry u follows the first counts[u] rows: those with entries <= u
-        counts = np.searchsorted(tuples.max(axis=1, initial=0), values,
-                                 side="right")
-        rows = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                   counts)
-        tuples = np.column_stack([tuples[rows], np.repeat(values, counts)])
-    return tuples
-
-
 def _gap_blocks(n: int, levels: int):
     """The canonical gap tuples after the all-zero one, in blocks.
 
-    The tuples with leading gap value k_2 are (k_2, k_2 + t) for the
-    tails t of ``_colex_tuples(N - 2, levels - k_2)``, which are a prefix
-    of the table for ``levels``.  The tuples run by k_2, then in that
-    order, and are cut into blocks of ``BOUND_BLOCK_ROWS``, so one block
-    holds many leading values at N = 2 and part of one where they are
-    many.  Each block keeps its ``_canonical`` rows; an empty one is not
-    yielded.  Memory grows with the block and the table, never with the
-    grid.
+    The tuples 0 <= k_2 <= ... <= k_N <= ``levels`` run by k_2, then by
+    their tails t = (k_3, ..., k_N) - k_2 in colex order (by the last
+    entry, then the one before, and so on).  Each tuple has a rank in
+    that order, and every block is built from its ranks alone by the
+    combinatorial number system.  With m = N - 2, the C(levels - k + m + 1,
+    m + 1) tuples of k_2 >= k close the order, which gives a rank's k_2.
+    The tail of colex rank r has c_i = t_i + i - 1, for i = m down to 1,
+    the largest c with C(c, i) <= r, and r then drops by C(c_i, i).  Only
+    the tables of C(c, i) for i >= 2 are kept, since C(c, 1) = c.  Their
+    entries are clamped at the tuple count: every rank lies below it,
+    and from N = 66 or so C(c, i) can pass the int64 range.
+
+    Rank 0, the all-zero tuple, is scored on its own.  The first block
+    ends before rank ``BOUND_BLOCK_ROWS`` + 1 at N > 2 and before the
+    first tuple of k_2 = ``BOUND_BLOCK_ROWS``, rank ``BOUND_BLOCK_ROWS``,
+    at N = 2; every later block holds the next ``BOUND_BLOCK_ROWS`` ranks.
+    Each block keeps its ``_canonical`` rows; an empty one is not
+    yielded.  Memory grows with the block and with the N - 2 tables of
+    levels + N entries each, never with the number of tuples.
     """
     if n < 2:
         return
-    tails = _colex_tuples(n - 2, levels)
-    tops = tails.max(axis=1, initial=0)
-    lead, start = 0, 1  # the all-zero tuple is scored on its own
-    while lead <= levels:
-        # a block starts at tuple ``start`` of k_2 = ``lead``; every k_2
-        # has a tuple, so the block spans at most BOUND_BLOCK_ROWS of them
-        leads = np.arange(lead, min(lead + BOUND_BLOCK_ROWS, levels + 1))
-        ends = np.cumsum(np.searchsorted(tops, levels - leads, side="right"))
-        flat = np.arange(start, min(start + BOUND_BLOCK_ROWS, ends[-1]))
-        i = np.searchsorted(ends, flat, side="right")
-        firsts = np.concatenate(([0], ends[:-1]))  # flat index of each k_2
-        K = np.empty((len(flat), n - 1), dtype=np.intp)
-        K[:, 0] = leads[i]
-        K[:, 1:] = tails[flat - firsts[i]] + K[:, :1]
-        stop = start + len(flat)
-        done = int(np.searchsorted(ends, stop, side="right"))  # whole k_2s
-        start = stop - int(firsts[done]) if done < len(leads) else 0
-        lead += done
+    m = n - 2
+    top = levels + m + 1
+    total = math.comb(top, m + 1)
+    tables = {i: np.array([min(math.comb(c, i), total)
+                           for c in range(top + 1)], dtype=np.int64)
+              for i in range(2, m + 2)}
+
+    def choose(c, i):
+        return c if i == 1 else tables[i][c]
+
+    def largest_at_most(r, i):
+        """The largest c with C(c, i) <= r."""
+        return r if i == 1 else np.searchsorted(tables[i], r, "right") - 1
+
+    start, stop = 1, min(BOUND_BLOCK_ROWS + (n > 2), total)
+    while start < total:
+        # the s last tuples have k_2 >= top - c, for the least c with
+        # C(c, m + 1) >= s
+        s = total - np.arange(start, stop, dtype=np.int64)
+        c = largest_at_most(s - 1, m + 1) + 1
+        K = np.empty((len(s), n - 1), dtype=np.intp)
+        K[:, 0] = top - c
+        rank = choose(c, m + 1) - s  # the tail's colex rank
+        for i in range(m, 0, -1):
+            c = largest_at_most(rank, i)
+            K[:, i] = K[:, 0] + c - (i - 1)
+            rank = rank - choose(c, i)
         K = np.compress(_canonical(K), K, axis=0)
         if len(K):
             yield K
+        start, stop = stop, min(stop + BOUND_BLOCK_ROWS, total)
 
 
 def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
@@ -474,8 +477,9 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     relative to at least 1 bps/Hz, plus ``_rate_slack``.  The all-zero
     tuple, the FPA layout, is scored first.  The other canonical tuples
     come from ``_gap_blocks`` in blocks of at most ``BOUND_BLOCK_ROWS``,
-    and ``_gap_bounds`` bounds a whole block, from per-gap phase tables
-    and an unrolled elimination, before any pencil is solved.  The
+    each built from its ranks, so no array grows with the number of
+    tuples, and ``_gap_bounds`` bounds a whole block, from per-gap phase
+    tables and an unrolled elimination, before any pencil is solved.  The
     tables and a block's Gram entries do not depend on the power, so
     they are built once for every scenario; each power then screens the
     block with its own bounds, running best, band and kept rows

@@ -198,8 +198,11 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, EigensolverError) as exc:

@@ -190,9 +190,14 @@ def rate_difference(x, w, scenario: Scenario):
     return diff if np.ndim(diff) else float(diff)
 
 
-def secrecy_rate(x, w, scenario: Scenario) -> float:
-    """Achievable secrecy rate [rate_difference]^+ in bps/Hz (>= 0)."""
-    return max(rate_difference(x, w, scenario), 0.0)
+def secrecy_rate(x, w, scenario: Scenario):
+    """Achievable secrecy rate [rate_difference]^+ in bps/Hz (>= 0).
+
+    A float for one layout, a (K,) array for (K, N) stacks, as
+    ``rate_difference`` takes them.
+    """
+    diff = rate_difference(x, w, scenario)
+    return np.maximum(diff, 0.0) if np.ndim(diff) else max(diff, 0.0)
 
 
 def mrt_beamformer(x, scenario: Scenario) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the closed-form paths it checks:
 gradients are re-derived by central finite differences, the beamformer
-optimum is stress-tested against random sampling, and small instances
-are solved exhaustively on a gap grid with x_1 = 0.  Each check draws
+optimum is stress-tested against random sampling, and every instance
+whose gap grid with x_1 = 0 holds at most ``GRID_MAX_EVALS`` layouts,
+at any N, is solved exhaustively on it.  Each check draws
 its random samples first and then evaluates them as one (K, N) stack:
 the lift identity compares ``real_lift`` with the steering-vector gains
 of ``beam_gain`` on 200 samples, and ``fd_gradient`` perturbs every
@@ -30,20 +31,6 @@ from .positions import gradient_psi, objective_psi, random_positions, real_lift
 
 # Most gap layouts one exhaustive search may cover.
 GRID_MAX_EVALS = 10_000_000
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Exhaustive-search grid: gap step ``resolution`` and antenna count."""
-
-    resolution: float
-    n: int
-
-    def __post_init__(self):
-        if not self.resolution > 0.0:
-            raise ValueError("resolution must be positive")
-        if not 1 <= self.n <= 3:
-            raise ValueError("grid search supports 1 <= N <= 3 only")
 
 
 def fd_gradient(x, w, scenario: Scenario, h: float = 1e-6) -> np.ndarray:
@@ -98,35 +85,38 @@ def sample_beamformers(forms, scenario: Scenario, count: int, seed: int) -> floa
     return float(np.max((1.0 + form(forms.A)) / (1.0 + form(forms.B))))
 
 
-def grid_search(scenario: Scenario, spec: GridSpec):
-    """Exhaustive joint optimum over a gap grid (global oracle).
+def grid_search(scenario: Scenario, n: int, resolution: float):
+    """Exhaustive joint optimum of N antennas over a gap grid (global oracle).
 
     A shift of the array does not change the rate, so the grid fixes
-    x_1 = 0 and widens each gap from d_min in steps of ``spec.resolution``
+    x_1 = 0 and widens each gap from d_min in steps of ``resolution``
     while the layout fits the aperture.  ``GRID_MAX_EVALS`` caps the
-    number of these layouts.  Mirroring the array does not change the
-    rate either, so ``best_gap_layout`` considers one layout of each
-    mirror pair, and it solves the pencil only where a cheap upper bound
-    on the rate can still reach the best.  Every layout it skips is
+    number of these layouts, whatever N.  Mirroring the array does not
+    change the rate either, so ``best_gap_layout`` considers one layout
+    of each mirror pair, and it solves the pencil only where a cheap
+    upper bound on the rate can still reach the best.  Every layout it skips is
     certified below the best, so it returns the optimum of the full
     grid.  Exact rate ties resolve to the lexicographically smallest
-    layout.  The layouts come in blocks of bounded size, so the memory
-    does not grow with the grid, even at N = 2 with millions of levels.
+    layout.  The layouts come in blocks built from their ranks, so the
+    memory does not grow with the number of layouts at any N, even at
+    N = 2 with millions of levels.
 
     Returns:
         (ndarray, ndarray, float): best grid positions, the optimal
         beamformer there, both read-only, and the clamped secrecy rate.
     """
-    scenario.check_feasible(spec.n)
-    slack = scenario.aperture - (spec.n - 1) * scenario.min_spacing
-    levels = max(0, math.floor(slack / spec.resolution + 1e-9))
-    total = math.comb(levels + spec.n - 1, spec.n - 1)
+    if not resolution > 0.0:
+        raise ValueError("resolution must be positive")
+    scenario.check_feasible(n)
+    slack = scenario.aperture - (n - 1) * scenario.min_spacing
+    levels = max(0, math.floor(slack / resolution + 1e-9))
+    total = math.comb(levels + n - 1, n - 1)
     if total > GRID_MAX_EVALS:
         raise ValueError(f"grid too large: {total} evaluations exceed the cap "
                          f"{GRID_MAX_EVALS}")
 
-    [(positions, best_rate)] = best_gap_layout(spec.n, [scenario], levels,
-                                               spec.resolution)
+    [(positions, best_rate)] = best_gap_layout(n, [scenario], levels,
+                                               resolution)
     w = optimal_beamformer(build_forms(positions, scenario), scenario)
     return positions, w, best_rate
 
@@ -163,26 +153,21 @@ def _random_samples(count, n, scenario, rng):
 
 
 def run_verification(scenario: Scenario, n: int, seed: int = 0,
-                     gradient_fn=None,
                      cfg: SolveConfig = SolveConfig()) -> VerifyReport:
     """Run the oracle suite against one scenario.
 
     Checks the lift identity, the analytic gradient against central
     finite differences, beamformer stationarity and sampling optimality,
-    and (for N <= 3, when the grid fits the evaluation cap) the
-    solver, run with ``cfg`` (by default the value ascent, as ``verify``
-    runs it), against the exhaustive grid oracle, whose gap step is a
-    fiftieth of the wavelength.
+    and, when the grid fits ``GRID_MAX_EVALS``, the solver, run with
+    ``cfg`` (by default the value ascent, as ``verify`` runs it), against
+    the exhaustive grid oracle, whose gap step is a fiftieth of the
+    wavelength.  A grid over the cap is a skip, at any N.
 
     The lift identity and the gradient check each evaluate their samples
     as one (K, N) stack, and the stationarity check solves its five
-    layouts in one ``solve_beamformer`` call.  ``gradient_fn`` overrides
-    the gradient under test; it receives (K, N) stacks of layouts and
-    beamformers and returns a (K, N) stack of gradients.  It exists as a
-    hook for negative-control tests.
+    layouts in one ``solve_beamformer`` call.
     """
     rng = np.random.default_rng(seed)
-    grad_fn = gradient_psi if gradient_fn is None else gradient_fn
     checks = []
 
     X, W = _random_samples(200, n, scenario, rng)
@@ -196,7 +181,7 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
 
     h = 1e-6
     X, W = _random_samples(20, n, scenario, rng)
-    analytic = grad_fn(X, W, scenario)
+    analytic = gradient_psi(X, W, scenario)
     numeric = fd_gradient(X, W, scenario, h=h)
     # a central difference carries rounding noise of about eps S sqrt(N)/h,
     # S the sum of Psi's log2 terms; flooring the denominator at 1e6 times
@@ -238,21 +223,16 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
         "pass" if margin_worst >= -1e-9 else "fail",
         f"min (optimum - best sample) {margin_worst:.3e}"))
 
-    if n > 3:
-        checks.append(VerifyCheck("grid-comparison", "skip",
-                                  f"exhaustive search limited to N <= 3, N={n}"))
+    try:
+        _, _, grid_rate = grid_search(scenario, n, scenario.wavelength / 50)
+    except ValueError as exc:
+        checks.append(VerifyCheck("grid-comparison", "skip", str(exc)))
     else:
-        spec = GridSpec(resolution=scenario.wavelength / 50, n=n)
-        try:
-            _, _, grid_rate = grid_search(scenario, spec)
-        except ValueError as exc:
-            checks.append(VerifyCheck("grid-comparison", "skip", str(exc)))
-        else:
-            alg_rate = solve(n, scenario, cfg).final_rate
-            ok = alg_rate >= 0.95 * grid_rate - 1e-12
-            checks.append(VerifyCheck(
-                "grid-comparison", "pass" if ok else "fail",
-                f"algorithm {alg_rate:.6f} vs grid {grid_rate:.6f} bps/Hz "
-                "(threshold 0.95)"))
+        alg_rate = solve(n, scenario, cfg).final_rate
+        ok = alg_rate >= 0.95 * grid_rate - 1e-12
+        checks.append(VerifyCheck(
+            "grid-comparison", "pass" if ok else "fail",
+            f"algorithm {alg_rate:.6f} vs grid {grid_rate:.6f} bps/Hz "
+            "(threshold 0.95)"))
 
     return VerifyReport(checks=tuple(checks))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from masec import (GridSpec, Scenario, SolveConfig, build_forms, fd_gradient,
+from masec import (Scenario, SolveConfig, build_forms, fd_gradient,
                    grid_search, gradient_psi, initial_positions,
                    project_positions, random_positions, sample_beamformers,
                    secrecy_rate, solve, solve_beamformer, solve_fpa)
@@ -212,7 +212,7 @@ def test_criterion_8_global_quality():
         angles = rng.uniform(0.0, np.pi, size=3)
         scn = Scenario(bob_angle=float(angles[0]),
                        eve_angles=tuple(angles[1:]), aperture=2.0)
-        _, _, grid_rate = grid_search(scn, GridSpec(resolution=1 / 50, n=2))
+        _, _, grid_rate = grid_search(scn, 2, 1 / 50)
         alg_rate = solve(2, scn, ALGORITHM_1).final_rate
         ok &= alg_rate >= 0.95 * grid_rate - 1e-12
         results.append(f"{alg_rate:.3f}/{grid_rate:.3f}")

@@ -272,6 +272,40 @@ class TestGapBlocks:
         # leading value k_2 = 0 at N = 4 (C(72, 2) = 2556 tuples)
         assert len(self._assert_blocks(n, levels)) > 2
 
+    @pytest.mark.parametrize("n,big", [(2, 5000), (3, 100), (4, 40), (5, 20),
+                                       (6, 14)])
+    def test_rows_order_and_boundaries(self, n, big):
+        # an independent enumeration: by k_2, then by the tails in colex
+        # order; rank 0 is left out, the first block ends before rank 2048
+        # at N = 2 and 2049 above, and every later block holds 2048 ranks
+        for levels in [*range(9), big]:
+            ranked = sorted(_all_tuples(n, levels).tolist(),
+                            key=lambda k: (k[0], k[:0:-1]))
+            cuts = [1, *range(BOUND_BLOCK_ROWS + (n > 2), len(ranked),
+                              BOUND_BLOCK_ROWS), len(ranked)]
+            expected = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                K = np.array(ranked[lo:hi], dtype=np.intp).reshape(-1, n - 1)
+                if (K := K[_canonical(K)]).size:
+                    expected.append(K)
+            blocks = list(_gap_blocks(n, levels))
+            assert len(blocks) == len(expected)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(blocks, expected))
+        assert len(cuts) > 3  # the big grid spans three blocks or more
+
+    @pytest.mark.parametrize("n,levels", [(8, 25), (2, 999_975)])
+    def test_memory_does_not_grow_with_the_tuples(self, n, levels):
+        # 1,560,780 and 999,976 tuples: a table of every tail peaked at
+        # 82 MB at N = 8, and an arange over the levels at 8 MB at N = 2
+        tracemalloc.start()
+        try:
+            rows = sum(len(K) for K in _gap_blocks(n, levels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows > 0 and peak < 1e6
+
     @staticmethod
     def _assert_blocks(n, levels):
         blocks = list(_gap_blocks(n, levels))

@@ -121,6 +121,16 @@ class TestOptimize:
             assert "unrecognized arguments: --restarts 3" in err
         assert not (tmp_path / "o").exists()
 
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        def rebuilt():
+            raise AssertionError("the parser was rebuilt")
+        monkeypatch.setattr(masec.cli, "_build_parser", rebuilt)
+        scenario = str(SCENARIOS / "toy_n2.json")
+        assert main(["beampattern", "--scenario", scenario, "--fpa",
+                     "--out", str(tmp_path), "--angles", "5"]) == 0
+        assert main(["optimize", "--scenario", scenario,
+                     "--out", str(tmp_path)]) == 0
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         scenario = _write(tmp_path / "s.json", PAPER_N4)
         for command in ("optimize", "sweep-n", "verify"):

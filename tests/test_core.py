@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from masec import (GridSpec, InfeasibleError, Scenario, SolveConfig,
+from masec import (InfeasibleError, Scenario, SolveConfig,
                    beam_gain, build_forms, check_beamformer, check_positions,
                    grid_search, initial_positions, load_solution,
                    mrt_beamformer, optimal_beamformer, optimize_positions,
@@ -183,6 +183,21 @@ class TestSecrecyRate:
             assert rate >= 0.0
             assert rate == max(raw, 0.0)
 
+    def test_stack_matches_rows(self, make_scenario, make_beamformer):
+        rng = np.random.default_rng(9)
+        scn = make_scenario(rng, m=2)
+        X = np.array([random_positions(4, scn, rng) for _ in range(12)])
+        W = np.array([make_beamformer(4, scn, rng) for _ in range(12)])
+        # the first rows beam at an eavesdropper, so their rates clamp to 0
+        a = steering_vector(X[:4], scn.eve_angles[0], scn.wavelength)
+        W[:4] = np.sqrt(scn.power_budget / 4) * a
+        rates = secrecy_rate(X, W, scn)
+        assert rates.shape == (12,)
+        assert (rates[:4] == 0.0).all() and (rates[4:] >= 0.0).all()
+        rows = [secrecy_rate(x, w, scn) for x, w in zip(X, W)]
+        assert all(type(r) is float for r in rows)
+        assert rates == pytest.approx(rows, rel=1e-13, abs=1e-13)
+
 
 class TestScenarioValidation:
     def test_requires_eve(self):
@@ -289,8 +304,8 @@ def _loaded(tmp_path):
     (float, lambda tmp: optimize_positions(X3, W3, SMALL, SolveConfig())[0]),
     (float, lambda tmp: solve(3, SMALL, ALGORITHM_1).final_x),
     (complex, lambda tmp: solve(3, SMALL, ALGORITHM_1).final_w),
-    (float, lambda tmp: grid_search(SMALL, GridSpec(0.05, 3))[0]),
-    (complex, lambda tmp: grid_search(SMALL, GridSpec(0.05, 3))[1]),
+    (float, lambda tmp: grid_search(SMALL, 3, 0.05)[0]),
+    (complex, lambda tmp: grid_search(SMALL, 3, 0.05)[1]),
     (complex, lambda tmp: optimal_beamformer(build_forms(X3, SMALL), SMALL)),
     (complex, lambda tmp: solve_beamformer(build_forms(X3, SMALL),
                                            SMALL).beamformer),

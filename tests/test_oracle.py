@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masec import (GridSpec, Scenario, build_forms, fd_gradient, grid_search,
+from masec import (Scenario, build_forms, fd_gradient, grid_search,
                    gradient_psi, initial_positions, mrt_beamformer,
                    SolveConfig, random_positions, run_verification,
                    sample_beamformers, secrecy_rate, solve)
@@ -101,7 +101,7 @@ class TestGridSearch:
     def test_single_antenna_formula(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
                        aperture=2.0, power_budget=2.0, noise_power=0.5)
-        _, _, rate = grid_search(scn, GridSpec(resolution=0.1, n=1))
+        _, _, rate = grid_search(scn, 1, 0.1)
         expected = max(np.log2((1 + 2.0 / 0.5) / (1 + 2.0 / 0.5)), 0.0)
         assert rate == pytest.approx(expected, abs=1e-12)
 
@@ -113,7 +113,7 @@ class TestGridSearch:
                        aperture=200_000.0)
         tracemalloc.start()
         try:
-            x, _, rate = grid_search(scn, GridSpec(resolution=1 / 50, n=1))
+            x, _, rate = grid_search(scn, 1, 1 / 50)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -123,17 +123,17 @@ class TestGridSearch:
     def test_refinement_never_decreases(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.3 * np.pi,),
                        aperture=2.0)
-        _, _, coarse = grid_search(scn, GridSpec(resolution=1 / 25, n=2))
-        _, _, fine = grid_search(scn, GridSpec(resolution=1 / 50, n=2))
+        _, _, coarse = grid_search(scn, 2, 1 / 25)
+        _, _, fine = grid_search(scn, 2, 1 / 50)
         assert fine >= coarse
 
     def test_optimum_matches_per_tuple_brute_force(self):
         # absolute tuples on the grid: their gaps are the gap grid's
         from masec import optimal_beamformer
-        for n, aperture in ((2, 2.0), (3, 1.8)):
+        for n, aperture in ((2, 2.0), (3, 1.8), (4, 2.2)):
             scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.7 * np.pi,),
                            aperture=aperture)
-            _, _, rate_star = grid_search(scn, GridSpec(resolution=1 / 10, n=n))
+            _, _, rate_star = grid_search(scn, n, 1 / 10)
             pts = np.arange(0.0, aperture + 1e-12, 1 / 10)
             best = -np.inf
             for idx in itertools.combinations(range(pts.size), n):
@@ -148,8 +148,7 @@ class TestGridSearch:
         from masec.beamformer import best_secrecy_rates
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.7 * np.pi,),
                        aperture=2.0)
-        spec = GridSpec(resolution=1 / 10, n=2)
-        x_star, _, rate_star = grid_search(scn, spec)
+        x_star, _, rate_star = grid_search(scn, 2, 1 / 10)
         # gap tuples: x_1 = 0, x_2 = d_min + k h for every k that fits L
         cands = np.array([(0.0, min(0.5 + (1 / 10) * k, 2.0))
                           for k in range(16)])
@@ -166,22 +165,25 @@ class TestGridSearch:
     def test_matches_best_beamformer_at_winner(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
                        aperture=2.0)
-        x_star, w_star, rate_star = grid_search(scn,
-                                                GridSpec(resolution=1 / 50, n=2))
+        x_star, w_star, rate_star = grid_search(scn, 2, 1 / 50)
         assert rate_star == pytest.approx(
             secrecy_rate(x_star, w_star, scn), abs=1e-9)
 
     def test_guards(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
-        with pytest.raises(ValueError, match="1 <= N <= 3"):
-            GridSpec(resolution=0.1, n=4)
         with pytest.raises(ValueError, match="grid too large"):
-            grid_search(scn, GridSpec(resolution=1e-4, n=3))
+            grid_search(scn, 3, 1e-4)
         # zero slack leaves the FPA layout as the only candidate
         tight = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
                          aperture=1.0, min_spacing=0.5)
-        x_star, _, _ = grid_search(tight, GridSpec(resolution=0.3, n=3))
+        x_star, _, _ = grid_search(tight, 3, 0.3)
         assert np.array_equal(x_star, initial_positions(3, tight))
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, np.nan])
+    def test_nonpositive_resolution_refused(self, resolution):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            grid_search(scn, 3, resolution)
 
 
 class TestRunVerification:
@@ -208,6 +210,17 @@ class TestRunVerification:
         assert names["grid-comparison"] == "pass"
         assert report.passed
 
+    @pytest.mark.parametrize("n, aperture", [(4, 4.0), (5, 3.0)])
+    def test_grid_comparison_runs_beyond_three_antennas(self, n, aperture):
+        # C(128, 3) = 341,376 and C(54, 4) = 316,251 gap tuples at lambda/50
+        scn = Scenario(bob_angle=np.pi / 2,
+                       eve_angles=(0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi),
+                       aperture=aperture)
+        report = run_verification(scn, n, seed=0)
+        names = {c.name: c.status for c in report.checks}
+        assert names["grid-comparison"] == "pass"
+        assert report.passed
+
     @pytest.mark.parametrize("power", [1.0, 1e3, 1e6])
     def test_single_antenna_passes(self, power):
         # Psi does not depend on x at N = 1: the central difference is
@@ -219,10 +232,10 @@ class TestRunVerification:
         assert names["fd-gradient"] == "pass"
         assert report.passed
 
-    def test_corrupted_gradient_detected(self, paper_n4):
-        flipped = lambda x, w, scn: -gradient_psi(x, w, scn)
-        report = run_verification(paper_n4, 4, seed=0, gradient_fn=flipped,
-                                  cfg=ALGORITHM_1)
+    def test_corrupted_gradient_detected(self, paper_n4, monkeypatch):
+        monkeypatch.setattr("masec.oracle.gradient_psi",
+                            lambda x, w, scn: -gradient_psi(x, w, scn))
+        report = run_verification(paper_n4, 4, seed=0, cfg=ALGORITHM_1)
         names = {c.name: c.status for c in report.checks}
         assert names["fd-gradient"] == "fail"
         assert not report.passed
@@ -273,6 +286,6 @@ def test_grid_search_vs_algorithm_reference():
     # the target the alternating solver is graded against at N=2
     scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.25 * np.pi,),
                    aperture=2.0)
-    _, _, grid_rate = grid_search(scn, GridSpec(resolution=1 / 50, n=2))
+    _, _, grid_rate = grid_search(scn, 2, 1 / 50)
     alg_rate = solve(2, scn, ALGORITHM_1).final_rate
     assert alg_rate >= 0.95 * grid_rate
