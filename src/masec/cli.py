@@ -120,7 +120,10 @@ def _cmd_beampattern(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     thetas = np.linspace(0.0, np.pi, args.angles)
-    gains = [beam_gain(x, w, t, spec.scenario) for t in thetas]
+    # one row per angle: the layout repeated, its angle from the column
+    rows = (args.angles, x.size)
+    gains = beam_gain(np.broadcast_to(x, rows), np.broadcast_to(w, rows),
+                      thetas[:, None], spec.scenario)
     write_beampattern(out / "beampattern.csv", thetas, gains)
     print(f"wrote beampattern.csv ({args.angles} angles)")
     return 0

@@ -154,23 +154,46 @@ def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
     return np.exp(1j * (TWO_PI / wavelength) * np.cos(theta) * xs)
 
 
-def beam_gain(x, w, theta: float, scenario: Scenario):
-    """Beam gain |a^H(x, theta) w|^2 of the array toward ``theta``.
-
-    ``x`` and ``w`` are one layout and its beamformer, which gives a
-    float, or (K, N) stacks of one shape, which give a (K,) array of
-    one gain per row.
-    """
+def _stack_of_one(x, w):
+    """``x`` and ``w`` as (K, N) stacks, one row for one layout."""
     xs = np.asarray(x, dtype=float)
     wv = np.asarray(w, dtype=complex)
     if xs.shape != wv.shape or xs.ndim > 2:
         raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
                          "dimensions disagree")
-    a = steering_vector(xs, theta, scenario.wavelength)
-    if xs.ndim < 2:
-        return float(abs(np.vdot(a, wv)) ** 2)
-    inner = np.einsum("kn,kn->k", a.conj(), wv)
-    return inner.real ** 2 + inner.imag ** 2
+    return np.atleast_2d(xs), np.atleast_2d(wv)
+
+
+def _squared_inner(a, w) -> np.ndarray:
+    """|a^H w|^2 over the last axis, for steering vectors ``a``.
+
+    Each inner product is one (1, N) @ (N, 1) ``matmul``, which rounds
+    as ``np.vdot`` does, and each squared magnitude Python's
+    ``abs(c) ** 2``, which rounds as numpy's scalars do and numpy's
+    array ``abs`` and ``** 2`` do not.  So a row gives the same bits in
+    a stack of one as in a stack of many.
+    """
+    inner = a.conj()[..., None, :] @ w[..., :, None]
+    return np.array([abs(c) ** 2 for c in inner.ravel().tolist()]
+                    ).reshape(inner.shape[:-2])
+
+
+def beam_gain(x, w, theta, scenario: Scenario):
+    """Beam gain |a^H(x, theta) w|^2 of the array toward ``theta``.
+
+    ``x`` and ``w`` are one layout and its beamformer, which gives a
+    float, or (K, N) stacks of one shape, which give a (K,) array of
+    one gain per row, each with the bits of that row alone.  ``theta``
+    is one angle or a (K, 1) column of one angle per row.  One layout
+    is a stack of one, so both run the same code.
+    """
+    X, W = _stack_of_one(x, w)
+    a = steering_vector(X, theta, scenario.wavelength)
+    if a.shape != X.shape:
+        raise ValueError(f"angles {np.shape(theta)} do not give one angle "
+                         f"per row of positions {X.shape}")
+    gains = _squared_inner(a, W)
+    return gains if np.ndim(x) == 2 else float(gains[0])
 
 
 def rate_difference(x, w, scenario: Scenario):
@@ -179,22 +202,29 @@ def rate_difference(x, w, scenario: Scenario):
     log2(1 + G_0 / sigma^2) - log2(1 + sum_i G_i / sigma^2) with the
     eavesdropper gains summed (colluding case).  May be negative; the
     reported secrecy rate clamps it at zero.  A float for one layout, a
-    (K,) array for (K, N) stacks, as ``beam_gain`` takes them.
+    (K,) array for (K, N) stacks, as ``beam_gain`` takes them.  The
+    gains of every angle come from one ``steering_vector`` call, and
+    each row of a stack has the bits of that layout's own call.
     """
+    X, W = _stack_of_one(x, w)
+    a = steering_vector(X[:, None, :], scenario.angles[:, None],
+                        scenario.wavelength)
+    gains = _squared_inner(a, W[:, None, :])
     sigma2 = scenario.noise_power
-    bob = beam_gain(x, w, scenario.bob_angle, scenario)
-    eve_sum = 0.0
-    for theta in scenario.eve_angles:
-        eve_sum += beam_gain(x, w, theta, scenario)
-    diff = np.log2(1.0 + bob / sigma2) - np.log2(1.0 + eve_sum / sigma2)
-    return diff if np.ndim(diff) else float(diff)
+    eve_sum = gains[:, 1]
+    for column in gains[:, 2:].T:  # in angle order, as a scalar sum adds
+        eve_sum = eve_sum + column
+    diff = (np.log2(1.0 + gains[:, 0] / sigma2)
+            - np.log2(1.0 + eve_sum / sigma2))
+    return diff if np.ndim(x) == 2 else float(diff[0])
 
 
 def secrecy_rate(x, w, scenario: Scenario):
     """Achievable secrecy rate [rate_difference]^+ in bps/Hz (>= 0).
 
     A float for one layout, a (K,) array for (K, N) stacks, as
-    ``rate_difference`` takes them.
+    ``rate_difference`` takes them; a row of a stack equals the rate of
+    that layout alone, bit for bit.
     """
     diff = rate_difference(x, w, scenario)
     return np.maximum(diff, 0.0) if np.ndim(diff) else max(diff, 0.0)

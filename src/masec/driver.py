@@ -359,7 +359,10 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     ``budget[j]``; ``scenario`` holds the rest of the instance.  The
     budget enters where a chain solves its beamformer and, in the value
     ascent, its stop test (``_value_round``); the gradients, projections
-    and rates read the beamformer and the noise power only.
+    and rates read the beamformer and the noise power only.  The start
+    rates and each round's end rates of all live chains come from one
+    ``secrecy_rate`` call on their stack, whose rows have the bits of a
+    call on each chain alone.
 
     Returns:
         list of OptimizationTrace, one per chain in order.
@@ -378,7 +381,7 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
         F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
         G = gradient_psi(X, W, scenario)
         step = np.full(len(X), cfg.step_size)
-        rate = [secrecy_rate(x, w, scenario) for x, w in zip(X, W)]
+        rate = secrecy_rate(X, W, scenario).tolist()
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
         if value:
@@ -393,17 +396,19 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
                                               cfg)
             traces = [col[~np.isnan(col)] for col in psi.T]
             rates_w = [max(float(t[0]), 0.0) for t in traces]  # Psi at start
+        rates_x = secrecy_rate(X[live], W[live], scenario).tolist()
         going = []
-        for r, (j, trace, rate_w) in enumerate(zip(live, traces, rates_w)):
-            rate[j] = secrecy_rate(X[j], W[j], scenario)
+        for r, (j, trace, rate_w, rate_x) in enumerate(zip(
+                live, traces, rates_w, rates_x)):
+            rate[j] = rate_x
             outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
-                                        rate_after_x=rate[j]))
+                                        rate_after_x=rate_x))
             inner[j].append(trace)
             if value:
                 converged[j], stop = settled[r], settled[r] or stalled[r]
             else:
                 converged[j] = stop = k > 1 and abs(
-                    rate[j] - outer[j][-2].rate_after_x) <= cfg.outer_tol
+                    rate_x - outer[j][-2].rate_after_x) <= cfg.outer_tol
             if not stop:
                 going.append(j)
         live = going

@@ -8,7 +8,9 @@ at any N, is solved exhaustively on it.  Each check draws
 its random samples first and then evaluates them as one (K, N) stack:
 the lift identity compares ``real_lift`` with the steering-vector gains
 of ``beam_gain`` on 200 samples, and ``fd_gradient`` perturbs every
-coordinate of every sample in one ``objective_psi`` call.  The grid runs
+coordinate of every sample in one ``objective_psi`` call.  A layout is a
+stack of one in ``core``, so each row of these stacks has the bits of
+the same call on that sample alone.  The grid runs
 the solver's start-scan routine, ``best_gap_layout``: its block
 enumerator, its table-driven rate bound and its scorer.  So the grid
 comparison reads the algorithm's rate from ``secrecy_rate`` at the

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, Scenario, check_positions, rate_difference
+from .core import (FEASIBILITY_TOL, TWO_PI, Scenario, check_positions,
+                   rate_difference)
 
 LN2 = np.log(2.0)
 
@@ -193,7 +194,21 @@ def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
 
 def _check_starts(X, scenario: Scenario) -> None:
     """Reject a row of ``X`` that is unsorted or that ``check_positions``
-    rejects."""
+    rejects.
+
+    The (K, N) stack is checked at once.  Only a stack that fails runs
+    the rows one by one, to raise the first bad row's own error.
+    """
+    n = X.shape[1]
+    if n >= 1 and np.isfinite(X).all():
+        gaps = np.diff(X, axis=1)
+        if ((gaps >= 0.0).all()
+                and (n - 1) * scenario.min_spacing
+                <= scenario.aperture + FEASIBILITY_TOL
+                and (gaps >= scenario.min_spacing - FEASIBILITY_TOL).all()
+                and (X[:, 0] >= -FEASIBILITY_TOL).all()
+                and (X[:, -1] <= scenario.aperture + FEASIBILITY_TOL).all()):
+            return
     for x in X:
         if np.any(np.diff(x) < 0.0):
             raise ValueError(f"start positions must be sorted ascending: {x}")
@@ -246,7 +261,7 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
     scale = TWO_PI / scenario.wavelength
     two_k = 2.0 * scale * column
     sigma2 = scenario.noise_power
-    trace = [[objective_psi(x, wv, scenario) for x, wv in zip(X, W)]]
+    trace = [objective_psi(X, W, scenario).tolist()]
     best_psi = list(trace[0])
     best_x = X.copy()
     chains = list(range(len(X)))  # chain of each row of the live stack

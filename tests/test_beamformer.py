@@ -9,8 +9,8 @@ import pytest
 import masec.beamformer
 from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
                    check_positions, initial_positions, load_run_spec,
-                   optimal_beamformer, sample_beamformers, secrecy_rate,
-                   solve_beamformer, steering_vector)
+                   optimal_beamformer, random_positions, sample_beamformers,
+                   secrecy_rate, solve_beamformer, steering_vector)
 from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
                               MIRROR_RTOL, _canonical, _gap_blocks,
                               _gap_bounds, _last_pivot, _mirror, _rate_bounds,
@@ -203,6 +203,33 @@ class TestOptimalBeamformer:
                         power_budget=1e16)
         with pytest.raises(EigensolverError):
             best_secrecy_rates(np.array([[0.0, 0.5, 1.0]] * 2), huge)
+
+    def test_multiple_top_eigenvalue_only_at_rate_zero(self):
+        # Courant-Fischer over the w orthogonal to Bob's steering vector,
+        # where w^H A w = 0, bounds the second pencil eigenvalue by 1: a
+        # multiple top eigenvalue is at most 1, where the rate is 0, so the
+        # value ascent meets no kink of F at a positive rate
+        rng = np.random.default_rng(43)
+        flagged = 0
+        for i in range(120):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            angles = rng.uniform(0.0, np.pi, m + 1)
+            if i % 3 == 0:  # Bob at an eavesdropper's angle
+                angles[0] = angles[1]
+            scn = Scenario(bob_angle=float(angles[0]),
+                           eve_angles=tuple(angles[1:].tolist()),
+                           noise_power=float(10.0 ** rng.uniform(-1.0, 1.0)),
+                           power_budget=float(10.0 ** rng.uniform(-2.0, 6.0)))
+            X = np.array([random_positions(n, scn, rng) for _ in range(50)])
+            forms = build_forms(X, scn)
+            slack = _rate_slack(n, scn)
+            second = masec.beamformer._pencil(forms, scn.power_budget)[:, -2]
+            assert np.log2(second).max() <= slack
+            sol = solve_beamformer(forms, scn)
+            top = np.log2(sol.eigenvalue[sol.degenerate])
+            assert (np.abs(top) <= slack).all()
+            flagged += int(sol.degenerate.sum())
+        assert flagged > 100
 
 
 def _scan_grid(n, power):

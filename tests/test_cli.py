@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import masec.cli
-from masec import (ScenarioFileError, SolveConfig, load_run_spec,
-                   load_solution, mrt_beamformer, run_verification,
+from masec import (ScenarioFileError, SolveConfig, beam_gain, build_forms,
+                   initial_positions, load_run_spec, load_solution,
+                   mrt_beamformer, optimal_beamformer, run_verification,
                    secrecy_rate, solve)
 from masec.cli import main
 from masec.driver import solve_powers
@@ -68,7 +69,7 @@ class TestOptimize:
         scenario, out = n4_run
         spec = load_run_spec(scenario)
         x, w, rate = load_solution(out / "solution.json")
-        assert abs(secrecy_rate(x, w, spec.scenario) - rate) <= 1e-12
+        assert secrecy_rate(x, w, spec.scenario) == rate
 
     def test_byte_identical_reruns(self, n4_run, tmp_path):
         scenario, out = n4_run
@@ -287,6 +288,34 @@ class TestBeampattern:
         for eve in (0.75 * math.pi, 0.25 * math.pi):
             leak = gains[np.argmin(np.abs(thetas - eve))]
             assert leak <= 1e-3 * bob
+
+    def test_csv_gains_are_the_per_angle_gains(self, n4_run, tmp_path,
+                                               monkeypatch):
+        scenario, run_out = n4_run
+        scn = load_run_spec(scenario).scenario
+        x_fpa = initial_positions(4, scn)
+        x_sol, w_sol, _ = load_solution(run_out / "solution.json")
+        written = []
+        write = masec.cli.write_beampattern
+
+        def spy(path, thetas, gains):
+            written.append(np.array(gains))
+            write(path, thetas, gains)
+
+        monkeypatch.setattr(masec.cli, "write_beampattern", spy)
+        thetas = np.linspace(0.0, np.pi, 721)
+        for flag, x, w in (
+                (["--fpa"], x_fpa,
+                 optimal_beamformer(build_forms(x_fpa, scn), scn)),
+                (["--solution", str(run_out / "solution.json")], x_sol, w_sol)):
+            out = tmp_path / flag[0].strip("-")
+            assert main(["beampattern", "--scenario", scenario,
+                         "--out", str(out)] + flag) == 0
+            expected = [beam_gain(x, w, t, scn) for t in thetas]
+            assert np.array_equal(written.pop(), expected)
+            _, rows = _read_csv(out / "beampattern.csv")
+            assert [r[1] for r in rows] == [format(g, ".12g")
+                                            for g in expected]
 
     def test_fpa_flag(self, tmp_path):
         scenario = _write(tmp_path / "s.json", PAPER_N4)

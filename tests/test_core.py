@@ -107,7 +107,8 @@ class TestBeamGain:
 
 
 class TestStackedEvaluation:
-    """``beam_gain`` and ``rate_difference`` on (K, N) stacks."""
+    """``beam_gain`` and ``rate_difference`` on (K, N) stacks: each row has
+    the bits of its one-layout call."""
 
     @pytest.fixture
     def stack(self, make_scenario, make_beamformer):
@@ -117,21 +118,55 @@ class TestStackedEvaluation:
         W = np.array([make_beamformer(4, scn, rng) for _ in range(7)])
         return scn, X, W
 
-    def test_gains_match_rows(self, stack):
-        scn, X, W = stack
-        for theta in scn.angles:
-            gains = beam_gain(X, W, theta, scn)
-            assert gains.shape == (len(X),)
-            rows = [beam_gain(x, w, theta, scn) for x, w in zip(X, W)]
-            assert gains == pytest.approx(rows, rel=1e-13)
+    @staticmethod
+    def random_stacks(count=150):
+        """Stacks at N = 1..9, M = 1..5, K = 1..40 (every fourth K = 1),
+        sigma^2 in [1e-2, 1e2] and P_A in [1e-2, 1e10]."""
+        rng = np.random.default_rng(20)
+        for i in range(count):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+            k = 1 if i % 4 == 0 else int(rng.integers(1, 41))
+            angles = rng.uniform(0.0, np.pi, m + 1)
+            scn = Scenario(bob_angle=float(angles[0]),
+                           eve_angles=tuple(angles[1:].tolist()),
+                           noise_power=float(10.0 ** rng.uniform(-2.0, 2.0)),
+                           power_budget=float(10.0 ** rng.uniform(-2.0, 10.0)),
+                           aperture=(n - 1) * 0.5 + float(rng.uniform(0.0, 10.0)))
+            X = np.array([random_positions(n, scn, rng) for _ in range(k)])
+            W = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+            W *= np.sqrt(scn.power_budget) / np.linalg.norm(W, axis=1,
+                                                            keepdims=True)
+            yield scn, X, W
 
-    def test_rates_match_rows(self, stack):
+    def test_gains_match_rows(self):
+        rows = 0
+        for scn, X, W in self.random_stacks():
+            for theta in scn.angles:
+                gains = beam_gain(X, W, theta, scn)
+                assert gains.shape == (len(X),)
+                assert np.array_equal(
+                    gains, [beam_gain(x, w, theta, scn) for x, w in zip(X, W)])
+            rows += len(X)
+        assert rows > 2000
+
+    def test_rates_match_rows(self):
+        for scn, X, W in self.random_stacks():
+            for fn in (rate_difference, secrecy_rate):
+                rates = fn(X, W, scn)
+                assert rates.shape == (len(X),)
+                assert np.array_equal(
+                    rates, [fn(x, w, scn) for x, w in zip(X, W)])
+
+    def test_angle_column_gives_one_gain_per_row(self, stack):
         scn, X, W = stack
-        rates = rate_difference(X, W, scn)
-        assert rates.shape == (len(X),)
-        rows = [rate_difference(x, w, scn) for x, w in zip(X, W)]
-        # abs covers a rate near zero, whose log2 terms nearly cancel
-        assert rates == pytest.approx(rows, rel=1e-13, abs=1e-13)
+        thetas = np.linspace(0.0, np.pi, len(X))
+        gains = beam_gain(X, W, thetas[:, None], scn)
+        assert np.array_equal(gains, [beam_gain(x, w, t, scn)
+                                      for x, w, t in zip(X, W, thetas)])
+        with pytest.raises(ValueError, match="one angle per row"):
+            beam_gain(X[0], W[0], thetas[:, None], scn)
+        with pytest.raises(ValueError):
+            beam_gain(X[:2], W[:2], thetas[:, None], scn)
 
     def test_one_layout_returns_a_float(self, stack):
         scn, X, W = stack

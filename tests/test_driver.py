@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,33 @@ class TestSolve:
             w = optimal_beamformer(build_forms(x0, scn), scn)
             trace = solve(n, scn, cfg, x0=x0)
             assert trace.outer[0].rate_after_w == secrecy_rate(x0, w, scn)
+
+    @pytest.mark.parametrize("cfg", [
+        dataclasses.replace(VALUE, max_outer_iters=6),
+        SolveConfig(ascent="alternating", max_inner_iters=30,
+                    max_outer_iters=4)], ids=["value", "alternating"])
+    def test_reported_rates_are_the_rates_at_the_iterates(self, cfg,
+                                                          fig5_scenario):
+        # the chains' rates come from one stacked call per round; each must
+        # equal the one-layout rate at that chain's iterate, compared with ==
+        scn = fig5_scenario()
+        rng = np.random.default_rng(35)
+        starts = np.array([random_positions(5, scn, rng) for _ in range(6)])
+        budget = np.full(len(starts), scn.power_budget)
+        chains = masec.driver._ascend_chains(starts.copy(), budget, scn, cfg)
+        for k in range(1, cfg.max_outer_iters + 1):
+            # a chain follows the same iterates under any round cap, so a
+            # run capped at k rounds ends at every chain's k-th iterate
+            capped = masec.driver._ascend_chains(
+                starts.copy(), budget, scn,
+                dataclasses.replace(cfg, max_outer_iters=k))
+            for chain, at_k in zip(chains, capped):
+                if k <= chain.n_outer:
+                    assert chain.outer[k - 1].rate_after_x == secrecy_rate(
+                        at_k.final_x, at_k.final_w, scn)
+        for chain in chains:
+            assert chain.final_rate == secrecy_rate(chain.final_x,
+                                                    chain.final_w, scn)
 
     def test_final_rate_consistency(self, paper_n4):
         trace = solve(4, paper_n4, ALGORITHM_1)

@@ -8,7 +8,7 @@ from masec import (InfeasibleError, Scenario, SolveConfig, fd_gradient,
                    objective_psi, optimize_positions, project_positions,
                    random_positions, rate_difference, real_lift,
                    secrecy_rate)
-from masec.positions import _project_euclidean
+from masec.positions import _check_starts, _project_euclidean
 
 TWO_PI = 2.0 * np.pi
 
@@ -448,6 +448,54 @@ class TestLockstep:
                          + [make_beamformer(n, scn, rng) for _ in range(3)])
             steps = self._check(X, W, scn, cfg)
             assert steps[0] == 1 and max(steps) == cfg.max_inner_iters
+
+
+class TestCheckStarts:
+    """The whole stack is checked at once; a bad row raises its own error."""
+
+    BAD_ROWS = [
+        [0.0, 2.0, 1.0, 3.0],        # unsorted
+        [0.0, np.nan, 1.0, 2.0],     # not finite
+        [0.0, 1.0, 2.0, np.inf],     # not finite, and sorted
+        [0.0, 0.2, 1.0, 2.0],        # spacing below d_min
+        [-0.5, 0.0, 1.0, 2.0],       # left of 0
+        [7.0, 8.0, 9.0, 10.5],       # right of L
+    ]
+
+    @staticmethod
+    def _error(X, scn):
+        with pytest.raises(ValueError) as info:
+            _check_starts(np.array(X, dtype=float), scn)
+        return type(info.value), str(info.value)
+
+    def test_bad_row_in_a_stack_raises_its_own_error(self, paper_n4):
+        rng = np.random.default_rng(40)
+        good = [random_positions(4, paper_n4, rng) for _ in range(4)]
+        for bad in self.BAD_ROWS:
+            alone = self._error([bad], paper_n4)
+            assert self._error(good[:2] + [bad] + good[2:], paper_n4) == alone
+        # the first bad row decides
+        first, second = self.BAD_ROWS[3], self.BAD_ROWS[0]
+        assert (self._error([good[0], first, second], paper_n4)
+                == self._error([first], paper_n4))
+
+    def test_infeasible_count_raises_as_one_row(self):
+        scn = Scenario(bob_angle=1.0, eve_angles=(2.0,), aperture=1.0)
+        X = 0.5 * np.arange(4.0) * np.ones((3, 1))
+        kind, message = self._error(X, scn)
+        assert kind is InfeasibleError
+        assert (kind, message) == self._error(X[:1], scn)
+
+    def test_good_stack_skips_the_row_checks(self, paper_n4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("row checked alone")
+
+        monkeypatch.setattr("masec.positions.check_positions", refuse)
+        rng = np.random.default_rng(41)
+        X = np.array([random_positions(4, paper_n4, rng) for _ in range(5)])
+        # the edges of the box and of the spacing, within the tolerance
+        X[0] = [-1e-10, 0.5 - 1e-10, 9.5, 10.0 + 1e-10]
+        _check_starts(X, paper_n4)
 
 
 class TestRandomPositions:
