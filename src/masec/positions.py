@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FEASIBILITY_TOL, TWO_PI, Scenario, check_positions,
-                   rate_difference)
+from .core import TWO_PI, Scenario, check_positions, rate_difference
 
 LN2 = np.log(2.0)
 
@@ -194,21 +193,7 @@ def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
 
 def _check_starts(X, scenario: Scenario) -> None:
     """Reject a row of ``X`` that is unsorted or that ``check_positions``
-    rejects.
-
-    The (K, N) stack is checked at once.  Only a stack that fails runs
-    the rows one by one, to raise the first bad row's own error.
-    """
-    n = X.shape[1]
-    if n >= 1 and np.isfinite(X).all():
-        gaps = np.diff(X, axis=1)
-        if ((gaps >= 0.0).all()
-                and (n - 1) * scenario.min_spacing
-                <= scenario.aperture + FEASIBILITY_TOL
-                and (gaps >= scenario.min_spacing - FEASIBILITY_TOL).all()
-                and (X[:, 0] >= -FEASIBILITY_TOL).all()
-                and (X[:, -1] <= scenario.aperture + FEASIBILITY_TOL).all()):
-            return
+    rejects."""
     for x in X:
         if np.any(np.diff(x) < 0.0):
             raise ValueError(f"start positions must be sorted ascending: {x}")

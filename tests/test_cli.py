@@ -89,8 +89,11 @@ class TestOptimize:
         assert main(["optimize", "--scenario", scenario, "--out", str(multi),
                      "--restarts", "3"]) == 0
         _, _, r0 = load_solution(base / "solution.json")
-        _, _, r3 = load_solution(multi / "solution.json")
+        x3, w3, r3 = load_solution(multi / "solution.json")
         assert r3 >= r0 - 1e-12
+        # the chains' rates come from one stacked call; the reported one
+        # is still the one-layout rate at the reported solution
+        assert secrecy_rate(x3, w3, load_run_spec(scenario).scenario) == r3
 
     def test_infeasible_scenario_exits_2(self, tmp_path):
         doc = dict(PAPER_N4, n_antennas=30)
