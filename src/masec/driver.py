@@ -2,7 +2,8 @@
 
 The start layout is the best point of a deterministic scan over the
 antenna gaps, scored by the optimal-beamformer rate.  Two ascents run
-from there, in rounds.  ``"alternating"`` is the paper's Algorithm 1:
+from there, in rounds of one loop, each supplying its own round.
+``"alternating"`` is the paper's Algorithm 1:
 each round solves the beamformer in closed form and then runs
 fixed-step projected gradient ascent on the positions.  Both steps can
 only improve the unclamped objective, so the end-of-round secrecy rate
@@ -40,8 +41,6 @@ SCAN_STEPS_PER_WAVELENGTH = 50
 SCAN_BUDGET_SMALL_N = 100_000
 SCAN_BUDGET_LARGE_N = 3_000
 
-ASCENTS = ("alternating", "value")
-
 # Value ascent: Armijo's sufficient-increase constant, the halvings of a
 # trial step before a chain stalls, and the range of the
 # Barzilai-Borwein trial step.
@@ -74,7 +73,8 @@ class SolveConfig:
         for name in ("max_inner_iters", "max_outer_iters"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be positive")
-        if self.ascent not in ASCENTS:
+        # a tuple, so an unhashable ascent is rejected as any other
+        if self.ascent not in tuple(_ASCENT_STARTS):
             raise ValueError(f"ascent must be 'alternating' or 'value', "
                              f"got {self.ascent!r}")
 
@@ -167,68 +167,116 @@ def _scan_starts(n: int, scenarios) -> list:
                                           slack / levels)]
 
 
-def _value_round(X, W, F, G, step, budget, rows, scenario: Scenario,
-                 tol: float):
-    """One projected ascent step on F for the chains ``rows``, in place.
+def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
+    """The value ascent on the chains ``X``: its start and its round.
 
     Row j of ``X``, ``W`` and ``G`` holds chain j's layout, its optimal
     beamformer and the gradient of F there, ``F[j]`` the value
     log2 lambda_max and ``budget[j]`` its power budget, which its
     beamformer solves and its ``_rate_slack`` read in place of
-    ``scenario.power_budget``.  The trial x <- P(x + alpha grad F) starts at
-    alpha = ``step[j]`` and halves until Armijo's test
-    F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
-    ``MAX_HALVINGS`` times; P is the Euclidean projection.  Each trial
-    solves the pencil of every pending chain in one batched call, and an
-    accepted trial's beamformer and value replace the chain's.  A chain
-    that goes on gets its next gradient in ``G``, and in ``step`` the
-    Barzilai-Borwein step of its move (``_bb_steps``).
+    ``scenario.power_budget``.  A round takes one projected ascent step
+    on F for the chains ``rows``, in place.  The trial
+    x <- P(x + alpha grad F) starts at alpha = ``step[j]`` and halves
+    until Armijo's test F(x') >= F(x) + ARMIJO_C grad F . (x' - x)
+    accepts it, at most ``MAX_HALVINGS`` times; P is the Euclidean
+    projection.  Each trial solves the pencil of every pending chain in
+    one batched call, and an accepted trial's beamformer and value
+    replace the chain's.  A chain that goes on gets its next gradient in
+    ``G``, and in ``step`` the Barzilai-Borwein step of its move
+    (``_bb_steps``).  A chain has settled when the accepted step raised
+    F by at most ``cfg.inner_tol`` max(1, |F|), or every trial failed
+    within ``_rate_slack`` of F; it stops then, or when no trial was
+    accepted.  Its traces hold F at the start and at each trial.
 
     Returns:
-        (traces, settled, stalled), per chain: F at the start and at
-        each trial; whether the accepted step raised F by at most
-        ``tol`` max(1, |F|), or every trial failed within ``_rate_slack``
-        of F; whether no trial was accepted.
+        (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
+        are the secrecy rates at the start, and each round's rate after
+        the beamformer is the rate before the round.
     """
-    x0, g0 = X[rows], G[rows]
-    f0 = [F[j] for j in rows]
-    traces = [[f] for f in f0]
-    stalled = [True] * len(rows)
-    alpha, power = step[rows], budget[rows]
-    pending = list(range(len(rows)))
-    for _ in range(MAX_HALVINGS + 1):
-        Z = _project_euclidean(x0[pending] + alpha[pending, None] * g0[pending],
-                               scenario)
-        sol = solve_beamformer(build_forms(Z, scenario), scenario,
-                               power[pending])
-        rises = np.einsum("ij,ij->i", g0[pending], Z - x0[pending]).tolist()
-        waiting = []
-        for r, (i, lam, rise) in enumerate(zip(pending,
-                                               sol.eigenvalue.tolist(), rises)):
-            f = math.log2(lam)
-            traces[i].append(f)
-            if f >= f0[i] + ARMIJO_C * rise:
-                j = rows[i]
-                X[j], W[j], F[j] = Z[r], sol.beamformer[r], f
-                stalled[i] = False
-            else:
-                waiting.append(i)
-        if not waiting:
-            break
-        pending = waiting
-        alpha[pending] *= 0.5
-    # a failed search whose trials stay within rounding of F is stationary
-    n = X.shape[1]
-    settled = [max(t[1:]) - t[0] <= _rate_slack(n, scenario, p) if halted
-               else t[-1] - t[0] <= tol * max(1.0, abs(t[0]))
-               for t, halted, p in zip(traces, stalled, power.tolist())]
-    going = [i for i, (s, halted) in enumerate(zip(settled, stalled))
-             if not (s or halted)]
-    if going:
-        on = [rows[i] for i in going]
-        G[on] = gradient_psi(X[on], W[on], scenario)
-        step[on] = _bb_steps(X[on] - x0[going], G[on] - g0[going])
-    return [np.array(t) for t in traces], settled, stalled
+    sol = solve_beamformer(build_forms(X, scenario), scenario, budget)
+    W = sol.beamformer.copy()
+    F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
+    G = gradient_psi(X, W, scenario)
+    step = np.full(len(X), cfg.step_size)
+
+    def ascend(rows, rates_before):
+        x0, g0 = X[rows], G[rows]
+        f0 = [F[j] for j in rows]
+        traces = [[f] for f in f0]
+        stalled = [True] * len(rows)
+        alpha, power = step[rows], budget[rows]
+        pending = list(range(len(rows)))
+        for _ in range(MAX_HALVINGS + 1):
+            Z = _project_euclidean(
+                x0[pending] + alpha[pending, None] * g0[pending], scenario)
+            sol = solve_beamformer(build_forms(Z, scenario), scenario,
+                                   power[pending])
+            rises = np.einsum("ij,ij->i", g0[pending],
+                              Z - x0[pending]).tolist()
+            waiting = []
+            for r, (i, lam, rise) in enumerate(
+                    zip(pending, sol.eigenvalue.tolist(), rises)):
+                f = math.log2(lam)
+                traces[i].append(f)
+                if f >= f0[i] + ARMIJO_C * rise:
+                    j = rows[i]
+                    X[j], W[j], F[j] = Z[r], sol.beamformer[r], f
+                    stalled[i] = False
+                else:
+                    waiting.append(i)
+            if not waiting:
+                break
+            pending = waiting
+            alpha[pending] *= 0.5
+        # a failed search whose trials stay within rounding of F is stationary
+        n = X.shape[1]
+        settled = [max(t[1:]) - t[0] <= _rate_slack(n, scenario, p) if halted
+                   else t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0]))
+                   for t, halted, p in zip(traces, stalled, power.tolist())]
+        stop = [s or halted for s, halted in zip(settled, stalled)]
+        going = [i for i, halt in enumerate(stop) if not halt]
+        if going:
+            on = [rows[i] for i in going]
+            G[on] = gradient_psi(X[on], W[on], scenario)
+            step[on] = _bb_steps(X[on] - x0[going], G[on] - g0[going])
+        rates_x = secrecy_rate(X[rows], W[rows], scenario).tolist()
+        return ([np.array(t) for t in traces], rates_before, rates_x,
+                settled, stop)
+
+    return W, secrecy_rate(X, W, scenario).tolist(), ascend
+
+
+def _alternating_start(X, budget, scenario: Scenario, cfg: SolveConfig):
+    """Algorithm 1 on the chains ``X``: its start and its round.
+
+    A round solves the beamformers of the chains ``rows`` in closed form
+    at their budgets, then runs ``optimize_positions`` on their layouts,
+    in place.  A chain's traces are its Psi values, and its rate after
+    the beamformer is Psi at the round's start, clamped.  It stops, and
+    has converged, when its end-of-round rate moved by at most
+    ``cfg.outer_tol``; the start rates are NaN, so no chain stops in its
+    first round.
+
+    Returns:
+        (W, rates, ascend) as ``_ascend_chains`` reads them.
+    """
+    W = np.zeros(X.shape, dtype=complex)
+
+    def ascend(rows, rates_before):
+        W[rows] = optimal_beamformer(build_forms(X[rows], scenario), scenario,
+                                     budget[rows])
+        X[rows], psi = optimize_positions(X[rows], W[rows], scenario, cfg)
+        traces = [col[~np.isnan(col)] for col in psi.T]
+        rates_x = secrecy_rate(X[rows], W[rows], scenario).tolist()
+        stop = [abs(after - before) <= cfg.outer_tol
+                for before, after in zip(rates_before, rates_x)]
+        return (traces, [max(float(t[0]), 0.0) for t in traces], rates_x,
+                stop, stop)
+
+    return W, [math.nan] * len(X), ascend
+
+
+_ASCENT_STARTS = {"alternating": _alternating_start, "value": _value_start}
 
 
 def _bb_steps(S, Y) -> np.ndarray:
@@ -255,9 +303,9 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     then improves the positions by projected gradient ascent; the loop
     stops when the end-of-round rate changes by at most ``cfg.outer_tol``.
     With ``"value"`` each round takes one line-searched projected step
-    on F(x) = log2 lambda_max(x) (``_value_round``); a chain stops when
+    on F(x) = log2 lambda_max(x) (``_value_start``); a chain stops when
     a round raises F by at most ``cfg.inner_tol`` max(1, |F|), or
-    when no trial step is accepted.  Either loop also stops after
+    when no trial step is accepted.  Either ascent also stops after
     ``cfg.max_outer_iters`` rounds; ``converged`` is False then, and
     after a failed line search unless no trial rose above F by more
     than its rounding (``beamformer._rate_slack``).  The clamp [.]^+ is
@@ -358,11 +406,19 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     Row j of the (K, N) array ``X`` starts chain j, whose power budget is
     ``budget[j]``; ``scenario`` holds the rest of the instance.  The
     budget enters where a chain solves its beamformer and, in the value
-    ascent, its stop test (``_value_round``); the gradients, projections
-    and rates read the beamformer and the noise power only.  The start
-    rates and each round's end rates of all live chains come from one
-    ``secrecy_rate`` call on their stack, whose rows have the bits of a
-    call on each chain alone.
+    ascent, its stop test; the gradients, projections and rates read the
+    beamformer and the noise power only.
+
+    One loop runs either ascent.  Its start function (``_value_start``
+    or ``_alternating_start``) returns the (K, N) beamformer stack, each
+    chain's rate at the start and the round ``ascend(rows,
+    rates_before)``, which advances the live chains ``rows`` in place
+    and returns, per chain, its trace, its rates after the beamformer
+    and after the positions, whether it converged and whether it stops.
+    ``rates_before`` are the rates after each chain's last round (at
+    the start, in the first).  The end rates of all live chains come
+    from one ``secrecy_rate`` call on their stack, whose rows have the
+    bits of a call on each chain alone.
 
     Returns:
         list of OptimizationTrace, one per chain in order.
@@ -372,44 +428,19 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]
     converged = [False for _ in chains]
-    rate = [0.0 for _ in chains]  # end rate of each chain's last round
-    W = np.zeros(X.shape, dtype=complex)
-    value = cfg.ascent == "value"
-    if value:
-        sol = solve_beamformer(build_forms(X, scenario), scenario, budget)
-        W[:] = sol.beamformer
-        F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
-        G = gradient_psi(X, W, scenario)
-        step = np.full(len(X), cfg.step_size)
-        rate = secrecy_rate(X, W, scenario).tolist()
+    W, rate, ascend = _ASCENT_STARTS[cfg.ascent](X, budget, scenario, cfg)
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
-        if value:
-            rates_w = [rate[j] for j in live]
-            traces, settled, stalled = _value_round(X, W, F, G, step, budget,
-                                                    live, scenario,
-                                                    cfg.inner_tol)
-        else:
-            W[live] = optimal_beamformer(build_forms(X[live], scenario),
-                                         scenario, budget[live])
-            X[live], psi = optimize_positions(X[live], W[live], scenario,
-                                              cfg)
-            traces = [col[~np.isnan(col)] for col in psi.T]
-            rates_w = [max(float(t[0]), 0.0) for t in traces]  # Psi at start
-        rates_x = secrecy_rate(X[live], W[live], scenario).tolist()
+        traces, rates_w, rates_x, settled, stop = ascend(
+            live, [rate[j] for j in live])
         going = []
-        for r, (j, trace, rate_w, rate_x) in enumerate(zip(
-                live, traces, rates_w, rates_x)):
-            rate[j] = rate_x
+        for j, trace, rate_w, rate_x, ok, halt in zip(
+                live, traces, rates_w, rates_x, settled, stop):
+            rate[j], converged[j] = rate_x, ok
             outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
                                         rate_after_x=rate_x))
             inner[j].append(trace)
-            if value:
-                converged[j], stop = settled[r], settled[r] or stalled[r]
-            else:
-                converged[j] = stop = k > 1 and abs(
-                    rate_x - outer[j][-2].rate_after_x) <= cfg.outer_tol
-            if not stop:
+            if not halt:
                 going.append(j)
         live = going
         if not live:

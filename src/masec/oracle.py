@@ -1,10 +1,11 @@
-"""Independent verification oracles.
+"""Verification oracles for the solver.
 
-Everything here deliberately avoids the closed-form paths it checks:
-gradients are re-derived by central finite differences, the beamformer
-optimum is stress-tested against random sampling, and every instance
-whose gap grid with x_1 = 0 holds at most ``GRID_MAX_EVALS`` layouts,
-at any N, is solved exhaustively on it.  Each check draws
+The gradient and beamformer checks avoid the closed-form paths they
+check: gradients are re-derived by central finite differences and the
+beamformer optimum is stress-tested against random sampling.  The grid
+check does not: every instance whose gap grid with x_1 = 0 holds at
+most ``GRID_MAX_EVALS`` layouts, at any N, is solved exhaustively on
+it with the solver's own scan routine (below).  Each check draws
 its random samples first and then evaluates them as one (K, N) stack:
 the lift identity compares ``real_lift`` with the steering-vector gains
 of ``beam_gain`` on 200 samples, and ``fd_gradient`` perturbs every

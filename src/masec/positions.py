@@ -195,7 +195,7 @@ def _check_starts(X, scenario: Scenario) -> None:
     """Reject a row of ``X`` that is unsorted or that ``check_positions``
     rejects."""
     for x in X:
-        if np.any(np.diff(x) < 0.0):
+        if np.any(x[1:] < x[:-1]):
             raise ValueError(f"start positions must be sorted ascending: {x}")
         check_positions(x, scenario)
 

@@ -216,7 +216,7 @@ def load_solution(path):
     rate = _require_number(doc, "final_rate")
     x = np.asarray(xs, dtype=float)
     w = np.asarray([complex(re, im) for re, im in ws])
-    if np.any(np.diff(x) < 0.0):
+    if np.any(x[1:] < x[:-1]):
         raise ScenarioFileError("final_x must be in ascending order")
     x.setflags(write=False)
     w.setflags(write=False)

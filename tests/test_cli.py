@@ -359,7 +359,8 @@ class TestBeampattern:
         for bad in ({"final_x": [-3.0, 0.0, 0.1, 20.0]},
                     {"final_w": [[1.0, 0.0]] * 4},
                     {"final_x": [0.0, 0.5, 1.0],
-                     "final_w": [[1.0 / math.sqrt(3.0), 0.0]] * 3}):
+                     "final_w": [[1.0 / math.sqrt(3.0), 0.0]] * 3},
+                    {"final_x": [0.0, 0.5, math.inf, math.inf]}):
             path = _write(tmp_path / "bad.json", dict(good, **bad))
             assert main(["beampattern", "--scenario", scenario,
                          "--out", str(tmp_path / "o"),

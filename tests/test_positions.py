@@ -457,6 +457,7 @@ class TestCheckStarts:
         [0.0, 2.0, 1.0, 3.0],        # unsorted
         [0.0, np.nan, 1.0, 2.0],     # not finite
         [0.0, 1.0, 2.0, np.inf],     # not finite, and sorted
+        [0.0, 1.0, np.inf, np.inf],  # not finite, and inf - inf is NaN
         [0.0, 0.2, 1.0, 2.0],        # spacing below d_min
         [-0.5, 0.0, 1.0, 2.0],       # left of 0
         [7.0, 8.0, 9.0, 10.5],       # right of L
