@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Scenario, steering_vector
+from .core import (Scenario, _angle_steering, _psi, _psi_gradient,
+                   _squared_inner, steering_vector)
 
 # Relative gap under which the top eigenvalue is flagged as degenerate.
 DEGENERACY_RTOL = 1e-10
@@ -61,16 +62,22 @@ def build_forms(x, scenario: Scenario) -> QuadraticForms:
     ``x`` is one layout (N,) or a stack of layouts (K, N); the forms of
     every angle come from a single ``steering_vector`` call.
     """
-    xs = np.asarray(x, dtype=float)
-    thetas = scenario.angles.reshape((-1,) + (1,) * xs.ndim)
-    v = steering_vector(xs, thetas, scenario.wavelength)
-    outer = v[..., :, None] * v[..., None, :].conj()
-    sigma2 = scenario.noise_power
-    A = outer[0] / sigma2
+    return _forms(_angle_steering(x, scenario), scenario.noise_power)
+
+
+def _forms(a, noise_power: float) -> QuadraticForms:
+    """The forms A and B from the steering vectors ``a`` of every angle.
+
+    ``a`` is (M+1, N) for one layout or (M+1, K, N) for a stack, Bob
+    first, as ``core._angle_steering`` returns it; B adds the
+    eavesdroppers' outer products in angle order.
+    """
+    outer = a[..., :, None] * a[..., None, :].conj()
+    A = outer[0] / noise_power
     B = np.zeros_like(A)
     for form in outer[1:]:
         B += form
-    B /= sigma2
+    B /= noise_power
     A.setflags(write=False)
     B.setflags(write=False)
     return QuadraticForms(A=A, B=B)
@@ -135,15 +142,7 @@ def solve_beamformer(forms: QuadraticForms, scenario: Scenario,
     """
     budget = scenario.power_budget if budget is None else budget
     eigvals, eigvecs, chol = _pencil(forms, budget, vectors=True)
-    o = np.linalg.solve(chol.conj().swapaxes(-1, -2), eigvecs[..., -1:])[..., 0]
-    w = np.empty_like(o)
-    roots = np.full(o.shape[:-1], np.sqrt(budget)).reshape(-1)
-    # row by row: numpy's scalar norm and abs round unlike their batched forms
-    for row, out, root in zip(np.atleast_2d(o), np.atleast_2d(w), roots):
-        row /= np.linalg.norm(row)
-        out[:] = root * row
-        peak = out[np.argmax(np.abs(out))]
-        out *= peak.conj() / abs(peak)
+    w = _beamformer(eigvecs, chol, budget)
     w.setflags(write=False)
     lam_max = eigvals[..., -1]
     if forms.n > 1:
@@ -157,6 +156,61 @@ def solve_beamformer(forms: QuadraticForms, scenario: Scenario,
                                   eigen_gap=gap, degenerate=degenerate)
     return BeamformerSolution(beamformer=w, eigenvalue=float(lam_max),
                               eigen_gap=float(gap), degenerate=bool(degenerate))
+
+
+def _beamformer(eigvecs, chol, budget) -> np.ndarray:
+    """Beamformers sqrt(P_A) o / ||o|| from ``_pencil``'s top eigenvectors.
+
+    o = L^-H times the reduced top eigenvector.  Each beamformer is then
+    turned by one phase so that its largest-modulus entry is real
+    positive, the first such entry on a tie of |w_n|^2.  ``budget`` is
+    one P_A or one per row.  Every row is scaled by array operations
+    along the last axis, so it has the same bits in a stack of one as in
+    a stack of many.
+    """
+    o = np.linalg.solve(chol.conj().swapaxes(-1, -2), eigvecs[..., -1:])
+    rows = o.reshape(-1, o.shape[-2])
+    w = np.sqrt(np.reshape(budget, (-1, 1))) * (
+        rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    power = w.real ** 2 + w.imag ** 2
+    k = np.arange(len(w))
+    peak = np.argmax(power, axis=1)
+    w *= (w[k, peak] / np.sqrt(power[k, peak])).conj()[:, None]
+    return w.reshape(o.shape[:-1])
+
+
+def _layout_pass(X, scenario: Scenario, budget):
+    """lambda_max of each layout, and its beamformer, rate and grad Psi.
+
+    ``X`` is a (K, N) stack of layouts and ``budget`` a (K,) array of one
+    power budget per row.  One ``steering_vector`` evaluation gives the
+    forms, whose pencil gives each row's top eigenvalue lambda_max.  The
+    returned ``finish(rows)`` reads the rows ``rows`` (an index list or a
+    slice) further from the same steering vectors and pencil: the
+    optimal beamformer w, the inner products c_i = a_i^H w and their
+    squared magnitudes, the beam gains, which give the secrecy rate and,
+    with c, the gradient of Psi at w.  By Danskin's theorem that is the
+    gradient of F = log2 lambda_max.  These are the pieces that
+    ``solve_beamformer``, ``secrecy_rate`` and ``gradient_psi`` run, so
+    each row has the bits of those calls on that row alone, whichever
+    rows are finished together.
+
+    Returns:
+        (lam_max, finish): the (K,) top eigenvalues, and a function that
+        returns (W, rates, grads), (k, N), (k,) and (k, N) arrays for the
+        k rows it is given.
+    """
+    a = _angle_steering(X, scenario)
+    eigvals, eigvecs, chol = _pencil(_forms(a, scenario.noise_power), budget,
+                                     vectors=True)
+
+    def finish(rows):
+        W = _beamformer(eigvecs[rows], chol[rows], budget[rows])
+        terms, c, gains = _squared_inner(a[:, rows], W)
+        rates = np.maximum(_psi(gains, scenario.noise_power), 0.0)
+        return W, rates, _psi_gradient(terms, c, gains, scenario)
+
+    return eigvals[:, -1], finish
 
 
 def optimal_beamformer(forms: QuadraticForms, scenario: Scenario,

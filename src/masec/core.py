@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+LN2 = np.log(2.0)
 
 # Feasibility slack (absolute, in length units): clamp arithmetic such as
 # (x + d_min) - x can fall short of d_min by a few ulp.
@@ -164,18 +165,79 @@ def _stack_of_one(x, w):
     return np.atleast_2d(xs), np.atleast_2d(wv)
 
 
-def _squared_inner(a, w) -> np.ndarray:
-    """|a^H w|^2 over the last axis, for steering vectors ``a``.
+def _angle_steering(x, scenario: Scenario) -> np.ndarray:
+    """Steering vectors of every angle, Bob first, at a layout or a stack.
 
-    Each inner product is one (1, N) @ (N, 1) ``matmul``, which rounds
-    as ``np.vdot`` does, and each squared magnitude Python's
-    ``abs(c) ** 2``, which rounds as numpy's scalars do and numpy's
-    array ``abs`` and ``** 2`` do not.  So a row gives the same bits in
-    a stack of one as in a stack of many.
+    One ``steering_vector`` call with the angles on a leading axis gives
+    an (M+1, N) array for one layout and an (M+1, K, N) array for a
+    (K, N) stack.
     """
-    inner = a.conj()[..., None, :] @ w[..., :, None]
-    return np.array([abs(c) ** 2 for c in inner.ravel().tolist()]
-                    ).reshape(inner.shape[:-2])
+    xs = np.asarray(x, dtype=float)
+    return steering_vector(xs, scenario.angles.reshape((-1,) + (1,) * xs.ndim),
+                           scenario.wavelength)
+
+
+def _squared_inner(a, w):
+    """Inner products c = a^H w of every angle, and the gains |c|^2.
+
+    ``a`` is an (M+1, K, N) stack of steering vectors, angles first, and
+    ``w`` a (K, N) stack of beamformers.  Returns the real and imaginary
+    parts of the terms conj(a_n) w_n, (M+1, K, N) each, those of their
+    sums c over the antennas, (M+1, K) each, and |c|^2.  Everything is
+    real arithmetic, elementwise or summed along the last axis, and each
+    such operation rounds alike in any array layout (numpy's complex
+    multiply fuses its products in some layouts and not in others), so
+    a row gets the same bits in a stack of one as in a stack of many.
+    """
+    ar, ai, wr, wi = a.real, a.imag, w.real, w.imag
+    terms = (ar * wr + ai * wi, ar * wi - ai * wr)
+    c = (terms[0].sum(axis=-1), terms[1].sum(axis=-1))
+    return terms, c, c[0] ** 2 + c[1] ** 2
+
+
+def _angle_sum(values) -> np.ndarray:
+    """Sum of ``values`` over its leading angle axis, in angle order.
+
+    The rows are added one by one, as a scalar sum adds them, so an
+    entry's sum does not depend on the stack around it.
+    """
+    total = values[0]
+    for row in values[1:]:
+        total = total + row
+    return total
+
+
+def _psi(gains, noise_power: float) -> np.ndarray:
+    """Unclamped secrecy objective of each column of (M+1, K) beam gains.
+
+    (log1p(G_0 / sigma^2) - log1p(sum_i G_i / sigma^2)) / ln 2, Bob's
+    gain in row 0.  log1p keeps each term to relative precision when
+    G / sigma^2 is far below 1, where log2(1 + G / sigma^2) keeps it
+    only to eps absolute.
+    """
+    return (np.log1p(gains[0] / noise_power)
+            - np.log1p(_angle_sum(gains[1:]) / noise_power)) / LN2
+
+
+def _psi_gradient(terms, c, gains, scenario: Scenario) -> np.ndarray:
+    """Gradient of Psi in the positions, from ``_squared_inner``'s output.
+
+    With k_i = (2 pi / wavelength) cos(theta_i) the gain G_i = |c_i|^2
+    has dG_i/dx_n = 2 k_i Im(conj(c_i) t_in), t_in = conj(a_in) w_n the
+    terms that c_i sums, and Psi weighs grad G_0 by
+    1 / ((sigma^2 + G_0) ln 2) and each eavesdropper's by
+    -1 / ((sigma^2 + sum_i G_i) ln 2).  Im(conj(c_i) t_in) is formed
+    before any weight, so a gain that cannot move, as with one antenna
+    (c_i = t_i1), gives an exact zero.  Returns the (K, N) gradients.
+    """
+    sigma2 = scenario.noise_power
+    weights = np.empty_like(gains)
+    weights[0] = 1.0 / (sigma2 + gains[0])
+    weights[1:] = -1.0 / (sigma2 + _angle_sum(gains[1:]))
+    weights *= ((2.0 * TWO_PI / scenario.wavelength / LN2)
+                * np.cos(scenario.angles))[:, None]
+    return _angle_sum(weights[..., None] * (c[0][..., None] * terms[1]
+                                            - c[1][..., None] * terms[0]))
 
 
 def beam_gain(x, w, theta, scenario: Scenario):
@@ -192,7 +254,7 @@ def beam_gain(x, w, theta, scenario: Scenario):
     if a.shape != X.shape:
         raise ValueError(f"angles {np.shape(theta)} do not give one angle "
                          f"per row of positions {X.shape}")
-    gains = _squared_inner(a, W)
+    gains = _squared_inner(a[None], W)[2][0]
     return gains if np.ndim(x) == 2 else float(gains[0])
 
 
@@ -200,22 +262,16 @@ def rate_difference(x, w, scenario: Scenario):
     """Unclamped secrecy objective in bps/Hz.
 
     log2(1 + G_0 / sigma^2) - log2(1 + sum_i G_i / sigma^2) with the
-    eavesdropper gains summed (colluding case).  May be negative; the
-    reported secrecy rate clamps it at zero.  A float for one layout, a
-    (K,) array for (K, N) stacks, as ``beam_gain`` takes them.  The
-    gains of every angle come from one ``steering_vector`` call, and
-    each row of a stack has the bits of that layout's own call.
+    eavesdropper gains summed (colluding case), computed as ``_psi``
+    does.  May be negative; the reported secrecy rate clamps it at zero.
+    A float for one layout, a (K,) array for (K, N) stacks, as
+    ``beam_gain`` takes them.  The gains of every angle come from one
+    ``steering_vector`` call, and each row of a stack has the bits of
+    that layout's own call.
     """
     X, W = _stack_of_one(x, w)
-    a = steering_vector(X[:, None, :], scenario.angles[:, None],
-                        scenario.wavelength)
-    gains = _squared_inner(a, W[:, None, :])
-    sigma2 = scenario.noise_power
-    eve_sum = gains[:, 1]
-    for column in gains[:, 2:].T:  # in angle order, as a scalar sum adds
-        eve_sum = eve_sum + column
-    diff = (np.log2(1.0 + gains[:, 0] / sigma2)
-            - np.log2(1.0 + eve_sum / sigma2))
+    gains = _squared_inner(_angle_steering(X, scenario), W)[2]
+    diff = _psi(gains, scenario.noise_power)
     return diff if np.ndim(x) == 2 else float(diff[0])
 
 

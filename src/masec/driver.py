@@ -11,10 +11,13 @@ is non-decreasing.  ``"value"``, the default, ascends the value function
 F(x) = log2 lambda_max(x) of the beamformer problem, one projected step
 per round with a Barzilai-Borwein trial step and Armijo backtracking;
 by Danskin's theorem its gradient is the position gradient of the
-objective at the optimal beamformer.  Further starts run as chains of
-the same loop, in lockstep.  Each chain carries its own power budget,
-so ``solve_powers`` solves one antenna count at several budgets in one
-loop, from one start scan.  The fixed-position (FPA) baseline keeps
+objective at the optimal beamformer.  Each stack of trial layouts of
+its line search is one pass of ``beamformer._layout_pass``: one
+steering-vector evaluation gives lambda_max and, for an accepted
+layout, its beamformer, secrecy rate and next gradient.  Further starts
+run as chains of the same loop, in lockstep.  Each chain carries its
+own power budget, so ``solve_powers`` solves one antenna count at
+several budgets in one loop, from one start scan.  The fixed-position (FPA) baseline keeps
 the uniform layout and optimizes the beamformer once; it is one of the
 scanned layouts, so the solver never reports less than the FPA rate.
 """
@@ -28,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import (_rate_slack, best_gap_layout, build_forms,
-                         optimal_beamformer, solve_beamformer)
+from .beamformer import (_layout_pass, _rate_slack, best_gap_layout,
+                         build_forms, optimal_beamformer)
 from .core import Scenario, secrecy_rate
-from .positions import (_check_starts, _project_euclidean, gradient_psi,
-                        optimize_positions)
+from .positions import _check_starts, _project_euclidean, optimize_positions
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
 # one solve may score, for N <= 4 and for larger N; past the budget the
@@ -174,76 +176,82 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     beamformer and the gradient of F there, ``F[j]`` the value
     log2 lambda_max and ``budget[j]`` its power budget, which its
     beamformer solves and its ``_rate_slack`` read in place of
-    ``scenario.power_budget``.  A round takes one projected ascent step
-    on F for the chains ``rows``, in place.  The trial
-    x <- P(x + alpha grad F) starts at alpha = ``step[j]`` and halves
-    until Armijo's test F(x') >= F(x) + ARMIJO_C grad F . (x' - x)
-    accepts it, at most ``MAX_HALVINGS`` times; P is the Euclidean
-    projection.  Each trial solves the pencil of every pending chain in
-    one batched call, and an accepted trial's beamformer and value
-    replace the chain's.  A chain that goes on gets its next gradient in
-    ``G``, and in ``step`` the Barzilai-Borwein step of its move
-    (``_bb_steps``).  A chain has settled when the accepted step raised
-    F by at most ``cfg.inner_tol`` max(1, |F|), or every trial failed
-    within ``_rate_slack`` of F; it stops then, or when no trial was
-    accepted.  Its traces hold F at the start and at each trial.
+    ``scenario.power_budget``; ``rate[j]`` is its secrecy rate.  A round
+    takes one projected ascent step on F for the chains ``rows``, in
+    place.  The trial x <- P(x + alpha grad F) starts at
+    alpha = ``step[j]`` and halves until Armijo's test
+    F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
+    ``MAX_HALVINGS`` times; P is the Euclidean projection.  The trials
+    of all pending chains are one stack and one ``_layout_pass``: one
+    steering-vector evaluation and one batched pencil give every
+    trial's F, and the chains that accept their trial take its layout,
+    F, beamformer, rate and gradient from the same pass.  The start is
+    one pass too, so no round evaluates a rate or a gradient on its
+    own.  A chain that goes on gets in ``step`` the Barzilai-Borwein
+    step of its move (``_bb_steps``).  A chain has settled when the
+    accepted step raised F by at most ``cfg.inner_tol`` max(1, |F|), or
+    every trial failed within ``_rate_slack`` of F; it stops then, or
+    when no trial was accepted.  Its traces hold F at the start and at
+    each trial.
 
     Returns:
         (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
         are the secrecy rates at the start, and each round's rate after
         the beamformer is the rate before the round.
     """
-    sol = solve_beamformer(build_forms(X, scenario), scenario, budget)
-    W = sol.beamformer.copy()
-    F = [math.log2(lam) for lam in sol.eigenvalue.tolist()]
-    G = gradient_psi(X, W, scenario)
+    lam, finish = _layout_pass(X, scenario, budget)
+    F = [math.log2(v) for v in lam.tolist()]
+    W, rate, G = finish(slice(None))
     step = np.full(len(X), cfg.step_size)
 
     def ascend(rows, rates_before):
-        x0, g0 = X[rows], G[rows]
+        x0, g0, budgets = X[rows], G[rows], budget[rows]
         f0 = [F[j] for j in rows]
         traces = [[f] for f in f0]
         stalled = [True] * len(rows)
-        alpha, power = step[rows], budget[rows]
+        # the chains i still searching, with their trial steps and budgets
         pending = list(range(len(rows)))
+        xp, gp, alpha, power = x0, g0, step[rows], budgets
         for _ in range(MAX_HALVINGS + 1):
-            Z = _project_euclidean(
-                x0[pending] + alpha[pending, None] * g0[pending], scenario)
-            sol = solve_beamformer(build_forms(Z, scenario), scenario,
-                                   power[pending])
-            rises = np.einsum("ij,ij->i", g0[pending],
-                              Z - x0[pending]).tolist()
-            waiting = []
-            for r, (i, lam, rise) in enumerate(
-                    zip(pending, sol.eigenvalue.tolist(), rises)):
-                f = math.log2(lam)
+            Z = _project_euclidean(xp + alpha[:, None] * gp, scenario)
+            lam, finish = _layout_pass(Z, scenario, power)
+            rises = np.einsum("ij,ij->i", gp, Z - xp).tolist()
+            accepted, waiting = [], []
+            for r, (i, lam_r, rise) in enumerate(
+                    zip(pending, lam.tolist(), rises)):
+                f = math.log2(lam_r)
                 traces[i].append(f)
                 if f >= f0[i] + ARMIJO_C * rise:
-                    j = rows[i]
-                    X[j], W[j], F[j] = Z[r], sol.beamformer[r], f
+                    accepted.append(r)
+                    F[rows[i]] = f
                     stalled[i] = False
                 else:
-                    waiting.append(i)
+                    waiting.append(r)
+            if accepted:
+                on = [rows[pending[r]] for r in accepted]
+                # a slice takes views where every trial is accepted
+                done = accepted if waiting else slice(None)
+                X[on] = Z[done]
+                W[on], rate[on], G[on] = finish(done)
             if not waiting:
                 break
-            pending = waiting
-            alpha[pending] *= 0.5
+            pending = [pending[r] for r in waiting]
+            xp, gp, alpha, power = (xp[waiting], gp[waiting],
+                                    0.5 * alpha[waiting], power[waiting])
         # a failed search whose trials stay within rounding of F is stationary
         n = X.shape[1]
         settled = [max(t[1:]) - t[0] <= _rate_slack(n, scenario, p) if halted
                    else t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0]))
-                   for t, halted, p in zip(traces, stalled, power.tolist())]
+                   for t, halted, p in zip(traces, stalled, budgets.tolist())]
         stop = [s or halted for s, halted in zip(settled, stalled)]
         going = [i for i, halt in enumerate(stop) if not halt]
         if going:
             on = [rows[i] for i in going]
-            G[on] = gradient_psi(X[on], W[on], scenario)
             step[on] = _bb_steps(X[on] - x0[going], G[on] - g0[going])
-        rates_x = secrecy_rate(X[rows], W[rows], scenario).tolist()
-        return ([np.array(t) for t in traces], rates_before, rates_x,
-                settled, stop)
+        return ([np.array(t) for t in traces], rates_before,
+                rate[rows].tolist(), settled, stop)
 
-    return W, secrecy_rate(X, W, scenario).tolist(), ascend
+    return W, rate.tolist(), ascend
 
 
 def _alternating_start(X, budget, scenario: Scenario, cfg: SolveConfig):
@@ -288,10 +296,8 @@ def _bb_steps(S, Y) -> np.ndarray:
     """
     ss = np.einsum("ij,ij->i", S, S)
     sy = -np.einsum("ij,ij->i", S, Y)
-    steps = np.full(len(S), MAX_STEP)
-    curved = sy > 0.0
-    steps[curved] = ss[curved] / sy[curved]
-    return np.clip(steps, MIN_STEP, MAX_STEP)
+    steps = np.divide(ss, sy, out=np.full(len(S), MAX_STEP), where=sy > 0.0)
+    return np.minimum(np.maximum(steps, MIN_STEP), MAX_STEP)
 
 
 def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
@@ -416,9 +422,10 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     and returns, per chain, its trace, its rates after the beamformer
     and after the positions, whether it converged and whether it stops.
     ``rates_before`` are the rates after each chain's last round (at
-    the start, in the first).  The end rates of all live chains come
-    from one ``secrecy_rate`` call on their stack, whose rows have the
-    bits of a call on each chain alone.
+    the start, in the first).  Algorithm 1 reads the end rates of all
+    live chains from one ``secrecy_rate`` call on their stack, the value
+    ascent from the passes that gave each chain its layout; either way a
+    chain's rate has the bits of ``secrecy_rate`` on that chain alone.
 
     Returns:
         list of OptimizationTrace, one per chain in order.

@@ -5,7 +5,9 @@ the per-antenna cosine/sine vectors g_i, q_i and the real matrices
 C = u u^T + z z^T, D = u z^T - z u^T built from w = u + j z.  That lift
 yields a closed-form gradient of the (unclamped) secrecy objective,
 driving a fixed-step ascent with sequential nearest-point projection
-onto the spacing and aperture constraints.
+onto the spacing and aperture constraints: with w fixed, a step
+recomputes only the cosines and sines.  ``gradient_psi`` gives the same
+gradient from the inner products a^H w, as the value ascent reads it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, Scenario, check_positions, rate_difference
-
-LN2 = np.log(2.0)
+from .core import (LN2, TWO_PI, Scenario, _angle_steering, _psi_gradient,
+                   _squared_inner, _stack_of_one, check_positions,
+                   rate_difference)
 
 
 @dataclass(frozen=True)
@@ -105,19 +107,20 @@ def _gradient(g, q, half_g, half_q, gains, two_k, noise_power):
 def gradient_psi(x, w, scenario: Scenario) -> np.ndarray:
     """Closed-form gradient of ``objective_psi`` w.r.t. the positions.
 
-    Per-antenna entries combine the chain rule through the lift: with
-    W_i, S_i the diagonal sine/cosine factors scaled by
-    (2 pi / wavelength) cos(theta_i),
-
-        grad f_i = -W_i (2 C g_i + 2 D q_i) + S_i (2 C q_i - 2 D g_i)
-
-    and the log2 terms contribute a 1/ln(2) factor.
+    With c_i = a^H(x, theta_i) w and k_i = (2 pi / wavelength) cos(theta_i),
+    the gain |c_i|^2 has the partial derivative
+    2 k_i Im(conj(c_i a_in) w_n) in x_n, and the log2 terms add their
+    1/((sigma^2 + gain) ln 2) factors (``core._psi_gradient``).
+    The inner products come from the steering vectors of every angle,
+    as ``rate_difference``'s do.  ``x`` and ``w`` are one layout and its
+    beamformer, which give an (N,) gradient, or (K, N) stacks, which
+    give one row per layout with the bits of that row alone.  The
+    lift's ``_gradient`` gives the same gradient up to rounding.
     """
-    lift = real_lift(x, w, scenario)
-    two_k = 2.0 * (TWO_PI / scenario.wavelength) * np.cos(scenario.angles)
-    return _gradient(lift.g, lift.q,
-                     *_lift_gains(lift.g, lift.q, lift.C, lift.D),
-                     two_k[:, None], scenario.noise_power)
+    X, W = _stack_of_one(x, w)
+    grad = _psi_gradient(*_squared_inner(_angle_steering(X, scenario), W),
+                         scenario)
+    return grad if np.ndim(x) == 2 else grad[0]
 
 
 def _project(rows: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -152,13 +155,13 @@ def _project_euclidean(Z, scenario: Scenario) -> np.ndarray:
     itself.
     """
     n = Z.shape[1]
-    offsets = scenario.min_spacing * np.arange(n)
+    offsets = (scenario.min_spacing * np.arange(n)).tolist()
     span = scenario.aperture - (n - 1) * scenario.min_spacing
-    out = np.array(Z, dtype=float)
-    for row, y in zip(out, (out - offsets).tolist()):
+    rows = np.asarray(Z, dtype=float).tolist()
+    for row in rows:  # Python floats round as numpy's float64 does
         blocks = []  # [sum, count] of the pooled runs, means increasing
-        for v in y:
-            blocks.append([v, 1])
+        for x, offset in zip(row, offsets):
+            blocks.append([x - offset, 1])
             while (len(blocks) > 1 and blocks[-2][0] / blocks[-2][1]
                    > blocks[-1][0] / blocks[-1][1]):
                 total, count = blocks.pop()
@@ -169,9 +172,9 @@ def _project_euclidean(Z, scenario: Scenario) -> np.ndarray:
             mean = total / count
             clipped = min(max(mean, 0.0), span)
             if count > 1 or clipped != mean:
-                row[i:i + count] = clipped + offsets[i:i + count]
+                row[i:i + count] = [clipped + o for o in offsets[i:i + count]]
             i += count
-    return out
+    return np.array(rows).reshape(np.shape(Z))
 
 
 def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
@@ -259,11 +262,11 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
         gains = terms[-1]
         last, step = trace[-1], [math.nan] * len(best_psi)
         keep = []
+        # _psi's formula on Python floats: cheaper than arrays for a few chains
         for r, (k, g0, ge) in enumerate(zip(
                 chains, gains[:, 0].tolist(),
                 gains[:, 1:].sum(axis=1).tolist())):
-            psi_new = (math.log2(1.0 + g0 / sigma2)
-                       - math.log2(1.0 + ge / sigma2))
+            psi_new = (math.log1p(g0 / sigma2) - math.log1p(ge / sigma2)) / LN2
             step[k] = psi_new
             if psi_new > best_psi[k]:
                 best_psi[k] = psi_new

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from masec import Scenario
+from masec import Scenario, random_positions, real_lift
+from masec.positions import _gradient, _lift_gains
 
 
 @pytest.fixture
@@ -49,3 +50,43 @@ def make_beamformer():
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return w * np.sqrt(scenario.power_budget) / np.linalg.norm(w)
     return make
+
+
+@pytest.fixture
+def random_stacks():
+    """Factory of random (scenario, X, W) stacks.
+
+    ``random_stacks(count, seed)`` yields ``count`` stacks at N = 1..9,
+    M = 1..5 and K = 1..40 (every fourth K = 1), with sigma^2 in
+    [1e-2, 1e2], P_A in [1e-2, 1e10] and power-feasible beamformers.
+    """
+    def make(count=150, seed=20):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+            k = 1 if i % 4 == 0 else int(rng.integers(1, 41))
+            angles = rng.uniform(0.0, np.pi, m + 1)
+            scn = Scenario(bob_angle=float(angles[0]),
+                           eve_angles=tuple(angles[1:].tolist()),
+                           noise_power=float(10.0 ** rng.uniform(-2.0, 2.0)),
+                           power_budget=float(10.0 ** rng.uniform(-2.0, 10.0)),
+                           aperture=(n - 1) * 0.5 + float(rng.uniform(0.0, 10.0)))
+            X = np.array([random_positions(n, scn, rng) for _ in range(k)])
+            W = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+            W *= np.sqrt(scn.power_budget) / np.linalg.norm(W, axis=1,
+                                                            keepdims=True)
+            yield scn, X, W
+    return make
+
+
+@pytest.fixture
+def lift_gradient():
+    """Gradient of Psi through the lift, the one Algorithm 1's PGA steps
+    along: ``lift_gradient(x, w, scenario)`` for one layout or a stack."""
+    def gradient(x, w, scn):
+        lift = real_lift(x, w, scn)
+        two_k = 2.0 * (2.0 * np.pi / scn.wavelength) * np.cos(scn.angles)
+        return _gradient(lift.g, lift.q,
+                         *_lift_gains(lift.g, lift.q, lift.C, lift.D),
+                         two_k[:, None], scn.noise_power)
+    return gradient

@@ -8,13 +8,16 @@ import pytest
 
 import masec.beamformer
 from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
-                   check_positions, initial_positions, load_run_spec,
-                   optimal_beamformer, random_positions, sample_beamformers,
-                   secrecy_rate, solve_beamformer, steering_vector)
+                   check_positions, gradient_psi, initial_positions,
+                   load_run_spec, optimal_beamformer, random_positions,
+                   sample_beamformers, secrecy_rate, solve_beamformer,
+                   steering_vector)
 from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
                               MIRROR_RTOL, _canonical, _gap_blocks,
-                              _gap_bounds, _last_pivot, _mirror, _rate_bounds,
-                              _rate_slack, best_gap_layout, best_secrecy_rates)
+                              _gap_bounds, _last_pivot, _layout_pass, _mirror,
+                              _rate_bounds, _rate_slack, best_gap_layout,
+                              best_secrecy_rates)
+from masec.core import TWO_PI
 from masec.driver import _scan_levels, scan_start
 
 SWEEP_M3 = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_m3.json"
@@ -285,6 +288,56 @@ MIRROR_WINNERS = {
     "sweep_m3-n7-p10": (7, lambda: _scan_grid(7, 10.0)),
     "paper_n3-61-levels": (3, _paper_n3_grid),
 }
+
+
+class TestLayoutPass:
+    """``_layout_pass`` reads lambda_max, the beamformer, the rate and the
+    gradient of each layout from one steering-vector evaluation."""
+
+    @staticmethod
+    def passes(random_stacks):
+        """(scenario, X, budgets, lam_max, finish) on random stacks, with
+        one power budget per row."""
+        rng = np.random.default_rng(21)
+        for scn, X, _ in random_stacks():
+            budget = 10.0 ** rng.uniform(-2.0, 10.0, size=len(X))
+            yield (scn, X, budget) + _layout_pass(X, scn, budget)
+
+    def test_rows_match_the_public_functions(self, random_stacks):
+        rows = 0
+        for scn, X, budget, lam, finish in self.passes(random_stacks):
+            W, rates, grads = finish(slice(None))
+            assert W.shape == grads.shape == X.shape
+            for r, (x, power) in enumerate(zip(X, budget.tolist())):
+                one = solve_beamformer(build_forms(x, scn), scn, power)
+                assert np.array_equal(W[r], one.beamformer)
+                assert lam[r] == one.eigenvalue
+                assert rates[r] == secrecy_rate(x, one.beamformer, scn)
+                assert np.array_equal(
+                    grads[r], gradient_psi(x, one.beamformer, scn))
+            # any rows finished together have the bits of all rows
+            part = list(range(len(X)))[::-2]
+            for got, full in zip(finish(part), (W, rates, grads)):
+                assert np.array_equal(got, full[part])
+            rows += len(X)
+        assert rows > 2000
+
+    def test_gradient_matches_the_lift(self, random_stacks, lift_gradient):
+        # grad Psi sums terms up to 2 |k_i| N rho in size, and the lift
+        # builds each gain from N^2 products: near a null of the optimal
+        # beamformer the two formulas differ by the rounding of terms of
+        # size 2 max|k_i| (1 + rho N^2), relative to which they are compared
+        # where it exceeds |grad Psi|
+        for scn, X, budget, _, finish in self.passes(random_stacks):
+            W, _, grads = finish(slice(None))
+            expected = lift_gradient(X, W, scn)
+            rho = budget / scn.noise_power
+            two_k = 2.0 * (TWO_PI / scn.wavelength) * np.cos(scn.angles)
+            scale = np.maximum(np.linalg.norm(expected, axis=1),
+                               np.abs(two_k).max()
+                               * (1.0 + rho * X.shape[1] ** 2))
+            err = np.linalg.norm(grads - expected, axis=1)
+            assert np.all(err <= 1e-12 * scale)
 
 
 class TestGapBlocks:

@@ -118,29 +118,9 @@ class TestStackedEvaluation:
         W = np.array([make_beamformer(4, scn, rng) for _ in range(7)])
         return scn, X, W
 
-    @staticmethod
-    def random_stacks(count=150):
-        """Stacks at N = 1..9, M = 1..5, K = 1..40 (every fourth K = 1),
-        sigma^2 in [1e-2, 1e2] and P_A in [1e-2, 1e10]."""
-        rng = np.random.default_rng(20)
-        for i in range(count):
-            n, m = int(rng.integers(1, 10)), int(rng.integers(1, 6))
-            k = 1 if i % 4 == 0 else int(rng.integers(1, 41))
-            angles = rng.uniform(0.0, np.pi, m + 1)
-            scn = Scenario(bob_angle=float(angles[0]),
-                           eve_angles=tuple(angles[1:].tolist()),
-                           noise_power=float(10.0 ** rng.uniform(-2.0, 2.0)),
-                           power_budget=float(10.0 ** rng.uniform(-2.0, 10.0)),
-                           aperture=(n - 1) * 0.5 + float(rng.uniform(0.0, 10.0)))
-            X = np.array([random_positions(n, scn, rng) for _ in range(k)])
-            W = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-            W *= np.sqrt(scn.power_budget) / np.linalg.norm(W, axis=1,
-                                                            keepdims=True)
-            yield scn, X, W
-
-    def test_gains_match_rows(self):
+    def test_gains_match_rows(self, random_stacks):
         rows = 0
-        for scn, X, W in self.random_stacks():
+        for scn, X, W in random_stacks():
             for theta in scn.angles:
                 gains = beam_gain(X, W, theta, scn)
                 assert gains.shape == (len(X),)
@@ -149,8 +129,8 @@ class TestStackedEvaluation:
             rows += len(X)
         assert rows > 2000
 
-    def test_rates_match_rows(self):
-        for scn, X, W in self.random_stacks():
+    def test_rates_match_rows(self, random_stacks):
+        for scn, X, W in random_stacks():
             for fn in (rate_difference, secrecy_rate):
                 rates = fn(X, W, scn)
                 assert rates.shape == (len(X),)

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import masec.beamformer
+import masec.core
 import masec.driver
 from masec import (InfeasibleError, Scenario, SolveConfig,
                    beam_gain, build_forms, initial_positions, objective_psi,
@@ -204,7 +206,7 @@ class TestSolve:
         # Algorithm 1 from the uniform layout, as in the reference setup
         trace = solve(3, paper_n3, ALGORITHM_1,
                       x0=initial_positions(3, paper_n3))
-        assert trace.final_rate == 1.0430214839778427
+        assert trace.final_rate == 1.0430214839778424
         assert trace.n_outer == 47 and trace.converged
 
     def test_custom_start(self, paper_n4):
@@ -349,6 +351,44 @@ class TestValueAscent:
         assert len(trace.inner[0]) == 1 + masec.driver.MAX_HALVINGS + 1
         assert np.array_equal(trace.final_x, x0)
         assert trace.outer[0].rate_after_x == trace.outer[0].rate_after_w
+
+
+    def test_one_pass_per_trial_stack(self, fig5_scenario, monkeypatch):
+        # a trial stack's beamformers, rates and gradients come from the
+        # one steering-vector evaluation and pencil of its line search
+        calls = {"steering_vector": 0, "_pencil": 0, "_layout_pass": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, count)
+
+        for module, name in ((masec.core, "steering_vector"),
+                             (masec.beamformer, "steering_vector"),
+                             (masec.beamformer, "_pencil"),
+                             (masec.driver, "_layout_pass")):
+            counting(module, name)
+        scn = fig5_scenario(10.0)
+        rng = np.random.default_rng(38)
+        X = np.array([random_positions(5, scn, rng) for _ in range(4)])
+        budget = np.full(len(X), scn.power_budget)
+        W, rates, ascend = masec.driver._value_start(X, budget, scn, VALUE)
+        assert calls == {"steering_vector": 1, "_pencil": 1, "_layout_pass": 1}
+        live, trials = list(range(len(X))), 0
+        while live:
+            calls.update(dict.fromkeys(calls, 0))
+            traces, _, rates_x, _, stop = ascend(live,
+                                                 [rates[j] for j in live])
+            stacks = max(len(t) for t in traces) - 1
+            assert calls == dict.fromkeys(calls, stacks)
+            for j, rate in zip(live, rates_x):
+                assert rate == secrecy_rate(X[j], W[j], scn)
+            live = [j for j, halt in zip(live, stop) if not halt]
+            trials += stacks
+        assert trials > 10
 
 
 class TestSolvePowers:

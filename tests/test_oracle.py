@@ -232,6 +232,20 @@ class TestRunVerification:
         assert names["fd-gradient"] == "pass"
         assert report.passed
 
+    @pytest.mark.parametrize("scale", [dict(power_budget=1e-6),
+                                       dict(power_budget=1e-12),
+                                       dict(noise_power=1e6)],
+                             ids=["P_A=1e-6", "P_A=1e-12", "sigma2=1e6"])
+    def test_low_snr_passes(self, scale):
+        # at P_A / sigma^2 << 1 each log2(1 + G / sigma^2) is tiny: Psi must
+        # keep it to relative precision for the central difference to hold
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(0.3 * np.pi,),
+                       **scale)
+        report = run_verification(scn, 2, seed=0)
+        names = {c.name: c.status for c in report.checks}
+        assert names["fd-gradient"] == "pass"
+        assert report.passed
+
     def test_corrupted_gradient_detected(self, paper_n4, monkeypatch):
         monkeypatch.setattr("masec.oracle.gradient_psi",
                             lambda x, w, scn: -gradient_psi(x, w, scn))
