@@ -91,26 +91,58 @@ class Scenario:
                 f"spacing {self.min_spacing} (needs {need})")
 
 
-def check_positions(values, scenario: Scenario) -> np.ndarray:
-    """Validate, canonicalize (sort ascending) and freeze positions."""
-    arr = np.array(values, dtype=float, ndmin=1)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("positions must be a non-empty 1-D vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("positions must be finite")
-    if np.any(np.diff(arr) < 0.0):
-        warnings.warn("antenna positions were unsorted; sorting ascending",
-                      UserWarning, stacklevel=2)
-        arr = np.sort(arr)
-    scenario.check_feasible(arr.size)
-    if np.any(np.diff(arr) < scenario.min_spacing - FEASIBILITY_TOL):
-        raise ValueError(
-            f"adjacent spacing below d_min={scenario.min_spacing}: {arr}")
-    if arr[0] < -FEASIBILITY_TOL or arr[-1] > scenario.aperture + FEASIBILITY_TOL:
-        raise ValueError(
-            f"positions outside [0, {scenario.aperture}]: {arr}")
+def check_positions(values, scenario: Scenario, *,
+                    stack: bool = False) -> np.ndarray:
+    """Validate, canonicalize (sort ascending) and freeze positions.
+
+    With ``stack=True`` ``values`` is a (K, N) stack of layouts, one per
+    row, and its rows are not sorted: antenna n of a row stays antenna
+    n, so an unsorted row is an error.  Each row is checked for
+    finiteness, then order, the antenna count, spacing and the box, and
+    the first row with a defect raises the error, naming its values,
+    that it raises as a stack of one.  One array operation per check
+    serves every row.
+    """
+    arr = np.array(values, dtype=float, ndmin=1 + stack)
+    if arr.ndim != 1 + stack or arr.size < 1:
+        raise ValueError("positions must be a non-empty "
+                         + ("(K, N) stack" if stack else "1-D vector"))
+    if not stack:
+        if not np.isfinite(arr).all():
+            raise ValueError("positions must be finite")
+        if np.any(np.diff(arr) < 0.0):
+            warnings.warn("antenna positions were unsorted; sorting ascending",
+                          UserWarning, stacklevel=2)
+            arr = np.sort(arr)
+    _check_rows(np.atleast_2d(arr), scenario)
     arr.setflags(write=False)
     return arr
+
+
+def _check_rows(X: np.ndarray, scenario: Scenario) -> None:
+    """Raise the first defect of the first defective row of ``X``."""
+    finite = np.isfinite(X).all(axis=1)
+    # a row that is not finite gets zeros here, so no inf - inf is formed
+    gaps = np.diff(np.where(finite[:, None], X, 0.0), axis=1)
+    unsorted = (gaps < 0.0).any(axis=1)
+    tight = (gaps < scenario.min_spacing - FEASIBILITY_TOL).any(axis=1)
+    outside = ((X[:, 0] < -FEASIBILITY_TOL)
+               | (X[:, -1] > scenario.aperture + FEASIBILITY_TOL))
+    if finite[0] and not unsorted[0]:
+        # a count the aperture cannot hold is a defect of every row
+        scenario.check_feasible(X.shape[1])
+    bad = np.flatnonzero(~finite | unsorted | tight | outside)
+    if not bad.size:
+        return
+    row, x = bad[0], X[bad[0]]
+    if not finite[row]:
+        raise ValueError("positions must be finite")
+    if unsorted[row]:
+        raise ValueError(f"start positions must be sorted ascending: {x}")
+    if tight[row]:
+        raise ValueError(
+            f"adjacent spacing below d_min={scenario.min_spacing}: {x}")
+    raise ValueError(f"positions outside [0, {scenario.aperture}]: {x}")
 
 
 def check_beamformer(values, scenario: Scenario) -> np.ndarray:

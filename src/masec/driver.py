@@ -9,12 +9,16 @@ fixed-step projected gradient ascent on the positions.  Both steps can
 only improve the unclamped objective, so the end-of-round secrecy rate
 is non-decreasing.  ``"value"``, the default, ascends the value function
 F(x) = log2 lambda_max(x) of the beamformer problem, one projected step
-per round with a Barzilai-Borwein trial step and Armijo backtracking;
-by Danskin's theorem its gradient is the position gradient of the
-objective at the optimal beamformer.  Each stack of trial layouts of
-its line search is one pass of ``beamformer._layout_pass``: one
-steering-vector evaluation gives lambda_max and, for an accepted
-layout, its beamformer, secrecy rate and next gradient.  Further starts
+per round with Armijo backtracking; by Danskin's theorem its gradient
+is the position gradient of the objective at the optimal beamformer.
+The step is a quasi-Newton one, in the manner of projected Newton
+methods (Bertsekas 1982): each chain keeps a BFGS estimate of the
+inverse Hessian and solves its quadratic model on the face of the
+spacing and aperture constraints that bind at its layout.  Each stack
+of trial layouts of its line search is one pass of
+``beamformer._layout_pass``: one steering-vector evaluation gives
+lambda_max and, for an accepted layout, its beamformer, secrecy rate
+and next gradient.  Further starts
 run as chains of the same loop, in lockstep.  Each chain carries its
 own power budget, so ``solve_powers`` solves one antenna count at
 several budgets in one loop, from one start scan.  The fixed-position (FPA) baseline keeps
@@ -34,7 +38,8 @@ import numpy as np
 from .beamformer import (_layout_pass, _rate_slack, best_gap_layout,
                          build_forms, optimal_beamformer)
 from .core import Scenario, secrecy_rate
-from .positions import _check_starts, _project_euclidean, optimize_positions
+from .positions import (_check_starts, _face_projector, _project_euclidean,
+                        optimize_positions)
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
 # one solve may score, for N <= 4 and for larger N; past the budget the
@@ -44,11 +49,13 @@ SCAN_BUDGET_SMALL_N = 100_000
 SCAN_BUDGET_LARGE_N = 3_000
 
 # Value ascent: Armijo's sufficient-increase constant, the halvings of a
-# trial step before a chain stalls, and the range of the
-# Barzilai-Borwein trial step.
+# trial step before a chain stalls, the range of the first scaling of a
+# chain's inverse-Hessian estimate, and the relative size of F's last
+# bit, the least gain a direction must promise.
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
 MIN_STEP, MAX_STEP = 1e-8, 1e3
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -178,21 +185,30 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     beamformer solves and its ``_rate_slack`` read in place of
     ``scenario.power_budget``; ``rate[j]`` is its secrecy rate.  A round
     takes one projected ascent step on F for the chains ``rows``, in
-    place.  The trial x <- P(x + alpha grad F) starts at
-    alpha = ``step[j]`` and halves until Armijo's test
-    F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
-    ``MAX_HALVINGS`` times; P is the Euclidean projection.  The trials
-    of all pending chains are one stack and one ``_layout_pass``: one
-    steering-vector evaluation and one batched pencil give every
-    trial's F, and the chains that accept their trial take its layout,
-    F, beamformer, rate and gradient from the same pass.  The start is
-    one pass too, so no round evaluates a rate or a gradient on its
-    own.  A chain that goes on gets in ``step`` the Barzilai-Borwein
-    step of its move (``_bb_steps``).  A chain has settled when the
-    accepted step raised F by at most ``cfg.inner_tol`` max(1, |F|), or
-    every trial failed within ``_rate_slack`` of F; it stops then, or
-    when no trial was accepted.  Its traces hold F at the start and at
-    each trial.
+    place.  The trial x <- P(x + alpha d) starts at alpha = 1 and halves
+    until Armijo's test F(x') >= F(x) + ARMIJO_C grad F . (x' - x)
+    accepts it, at most ``MAX_HALVINGS`` times; P is the Euclidean
+    projection.  A chain without a curvature estimate, as in its first
+    round, takes d = ``cfg.step_size`` grad F.  Once one of its moves s,
+    with gradient change y, shows s . -y > 0, row j of ``H`` holds its
+    BFGS estimate of the inverse Hessian of -F, first scaled to
+    -s.y / y.y (``_bfgs_updates``), and d is the quasi-Newton step on
+    the face of the constraints that bind at x (``_face_directions``,
+    ``positions._face_projector``).  A direction whose gain grad F . d
+    is within the last bit of F (``EPS`` max(1, |F|)) is set to 0, so
+    a chain at a stationary point of its face tries its own layout and
+    stops there.  The trials of all pending chains
+    are one stack and one ``_layout_pass``: one steering-vector
+    evaluation and one batched pencil give every trial's F, and the
+    chains that accept their trial take its layout, F, beamformer, rate
+    and gradient from the same pass.  The start is one pass too, so no
+    round evaluates a rate or a gradient on its own.  The face and BFGS
+    algebra is batched over the chains, row by row, so a chain's bits do
+    not depend on the others.  A chain has settled when the accepted
+    step raised F by at most ``cfg.inner_tol`` max(1, |F|), or every
+    trial failed within ``_rate_slack`` of F; it stops then, or when no
+    trial was accepted.  Its traces hold F at the start and at each
+    trial.
 
     Returns:
         (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
@@ -202,18 +218,38 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     lam, finish = _layout_pass(X, scenario, budget)
     F = [math.log2(v) for v in lam.tolist()]
     W, rate, G = finish(slice(None))
-    step = np.full(len(X), cfg.step_size)
+    n = X.shape[1]
+    # each chain's inverse-Hessian estimate of -F, once it has one
+    H = np.zeros((len(X), n, n))
+    scaled = np.zeros(len(X), dtype=bool)
 
     def ascend(rows, rates_before):
         x0, g0, budgets = X[rows], G[rows], budget[rows]
         f0 = [F[j] for j in rows]
         traces = [[f] for f in f0]
         stalled = [True] * len(rows)
-        # the chains i still searching, with their trial steps and budgets
+        # the chains i still searching, with their directions, steps, budgets
         pending = list(range(len(rows)))
-        xp, gp, alpha, power = x0, g0, step[rows], budgets
+        xp, gp, power = x0, g0, budgets
+        # a chain without a curvature estimate steps along its gradient
+        dp, newton = cfg.step_size * g0, scaled[rows]
+        if newton.any():
+            dp[newton] = _face_directions(
+                H[rows][newton], g0[newton],
+                _face_projector(x0[newton], g0[newton], scenario))
+        # a direction that can raise F by no more than its last bit is none
+        flat = (np.einsum("ij,ij->i", g0, dp)
+                <= EPS * np.maximum(1.0, np.abs(f0)))
+        dp[flat] = 0.0
+        alpha = np.ones(len(rows))
         for _ in range(MAX_HALVINGS + 1):
-            Z = _project_euclidean(xp + alpha[:, None] * gp, scenario)
+            Z = _project_euclidean(xp + alpha[:, None] * dp, scenario)
+            if flat is not None:
+                # a zero direction tries the layout itself, which it accepts
+                # at once: projecting it again could move tied antennas by
+                # rounding
+                Z[flat] = xp[flat]
+                flat = None
             lam, finish = _layout_pass(Z, scenario, power)
             rises = np.einsum("ij,ij->i", gp, Z - xp).tolist()
             accepted, waiting = [], []
@@ -236,18 +272,16 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
             if not waiting:
                 break
             pending = [pending[r] for r in waiting]
-            xp, gp, alpha, power = (xp[waiting], gp[waiting],
-                                    0.5 * alpha[waiting], power[waiting])
+            xp, gp, dp, alpha, power = (xp[waiting], gp[waiting], dp[waiting],
+                                        0.5 * alpha[waiting], power[waiting])
         # a failed search whose trials stay within rounding of F is stationary
-        n = X.shape[1]
         settled = [max(t[1:]) - t[0] <= _rate_slack(n, scenario, p) if halted
                    else t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0]))
                    for t, halted, p in zip(traces, stalled, budgets.tolist())]
         stop = [s or halted for s, halted in zip(settled, stalled)]
-        going = [i for i, halt in enumerate(stop) if not halt]
-        if going:
-            on = [rows[i] for i in going]
-            step[on] = _bb_steps(X[on] - x0[going], G[on] - g0[going])
+        # a stopped chain's estimate is updated too, and never read
+        H[rows], scaled[rows] = _bfgs_updates(H[rows], scaled[rows],
+                                              X[rows] - x0, G[rows] - g0)
         return ([np.array(t) for t in traces], rates_before,
                 rate[rows].tolist(), settled, stop)
 
@@ -287,17 +321,49 @@ def _alternating_start(X, budget, scenario: Scenario, cfg: SolveConfig):
 _ASCENT_STARTS = {"alternating": _alternating_start, "value": _value_start}
 
 
-def _bb_steps(S, Y) -> np.ndarray:
-    """Barzilai-Borwein steps s.s / -s.y for ascent, clipped to the step range.
+def _face_directions(H, G, P) -> np.ndarray:
+    """Quasi-Newton ascent directions on the faces of the binding constraints.
 
-    Rows of ``S`` are position steps, rows of ``Y`` the changes of the
-    gradient; a step without negative curvature along s gets the
-    largest step.
+    Row k of ``H`` is a chain's inverse-Hessian estimate of -F, of ``G``
+    its gradient of F and of ``P`` the projector onto its face
+    (``positions._face_projector``).  With Q = I - P the projector onto
+    the binding constraints' normals, the Newton step of the quadratic
+    model restricted to the face is d = H (g - u), u solving
+    (Q H Q + P) u = Q H g (the range-space form of an equality-
+    constrained step); P is applied once more, so fixed antennas move by
+    exactly 0.  One batched solve serves every chain.
     """
-    ss = np.einsum("ij,ij->i", S, S)
+    Q = np.eye(H.shape[1]) - P
+    HQ = H @ Q
+    g = G[:, :, None]
+    # H is symmetric, so (H Q)^T g = Q H g
+    u = np.linalg.solve(Q @ HQ + P, HQ.transpose(0, 2, 1) @ g)
+    return (P @ (H @ (g - u)))[:, :, 0]
+
+
+def _bfgs_updates(H, scaled, S, Y):
+    """BFGS updates of the inverse-Hessian estimates ``H`` of -F.
+
+    Rows of ``S`` are position steps and rows of ``Y`` the changes of
+    the gradient of F, so -Y is the change of the gradient of -F.  A row
+    is updated only where s . -y > 0; one not yet ``scaled`` is first
+    set, in ``H`` itself, to -s.y / y.y times I (Nocedal and Wright's
+    scaling, the shorter Barzilai-Borwein step), clipped to
+    [MIN_STEP, MAX_STEP].  The other rows get a zero update, which
+    leaves them unchanged.  Returns the new (H, scaled).
+    """
     sy = -np.einsum("ij,ij->i", S, Y)
-    steps = np.divide(ss, sy, out=np.full(len(S), MAX_STEP), where=sy > 0.0)
-    return np.minimum(np.maximum(steps, MIN_STEP), MAX_STEP)
+    ok = sy > 0.0
+    first = ok & ~scaled
+    if first.any():
+        gamma = sy[first] / np.einsum("ij,ij->i", Y[first], Y[first])
+        H[first] = (np.eye(H.shape[1])
+                    * np.clip(gamma, MIN_STEP, MAX_STEP)[:, None, None])
+    # H+ = V H V^T + rho s s^T with V = I - rho s (-y)^T; V = I where rho = 0
+    rho_s = S * np.divide(1.0, sy, out=np.zeros_like(sy), where=ok)[:, None]
+    V = np.eye(H.shape[1]) + rho_s[:, :, None] * Y[:, None, :]
+    return (V @ H @ V.transpose(0, 2, 1)
+            + rho_s[:, :, None] * S[:, None, :]), scaled | ok
 
 
 def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
@@ -308,8 +374,9 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     updates the beamformer in closed form for the current positions,
     then improves the positions by projected gradient ascent; the loop
     stops when the end-of-round rate changes by at most ``cfg.outer_tol``.
-    With ``"value"`` each round takes one line-searched projected step
-    on F(x) = log2 lambda_max(x) (``_value_start``); a chain stops when
+    With ``"value"`` each round takes one line-searched projected
+    quasi-Newton step on F(x) = log2 lambda_max(x) (``_value_start``),
+    along the gradient until a move shows curvature; a chain stops when
     a round raises F by at most ``cfg.inner_tol`` max(1, |F|), or
     when no trial step is accepted.  Either ascent also stops after
     ``cfg.max_outer_iters`` rounds; ``converged`` is False then, and

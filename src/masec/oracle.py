@@ -144,13 +144,21 @@ def _random_samples(count, n, scenario, rng):
     """``count`` random layouts and power-feasible beamformers as (K, N) stacks.
 
     Each sample draws its positions, then the real and the imaginary
-    parts of its beamformer.
+    parts of its beamformer, as ``random_positions`` and two
+    ``standard_normal`` calls would, into rows of preallocated arrays;
+    the sorting, the spacing offsets and the power scaling then act on
+    the whole stack at once.
     """
-    X = np.empty((count, n))
-    W = np.empty((count, n), dtype=complex)
-    for x, w in zip(X, W):
-        x[:] = random_positions(n, scenario, rng)
-        w[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    scenario.check_feasible(n)
+    span = max(scenario.aperture - (n - 1) * scenario.min_spacing, 0.0)
+    X, re, im = np.empty((count, n)), np.empty((count, n)), np.empty((count, n))
+    for x, r, i in zip(X, re, im):
+        x[:] = rng.uniform(0.0, span, size=n)
+        rng.standard_normal(out=r)
+        rng.standard_normal(out=i)
+    X.sort(axis=1)
+    X += scenario.min_spacing * np.arange(n)
+    W = re + 1j * im
     W *= np.sqrt(scenario.power_budget) / np.linalg.norm(W, axis=1)[:, None]
     return X, W
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LN2, TWO_PI, Scenario, _angle_steering, _psi_gradient,
-                   _squared_inner, _stack_of_one, check_positions,
-                   rate_difference)
+from .core import (FEASIBILITY_TOL, LN2, TWO_PI, Scenario, _angle_steering,
+                   _psi_gradient, _squared_inner, _stack_of_one,
+                   check_positions, rate_difference)
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,18 @@ def _project_euclidean(Z, scenario: Scenario) -> np.ndarray:
     that interval.  Unlike ``project_positions`` the rows are not sorted
     first: antenna n stays antenna n.  A coordinate that is neither
     pooled nor clipped is returned unchanged, so a feasible row maps to
-    itself.
+    itself: one array test finds those rows, and the pooling runs, one
+    row after another, on the others only.
     """
     n = Z.shape[1]
-    offsets = (scenario.min_spacing * np.arange(n)).tolist()
+    offsets = scenario.min_spacing * np.arange(n)
     span = scenario.aperture - (n - 1) * scenario.min_spacing
-    rows = np.asarray(Z, dtype=float).tolist()
+    out = np.array(Z, dtype=float)
+    Y = out - offsets
+    moved = np.flatnonzero(~((Y[:, 1:] >= Y[:, :-1]).all(axis=1)
+                             & (Y[:, 0] >= 0.0) & (Y[:, -1] <= span)))
+    rows = out[moved].tolist()
+    offsets = offsets.tolist()
     for row in rows:  # Python floats round as numpy's float64 does
         blocks = []  # [sum, count] of the pooled runs, means increasing
         for x, offset in zip(row, offsets):
@@ -174,7 +180,53 @@ def _project_euclidean(Z, scenario: Scenario) -> np.ndarray:
             if count > 1 or clipped != mean:
                 row[i:i + count] = [clipped + o for o in offsets[i:i + count]]
             i += count
-    return np.array(rows).reshape(np.shape(Z))
+    if rows:
+        out[moved] = rows
+    return out
+
+
+def _face_projector(X, G, scenario: Scenario) -> np.ndarray:
+    """Projector onto the face of the binding constraints at each layout.
+
+    ``X`` is a (K, N) stack of feasible layouts and ``G`` the gradients
+    of the objective being raised there.  In slack coordinates
+    y_n = x_n - (n-1) d_min, with 0 <= y_1 <= ... <= y_N <= L - (N-1) d_min,
+    a constraint is active where two neighbours tie (their gap is d_min)
+    or an antenna sits at an end of that interval, to within
+    ``FEASIBILITY_TOL``.  It binds when the gradient presses on it: the
+    velocity v nearest to G that keeps the layout feasible is the
+    isotonic regression of G over each run of ties (pool adjacent
+    violators), clipped to v >= 0 at the lower end and to v <= 0 at the
+    upper one.  A tie is released where v separates the pair, and an
+    end where v pulls off it (v > 0 at the lower end, v < 0 at the
+    upper one; at v = 0 the lower end holds and the upper one does
+    not).  Antennas held at an end stay fixed, and those joined by
+    binding ties move together.  Returns the (K, N, N) orthogonal
+    projectors onto those directions: 1/|B| on the pairs of each free
+    block B, 0 elsewhere.  Each pass of the pooling joins the violating
+    ties of every layout at once, so it takes at most N - 1 passes and
+    no loop over the layouts.
+    """
+    k, n = X.shape
+    Y = X - scenario.min_spacing * np.arange(n)
+    tied = Y[:, 1:] - Y[:, :-1] <= FEASIBILITY_TOL
+    same, v = None, G
+    joined = merge = tied & (G[:, :-1] > G[:, 1:])
+    while merge.any():
+        label = np.zeros((k, n), dtype=int)
+        np.cumsum(~joined, axis=1, out=label[:, 1:])
+        same = label[:, :, None] == label[:, None, :]
+        size = same.sum(axis=2, keepdims=True)
+        v = (same * G[:, None, :]).sum(axis=2) / size[:, :, 0]
+        merge = tied & ~joined & (v[:, :-1] > v[:, 1:])
+        joined = joined | merge
+    span = scenario.aperture - (n - 1) * scenario.min_spacing
+    free = ~np.where(v > 0.0, Y >= span - FEASIBILITY_TOL,
+                     Y <= FEASIBILITY_TOL)
+    if same is None:  # no tie binds: every block is one antenna
+        return free[:, :, None] * np.eye(n)
+    return np.where(same & free[:, :, None] & free[:, None, :],
+                    1.0 / size, 0.0)
 
 
 def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
@@ -197,10 +249,7 @@ def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
 def _check_starts(X, scenario: Scenario) -> None:
     """Reject a row of ``X`` that is unsorted or that ``check_positions``
     rejects."""
-    for x in X:
-        if np.any(x[1:] < x[:-1]):
-            raise ValueError(f"start positions must be sorted ascending: {x}")
-        check_positions(x, scenario)
+    check_positions(X, scenario, stack=True)
 
 
 def optimize_positions(x0, w, scenario: Scenario, cfg):

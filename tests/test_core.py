@@ -264,6 +264,17 @@ class TestAntennaPositions:
         with pytest.raises(ValueError):
             pos[0] = 3.0
 
+    def test_stack_checked_row_by_row(self):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        X = check_positions([[0.0, 0.5, 1.0], [1.0, 2.0, 3.0]], scn, stack=True)
+        assert np.array_equal(X, [[0.0, 0.5, 1.0], [1.0, 2.0, 3.0]])
+        assert not X.flags.writeable
+        # a stack's rows are not sorted for it; the message shows the row
+        with pytest.raises(ValueError, match=r"sorted ascending: \[1\. 0\.\]"):
+            check_positions([[0.0, 1.0], [1.0, 0.0]], scn, stack=True)
+        with pytest.raises(ValueError, match=r"non-empty \(K, N\) stack"):
+            check_positions(np.zeros((1, 1, 2)), scn, stack=True)
+
     @pytest.mark.parametrize("values, error, match", [
         ([], ValueError, "non-empty 1-D"),
         ([[0.0, 1.0]], ValueError, "non-empty 1-D"),

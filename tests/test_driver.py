@@ -6,6 +6,7 @@ import pytest
 import masec.beamformer
 import masec.core
 import masec.driver
+import masec.positions
 from masec import (InfeasibleError, Scenario, SolveConfig,
                    beam_gain, build_forms, initial_positions, objective_psi,
                    optimal_beamformer,
@@ -330,17 +331,45 @@ class TestValueAscent:
                                                max_outer_iters=1))
         assert trace.n_outer == 1 and not trace.converged
 
-    def test_stationary_chain_at_high_power_converges(self):
-        # at P_A = 1e10 the last round's trials all lie within the rounding
-        # of F, a few 1e-6 below it: the search fails at a stationary point
+    def test_failed_search_within_rounding_converges(self, monkeypatch):
+        # at P_A = 1e10 F is good to about 1e-6 and the rate slack is 3e-4;
+        # every trial lands half a slack below F, so the search fails
+        # within the rounding of F: a stationary point, in place
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
                        power_budget=1e10)
-        trace = solve(3, scn, VALUE)
-        assert trace.converged
-        last = trace.inner[-1]
-        assert len(last) == 1 + masec.driver.MAX_HALVINGS + 1
-        assert max(last[1:]) <= last[0]
+        # gaps of 2 sqrt(2) / 3 null the eavesdropper: the rate is the bound
+        x0 = 2.0 * np.sqrt(2.0) / 3.0 * np.arange(3.0)
+        drop = 2.0 ** (-0.5 * masec.beamformer._rate_slack(3, scn))
+        layout_pass, passes = masec.driver._layout_pass, []
+
+        def lowered(X, scenario, budget):
+            lam, finish = layout_pass(X, scenario, budget)
+            passes.append(len(X))
+            return (lam if len(passes) == 1 else drop * lam), finish
+        monkeypatch.setattr(masec.driver, "_layout_pass", lowered)
+        trace = solve(3, scn, VALUE, x0=x0)
+        assert trace.n_outer == 1 and trace.converged
+        trials = trace.inner[0]
+        assert len(trials) == 1 + masec.driver.MAX_HALVINGS + 1
+        assert max(trials[1:]) < trials[0]
+        assert np.array_equal(trace.final_x, x0)
+        assert trace.final_rate == trace.outer[0].rate_after_w
         assert trace.final_rate == pytest.approx(34.804243449, abs=1e-9)
+
+    def test_direction_below_the_last_bit_of_f_is_no_step(self, paper_n3,
+                                                             monkeypatch):
+        # a shift of every antenna leaves F as it is, and g . d is then
+        # rounding: a direction whose gain is below the last bit of F is
+        # none, so the one trial is the layout itself, accepted with no gain
+        monkeypatch.setattr(masec.driver, "_face_directions",
+                            lambda H, G, P: np.full_like(G, 1e-3))
+        trace = solve(3, paper_n3, SolveConfig(inner_tol=1e-300),
+                      x0=initial_positions(3, paper_n3))
+        first, second = trace.inner
+        assert first[-1] > first[0]
+        assert list(second) == [first[-1], first[-1]]
+        assert trace.converged
+        assert trace.outer[1].rate_after_x == trace.outer[0].rate_after_x
 
     def test_failed_line_search_stops_in_place(self, paper_n3, monkeypatch):
         # no trial can pass an Armijo test this strict
@@ -391,6 +420,66 @@ class TestValueAscent:
         assert trials > 10
 
 
+def _spd(rng, k, n):
+    A = rng.standard_normal((k, n, n))
+    return A @ A.transpose(0, 2, 1) + 0.1 * np.eye(n)
+
+
+class TestQuasiNewton:
+    def test_face_direction_is_the_newton_step_on_the_face(self):
+        # d = Z (Z^T H^-1 Z)^-1 Z^T g for a basis Z of the face
+        rng = np.random.default_rng(39)
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            span = scn.aperture - (n - 1) * scn.min_spacing
+            y = np.sort(rng.choice([0.0, span, 1.0, 2.0], size=(4, n)), axis=1)
+            X = y + scn.min_spacing * np.arange(n)
+            H, G = _spd(rng, 4, n), rng.standard_normal((4, n))
+            P = masec.positions._face_projector(X, G, scn)
+            D = masec.driver._face_directions(H, G, P)
+            for h, g, p, d in zip(H, G, P, D):
+                vals, vecs = np.linalg.eigh(p)
+                Z = vecs[:, vals > 0.5]
+                expected = Z @ np.linalg.solve(Z.T @ np.linalg.solve(h, Z),
+                                               Z.T @ g)
+                assert np.allclose(d, expected, rtol=1e-8, atol=1e-10)
+                assert g @ d >= 0.0
+                # antennas that the face holds move by exactly 0
+                assert np.all(d[~p.any(axis=1)] == 0.0)
+
+    def test_bfgs_update_meets_the_secant_condition(self):
+        rng = np.random.default_rng(40)
+        n = 5
+        H, S = _spd(rng, 6, n), rng.standard_normal((6, n))
+        # the gradient of F falls along s on rows 0-3 and rises on 4-5
+        Y = -np.einsum("kij,kj->ki", _spd(rng, 6, n), S)
+        Y[4:] *= -1.0
+        scaled = np.array([True] * 3 + [False] * 3)
+        new, now = masec.driver._bfgs_updates(H.copy(), scaled, S, Y)
+        assert list(now) == [True] * 4 + [False] * 2
+        for k in range(4):
+            assert np.allclose(new[k] @ -Y[k], S[k], rtol=1e-10)
+            assert np.allclose(new[k], new[k].T)
+            assert np.all(np.linalg.eigvalsh(new[k]) > 0.0)
+        # no update without positive curvature
+        assert np.array_equal(new[4:], H[4:])
+        # an estimate not yet scaled starts from -s.y / y.y times I
+        gamma = -(S[3] @ Y[3]) / (Y[3] @ Y[3])
+        again, _ = masec.driver._bfgs_updates(gamma * np.eye(n)[None],
+                                              np.array([True]), S[3:4],
+                                              Y[3:4])
+        assert np.allclose(new[3], again[0], rtol=1e-14)
+
+    def test_first_scaling_is_clipped(self):
+        s, y = np.array([[1.0, 0.0]]), np.array([[-1e-12, 0.0]])
+        new, _ = masec.driver._bfgs_updates(np.eye(2)[None], np.array([False]),
+                                            s, y)
+        capped, _ = masec.driver._bfgs_updates(
+            masec.driver.MAX_STEP * np.eye(2)[None], np.array([True]), s, y)
+        assert np.array_equal(new, capped)
+
+
 class TestSolvePowers:
     @pytest.mark.parametrize("cfg", [VALUE, ALGORITHM_1],
                              ids=["value", "alternating"])
@@ -416,6 +505,15 @@ class TestSolvePowers:
             assert np.array_equal(trace.final_w, alone.final_w)
             assert trace.final_rate == alone.final_rate
             assert trace.converged == alone.converged
+
+    def test_sweep_m3_n6_converges_under_the_cap(self, fig5_scenario):
+        # N = 6 at P_A = 1 once stopped at the 50-round cap
+        cfg = SolveConfig()
+        traces = solve_powers(6, [fig5_scenario(1.0), fig5_scenario(10.0)])
+        for trace, reached in zip(traces, (2.80386273295, 5.92595554536)):
+            assert trace.converged
+            assert trace.n_outer < cfg.max_outer_iters
+            assert trace.final_rate >= reached
 
     def test_rejects_scenarios_that_differ_in_more_than_power(
             self, paper_n3, paper_n4):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from masec.oracle import _random_samples
 from masec import (Scenario, build_forms, fd_gradient, grid_search,
                    gradient_psi, initial_positions, mrt_beamformer,
                    SolveConfig, random_positions, run_verification,
@@ -184,6 +185,25 @@ class TestGridSearch:
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         with pytest.raises(ValueError, match="resolution must be positive"):
             grid_search(scn, 3, resolution)
+
+
+class TestRandomSamples:
+    def test_stacks_equal_one_draw_at_a_time(self, paper_n3, make_scenario):
+        rng = np.random.default_rng(41)
+        cases = [(3, paper_n3), (1, paper_n3)]
+        cases += [(int(rng.integers(2, 9)), make_scenario(rng)) for _ in range(4)]
+        for seed, (n, scn) in enumerate(cases):
+            X, W = _random_samples(50, n, scn, np.random.default_rng(seed))
+            # each sample drawn on its own, then the stack scaled to P_A
+            draws = np.random.default_rng(seed)
+            expected_x = np.empty((50, n))
+            expected_w = np.empty((50, n), dtype=complex)
+            for x, w in zip(expected_x, expected_w):
+                x[:] = random_positions(n, scn, draws)
+                w[:] = draws.standard_normal(n) + 1j * draws.standard_normal(n)
+            expected_w *= (np.sqrt(scn.power_budget)
+                           / np.linalg.norm(expected_w, axis=1)[:, None])
+            assert (X == expected_x).all() and (W == expected_w).all()
 
 
 class TestRunVerification:

@@ -8,7 +8,8 @@ from masec import (InfeasibleError, Scenario, SolveConfig, fd_gradient,
                    objective_psi, optimize_positions, project_positions,
                    random_positions, rate_difference, real_lift,
                    secrecy_rate)
-from masec.positions import _check_starts, _project_euclidean
+from masec.positions import (_check_starts, _face_projector,
+                             _project_euclidean)
 
 TWO_PI = 2.0 * np.pi
 
@@ -265,6 +266,62 @@ class TestEuclideanProjection:
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         x = _project_euclidean(np.array([[4.0, 2.0]]), scn)[0]
         assert np.array_equal(x, [2.75, 3.25])
+
+
+def _layout_with_ties(n, scn, rng):
+    """A feasible layout whose slack coordinates repeat, touch 0 or L."""
+    span = scn.aperture - (n - 1) * scn.min_spacing
+    levels = [0.0, span, *rng.uniform(0.1, span - 0.1, size=2)]
+    y = np.sort(rng.choice(levels, size=n))
+    return y + scn.min_spacing * np.arange(n)
+
+
+class TestFaceProjector:
+    def test_projects_the_gradient_onto_the_tangent_cone(self):
+        # P g is the velocity of the projected step x + t g as t -> 0
+        rng = np.random.default_rng(29)
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        t = 1e-6
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            X = np.array([_layout_with_ties(n, scn, rng) for _ in range(3)])
+            G = rng.standard_normal(X.shape)
+            P = _face_projector(X, G, scn)
+            velocity = (_project_euclidean(X + t * G, scn) - X) / t
+            assert np.max(np.abs(np.einsum("kij,kj->ki", P, G) - velocity)) \
+                <= 1e-6
+            assert np.allclose(P, P.transpose(0, 2, 1))
+            assert np.allclose(P @ P, P)
+
+    @pytest.mark.parametrize("x, g, blocks", [
+        ([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 2.0, 0.0], [[0], [1], [2], [3]]),
+        # a tie pressed together binds, one pulled apart is released
+        ([1.0, 1.5, 3.0, 4.0], [1.0, -1.0, 0.0, 0.0], [[0, 1], [2], [3]]),
+        ([1.0, 1.5, 3.0, 4.0], [-1.0, 1.0, 0.0, 0.0], [[0], [1], [2], [3]]),
+        # pooling joins a block whose mean still presses on the next tie
+        ([1.0, 1.5, 2.0, 4.0], [3.0, 0.0, 1.0, 0.0], [[0, 1, 2], [3]]),
+        # an end pressed outwards holds its run; one pulled in is released
+        ([0.0, 0.5, 3.0, 10.0], [1.0, -2.0, 0.5, 0.5], [[2]]),
+        ([0.0, 0.5, 3.0, 10.0], [1.0, 2.0, 0.5, -0.5], [[0], [1], [2], [3]]),
+        ([0.0, 0.5, 3.0, 10.0], [-1.0, 2.0, 0.5, -0.5], [[1], [2], [3]]),
+    ])
+    def test_examples(self, x, g, blocks):
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        expected = np.zeros((4, 4))
+        for block in blocks:
+            expected[np.ix_(block, block)] = 1.0 / len(block)
+        P = _face_projector(np.array([x]), np.array([g]), scn)
+        assert np.array_equal(P[0], expected)
+
+    def test_rows_of_a_stack_are_their_own(self):
+        rng = np.random.default_rng(30)
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        X = np.array([_layout_with_ties(6, scn, rng) for _ in range(20)])
+        G = rng.standard_normal(X.shape)
+        P = _face_projector(X, G, scn)
+        for k in range(len(X)):
+            assert np.array_equal(P[k], _face_projector(X[k:k + 1],
+                                                        G[k:k + 1], scn)[0])
 
 
 class TestOptimizePositions:
