@@ -8,6 +8,7 @@ pencil (A + I/P_A, B + I/P_A).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ MIRROR_RTOL = 1e-9
 # Most gap tuples per block that ``best_gap_layout`` enumerates and bounds
 # at once: a block spreads the few dozen vector operations of its bound
 # over a thousand rows or so, and its arrays stay near 0.2 MB at M = 3.
+# The seed pass's sub-grid holds at most twice as many (``_seed_stride``).
 BOUND_BLOCK_ROWS = 2048
 
 
@@ -284,6 +286,28 @@ def _last_pivot(gram: np.ndarray, n: int, scenario: Scenario) -> np.ndarray:
     return pivots[-1]
 
 
+def _eve_pivots(gram: np.ndarray, n: int, scenarios) -> list:
+    """Least last pivot of I + rho Gamma over Bob and one eavesdropper.
+
+    ``gram`` holds the M entries Gamma_0i between Bob and each
+    eavesdropper, shape (M, K).  With Bob and eavesdropper i alone the
+    last pivot is 1 + rho N - rho^2 |Gamma_0i|^2 / (1 + rho N).  Removing
+    eavesdroppers only raises it, since (I + rho E E^H)^-1 is below
+    (I + rho e_i e_i^H)^-1, so the least of these M pivots is at least
+    ``_last_pivot``'s.  The largest |Gamma_0i|^2 does not depend on the
+    power, so one (K,) array of pivots per scenario, in order, comes
+    from one reduction.  Nothing is checked here: a pivot that is not
+    positive and finite is returned as it is.
+    """
+    peak = (gram.real ** 2 + gram.imag ** 2).max(axis=0)
+    pivots = []
+    for scenario in scenarios:
+        rho = scenario.power_budget / scenario.noise_power
+        d = 1.0 + rho * n
+        pivots.append(d - rho * rho * peak / d)
+    return pivots
+
+
 def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
     """Upper bound log2(1 + t) on the secrecy rate of each layout row.
 
@@ -318,7 +342,10 @@ def _rate_slack(n: int, scenario: Scenario, budget=None):
     layouts with rho up to 3e10 the two computations break the
     inequalities of ``_rate_bounds`` by at most a tenth of this
     allowance, with the Gram entries summed over the antennas or
-    gathered from ``_gap_bounds``' tables.
+    gathered from ``_gap_bounds``' tables.  It covers the
+    one-eavesdropper bound of ``_eve_pivots`` too: on such layouts, with
+    rho up to 3e10, that bound falls below the rate, or below
+    ``_last_pivot``'s bound, by at most a nineteenth of this allowance.
     """
     budget = scenario.power_budget if budget is None else budget
     rho = budget / scenario.noise_power
@@ -405,6 +432,23 @@ def _gap_blocks(n: int, levels: int):
         start, stop = stop, min(stop + BOUND_BLOCK_ROWS, total)
 
 
+def _seed_stride(n: int, levels: int) -> int:
+    """Least stride s whose sub-grid holds at most 2 ``BOUND_BLOCK_ROWS``.
+
+    The sub-grid is the tuples s K' with 0 <= k'_2 <= ... <= k'_N <=
+    levels // s, C(levels // s + N - 1, N - 1) of them; s is found by
+    bisection.  A stride of 1 means the grid is already that small.
+    """
+    lo, hi = 1, max(levels, 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.comb(levels // mid + n - 1, n - 1) <= 2 * BOUND_BLOCK_ROWS:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
     """Layouts x_j = min((j-1) d_min + step k_j, L), x_1 = 0, of ``K``."""
     n = K.shape[1] + 1
@@ -415,7 +459,7 @@ def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
 
 
 def _gap_bounds(n: int, scenarios, levels: int, step: float):
-    """Each power's ``_rate_bounds``, as a function of a block of gap tuples.
+    """Each power's rate bounds, as a function of a block of gap tuples.
 
     The block is a (K, N-1) array, and ``scenarios`` differ only in
     ``power_budget``.  Gap coordinate j takes only ``levels + 1``
@@ -425,50 +469,89 @@ def _gap_bounds(n: int, scenarios, levels: int, step: float):
     (levels + 1) complex entries.  At N = 2 each level is one tuple and
     at N = 1 there is no block, so no table is built for N <= 2 and the
     entries are summed over the antennas as in ``_rate_bounds``.
-    Neither depends on the power, so a block's entries are gathered
-    once, and each scenario runs ``_last_pivot`` on them with its own
-    rho.  The function returns one (K,) array of bounds per scenario, in
-    order.
+    Neither depends on the power, so each entry of a block is gathered
+    once for every scenario.
+
+    The returned ``bounds(K, floors)`` bounds in two stages, with one
+    floor per scenario.  First the M entries between Bob and the
+    eavesdroppers give each power's one-eavesdropper pivot
+    (``_eve_pivots``), whose log2 bounds the rate.  The rows that some
+    power cannot rule out with it, a bound at or above that power's
+    floor, then gather their other entries and run ``_last_pivot``, the
+    bound of ``_rate_bounds``, at every power.  A cheap pivot that is
+    not positive and finite never rules a row out, so that row reaches
+    ``_last_pivot``, which raises.  The function returns one (K,) array
+    of upper bounds per scenario, in order: ``_last_pivot``'s on the
+    rows that reached it and the one-eavesdropper bound, below that
+    power's floor, on the others.  A floor of -inf gives
+    ``_last_pivot``'s bound on every row.
+
+    Raises:
+        EigensolverError: a pivot is not positive and finite.
     """
     base = scenarios[0]
+    size = base.num_eves + 1
+    bob = np.triu_indices(size, 1)[1] == size - 1  # Bob's pairs, in order
+    # gram(K): the entries of Bob's pairs, and a function that returns
+    # the other entries of the rows it is given
     if n <= 2:
         def gram(K):
             X = _gap_layouts(K, base, step)
-            return _pair_phases(X, base).sum(axis=-1)
+            entries = _pair_phases(X, base).sum(axis=-1)
+            return entries[bob], lambda rows: entries[~bob][:, rows]
     else:
         # row k of the grid: every gap coordinate at level k
         grid = _gap_layouts(
             np.arange(levels + 1)[:, None].repeat(n - 1, axis=1), base,
             step)[:, 1:]
-        tables = _pair_phases(grid.T, base).swapaxes(0, 1).copy()
+        phases = _pair_phases(grid.T, base).swapaxes(0, 1)
+        tables = phases[:, bob].copy(), phases[:, ~bob].copy()
 
-        def gram(K):
-            entries = 1.0 + np.take(tables[0], K[:, 0], axis=1)
-            for table, k in zip(tables[1:], K[:, 1:].T):
-                entries += np.take(table, k, axis=1)
+        def gather(table, K):
+            entries = 1.0 + np.take(table[0], K[:, 0], axis=1)
+            for entry, k in zip(table[1:], K[:, 1:].T):
+                entries += np.take(entry, k, axis=1)
             return entries
 
-    def bounds(K):
-        entries = gram(K)
-        return [np.log2(_last_pivot(entries, n, scenario))
-                for scenario in scenarios]
+        def gram(K):
+            return (gather(tables[0], K),
+                    lambda rows: gather(tables[1], K[rows]))
+
+    def bounds(K, floors):
+        bob_entries, others = gram(K)
+        pivots = _eve_pivots(bob_entries, n, scenarios)
+        # a row is ruled out at a power whose cheap pivot is positive and
+        # below 2^floor; NaN fails both comparisons and is never ruled out
+        low = np.ones(len(K), dtype=bool)
+        for pivot, floor in zip(pivots, floors):
+            low &= (pivot > 0.0) & (pivot < 2.0 ** floor)
+        rows = np.flatnonzero(~low)
+        if len(rows):
+            entries = np.empty((len(bob), len(rows)), dtype=complex)
+            entries[bob] = bob_entries[:, rows]
+            entries[~bob] = others(rows)
+            for pivot, scenario in zip(pivots, scenarios):
+                pivot[rows] = _last_pivot(entries, n, scenario)
+        return [np.log2(pivot) for pivot in pivots]
     return bounds
 
 
 class _PowerScreen:
     """One power's side of ``best_gap_layout``.
 
-    It holds the power's running best rate and the scored rows near it.
-    The all-zero tuple, the FPA layout, is scored when the screen is made.
+    It holds the power's running best rate and the scored rows in its
+    band, ``tuples`` and ``rates``; when the best rises, the rows that
+    fall below the new band are dropped, so memory follows the band.
+    The all-zero tuple, the FPA layout, is scored when the screen is made
+    and stays the first row while the band reaches 0.
     """
 
     def __init__(self, n: int, scenario: Scenario, layouts, rows: int):
         self.scenario, self.layouts, self.rows = scenario, layouts, rows
         self.slack = _rate_slack(n, scenario)
-        K = np.zeros((1, n - 1), dtype=np.intp)
-        rates = best_secrecy_rates(layouts(K), scenario)
-        self.best = float(rates[0])
-        self.kept = [(K, rates)]  # (tuples, rates) of rows near the best
+        self.tuples = np.zeros((1, n - 1), dtype=np.intp)
+        self.rates = best_secrecy_rates(layouts(self.tuples), scenario)
+        self.best = float(self.rates[0])
 
     def floor(self) -> float:
         """Lower edge of the band that a row must reach to be kept."""
@@ -486,18 +569,16 @@ class _PowerScreen:
             chunk, K, bounds = K[:min(live, rows)], K[rows:], bounds[rows:]
             rates = best_secrecy_rates(self.layouts(chunk), self.scenario)
             self.best = max(self.best, float(rates.max()))
+            rates = np.concatenate([self.rates, rates])
             mask = rates >= self.floor()
-            if mask.any():
-                self.kept.append((chunk[mask], rates[mask]))
+            self.tuples = np.vstack([self.tuples, chunk])[mask]
+            self.rates = rates[mask]
 
     def winner(self):
         """Score the mirrors of the rows in the band; the best row and rate."""
-        K = np.vstack([k for k, _ in self.kept])
-        rates = np.concatenate([r for _, r in self.kept])
+        K, rates = self.tuples, self.rates
         j = 0  # a best rate of zero up to rounding: the FPA layout wins
         if self.best > MIRROR_RTOL + self.slack:
-            mask = rates >= self.floor()
-            K, rates = K[mask], rates[mask]
             mirrors = _mirror(K)
             mirrors = mirrors[(mirrors != K).any(axis=1)]
             rows = self.rows
@@ -532,21 +613,30 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     tuple, the FPA layout, is scored first.  The other canonical tuples
     come from ``_gap_blocks`` in blocks of at most ``BOUND_BLOCK_ROWS``,
     each built from its ranks, so no array grows with the number of
-    tuples, and ``_gap_bounds`` bounds a whole block, from per-gap phase
-    tables and an unrolled elimination, before any pencil is solved.  The
-    tables and a block's Gram entries do not depend on the power, so
-    they are built once for every scenario; each power then screens the
-    block with its own bounds, running best, band and kept rows
-    (``_PowerScreen``), as a call with that scenario alone would.  A
-    row whose bound plus ``_rate_slack`` lies below the band is skipped:
-    its rate is certified below the best, so neither it nor its mirror
-    can win or tie.  The others are scored in order of decreasing bound,
-    in chunks of about ``CANDIDATE_CHUNK_ENTRIES`` matrix entries, and
-    the rest of the block is screened again after each chunk.  The band
-    only rises as the best does, so every row in the final band is
-    scored, whatever the order of the blocks.  Those rows then have
-    their mirrors scored too, and the highest of those rates wins, so
-    the result is the full grid's, bit for bit.  A best rate within
+    tuples.  Where the grid holds more than 2 ``BOUND_BLOCK_ROWS``
+    tuples, a seed pass first screens the coarse sub-grid of the tuples
+    s K', s the ``_seed_stride``, whose few blocks raise the band before
+    the full enumeration starts.  Its tuples are grid tuples built with
+    the same ``step``, so their rates are the full grid's bits; the full
+    pass meets them again, and may score a few of them twice.
+    ``_gap_bounds`` bounds a whole block, from per-gap phase tables,
+    before any pencil is solved: first by the one-eavesdropper pivot,
+    then, on the rows that it cannot rule out below some power's band,
+    by the unrolled elimination.  The tables and a block's Gram entries
+    do not depend on the power, so they are built once for every
+    scenario; each power then screens the block with its own bounds,
+    running best, band and kept rows (``_PowerScreen``), as a call with
+    that scenario alone would.  A row whose bound plus ``_rate_slack``
+    lies below the band is skipped: its rate is certified below the
+    best, so neither it nor its mirror can win or tie.  The others are
+    scored in order of decreasing bound, in chunks of about
+    ``CANDIDATE_CHUNK_ENTRIES`` matrix entries, and the rest of the
+    block is screened again after each chunk.  The band only rises as
+    the best does, so every row in the final band is scored, whatever
+    the order of the blocks, and the rows that fall below it are
+    dropped.  Those rows then have their mirrors scored too, and the
+    highest of those rates wins, so the result is the full grid's, bit
+    for bit.  A best rate within
     ``MIRROR_RTOL`` plus ``_rate_slack`` of 0 is rounding noise on a grid
     where every rate is 0 (Bob among the eavesdroppers, say); there the
     FPA layout wins with the rate scored for it.
@@ -563,7 +653,13 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     screens = [_PowerScreen(n, scenario, layouts, rows)
                for scenario in scenarios]
     rate_bounds = _gap_bounds(n, scenarios, levels, step)
-    for K in _gap_blocks(n, levels):
-        for screen, bounds in zip(screens, rate_bounds(K)):
+    blocks = _gap_blocks(n, levels)
+    stride = _seed_stride(n, levels)
+    if stride > 1:
+        seed = (stride * K for K in _gap_blocks(n, levels // stride))
+        blocks = itertools.chain(seed, blocks)
+    for K in blocks:
+        floors = [screen.floor() - screen.slack for screen in screens]
+        for screen, bounds in zip(screens, rate_bounds(K, floors)):
             screen.screen(K, bounds)
     return [screen.winner() for screen in screens]

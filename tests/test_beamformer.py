@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -13,12 +14,13 @@ from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
                    sample_beamformers, secrecy_rate, solve_beamformer,
                    steering_vector)
 from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
-                              MIRROR_RTOL, _canonical, _gap_blocks,
-                              _gap_bounds, _last_pivot, _layout_pass, _mirror,
-                              _rate_bounds, _rate_slack, best_gap_layout,
-                              best_secrecy_rates)
+                              MIRROR_RTOL, _canonical, _eve_pivots,
+                              _gap_blocks, _gap_bounds, _last_pivot,
+                              _layout_pass, _mirror, _pair_phases,
+                              _rate_bounds, _rate_slack, _seed_stride,
+                              best_gap_layout, best_secrecy_rates)
 from masec.core import TWO_PI
-from masec.driver import _scan_levels, scan_start
+from masec.driver import _scan_levels, _scan_starts, scan_start
 
 SWEEP_M3 = Path(__file__).resolve().parents[1] / "scenarios" / "sweep_m3.json"
 
@@ -249,6 +251,18 @@ def _paper_n3_grid():
     return scn, 61, (scn.aperture - 2 * scn.min_spacing) / 61
 
 
+def _count_rows(monkeypatch, module, name, axis=0):
+    """Count the rows that ``module.name`` is called on (along ``axis`` of
+    its first argument), without keeping them."""
+    fn, counts = getattr(module, name), {"rows": 0}
+
+    def counting(x, *args):
+        counts["rows"] += np.shape(x)[axis]
+        return fn(x, *args)
+    monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def _all_tuples(n, levels):
     return np.array(list(combinations_with_replacement(range(levels + 1),
                                                        n - 1)))
@@ -415,7 +429,7 @@ class TestRateBound:
             chol = np.linalg.cholesky(np.eye(scn.num_eves + 1) + rho * gram)
             reference = 2.0 * np.log2(chol[:, -1, -1].real)
             slack = _rate_slack(n, scn)
-            assert np.abs(_gap_bounds(n, [scn], levels, step)(K)[0]
+            assert np.abs(_gap_bounds(n, [scn], levels, step)(K, [-np.inf])[0]
                           - reference).max() <= slack
             assert np.abs(_rate_bounds(X, scn) - reference).max() <= slack
 
@@ -427,34 +441,101 @@ class TestRateBound:
                        power_budget=power)
         with pytest.raises(EigensolverError):
             _rate_bounds(np.array([[0.0, 0.5], [0.0, 1.5]]), scn)
-        with pytest.raises(EigensolverError):
-            _gap_bounds(3, [scn], 10, 0.3)(np.array([[1, 4], [0, 2]]))
+        # the one-eavesdropper pivot rounds to zero or below as well, so no
+        # floor rules the rows out before the full elimination raises
+        for n, K in ((2, [[1], [3]]), (3, [[1, 4], [0, 2]])):
+            bounds = _gap_bounds(n, [scn], 10, 0.3)
+            for floor in (-np.inf, 0.0, np.inf):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(EigensolverError):
+                        bounds(np.array(K), [floor])
 
     @pytest.mark.parametrize("entry", [np.nan, 4.0])
-    def test_bad_pivot_never_becomes_a_bound(self, entry):
+    def test_bad_pivot_never_becomes_a_bound(self, entry, monkeypatch):
         # a NaN or negative pivot must not skip or keep a row
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4, 0.3))
         gram = np.zeros((3, 4), dtype=complex)
         gram[2, 1] = entry  # Gamma between the second eavesdropper and Bob
         with pytest.raises(EigensolverError):
             _last_pivot(gram, 2, scn)
+        # the same entries, gathered for four N = 2 tuples: row 1's
+        # one-eavesdropper pivot is NaN or negative at both powers, so
+        # neither floor rules it out, and no comparison or log2 warns
+        monkeypatch.setattr(masec.beamformer, "_pair_phases",
+                            lambda x, scenario: gram[..., None])
+        scns = [scn, dataclasses.replace(scn, power_budget=100.0)]
+        bounds = _gap_bounds(2, scns, 3, 0.5)
+        K = np.arange(4)[:, None]
+        assert not any(p[1] > 0.0 for p in _eve_pivots(gram[1:], 2, scns))
+        for floors in ([-np.inf] * 2, [0.0, 5.0], [np.inf] * 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EigensolverError):
+                    bounds(K, floors)
         gram[2, 1] = 0.0
         assert np.array_equal(_last_pivot(gram, 2, scn), np.full(4, 3.0))
+        for floor in (-np.inf, np.inf):  # the full and the cheap bound
+            assert np.array_equal(bounds(K, [floor] * 2)[0],
+                                  np.full(4, np.log2(3.0)))
 
-    def test_memory_does_not_grow_with_levels_at_two_antennas(self):
-        # 99,975 levels: the parent's enumerator held a tuple of that many
-        # Python ints (4.95 MB peak)
+    def test_one_eavesdropper_bound_is_certified(self, make_scenario):
+        # removing eavesdroppers only raises Bob's pivot: the cheap bound
+        # stays above the rate and above the full elimination's bound, up
+        # to the rounding slack, by table gathers (N > 2) and by sums over
+        # the antennas (N = 2) alike
+        rng = np.random.default_rng(29)
+        ruled = 0
+        for _ in range(60):
+            scn = dataclasses.replace(
+                make_scenario(rng), power_budget=float(10.0 ** rng.uniform(
+                    -1.0, 10.0)))
+            n = int(rng.integers(2, 8))
+            levels = int(rng.integers(1, 30))
+            step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
+            K = np.sort(rng.integers(0, levels + 1, size=(40, n - 1)), axis=1)
+            X = _layouts(K, scn, step)
+            bounds = _gap_bounds(n, [scn], levels, step)
+            [cheap], [full] = bounds(K, [np.inf]), bounds(K, [-np.inf])
+            rates = best_secrecy_rates(X, scn)
+            slack = _rate_slack(n, scn)
+            assert (cheap + slack >= rates).all()
+            assert (cheap >= full - slack).all()
+            bob = np.triu_indices(scn.num_eves + 1, 1)[1] == scn.num_eves
+            [summed] = np.log2(_eve_pivots(
+                _pair_phases(X, scn).sum(axis=-1)[bob], n, [scn]))
+            assert (summed + slack >= rates).all()
+            # a floor keeps the full bound of the rows whose cheap bound
+            # reaches it, and the cheap bound of the others
+            [mixed] = bounds(K, [rates.max()])
+            low = cheap < rates.max()
+            assert np.array_equal(mixed[~low], full[~low])
+            assert np.array_equal(mixed[low], cheap[low])
+            ruled += int(low.sum())
+        assert ruled > 100
+
+    def test_memory_does_not_grow_with_levels_at_two_antennas(self,
+                                                              monkeypatch):
+        # 99,975 levels: an enumerator that held a tuple of that many Python
+        # ints peaked at 4.95 MB.  A screen that kept every row scored near
+        # the best scored 18,374 and 198,129 rows at 99,975 and 999,975
+        # levels and peaked at 1.39 and 4.54 MB; the band it keeps now
+        # holds a few rows, and the seed pass sets it from the start
         scn = Scenario(bob_angle=np.pi / 2,
                        eve_angles=(0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi))
-        levels = 99_975
-        tracemalloc.start()
-        try:
-            best_gap_layout(2, [scn], levels,
-                            (scn.aperture - scn.min_spacing) / levels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        scored = _count_rows(monkeypatch, masec.beamformer,
+                             "best_secrecy_rates")
+        for levels, rows_cap in ((99_975, 4_000), (999_975, 40_000)):
+            scored["rows"] = 0
+            tracemalloc.start()
+            try:
+                best_gap_layout(2, [scn], levels,
+                                (scn.aperture - scn.min_spacing) / levels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert scored["rows"] < rows_cap
+            assert peak < 1.3e6
 
 
 class TestBestGapLayout:
@@ -466,6 +547,22 @@ class TestBestGapLayout:
         assert np.array_equal(scan_start(n, scn),
                               _layouts(_all_tuples(n, levels)[j:j + 1],
                                        scn, step)[0])
+
+    @pytest.mark.parametrize("n,scored_cap,eliminated_cap",
+                             [(3, 400, 20_000), (4, 180, 6_000)])
+    def test_counted_work_on_sweep_m3(self, n, scored_cap, eliminated_cap,
+                                      monkeypatch):
+        # both powers of a sweep_m3 scan, screened together as ``sweep-n``
+        # does: without the seed pass and the one-eavesdropper bound the
+        # screen scored 1,040 and 223 rows and eliminated 99,902 and
+        # 100,532 (every canonical tuple, at each power)
+        scored = _count_rows(monkeypatch, masec.beamformer,
+                             "best_secrecy_rates")
+        eliminated = _count_rows(monkeypatch, masec.beamformer,
+                                 "_last_pivot", axis=-1)
+        _scan_starts(n, [_scan_grid(n, power)[0] for power in (1.0, 10.0)])
+        assert scored["rows"] < scored_cap
+        assert eliminated["rows"] < eliminated_cap
 
     @pytest.mark.parametrize("name", MIRROR_WINNERS)
     def test_matches_full_grid_argmax(self, name):
@@ -535,7 +632,8 @@ class TestBestGapLayout:
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
                             planted_rates)
         monkeypatch.setattr(masec.beamformer, "_gap_bounds",
-                            lambda *grid: lambda K: [planted_bounds(K)])
+                            lambda *grid: lambda K, floors: [
+                                planted_bounds(K)])
         [(x, rate)] = best_gap_layout(3, [scn], 6, step)
         assert rate == 1.0 + 4 * ulp
         assert np.array_equal(x, [0.0, 1.0, 1.75])
@@ -543,12 +641,12 @@ class TestBestGapLayout:
     def test_slack_widens_the_screen_and_the_mirror_band(self, monkeypatch):
         # planted rates and bounds that disagree by less than the slack: the
         # first block's best is W; C, in a later block, has a bound below
-        # its rate, and its mirror (42, 82) is the grid's best row
+        # its rate, and its mirror (42, 83) is the grid's best row
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         levels, step, slack = 90, 0.1, 1e-6
         planted = {(0, 3): (1.0 + 5e-7, 1.0 - 3e-7),  # W
-                   (40, 82): (1.0 - 1e-7, 1.0 - 9e-7),  # C
-                   (42, 82): (1.0 + 6e-7, 0.0)}
+                   (41, 83): (1.0 - 1e-7, 1.0 - 9e-7),  # C
+                   (42, 83): (1.0 + 6e-7, 0.0)}
 
         def planted_column(K, column):
             return np.array([planted.get(tuple(k), (0.5, 0.5))[column]
@@ -557,15 +655,24 @@ class TestBestGapLayout:
             masec.beamformer, "best_secrecy_rates",
             lambda X, scenario: planted_column(_tuples(X, scn, step), 0))
         monkeypatch.setattr(masec.beamformer, "_gap_bounds",
-                            lambda *grid: lambda K: [planted_column(K, 1)])
+                            lambda *grid: lambda K, floors: [
+                                planted_column(K, 1)])
         monkeypatch.setattr(masec.beamformer, "_rate_slack",
                             lambda n, scenario: slack)
-        block = {tuple(k): b for b, K in enumerate(_gap_blocks(3, levels))
-                 for k in K.tolist()}
-        assert block[(0, 3)] < block[(40, 82)]
+        # the 4,186 tuples take a seed pass on the even sub-grid first; it
+        # holds neither W nor C, so C is first screened in a later block of
+        # the full pass than W, against W's band
+        stride = _seed_stride(3, levels)
+        seed = [stride * K for K in _gap_blocks(3, levels // stride)]
+        block = {}
+        for b, K in enumerate([*seed, *_gap_blocks(3, levels)]):
+            for k in K.tolist():
+                block.setdefault(tuple(k), b)
+        assert stride == 2 and len(seed) == 1
+        assert len(seed) <= block[(0, 3)] < block[(41, 83)]
         [(x, rate)] = best_gap_layout(3, [scn], levels, step)
         assert rate == 1.0 + 6e-7
-        assert np.array_equal(x, [0.0, 0.5 + 42 * step, 1.0 + 82 * step])
+        assert np.array_equal(x, [0.0, 0.5 + 42 * step, 1.0 + 83 * step])
 
     def test_zero_rate_plateau_returns_fpa_layout(self, monkeypatch):
         # Bob among the eavesdroppers: every rate is 0 up to rounding

@@ -130,11 +130,15 @@ def test_grid_rate_bound_brackets_the_scorer(instance, log_power, levels, data):
     step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
     K = np.sort(data.draw(st.lists(st.integers(0, levels), min_size=n - 1,
                                    max_size=n - 1)))[None, :]
-    bound = _gap_bounds(n, [scn], levels, step)(K)[0][0]
+    bounds = _gap_bounds(n, [scn], levels, step)
+    bound = bounds(K, [-np.inf])[0][0]
     rate = best_secrecy_rates(_gap_layouts(K, scn, step), scn)[0]
     slack = _rate_slack(n, scn)
     assert bound + slack >= rate
     assert rate >= np.log2(np.expm1(bound * np.log(2.0))) - slack
+    # the one-eavesdropper bound, which any floor above it returns
+    cheap = bounds(K, [np.inf])[0][0]
+    assert cheap + slack >= rate and cheap >= bound - slack
 
 
 @PROPERTY
