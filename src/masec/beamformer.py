@@ -8,13 +8,12 @@ pencil (A + I/P_A, B + I/P_A).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Scenario, _angle_steering, _psi, _psi_gradient,
+from .core import (TWO_PI, Scenario, _angle_steering, _psi, _psi_gradient,
                    _squared_inner, steering_vector)
 
 # Relative gap under which the top eigenvalue is flagged as degenerate.
@@ -35,6 +34,15 @@ MIRROR_RTOL = 1e-9
 # over a thousand rows or so, and its arrays stay near 0.2 MB at M = 3.
 # The seed pass's sub-grid holds at most twice as many (``_seed_stride``).
 BOUND_BLOCK_ROWS = 2048
+
+# Most levels of k_3 in one run of ``best_gap_layout``'s run stage, and
+# most runs per block of ``_gap_runs``.  One run bound serves up to 16
+# tuples.  Runs of 12 levels made every big ``sweep_m3`` and ``paper_n3``
+# scan slower, by more bounds; runs of 32 the ``sweep_m3`` scan at N = 3,
+# by more tuples built.  A run costs about two tuples' bound, so a block
+# of runs is larger than one of tuples, which saves per-block calls.
+RUN_LEVELS = 16
+RUN_BLOCK_RUNS = 4 * BOUND_BLOCK_ROWS
 
 
 class EigensolverError(RuntimeError):
@@ -296,16 +304,36 @@ def _eve_pivots(gram: np.ndarray, n: int, scenarios) -> list:
     (I + rho e_i e_i^H)^-1, so the least of these M pivots is at least
     ``_last_pivot``'s.  The largest |Gamma_0i|^2 does not depend on the
     power, so one (K,) array of pivots per scenario, in order, comes
-    from one reduction.  Nothing is checked here: a pivot that is not
-    positive and finite is returned as it is.
+    from one reduction (``_peak_pivots``).  Nothing is checked here: a
+    pivot that is not positive and finite is returned as it is.
     """
-    peak = (gram.real ** 2 + gram.imag ** 2).max(axis=0)
+    return _peak_pivots((gram.real ** 2 + gram.imag ** 2).max(axis=0), n,
+                        scenarios)
+
+
+def _peak_pivots(peak: np.ndarray, n: int, scenarios) -> list:
+    """``_eve_pivots``' pivots from the largest |Gamma_0i|^2, ``peak``.
+
+    Each pivot is one expression in ``peak`` whose every rounded step is
+    monotone, so it never rises as ``peak`` does, in floating point too:
+    a lower bound on a tuple's computed ``peak`` gives an upper bound on
+    its computed pivot, and an upper bound a lower one.
+    """
     pivots = []
     for scenario in scenarios:
         rho = scenario.power_budget / scenario.noise_power
         d = 1.0 + rho * n
         pivots.append(d - rho * rho * peak / d)
     return pivots
+
+
+def _ruled_out(pivots, floors) -> np.ndarray:
+    """Mask of the rows whose pivot is positive and below 2^floor at
+    every power; NaN fails both comparisons and is never ruled out."""
+    low = True
+    for pivot, floor in zip(pivots, floors):
+        low = low & (pivot > 0.0) & (pivot < 2.0 ** floor)
+    return low
 
 
 def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
@@ -320,7 +348,7 @@ def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
     the pivot that ``_last_pivot`` returns; no N x N form is built.  The
     computed bound and ``best_secrecy_rates`` keep these inequalities up
     to ``_rate_slack``.  ``best_gap_layout`` gathers the Gram entries of
-    its grid from tables (``_gap_bounds``) and runs the same elimination.
+    its grid from tables (``_GapBounds``) and runs the same elimination.
 
     Raises:
         EigensolverError: a pivot is not positive and finite.
@@ -342,7 +370,7 @@ def _rate_slack(n: int, scenario: Scenario, budget=None):
     layouts with rho up to 3e10 the two computations break the
     inequalities of ``_rate_bounds`` by at most a tenth of this
     allowance, with the Gram entries summed over the antennas or
-    gathered from ``_gap_bounds``' tables.  It covers the
+    gathered from ``_GapBounds``' tables.  It covers the
     one-eavesdropper bound of ``_eve_pivots`` too: on such layouts, with
     rho up to 3e10, that bound falls below the rate, or below
     ``_last_pivot``'s bound, by at most a nineteenth of this allowance.
@@ -374,28 +402,25 @@ def _mirror(K: np.ndarray) -> np.ndarray:
     return (full[:, -1:] - full[:, ::-1])[:, 1:]
 
 
-def _gap_blocks(n: int, levels: int):
-    """The canonical gap tuples after the all-zero one, in blocks.
+def _tuple_blocks(n: int, levels: int, start: int, stop: int, rows: int):
+    """The tuples 0 <= k_2 <= ... <= k_N <= ``levels`` by rank, in blocks.
 
-    The tuples 0 <= k_2 <= ... <= k_N <= ``levels`` run by k_2, then by
-    their tails t = (k_3, ..., k_N) - k_2 in colex order (by the last
-    entry, then the one before, and so on).  Each tuple has a rank in
-    that order, and every block is built from its ranks alone by the
-    combinatorial number system.  With m = N - 2, the C(levels - k + m + 1,
-    m + 1) tuples of k_2 >= k close the order, which gives a rank's k_2.
-    The tail of colex rank r has c_i = t_i + i - 1, for i = m down to 1,
-    the largest c with C(c, i) <= r, and r then drops by C(c_i, i).  Only
-    the tables of C(c, i) for i >= 2 are kept, since C(c, 1) = c.  Their
-    entries are clamped at the tuple count: every rank lies below it,
-    and from N = 66 or so C(c, i) can pass the int64 range.
+    The tuples run by k_2, then by their tails t = (k_3, ..., k_N) - k_2
+    in colex order (by the last entry, then the one before, and so on).
+    Each tuple has a rank in that order, and every block is built from
+    its ranks alone by the combinatorial number system.  With m = N - 2,
+    the C(levels - k + m + 1, m + 1) tuples of k_2 >= k close the order,
+    which gives a rank's k_2.  The tail of colex rank r has
+    c_i = t_i + i - 1, for i = m down to 1, the largest c with
+    C(c, i) <= r, and r then drops by C(c_i, i).  Only the tables of
+    C(c, i) for i >= 2 are kept, since C(c, 1) = c.  Their entries are
+    clamped at the tuple count: every rank lies below it, and from N = 66
+    or so C(c, i) can pass the int64 range.
 
-    Rank 0, the all-zero tuple, is scored on its own.  The first block
-    ends before rank ``BOUND_BLOCK_ROWS`` + 1 at N > 2 and before the
-    first tuple of k_2 = ``BOUND_BLOCK_ROWS``, rank ``BOUND_BLOCK_ROWS``,
-    at N = 2; every later block holds the next ``BOUND_BLOCK_ROWS`` ranks.
-    Each block keeps its ``_canonical`` rows; an empty one is not
-    yielded.  Memory grows with the block and with the N - 2 tables of
-    levels + N entries each, never with the number of tuples.
+    The first block holds the ranks from ``start`` to before ``stop``,
+    every later one the next ``rows`` ranks, up to the last tuple.
+    Memory grows with the block and with the N - 2 tables of levels + N
+    entries each, never with the number of tuples.
     """
     if n < 2:
         return
@@ -413,7 +438,7 @@ def _gap_blocks(n: int, levels: int):
         """The largest c with C(c, i) <= r."""
         return r if i == 1 else np.searchsorted(tables[i], r, "right") - 1
 
-    start, stop = 1, min(BOUND_BLOCK_ROWS + (n > 2), total)
+    stop = min(stop, total)
     while start < total:
         # the s last tuples have k_2 >= top - c, for the least c with
         # C(c, m + 1) >= s
@@ -426,10 +451,65 @@ def _gap_blocks(n: int, levels: int):
             c = largest_at_most(rank, i)
             K[:, i] = K[:, 0] + c - (i - 1)
             rank = rank - choose(c, i)
+        yield K
+        start, stop = stop, min(stop + rows, total)
+
+
+def _gap_blocks(n: int, levels: int):
+    """The canonical gap tuples after the all-zero one, in blocks.
+
+    The blocks of ``_tuple_blocks``, in its rank order.  Rank 0, the
+    all-zero tuple, is scored on its own.  The first block ends before
+    rank ``BOUND_BLOCK_ROWS`` + 1 at N > 2 and before the first tuple of
+    k_2 = ``BOUND_BLOCK_ROWS``, rank ``BOUND_BLOCK_ROWS``, at N = 2; every
+    later block holds the next ``BOUND_BLOCK_ROWS`` ranks.  Each block
+    keeps its ``_canonical`` rows; an empty one is not yielded.
+    """
+    for K in _tuple_blocks(n, levels, 1, BOUND_BLOCK_ROWS + (n > 2),
+                           BOUND_BLOCK_ROWS):
         K = np.compress(_canonical(K), K, axis=0)
         if len(K):
             yield K
-        start, stop = stop, min(stop + BOUND_BLOCK_ROWS, total)
+
+
+def _gap_runs(n: int, levels: int):
+    """The runs of k_3 of an N >= 3 gap grid, in blocks of (K, last).
+
+    A run fixes every entry of a tuple but k_3, which takes the values
+    from K[:, 1] to ``last``, ``RUN_LEVELS`` of them at most.  Its head
+    (k_2, k_4, ..., k_N) is a tuple of the (N-1)-antenna grid, and the
+    heads come from ``_tuple_blocks`` in rank order.  A head's tuples are
+    consecutive ranks of the N-antenna order, k_3 from k_2 to k_4
+    (``levels`` at N = 3), so the runs follow that order too.  The range
+    is cut to the canonical tuples at N = 3 (k_3 >= 2 k_2) and N = 4
+    (k_3 <= k_4 - k_2), and split into runs from its low end.  A block
+    holds the runs of RUN_BLOCK_RUNS // (levels // RUN_LEVELS + 1) heads,
+    or of one, so about ``RUN_BLOCK_RUNS`` runs at most; memory follows
+    the block and the levels, never the number of tuples.
+    """
+    heads = max(1, RUN_BLOCK_RUNS // (levels // RUN_LEVELS + 1))
+    for H in _tuple_blocks(n - 1, levels, 0, heads, heads):
+        if n == 3:
+            first, last = 2 * H[:, 0], np.full(len(H), levels)
+        else:
+            first, last = H[:, 0], H[:, 1] - (H[:, 0] if n == 4 else 0)
+        count = np.maximum((last - first) // RUN_LEVELS + 1, 0)
+        head = np.repeat(np.arange(len(H)), count)
+        K = np.empty((len(head), n - 1), dtype=np.intp)
+        K[:, 0] = H[head, 0]
+        K[:, 2:] = H[head, 1:]
+        K[:, 1] = first[head] + RUN_LEVELS * (
+            np.arange(len(head)) - np.repeat(np.cumsum(count) - count, count))
+        yield K, np.minimum(K[:, 1] + RUN_LEVELS - 1, last[head])
+
+
+def _run_rows(K: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Every tuple of the runs (K, last) of ``_gap_runs``, run by run."""
+    size = last - K[:, 1] + 1
+    rows = np.repeat(K, size, axis=0)
+    rows[:, 1] += np.arange(len(rows)) - np.repeat(np.cumsum(size) - size,
+                                                   size)
+    return rows
 
 
 def _seed_stride(n: int, levels: int) -> int:
@@ -458,82 +538,147 @@ def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
     return X
 
 
-def _gap_bounds(n: int, scenarios, levels: int, step: float):
-    """Each power's rate bounds, as a function of a block of gap tuples.
+class _GapBounds:
+    """Each power's rate bounds on the tuples and the runs of a gap grid.
 
-    The block is a (K, N-1) array, and ``scenarios`` differ only in
-    ``power_budget``.  Gap coordinate j takes only ``levels + 1``
-    positions, so the pair phases P[j, k] of each coordinate are
-    tabulated once, and a tuple's Gram entries are 1 + sum_j P[j, k_j]:
-    one gather and add per gap.  The tables hold M (M + 1) / 2 (N - 1)
-    (levels + 1) complex entries.  At N = 2 each level is one tuple and
-    at N = 1 there is no block, so no table is built for N <= 2 and the
-    entries are summed over the antennas as in ``_rate_bounds``.
-    Neither depends on the power, so each entry of a block is gathered
-    once for every scenario.
+    ``scenarios`` differ only in ``power_budget``.  Gap coordinate j
+    takes only ``levels + 1`` positions, so the pair phases P[j, k] of
+    each coordinate are tabulated once, and a tuple's Gram entries are
+    1 + sum_j P[j, k_j]: one gather and add per gap (``gram``).  The
+    tables hold M (M + 1) / 2 (N - 1) (levels + 1) complex entries.  At
+    N = 2 each level is one tuple and at N = 1 there is no block, so no
+    table is built for N <= 2 and the entries are summed over the
+    antennas as in ``_rate_bounds``.  Neither depends on the power, so
+    each entry of a block is gathered once for every scenario.
 
-    The returned ``bounds(K, floors)`` bounds in two stages, with one
-    floor per scenario.  First the M entries between Bob and the
-    eavesdroppers give each power's one-eavesdropper pivot
+    Called on a (K, N-1) block of tuples with one floor per scenario,
+    it bounds in two row stages.  First the M entries between Bob and
+    the eavesdroppers give each power's one-eavesdropper pivot
     (``_eve_pivots``), whose log2 bounds the rate.  The rows that some
     power cannot rule out with it, a bound at or above that power's
     floor, then gather their other entries and run ``_last_pivot``, the
     bound of ``_rate_bounds``, at every power.  A cheap pivot that is
-    not positive and finite never rules a row out, so that row reaches
-    ``_last_pivot``, which raises.  The function returns one (K,) array
-    of upper bounds per scenario, in order: ``_last_pivot``'s on the
-    rows that reached it and the one-eavesdropper bound, below that
-    power's floor, on the others.  A floor of -inf gives
+    not positive and finite never rules a row out (``_ruled_out``), so
+    that row reaches ``_last_pivot``, which raises.  The call returns one
+    (K,) array of upper bounds per scenario, in order: ``_last_pivot``'s
+    on the rows that reached it and the one-eavesdropper bound, below
+    that power's floor, on the others.  A floor of -inf gives
     ``_last_pivot``'s bound on every row.
+
+    ``runs`` bounds the one-eavesdropper pivots of a whole run of
+    ``_gap_runs`` from above, before any of its tuples is built.
 
     Raises:
         EigensolverError: a pivot is not positive and finite.
     """
-    base = scenarios[0]
-    size = base.num_eves + 1
-    bob = np.triu_indices(size, 1)[1] == size - 1  # Bob's pairs, in order
-    # gram(K): the entries of Bob's pairs, and a function that returns
-    # the other entries of the rows it is given
-    if n <= 2:
-        def gram(K):
-            X = _gap_layouts(K, base, step)
-            entries = _pair_phases(X, base).sum(axis=-1)
-            return entries[bob], lambda rows: entries[~bob][:, rows]
-    else:
+
+    def __init__(self, n: int, scenarios, levels: int, step: float):
+        self.n, self.scenarios, self.step = n, scenarios, step
+        base = scenarios[0]
+        size = base.num_eves + 1
+        self.bob = np.triu_indices(size, 1)[1] == size - 1  # Bob's pairs
+        if n <= 2:
+            return
         # row k of the grid: every gap coordinate at level k
         grid = _gap_layouts(
             np.arange(levels + 1)[:, None].repeat(n - 1, axis=1), base,
             step)[:, 1:]
         phases = _pair_phases(grid.T, base).swapaxes(0, 1)
-        tables = phases[:, bob].copy(), phases[:, ~bob].copy()
+        self.tables = phases[:, self.bob].copy(), phases[:, ~self.bob].copy()
+        # the run stage (``runs``): antenna 3's positions, and the rate
+        # kappa_i = (2 pi / lambda) |cos theta_0 - cos theta_i| at which the
+        # phase of P_i turns with x_3, one row per eavesdropper
+        self.x3 = grid[:, 1]
+        cos = np.cos(base.angles)[:, None]
+        self.kappa = (TWO_PI / base.wavelength) * np.abs(cos[1:] - cos[0])
+        eps = np.finfo(float).eps
+        # a table entry's phase is off by a few ulps of its argument,
+        # (2 pi / lambda) x cos theta with x <= L, and the phase of the
+        # product P_i by twice that: ``turn`` covers both, in radians
+        self.turn = 64 * eps * (1.0 + TWO_PI * base.aperture
+                                / base.wavelength)
+        # a sum of N unit phases is off by at most N^2 eps, c_i and a
+        # tuple's Gamma_0i alike; with the moduli of the phases, the
+        # rounding of the arc's formula and of the squares, all is below
+        # ``margin``
+        self.margin = 8 * eps * (n + 1) ** 2
+        # every tuple has |Gamma_0i| <= N + margin, so where that gives a
+        # positive, finite pivot at every power, so does every tuple
+        self.positive = all(
+            0.0 < p < np.inf for p in _peak_pivots(
+                np.float64(n + self.margin) ** 2, n, scenarios))
 
-        def gather(table, K):
-            entries = 1.0 + np.take(table[0], K[:, 0], axis=1)
-            for entry, k in zip(table[1:], K[:, 1:].T):
-                entries += np.take(entry, k, axis=1)
-            return entries
+    def gram(self, K):
+        """The entries of Bob's pairs of the tuples ``K``, (M, K), and a
+        function that returns the other entries of the rows it is given."""
+        if self.n <= 2:
+            X = _gap_layouts(K, self.scenarios[0], self.step)
+            entries = _pair_phases(X, self.scenarios[0]).sum(axis=-1)
+            return (entries[self.bob],
+                    lambda rows: entries[~self.bob][:, rows])
+        return (_gather(self.tables[0], K, range(self.n - 1)),
+                lambda rows: _gather(self.tables[1], K[rows],
+                                     range(self.n - 1)))
 
-        def gram(K):
-            return (gather(tables[0], K),
-                    lambda rows: gather(tables[1], K[rows]))
-
-    def bounds(K, floors):
-        bob_entries, others = gram(K)
-        pivots = _eve_pivots(bob_entries, n, scenarios)
-        # a row is ruled out at a power whose cheap pivot is positive and
-        # below 2^floor; NaN fails both comparisons and is never ruled out
-        low = np.ones(len(K), dtype=bool)
-        for pivot, floor in zip(pivots, floors):
-            low &= (pivot > 0.0) & (pivot < 2.0 ** floor)
-        rows = np.flatnonzero(~low)
+    def __call__(self, K, floors):
+        """The two row stages on the tuples ``K``, one floor per power."""
+        bob = self.bob
+        bob_entries, others = self.gram(K)
+        pivots = _eve_pivots(bob_entries, self.n, self.scenarios)
+        rows = np.flatnonzero(~_ruled_out(pivots, floors))
         if len(rows):
             entries = np.empty((len(bob), len(rows)), dtype=complex)
             entries[bob] = bob_entries[:, rows]
             entries[~bob] = others(rows)
-            for pivot, scenario in zip(pivots, scenarios):
-                pivot[rows] = _last_pivot(entries, n, scenario)
+            for pivot, scenario in zip(pivots, self.scenarios):
+                pivot[rows] = _last_pivot(entries, self.n, scenario)
         return [np.log2(pivot) for pivot in pivots]
-    return bounds
+
+    def runs(self, K, last):
+        """Each power's upper bound on the cheap pivots of the runs (K, last).
+
+        A run's tuples share every Gram entry but antenna 3's term:
+        Gamma_0i = c_i + P_i[k_3], c_i gathered from the other gaps' tables.
+        As k_3 runs from K[:, 1] to ``last``, P_i[k_3] stays on the arc of
+        the unit circle within kappa_i h of the table entry of the middle
+        level, h the largest distance of x_3 from its middle value.  The
+        least |c_i + e^(j phi)| over that arc is ||c_i| - 1| if the arc
+        holds the direction of -c_i, and is reached at the nearer end
+        otherwise: sqrt((|c_i| - 1)^2 + 4 |c_i| sin^2(g / 2)), g the angle
+        from -c_i to the arc, is both, and rounds to a few ulps.  The arc
+        is widened by ``turn``, which covers the rounding of the phases,
+        and the modulus lowered by ``margin``, which covers the rounding
+        of the sums and of |Gamma_0i|^2, so this bound's peak is at most
+        the computed peak of every tuple of the run, and by
+        ``_peak_pivots`` its pivot at least their ``_eve_pivots``.  Where
+        ``positive`` does not hold, a run gets the bound +inf, which rules
+        nothing out.
+
+        Returns:
+            list of (R,) arrays, one per scenario in order.
+        """
+        if not self.positive:
+            return [np.full(len(K), np.inf) for _ in self.scenarios]
+        first = K[:, 1]
+        mid = (first + last) // 2
+        x = self.x3
+        h = np.maximum(x[last] - x[mid], x[mid] - x[first])
+        c = _gather(self.tables[0], K, [0, *range(2, self.n - 1)])
+        centre = np.take(self.tables[0][1], mid, axis=1)
+        size = np.abs(c)
+        g = np.maximum(np.pi - np.abs(np.angle(c * centre.conj()))
+                       - self.kappa * h - self.turn, 0.0)
+        low = np.sqrt((size - 1.0) ** 2 + 4.0 * size * np.sin(0.5 * g) ** 2)
+        low = np.maximum(low - self.margin, 0.0)
+        return _peak_pivots((low * low).max(axis=0), self.n, self.scenarios)
+
+
+def _gather(table, K, columns):
+    """1 + sum_j table[j][:, K[:, j]] over the gap coordinates ``columns``."""
+    entries = 1.0 + np.take(table[columns[0]], K[:, columns[0]], axis=1)
+    for j in columns[1:]:
+        entries += np.take(table[j], K[:, j], axis=1)
+    return entries
 
 
 class _PowerScreen:
@@ -616,10 +761,20 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     tuples.  Where the grid holds more than 2 ``BOUND_BLOCK_ROWS``
     tuples, a seed pass first screens the coarse sub-grid of the tuples
     s K', s the ``_seed_stride``, whose few blocks raise the band before
-    the full enumeration starts.  Its tuples are grid tuples built with
-    the same ``step``, so their rates are the full grid's bits; the full
-    pass meets them again, and may score a few of them twice.
-    ``_gap_bounds`` bounds a whole block, from per-gap phase tables,
+    the full pass starts.  Its tuples are grid tuples built with the
+    same ``step``, so their rates are the full grid's bits, and the full
+    pass leaves out every tuple whose entries are all multiples of s, so
+    no row is scored twice.  At N >= 3 the full pass then enumerates
+    runs, not tuples (``_gap_runs``): up to ``RUN_LEVELS`` consecutive
+    values of k_3 with every other entry fixed.  ``_GapBounds.runs``
+    bounds the one-eavesdropper pivot of every tuple of a run at once,
+    and a run is built (``_run_rows``) only if some power's floor cannot
+    rule it out; the tuples of a run that is ruled out are each ruled
+    out by the first row stage at the same floors, with a positive,
+    finite pivot, so no tuple that would raise is hidden.  The grids
+    without a seed pass hold a block or two, and their floor starts at
+    the FPA rate, so they are enumerated tuple by tuple.
+    ``_GapBounds`` bounds a whole block, from per-gap phase tables,
     before any pencil is solved: first by the one-eavesdropper pivot,
     then, on the rows that it cannot rule out below some power's band,
     by the unrolled elimination.  The tables and a block's Gram entries
@@ -652,14 +807,35 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
 
     screens = [_PowerScreen(n, scenario, layouts, rows)
                for scenario in scenarios]
-    rate_bounds = _gap_bounds(n, scenarios, levels, step)
-    blocks = _gap_blocks(n, levels)
-    stride = _seed_stride(n, levels)
-    if stride > 1:
-        seed = (stride * K for K in _gap_blocks(n, levels // stride))
-        blocks = itertools.chain(seed, blocks)
-    for K in blocks:
-        floors = [screen.floor() - screen.slack for screen in screens]
-        for screen, bounds in zip(screens, rate_bounds(K, floors)):
+    rate_bounds = _GapBounds(n, scenarios, levels, step)
+
+    def floors():
+        return [screen.floor() - screen.slack for screen in screens]
+
+    def screen_block(K):
+        for screen, bounds in zip(screens, rate_bounds(K, floors())):
             screen.screen(K, bounds)
+
+    def live_blocks():
+        """The canonical tuples of the runs that no power's floor rules
+        out, in blocks of the runs of at most ``BOUND_BLOCK_ROWS``."""
+        size = BOUND_BLOCK_ROWS // RUN_LEVELS
+        for K, last in _gap_runs(n, levels):
+            live = np.flatnonzero(~_ruled_out(rate_bounds.runs(K, last),
+                                              floors()))
+            for i in range(0, len(live), size):
+                runs = live[i:i + size]
+                T = _run_rows(K[runs], last[runs])
+                yield T[_canonical(T)]
+
+    stride = _seed_stride(n, levels)
+    blocks = _gap_blocks(n, levels)
+    if stride > 1:
+        for K in _gap_blocks(n, levels // stride):
+            screen_block(stride * K)
+        # the seed pass screened the tuples of multiples of s
+        blocks = (K[(K % stride).any(axis=1)]
+                  for K in (live_blocks() if n > 2 else blocks))
+    for K in blocks:
+        screen_block(K)
     return [screen.winner() for screen in screens]

@@ -12,8 +12,9 @@ of ``beam_gain`` on 200 samples, and ``fd_gradient`` perturbs every
 coordinate of every sample in one ``objective_psi`` call.  A layout is a
 stack of one in ``core``, so each row of these stacks has the bits of
 the same call on that sample alone.  The grid runs
-the solver's start-scan routine, ``best_gap_layout``: its block
-enumerator, its table-driven rate bound and its scorer.  So the grid
+the solver's start-scan routine, ``best_gap_layout``: its seed pass,
+its enumerators of tuples and of runs of tuples, its table-driven
+bounds on whole runs and on tuples, and its scorer.  So the grid
 comparison reads the algorithm's rate from ``secrecy_rate`` at the
 returned solution, never from that scorer.  The oracles ship with the
 package (see the ``verify`` CLI command) so any scenario can be re-validated.
@@ -97,12 +98,14 @@ def grid_search(scenario: Scenario, n: int, resolution: float):
     number of these layouts, whatever N.  Mirroring the array does not
     change the rate either, so ``best_gap_layout`` considers one layout
     of each mirror pair, and it solves the pencil only where a cheap
-    upper bound on the rate can still reach the best.  Every layout it skips is
-    certified below the best, so it returns the optimum of the full
-    grid.  Exact rate ties resolve to the lexicographically smallest
-    layout.  The layouts come in blocks built from their ranks, so the
-    memory does not grow with the number of layouts at any N, even at
-    N = 2 with millions of levels.
+    upper bound on the rate can still reach the best; where one bound
+    rules out a whole run of layouts, it does not build them.  Every
+    layout it skips is certified below the best, so it returns the
+    optimum of the full grid.  Exact rate ties resolve to the
+    lexicographically smallest layout.  The layouts, and the runs of
+    them, come in blocks built from their ranks, so the memory does not
+    grow with the number of layouts at any N, even at N = 2 with
+    millions of levels.
 
     Returns:
         (ndarray, ndarray, float): best grid positions, the optimal

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from itertools import combinations_with_replacement
@@ -14,10 +15,11 @@ from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
                    sample_beamformers, secrecy_rate, solve_beamformer,
                    steering_vector)
 from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
-                              MIRROR_RTOL, _canonical, _eve_pivots,
-                              _gap_blocks, _gap_bounds, _last_pivot,
-                              _layout_pass, _mirror, _pair_phases,
-                              _rate_bounds, _rate_slack, _seed_stride,
+                              MIRROR_RTOL, RUN_LEVELS, _canonical,
+                              _eve_pivots, _gap_blocks, _gap_runs,
+                              _GapBounds, _last_pivot, _layout_pass, _mirror,
+                              _pair_phases, _rate_bounds, _rate_slack,
+                              _ruled_out, _run_rows, _seed_stride,
                               best_gap_layout, best_secrecy_rates)
 from masec.core import TWO_PI
 from masec.driver import _scan_levels, _scan_starts, scan_start
@@ -388,6 +390,22 @@ class TestGapBlocks:
                        for a, b in zip(blocks, expected))
         assert len(cuts) > 3  # the big grid spans three blocks or more
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_runs_hold_the_tuples_in_rank_order(self, n):
+        # every tuple once, by rank, k_3 cut to its canonical range at
+        # N = 3 and 4; a run holds 1 to RUN_LEVELS consecutive values of k_3
+        for levels in [*range(13), 40 if n < 6 else 14]:
+            runs = list(_gap_runs(n, levels))
+            for K, last in runs:
+                assert ((last >= K[:, 1])
+                        & (last < K[:, 1] + RUN_LEVELS)).all()
+            ranked = np.array(sorted(_all_tuples(n, levels).tolist(),
+                                     key=lambda k: (k[0], k[:0:-1])))
+            if n <= 4:
+                ranked = ranked[_canonical(ranked)]
+            rows = np.vstack([_run_rows(K, last) for K, last in runs])
+            assert np.array_equal(rows, ranked)
+
     @pytest.mark.parametrize("n,levels", [(8, 25), (2, 999_975)])
     def test_memory_does_not_grow_with_the_tuples(self, n, levels):
         # 1,560,780 and 999,976 tuples: a table of every tail peaked at
@@ -399,6 +417,14 @@ class TestGapBlocks:
         finally:
             tracemalloc.stop()
         assert rows > 0 and peak < 1e6
+        if n > 2:  # 741,286 runs
+            tracemalloc.start()
+            try:
+                runs = sum(len(K) for K, _ in _gap_runs(n, levels))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert runs > 0 and peak < 2e6
 
     @staticmethod
     def _assert_blocks(n, levels):
@@ -429,7 +455,7 @@ class TestRateBound:
             chol = np.linalg.cholesky(np.eye(scn.num_eves + 1) + rho * gram)
             reference = 2.0 * np.log2(chol[:, -1, -1].real)
             slack = _rate_slack(n, scn)
-            assert np.abs(_gap_bounds(n, [scn], levels, step)(K, [-np.inf])[0]
+            assert np.abs(_GapBounds(n, [scn], levels, step)(K, [-np.inf])[0]
                           - reference).max() <= slack
             assert np.abs(_rate_bounds(X, scn) - reference).max() <= slack
 
@@ -444,7 +470,7 @@ class TestRateBound:
         # the one-eavesdropper pivot rounds to zero or below as well, so no
         # floor rules the rows out before the full elimination raises
         for n, K in ((2, [[1], [3]]), (3, [[1, 4], [0, 2]])):
-            bounds = _gap_bounds(n, [scn], 10, 0.3)
+            bounds = _GapBounds(n, [scn], 10, 0.3)
             for floor in (-np.inf, 0.0, np.inf):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -465,7 +491,7 @@ class TestRateBound:
         monkeypatch.setattr(masec.beamformer, "_pair_phases",
                             lambda x, scenario: gram[..., None])
         scns = [scn, dataclasses.replace(scn, power_budget=100.0)]
-        bounds = _gap_bounds(2, scns, 3, 0.5)
+        bounds = _GapBounds(2, scns, 3, 0.5)
         K = np.arange(4)[:, None]
         assert not any(p[1] > 0.0 for p in _eve_pivots(gram[1:], 2, scns))
         for floors in ([-np.inf] * 2, [0.0, 5.0], [np.inf] * 2):
@@ -495,7 +521,7 @@ class TestRateBound:
             step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
             K = np.sort(rng.integers(0, levels + 1, size=(40, n - 1)), axis=1)
             X = _layouts(K, scn, step)
-            bounds = _gap_bounds(n, [scn], levels, step)
+            bounds = _GapBounds(n, [scn], levels, step)
             [cheap], [full] = bounds(K, [np.inf]), bounds(K, [-np.inf])
             rates = best_secrecy_rates(X, scn)
             slack = _rate_slack(n, scn)
@@ -513,6 +539,62 @@ class TestRateBound:
             assert np.array_equal(mixed[low], cheap[low])
             ruled += int(low.sum())
         assert ruled > 100
+
+    def test_run_bound_is_certified(self, make_scenario):
+        # a run's pivot bound is at least the computed one-eavesdropper
+        # pivot of each of its tuples, bit for bit, so a run that the floors
+        # rule out holds only tuples that the row stage rules out at those
+        # floors, each with a positive, finite pivot
+        rng = np.random.default_rng(31)
+        runs = dropped = 0
+        for trial in range(60):
+            scn = make_scenario(rng)
+            if trial % 6 == 0:  # Bob among the eavesdroppers
+                scn = dataclasses.replace(
+                    scn, eve_angles=(*scn.eve_angles[1:], scn.bob_angle))
+            scns = [dataclasses.replace(scn, power_budget=float(
+                10.0 ** rng.uniform(-1.0, 10.0)))
+                for _ in range(int(rng.integers(1, 3)))]
+            n = int(rng.integers(3, 9))
+            top = max(k for k in range(1, 200)
+                      if math.comb(k + n - 1, n - 1) <= 20_000)
+            levels = int(rng.integers(1, top + 1))
+            step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
+            bounds = _GapBounds(n, scns, levels, step)
+            assert bounds.positive
+            for K, last in _gap_runs(n, levels):
+                pivots = bounds.runs(K, last)
+                rows = _run_rows(K, last)
+                run = np.repeat(np.arange(len(K)), last - K[:, 1] + 1)
+                cheap = _eve_pivots(bounds.gram(rows)[0], n, scns)
+                for pivot, row in zip(pivots, cheap):
+                    assert np.isfinite(pivot).all()
+                    assert (pivot[run] >= row).all()
+                # floors between the least and the largest row pivot
+                floors = [np.log2(rng.uniform(row.min(), row.max()))
+                          for row in cheap]
+                ruled = _ruled_out(pivots, floors)[run]
+                assert _ruled_out(cheap, floors)[ruled].all()
+                for row in cheap:
+                    assert (row[ruled] > 0.0).all()
+                    assert np.isfinite(row[ruled]).all()
+                runs += len(K)
+                dropped += int(_ruled_out(pivots, floors).sum())
+        assert dropped > 0.1 * runs
+
+    def test_run_bound_rules_nothing_out_where_a_pivot_can_fail(self):
+        # Bob among the eavesdroppers at P_A = 1e16: a tuple's cheap pivot
+        # can round to zero or below, so no run may hide it from the full
+        # elimination, which raises
+        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
+                       power_budget=1e16)
+        bounds = _GapBounds(3, [scn], 40, 0.1)
+        assert not bounds.positive
+        for K, last in _gap_runs(3, 40):
+            [pivot] = bounds.runs(K, last)
+            assert not _ruled_out([pivot], [np.inf]).any()
+        with pytest.raises(EigensolverError):
+            best_gap_layout(3, [scn], 100, 0.05)
 
     def test_memory_does_not_grow_with_levels_at_two_antennas(self,
                                                               monkeypatch):
@@ -555,14 +637,47 @@ class TestBestGapLayout:
         # both powers of a sweep_m3 scan, screened together as ``sweep-n``
         # does: without the seed pass and the one-eavesdropper bound the
         # screen scored 1,040 and 223 rows and eliminated 99,902 and
-        # 100,532 (every canonical tuple, at each power)
+        # 100,532 (every canonical tuple, at each power); without the run
+        # stage it built every tuple and bounded 52,020 and 52,400 of them
+        # row by row, the canonical ones and the seed pass's
         scored = _count_rows(monkeypatch, masec.beamformer,
                              "best_secrecy_rates")
         eliminated = _count_rows(monkeypatch, masec.beamformer,
                                  "_last_pivot", axis=-1)
+        bounded = {"rows": 0}
+        rows_stage = _GapBounds.__call__
+
+        def counting(self, K, floors):
+            bounded["rows"] += len(K)
+            return rows_stage(self, K, floors)
+        monkeypatch.setattr(_GapBounds, "__call__", counting)
         _scan_starts(n, [_scan_grid(n, power)[0] for power in (1.0, 10.0)])
         assert scored["rows"] < scored_cap
         assert eliminated["rows"] < eliminated_cap
+        assert 0 < bounded["rows"] < {3: 12_000, 4: 4_000}[n]
+
+    @pytest.mark.parametrize("n,levels", [(3, None), (4, None), (2, 99_975)])
+    def test_scores_no_row_twice(self, n, levels, monkeypatch):
+        # the full pass leaves out the tuples that the seed pass screened,
+        # so no row, nor the mirror of a row in the band, is scored twice
+        # at one power; the sweep_m3 scans at N = 3 and 4 (both powers)
+        # scored 3 and 2 rows twice, and 92 of 2,562 at N = 2
+        scored = []
+
+        def recording(X, scenario):
+            scored.extend((scenario.power_budget, *x) for x in X.tolist())
+            return best_secrecy_rates(X, scenario)
+        monkeypatch.setattr(masec.beamformer, "best_secrecy_rates", recording)
+        if levels is None:
+            scns = [_scan_grid(n, power)[0] for power in (1.0, 10.0)]
+            _scan_starts(n, scns)
+        else:
+            scn = Scenario(bob_angle=np.pi / 2, eve_angles=(
+                0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi))
+            best_gap_layout(n, [scn], levels,
+                            (scn.aperture - scn.min_spacing) / levels)
+            assert _seed_stride(n, levels) > 1
+        assert len(set(scored)) == len(scored) > 0
 
     @pytest.mark.parametrize("name", MIRROR_WINNERS)
     def test_matches_full_grid_argmax(self, name):
@@ -572,10 +687,12 @@ class TestBestGapLayout:
         assert not _canonical(_all_tuples(n, levels)[j:j + 1])[0]
 
     @pytest.mark.parametrize("power", [1e6, 1e10])
-    @pytest.mark.parametrize("n,levels", [(3, 60), (4, 20), (6, 6)])
+    @pytest.mark.parametrize("n,levels", [(3, 60), (4, 20), (6, 6), (3, 120),
+                                          (4, 40)])
     def test_matches_full_grid_argmax_at_high_power(self, n, levels, power):
         # rounding grows with P_A / sigma^2: mirror-pair rates differ by up
-        # to 1e-5 bps/Hz at 1e10, and the bound's slack must cover it
+        # to 1e-5 bps/Hz at 1e10, and the bound's slack must cover it; the
+        # grids of 7,381 and 12,341 tuples take the seed pass and the runs
         scn = Scenario(bob_angle=np.pi / 2, power_budget=power,
                        eve_angles=(0.55 * np.pi, np.pi / 4))
         step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
@@ -631,7 +748,7 @@ class TestBestGapLayout:
         # skip a planted row
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
                             planted_rates)
-        monkeypatch.setattr(masec.beamformer, "_gap_bounds",
+        monkeypatch.setattr(masec.beamformer, "_GapBounds",
                             lambda *grid: lambda K, floors: [
                                 planted_bounds(K)])
         [(x, rate)] = best_gap_layout(3, [scn], 6, step)
@@ -654,23 +771,37 @@ class TestBestGapLayout:
         monkeypatch.setattr(
             masec.beamformer, "best_secrecy_rates",
             lambda X, scenario: planted_column(_tuples(X, scn, step), 0))
-        monkeypatch.setattr(masec.beamformer, "_gap_bounds",
-                            lambda *grid: lambda K, floors: [
-                                planted_column(K, 1)])
+        blocks = []
+
+        class Planted:
+            """Planted row bounds, which record each block; the run stage
+            keeps every run."""
+
+            def __init__(self, *grid):
+                pass
+
+            def __call__(self, K, floors):
+                blocks.append(K)
+                return [planted_column(K, 1)]
+
+            def runs(self, K, last):
+                return [np.full(len(K), np.inf)]
+        monkeypatch.setattr(masec.beamformer, "_GapBounds", Planted)
         monkeypatch.setattr(masec.beamformer, "_rate_slack",
                             lambda n, scenario: slack)
+        [(x, rate)] = best_gap_layout(3, [scn], levels, step)
         # the 4,186 tuples take a seed pass on the even sub-grid first; it
         # holds neither W nor C, so C is first screened in a later block of
         # the full pass than W, against W's band
         stride = _seed_stride(3, levels)
         seed = [stride * K for K in _gap_blocks(3, levels // stride)]
         block = {}
-        for b, K in enumerate([*seed, *_gap_blocks(3, levels)]):
+        for b, K in enumerate(blocks):
             for k in K.tolist():
                 block.setdefault(tuple(k), b)
         assert stride == 2 and len(seed) == 1
+        assert np.array_equal(blocks[0], seed[0])
         assert len(seed) <= block[(0, 3)] < block[(41, 83)]
-        [(x, rate)] = best_gap_layout(3, [scn], levels, step)
         assert rate == 1.0 + 6e-7
         assert np.array_equal(x, [0.0, 0.5 + 42 * step, 1.0 + 83 * step])
 

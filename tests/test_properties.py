@@ -14,7 +14,7 @@ from masec import (Scenario, SolveConfig, build_forms,
                    gradient_psi, objective_psi, random_positions,
                    rate_difference, secrecy_rate, solve, solve_beamformer,
                    solve_fpa, steering_vector)
-from masec.beamformer import (MIRROR_RTOL, _gap_bounds, _gap_layouts,
+from masec.beamformer import (MIRROR_RTOL, _GapBounds, _gap_layouts,
                               _rate_bounds, _rate_slack, best_secrecy_rates)
 from masec.driver import scan_start
 
@@ -130,7 +130,7 @@ def test_grid_rate_bound_brackets_the_scorer(instance, log_power, levels, data):
     step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
     K = np.sort(data.draw(st.lists(st.integers(0, levels), min_size=n - 1,
                                    max_size=n - 1)))[None, :]
-    bounds = _gap_bounds(n, [scn], levels, step)
+    bounds = _GapBounds(n, [scn], levels, step)
     bound = bounds(K, [-np.inf])[0][0]
     rate = best_secrecy_rates(_gap_layouts(K, scn, step), scn)[0]
     slack = _rate_slack(n, scn)
