@@ -8,8 +8,15 @@ most ``GRID_MAX_EVALS`` layouts, at any N, is solved exhaustively on
 it with the solver's own scan routine (below).  Each check draws
 its random samples first and then evaluates them as one (K, N) stack:
 the lift identity compares ``real_lift`` with the steering-vector gains
-of ``beam_gain`` on 200 samples, and ``fd_gradient`` perturbs every
-coordinate of every sample in one ``objective_psi`` call.  A layout is a
+of ``beam_gain`` on 200 samples, ``fd_gradient`` perturbs every
+coordinate of every sample in one ``objective_psi`` call, and the
+beamformer checks take the forms of five layouts as one (K, N, N)
+stack.  Stationarity scales the residual (A + S) w - lambda (B + S) w,
+S = I / P_A, by (||A + S|| + |lambda| ||B + S||) ||w||, the backward
+error of the eigenpair, so an exact eigenvector reads about eps at any
+power.  ``sample_beamformers`` scores each draw u unscaled, as
+u^H (I + P_A A) u / u^H (I + P_A B) u, which is the Rayleigh ratio at
+the power-feasible w along u.  A layout is a
 stack of one in ``core``, so each row of these stacks has the bits of
 the same call on that sample alone.  The grid runs
 the solver's start-scan routine, ``best_gap_layout``: its seed pass,
@@ -27,14 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import (QuadraticForms, best_gap_layout, build_forms,
-                         optimal_beamformer, solve_beamformer)
+from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
+                         solve_beamformer)
 from .core import Scenario, beam_gain
 from .driver import SolveConfig, solve
 from .positions import gradient_psi, objective_psi, random_positions, real_lift
 
 # Most gap layouts one exhaustive search may cover.
 GRID_MAX_EVALS = 10_000_000
+
+# Draws that ``sample_beamformers`` scores at a time: its complex buffers
+# then stay small next to the (count, N) real parts it must hold.
+SAMPLE_BLOCK_ROWS = 2048
 
 
 def fd_gradient(x, w, scenario: Scenario, h: float = 1e-6) -> np.ndarray:
@@ -65,28 +76,62 @@ def fd_gradient(x, w, scenario: Scenario, h: float = 1e-6) -> np.ndarray:
     return grad if xs.ndim == 2 else grad[0]
 
 
-def sample_beamformers(forms, scenario: Scenario, count: int, seed: int) -> float:
+def sample_beamformers(forms, scenario: Scenario, count: int, seed):
     """Best Rayleigh objective over random power-feasible beamformers.
 
-    Draws ``count`` vectors with i.i.d. standard-normal real/imaginary
-    parts, scales each to ||w||^2 = P_A and returns the largest value of
-    (1 + w^H A w) / (1 + w^H B w).  Deterministic for a fixed seed; the
-    result can never exceed the closed-form optimum.
+    ``forms`` is one pair of (N, N) forms with an integer ``seed``, or a
+    stack of (K, N, N) forms with a sequence of K seeds, one per layout.
+    Each layout draws ``count`` vectors u from ``default_rng(seed)``, the
+    real parts and then the imaginary parts as (count, N) standard
+    normals, and takes the largest value of (1 + w^H A w) / (1 + w^H B w)
+    over the power-feasible beamformers w = sqrt(P_A) u / ||u||.  That
+    ratio equals u^H (I + P_A A) u / u^H (I + P_A B) u, so the draws are
+    scored unscaled: one matmul per form and one row dot each.  The real
+    parts go into one (count, N) buffer, and the imaginary parts are
+    drawn and scored ``SAMPLE_BLOCK_ROWS`` at a time, in buffers that
+    every layout of the stack reuses.
+
+    Returns a float for one pair and K floats for a stack, each with the
+    bits of its layout's call alone.  Deterministic for a fixed seed;
+    the result can never exceed the closed-form optimum.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    A, B = forms.A, forms.B
+    if single:
+        A, B = A[None], B[None]
+    if A.ndim != 3 or len(A) != len(seeds):
+        raise ValueError(f"forms {np.shape(forms.A)} and seeds "
+                         f"{np.shape(seed)} disagree")
     n = forms.n
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    W *= (np.sqrt(scenario.power_budget) / np.linalg.norm(W, axis=1))[:, None]
+    eye, power = np.eye(n), scenario.power_budget
+    rows = min(count, SAMPLE_BLOCK_ROWS)
+    re, im = np.empty((count, n)), np.empty((rows, n))
+    U = np.empty((rows, n), dtype=complex)
+    Y = np.empty_like(U)
 
-    def form(M):
-        # w^H M w is real for Hermitian M: Re(w)^T Re(M w) + Im(w)^T Im(M w)
-        V = W @ M.T
-        return (np.einsum("ki,ki->k", W.real, V.real)
-                + np.einsum("ki,ki->k", W.imag, V.imag))
+    def form(u, M):
+        # u^H M u is real for Hermitian M: the real and imaginary parts
+        # of u dotted with those of M u, as one dot over the float view
+        y = np.matmul(u, M.T, out=Y[:len(u)])
+        return np.einsum("ki,ki->k", u.view(float), y.view(float))
 
-    return float(np.max((1.0 + form(forms.A)) / (1.0 + form(forms.B))))
+    best = np.full(len(seeds), -np.inf)
+    for k, (a, b, s) in enumerate(zip(A, B, seeds)):
+        # every real part precedes every imaginary part in the stream;
+        # the imaginary parts are drawn and scored a block at a time
+        rng = np.random.default_rng(s)
+        rng.standard_normal(out=re)
+        Ma, Mb = eye + power * a, eye + power * b
+        for lo in range(0, count, rows):
+            u = U[:min(rows, count - lo)]
+            rng.standard_normal(out=im[:len(u)])
+            u.real = re[lo:lo + len(u)]
+            u.imag = im[:len(u)]
+            best[k] = max(best[k], np.max(form(u, Ma) / form(u, Mb)))
+    return float(best[0]) if single else best
 
 
 def grid_search(scenario: Scenario, n: int, resolution: float):
@@ -178,8 +223,11 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     wavelength.  A grid over the cap is a skip, at any N.
 
     The lift identity and the gradient check each evaluate their samples
-    as one (K, N) stack, and the stationarity check solves its five
-    layouts in one ``solve_beamformer`` call.
+    as one (K, N) stack.  The stationarity check solves its five layouts
+    in one ``solve_beamformer`` call and scales each residual by the
+    pencil's backward-error norm, (||A + S|| + |lambda| ||B + S||) ||w||
+    with S = I / P_A; the sampling check scores the same five layouts in
+    one ``sample_beamformers`` call, one seed each.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -217,17 +265,19 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
         seeds.append(int(rng.integers(2**31)))
     forms = build_forms(X, scenario)
     sol = solve_beamformer(forms, scenario)
+    lam, w = sol.eigenvalue, sol.beamformer[..., None]
+    # (A + S) w - lam (B + S) w, S = I / P_A, rounds to about
+    # eps (||A + S|| + |lam| ||B + S||) ||w||: the scale of the pencil's
+    # backward error, under which an exact eigenpair reads near eps
     shift = np.eye(n) / scenario.power_budget
-    resid_worst = 0.0
-    margin_worst = np.inf
-    for A, B, wv, lam, sample_seed in zip(forms.A, forms.B, sol.beamformer,
-                                          sol.eigenvalue, seeds):
-        resid = np.linalg.norm((A + shift) @ wv - lam * ((B + shift) @ wv))
-        resid /= np.linalg.norm(wv) * np.linalg.norm(A + shift, 2)
-        resid_worst = max(resid_worst, float(resid))
-        best = sample_beamformers(QuadraticForms(A=A, B=B), scenario, 10_000,
-                                  sample_seed)
-        margin_worst = min(margin_worst, lam - best)
+    A, B = forms.A + shift, forms.B + shift
+    resid = np.linalg.norm(A @ w - lam[:, None, None] * (B @ w), axis=(1, 2))
+    resid /= np.linalg.norm(w, axis=(1, 2)) * (
+        np.linalg.norm(A, 2, axis=(1, 2))
+        + np.abs(lam) * np.linalg.norm(B, 2, axis=(1, 2)))
+    resid_worst = float(np.max(resid))
+    best = sample_beamformers(forms, scenario, 10_000, seeds)
+    margin_worst = float(np.min(lam - best))
     checks.append(VerifyCheck(
         "beamformer-stationarity",
         "pass" if resid_worst <= 1e-8 else "fail",

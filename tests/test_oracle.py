@@ -1,17 +1,20 @@
 import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from masec.oracle import _random_samples
-from masec import (Scenario, build_forms, fd_gradient, grid_search,
-                   gradient_psi, initial_positions, mrt_beamformer,
-                   SolveConfig, random_positions, run_verification,
-                   sample_beamformers, secrecy_rate, solve)
+from masec import (QuadraticForms, Scenario, build_forms, fd_gradient,
+                   grid_search, gradient_psi, initial_positions,
+                   load_run_spec, mrt_beamformer, SolveConfig,
+                   random_positions, run_verification, sample_beamformers,
+                   secrecy_rate, solve)
 
 ALGORITHM_1 = SolveConfig(ascent="alternating")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestFdGradient:
@@ -96,6 +99,83 @@ class TestSampleBeamformers:
         forms = build_forms(initial_positions(4, paper_n4), paper_n4)
         with pytest.raises(ValueError):
             sample_beamformers(forms, paper_n4, 0, seed=0)
+
+
+def _normalized_sampling(A, B, scn, count, seed):
+    """The sampling oracle on beamformers scaled to ||w||^2 = P_A.
+
+    Returns the best ratio (1 + w^H A w) / (1 + w^H B w) and the most
+    that rounding can move it, in this formula or in the unscaled one:
+    4 N eps (r (1 + P_A ||B||) + 1 + P_A ||A||) / (1 + w^H B w) on a
+    sample of ratio r, taken over the samples that could be the best.
+    """
+    n, power = A.shape[-1], scn.power_budget
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    W *= (np.sqrt(power) / np.linalg.norm(W, axis=1))[:, None]
+    a = np.einsum("ki,ij,kj->k", W.conj(), A, W).real
+    b = np.einsum("ki,ij,kj->k", W.conj(), B, W).real
+    r = (1.0 + a) / (1.0 + b)
+    err = (4 * n * np.finfo(float).eps / (1.0 + b)
+           * (r * (1.0 + power * np.linalg.norm(B, 2))
+              + 1.0 + power * np.linalg.norm(A, 2)))
+    best = r.argmax()
+    return r[best], err[r + err >= r[best] - err[best]].max()
+
+
+class TestSampleBeamformerStack:
+    def test_stack_equals_per_layout_calls(self, paper_n3, make_scenario):
+        rng = np.random.default_rng(50)
+        cases = [(3, paper_n3), (1, paper_n3)]
+        cases += [(int(rng.integers(2, 9)), make_scenario(rng)) for _ in range(4)]
+        for n, scn in cases:
+            X = np.array([random_positions(n, scn, rng) for _ in range(5)])
+            forms = build_forms(X, scn)
+            seeds = [int(s) for s in rng.integers(2**31, size=5)]
+            stacked = sample_beamformers(forms, scn, 3000, seeds)
+            alone = [sample_beamformers(QuadraticForms(A=A, B=B), scn, 3000, s)
+                     for A, B, s in zip(forms.A, forms.B, seeds)]
+            assert stacked.shape == (5,)
+            assert all(type(v) is float for v in alone)
+            assert stacked.tolist() == alone
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_normalized_formula(self, n, make_scenario):
+        rng = np.random.default_rng(60 + n)
+        for power in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+            scn = dataclasses.replace(make_scenario(rng), power_budget=power)
+            if power == 1.0:
+                # Bob among the eavesdroppers: no beamformer beats 1
+                scn = dataclasses.replace(
+                    scn, eve_angles=scn.eve_angles + (scn.bob_angle,))
+            X = np.array([random_positions(n, scn, rng) for _ in range(2)])
+            forms = build_forms(X, scn)
+            seeds = [int(s) for s in rng.integers(2**31, size=2)]
+            # 5,000 draws span three blocks of rows, the last one partial
+            got = sample_beamformers(forms, scn, 5000, seeds)
+            for value, A, B, seed in zip(got, forms.A, forms.B, seeds):
+                expected, rounding = _normalized_sampling(A, B, scn, 5000, seed)
+                # 1e-12 relative, unless the best samples' ratio is so
+                # ill-conditioned that rounding alone may move it further
+                assert abs(value - expected) <= max(1e-12 * expected, rounding)
+
+    def test_rejects_forms_and_seeds_of_different_lengths(self, paper_n3):
+        X = np.array([random_positions(3, paper_n3, np.random.default_rng(k))
+                      for k in range(3)])
+        forms = build_forms(X, paper_n3)
+        one = QuadraticForms(A=forms.A[0], B=forms.B[0])
+        for f, seeds in ((forms, [1, 2]), (forms, [1, 2, 3, 4]), (forms, 1),
+                         (one, [1]), (one, [1, 2, 3])):
+            with pytest.raises(ValueError, match="disagree"):
+                sample_beamformers(f, paper_n3, 10, seeds)
+
+    def test_rejects_bad_count(self, paper_n3):
+        X = np.array([random_positions(3, paper_n3, np.random.default_rng(k))
+                      for k in range(2)])
+        forms = build_forms(X, paper_n3)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count"):
+                sample_beamformers(forms, paper_n3, count, [1, 2])
 
 
 class TestGridSearch:
@@ -264,6 +344,20 @@ class TestRunVerification:
         report = run_verification(scn, 2, seed=0)
         names = {c.name: c.status for c in report.checks}
         assert names["fd-gradient"] == "pass"
+        assert report.passed
+
+    @pytest.mark.parametrize("name, power", [("toy_n2", 1e8), ("toy_n2", 1e10),
+                                             ("toy_n2", 1e12),
+                                             ("paper_n3", 1e10)])
+    def test_high_snr_stationarity_passes(self, name, power):
+        # (A + S) w - lam (B + S) w rounds to about eps |lam| ||B + S||
+        # ||w||, far above eps ||A + S|| ||w|| once lam is large
+        spec = load_run_spec(SCENARIOS / f"{name}.json")
+        scn = dataclasses.replace(spec.scenario, power_budget=power)
+        report = run_verification(scn, spec.n_antennas, seed=spec.seed,
+                                  cfg=spec.config)
+        names = {c.name: c.status for c in report.checks}
+        assert names["beamformer-stationarity"] == "pass"
         assert report.passed
 
     def test_corrupted_gradient_detected(self, paper_n4, monkeypatch):
