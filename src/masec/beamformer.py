@@ -23,12 +23,6 @@ DEGENERACY_RTOL = 1e-10
 # grow as rows * N^2, so larger arrays are scored in fewer rows.
 CANDIDATE_CHUNK_ENTRIES = 1024
 
-# Relative rate band in ``best_gap_layout`` within which a scored
-# canonical tuple has its mirror scored as well.  With ``_rate_slack``
-# added it covers the rounding by which the two rates of a mirror pair
-# differ: about 1e-15 bps/Hz at P_A / sigma^2 = 1, but 1e-5 at 1e10.
-MIRROR_RTOL = 1e-9
-
 # Most gap tuples per block that ``best_gap_layout`` enumerates and bounds
 # at once: a block spreads the few dozen vector operations of its bound
 # over a thousand rows or so, and its arrays stay near 0.2 MB at M = 3.
@@ -374,6 +368,10 @@ def _rate_slack(n: int, scenario: Scenario, budget=None):
     one-eavesdropper bound of ``_eve_pivots`` too: on such layouts, with
     rho up to 3e10, that bound falls below the rate, or below
     ``_last_pivot``'s bound, by at most a nineteenth of this allowance.
+    And the computed rates of a layout and its mirror differ by less
+    than it: on random layouts with N up to 8 and rho from 1e-6 to
+    3e10, by at most 0.6 of it, and by at most a tenth from rho = 10.
+    Below rho = 1 the gap grows with N, to 0.75 of it at N = 24.
     """
     budget = scenario.power_budget if budget is None else budget
     rho = budget / scenario.noise_power
@@ -512,21 +510,31 @@ def _run_rows(K: np.ndarray, last: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _levels_within(n: int, budget: int, top: int) -> int:
+    """Most levels K <= ``top`` whose N-antenna gap grid fits ``budget``.
+
+    The grid 0 <= k_2 <= ... <= k_N <= K holds C(K + N - 1, N - 1)
+    tuples, which grows with K; K is found by bisection.
+    """
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(mid + n - 1, n - 1) <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _seed_stride(n: int, levels: int) -> int:
     """Least stride s whose sub-grid holds at most 2 ``BOUND_BLOCK_ROWS``.
 
     The sub-grid is the tuples s K' with 0 <= k'_2 <= ... <= k'_N <=
-    levels // s, C(levels // s + N - 1, N - 1) of them; s is found by
-    bisection.  A stride of 1 means the grid is already that small.
+    levels // s.  It fits where levels // s is at most the K of
+    ``_levels_within`` at that budget, so s = levels // (K + 1) + 1.  A
+    stride of 1 means the grid is already that small.
     """
-    lo, hi = 1, max(levels, 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.comb(levels // mid + n - 1, n - 1) <= 2 * BOUND_BLOCK_ROWS:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return levels // (_levels_within(n, 2 * BOUND_BLOCK_ROWS, levels) + 1) + 1
 
 
 def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
@@ -684,59 +692,68 @@ def _gather(table, K, columns):
 class _PowerScreen:
     """One power's side of ``best_gap_layout``.
 
-    It holds the power's running best rate and the scored rows in its
-    band, ``tuples`` and ``rates``; when the best rises, the rows that
-    fall below the new band are dropped, so memory follows the band.
-    The all-zero tuple, the FPA layout, is scored when the screen is made
-    and stays the first row while the band reaches 0.
+    It holds the power's best rate and its tuple, and the FPA rate of the
+    all-zero tuple, which is scored first.  After each scored chunk it
+    scores the mirrors of the chunk rows whose rate lies within
+    ``_rate_slack`` of the running best and above it.  The highest rate
+    is kept, and on an exact tie the lexicographically smallest tuple.
+    Nothing is kept per row, so the screen's state does not grow with
+    the rows near the best.
     """
 
     def __init__(self, n: int, scenario: Scenario, layouts, rows: int):
         self.scenario, self.layouts, self.rows = scenario, layouts, rows
         self.slack = _rate_slack(n, scenario)
-        self.tuples = np.zeros((1, n - 1), dtype=np.intp)
-        self.rates = best_secrecy_rates(layouts(self.tuples), scenario)
-        self.best = float(self.rates[0])
+        self.tuple = np.zeros((1, n - 1), dtype=np.intp)
+        self.fpa = self.best = float(
+            best_secrecy_rates(layouts(self.tuple), scenario)[0])
 
     def floor(self) -> float:
-        """Lower edge of the band that a row must reach to be kept."""
-        return self.best - MIRROR_RTOL * max(self.best, 1.0) - self.slack
+        """Least rate bound of a row whose rate, or its mirror's, can reach
+        the best: a rate is at most its bound plus ``_rate_slack``, and a
+        mirror's rate lies within ``_rate_slack`` of it."""
+        return self.best - 2 * self.slack
 
     def screen(self, K: np.ndarray, bounds: np.ndarray) -> None:
-        """Score the rows of block ``K`` whose bound reaches the band."""
-        bounds = bounds + self.slack
+        """Score the rows of block ``K`` whose bound reaches the floor."""
         keep = np.flatnonzero(bounds >= self.floor())
         order = keep[np.argsort(-bounds[keep])]
         K, bounds = K[order], bounds[order]
         rows = self.rows
-        # the rows that can still reach the band are a prefix of the block
+        # the rows that can still reach the floor are a prefix of the block
         while live := np.count_nonzero(bounds >= self.floor()):
             chunk, K, bounds = K[:min(live, rows)], K[rows:], bounds[rows:]
-            rates = best_secrecy_rates(self.layouts(chunk), self.scenario)
-            self.best = max(self.best, float(rates.max()))
-            rates = np.concatenate([self.rates, rates])
-            mask = rates >= self.floor()
-            self.tuples = np.vstack([self.tuples, chunk])[mask]
-            self.rates = rates[mask]
+            rates = self._keep(chunk)
+            near = chunk[(rates >= self.best - self.slack)
+                         & (rates > self.slack)]
+            mirrors = _mirror(near)
+            mirrors = mirrors[(mirrors != near).any(axis=1)]
+            if len(mirrors):
+                self._keep(mirrors)
+
+    def _keep(self, K: np.ndarray) -> np.ndarray:
+        """Score the tuples ``K``, and keep the highest of their rates and
+        the best, the lexicographically smallest tuple on a tie."""
+        rates = best_secrecy_rates(self.layouts(K), self.scenario)
+        top = float(rates.max())
+        if top >= self.best:
+            ties = K[rates == top]
+            if top == self.best:
+                ties = np.vstack([self.tuple, ties])
+            self.best = top
+            self.tuple = np.array([min(ties.tolist())], dtype=np.intp)
+        return rates
 
     def winner(self):
-        """Score the mirrors of the rows in the band; the best row and rate."""
-        K, rates = self.tuples, self.rates
-        j = 0  # a best rate of zero up to rounding: the FPA layout wins
-        if self.best > MIRROR_RTOL + self.slack:
-            mirrors = _mirror(K)
-            mirrors = mirrors[(mirrors != K).any(axis=1)]
-            rows = self.rows
-            scored = [best_secrecy_rates(self.layouts(mirrors[i:i + rows]),
-                                         self.scenario)
-                      for i in range(0, len(mirrors), rows)]
-            K = np.vstack([K, mirrors])
-            rates = np.concatenate([rates, *scored])
-            j = min(np.flatnonzero(rates == rates.max()),
-                    key=lambda i: K[i].tolist())
-        best_x = self.layouts(K[j:j + 1])[0]
+        """The best layout and its rate.  A best rate of at most twice
+        ``_rate_slack`` is rounding noise on a grid where every rate is 0,
+        and the FPA layout wins with the rate scored for it."""
+        K, rate = self.tuple, self.best
+        if rate <= 2 * self.slack:
+            K, rate = np.zeros_like(K), self.fpa
+        best_x = self.layouts(K)[0]
         best_x.setflags(write=False)
-        return best_x, float(rates[j])
+        return best_x, rate
 
 
 def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
@@ -751,18 +768,19 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
 
     Mirroring a layout, x' = x_N - reverse(x) with the beamformer
     reverse(conj w), keeps every beam gain, so a tuple and the tuple of
-    its reversed gaps have the same rate up to rounding.  Only the
-    canonical tuple of each pair (``_canonical``) can score, and only if
-    its rate can reach the band of the running best: ``MIRROR_RTOL``
-    relative to at least 1 bps/Hz, plus ``_rate_slack``.  The all-zero
-    tuple, the FPA layout, is scored first.  The other canonical tuples
+    its reversed gaps have the same rate up to rounding, which
+    ``_rate_slack`` covers.  Only the canonical tuple of each pair
+    (``_canonical``) is screened, and it is scored only if its bound
+    reaches the power's floor, the running best less twice
+    ``_rate_slack`` (``_PowerScreen``).  The all-zero tuple, the FPA
+    layout, is scored first.  The other canonical tuples
     come from ``_gap_blocks`` in blocks of at most ``BOUND_BLOCK_ROWS``,
     each built from its ranks, so no array grows with the number of
     tuples.  Where the grid holds more than 2 ``BOUND_BLOCK_ROWS``
     tuples, a seed pass first screens the coarse sub-grid of the tuples
-    s K', s the ``_seed_stride``, whose few blocks raise the band before
-    the full pass starts.  Its tuples are grid tuples built with the
-    same ``step``, so their rates are the full grid's bits, and the full
+    s K', s the ``_seed_stride``, whose few blocks raise the floor
+    before the full pass starts.  Its tuples are grid tuples built with
+    the same ``step``, so their rates are the full grid's bits, and the full
     pass leaves out every tuple whose entries are all multiples of s, so
     no row is scored twice.  At N >= 3 the full pass then enumerates
     runs, not tuples (``_gap_runs``): up to ``RUN_LEVELS`` consecutive
@@ -776,25 +794,26 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     the FPA rate, so they are enumerated tuple by tuple.
     ``_GapBounds`` bounds a whole block, from per-gap phase tables,
     before any pencil is solved: first by the one-eavesdropper pivot,
-    then, on the rows that it cannot rule out below some power's band,
+    then, on the rows that it cannot rule out below some power's floor,
     by the unrolled elimination.  The tables and a block's Gram entries
     do not depend on the power, so they are built once for every
     scenario; each power then screens the block with its own bounds,
-    running best, band and kept rows (``_PowerScreen``), as a call with
-    that scenario alone would.  A row whose bound plus ``_rate_slack``
-    lies below the band is skipped: its rate is certified below the
-    best, so neither it nor its mirror can win or tie.  The others are
-    scored in order of decreasing bound, in chunks of about
+    floor and running best (``_PowerScreen``), as a call with that
+    scenario alone would.  A row whose bound lies below the floor is
+    skipped: its rate is more than ``_rate_slack`` below the best, so
+    neither it nor its mirror can win or tie.  The others are scored in
+    order of decreasing bound, in chunks of about
     ``CANDIDATE_CHUNK_ENTRIES`` matrix entries, and the rest of the
-    block is screened again after each chunk.  The band only rises as
-    the best does, so every row in the final band is scored, whatever
-    the order of the blocks, and the rows that fall below it are
-    dropped.  Those rows then have their mirrors scored too, and the
-    highest of those rates wins, so the result is the full grid's, bit
-    for bit.  A best rate within
-    ``MIRROR_RTOL`` plus ``_rate_slack`` of 0 is rounding noise on a grid
-    where every rate is 0 (Bob among the eavesdroppers, say); there the
-    FPA layout wins with the rate scored for it.
+    block is screened again after each chunk.  After each chunk the
+    mirrors of its rows within ``_rate_slack`` of the running best, and
+    above ``_rate_slack``, are scored as well.  The best only rises, so
+    every row whose mirror can win or tie has its mirror scored,
+    whatever the order of the blocks, and the result is the full
+    grid's, bit for bit.  A best rate of at most twice ``_rate_slack``
+    is rounding noise on a grid where every rate is 0 (Bob among the
+    eavesdroppers, say); there the FPA layout wins with the rate scored
+    for it.  A mirror pair's rates differ by less than ``_rate_slack``,
+    so no mirror that could win above that threshold is skipped.
 
     Returns:
         list of (ndarray, float), one per scenario in order: the best
@@ -810,7 +829,7 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     rate_bounds = _GapBounds(n, scenarios, levels, step)
 
     def floors():
-        return [screen.floor() - screen.slack for screen in screens]
+        return [screen.floor() for screen in screens]
 
     def screen_block(K):
         for screen, bounds in zip(screens, rate_bounds(K, floors())):

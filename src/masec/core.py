@@ -5,7 +5,9 @@ coordinates can be adjusted subject to a minimum spacing d_min.  Bob sits
 at steering angle theta_0, M colluding eavesdroppers at theta_1..theta_M.
 All lengths are in the scenario's length unit with the wavelength carried
 explicitly; with the default wavelength of 1.0 positions are expressed
-directly in wavelengths.
+directly in wavelengths.  Every tolerance and step of the solver and of
+its oracles scales with the wavelength, so the rates do not depend on
+the length unit.
 
 A layout is a read-only float array of N sorted coordinates and a
 beamformer a read-only complex array of N weights.  Input from outside
@@ -22,7 +24,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 LN2 = np.log(2.0)
 
-# Feasibility slack (absolute, in length units): clamp arithmetic such as
+# Feasibility slack, in wavelengths: clamp arithmetic such as
 # (x + d_min) - x can fall short of d_min by a few ulp.
 FEASIBILITY_TOL = 1e-9
 
@@ -85,7 +87,7 @@ class Scenario:
         if n < 1:
             raise ValueError("antenna count must be at least 1")
         need = (n - 1) * self.min_spacing
-        if need > self.aperture + FEASIBILITY_TOL:
+        if need > self.aperture + FEASIBILITY_TOL * self.wavelength:
             raise InfeasibleError(
                 f"aperture {self.aperture} cannot hold {n} antennas at "
                 f"spacing {self.min_spacing} (needs {need})")
@@ -125,9 +127,9 @@ def _check_rows(X: np.ndarray, scenario: Scenario) -> None:
     # a row that is not finite gets zeros here, so no inf - inf is formed
     gaps = np.diff(np.where(finite[:, None], X, 0.0), axis=1)
     unsorted = (gaps < 0.0).any(axis=1)
-    tight = (gaps < scenario.min_spacing - FEASIBILITY_TOL).any(axis=1)
-    outside = ((X[:, 0] < -FEASIBILITY_TOL)
-               | (X[:, -1] > scenario.aperture + FEASIBILITY_TOL))
+    tol = FEASIBILITY_TOL * scenario.wavelength
+    tight = (gaps < scenario.min_spacing - tol).any(axis=1)
+    outside = (X[:, 0] < -tol) | (X[:, -1] > scenario.aperture + tol)
     if finite[0] and not unsorted[0]:
         # a count the aperture cannot hold is a defect of every row
         scenario.check_feasible(X.shape[1])

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import (_layout_pass, _rate_slack, best_gap_layout,
-                         build_forms, optimal_beamformer)
+from .beamformer import (_layout_pass, _levels_within, _rate_slack,
+                         best_gap_layout, build_forms, optimal_beamformer)
 from .core import Scenario, secrecy_rate
 from .positions import (_check_starts, _face_projector, _project_euclidean,
                         optimize_positions)
@@ -50,8 +50,8 @@ SCAN_BUDGET_LARGE_N = 3_000
 
 # Value ascent: Armijo's sufficient-increase constant, the halvings of a
 # trial step before a chain stalls, the range of the first scaling of a
-# chain's inverse-Hessian estimate, and the relative size of F's last
-# bit, the least gain a direction must promise.
+# chain's inverse-Hessian estimate, in squared wavelengths, and the
+# relative size of F's last bit, the least gain a direction must promise.
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
 MIN_STEP, MAX_STEP = 1e-8, 1e3
@@ -65,7 +65,9 @@ class SolveConfig:
     ``ascent`` picks the ``"value"`` ascent, the default, which reads
     ``step_size`` (its first trial step), ``inner_tol`` (its stop test)
     and ``max_outer_iters``, or the paper's ``"alternating"`` Algorithm 1,
-    which reads every field with its reference values.
+    which reads every field with its reference values.  ``step_size``
+    is in squared wavelengths: a gradient scales as one over the
+    wavelength, so a step is ``step_size`` lambda^2 times it.
     """
 
     ascent: str = "value"
@@ -129,21 +131,11 @@ def initial_positions(n: int, scenario: Scenario) -> np.ndarray:
 
 
 def _scan_levels(n: int, slack: float, scenario: Scenario) -> int:
-    """Largest step count K within the finest step and the tuple budget.
-
-    The scan holds C(K + N - 1, N - 1) tuples; K is found by bisection.
-    """
-    budget = SCAN_BUDGET_SMALL_N if n <= 4 else SCAN_BUDGET_LARGE_N
-    hi = int(math.floor(slack * SCAN_STEPS_PER_WAVELENGTH
-                        / scenario.wavelength + 1e-9))
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if math.comb(mid + n - 1, n - 1) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Largest step count K within the finest step and the tuple budget."""
+    return _levels_within(
+        n, SCAN_BUDGET_SMALL_N if n <= 4 else SCAN_BUDGET_LARGE_N,
+        int(math.floor(slack * SCAN_STEPS_PER_WAVELENGTH / scenario.wavelength
+                       + 1e-9)))
 
 
 def scan_start(n: int, scenario: Scenario) -> np.ndarray:
@@ -189,26 +181,28 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     until Armijo's test F(x') >= F(x) + ARMIJO_C grad F . (x' - x)
     accepts it, at most ``MAX_HALVINGS`` times; P is the Euclidean
     projection.  A chain without a curvature estimate, as in its first
-    round, takes d = ``cfg.step_size`` grad F.  Once one of its moves s,
-    with gradient change y, shows s . -y > 0, row j of ``H`` holds its
-    BFGS estimate of the inverse Hessian of -F, first scaled to
-    -s.y / y.y (``_bfgs_updates``), and d is the quasi-Newton step on
-    the face of the constraints that bind at x (``_face_directions``,
-    ``positions._face_projector``).  A direction whose gain grad F . d
-    is within the last bit of F (``EPS`` max(1, |F|)) is set to 0, so
-    a chain at a stationary point of its face tries its own layout and
-    stops there.  The trials of all pending chains
-    are one stack and one ``_layout_pass``: one steering-vector
-    evaluation and one batched pencil give every trial's F, and the
-    chains that accept their trial take its layout, F, beamformer, rate
-    and gradient from the same pass.  The start is one pass too, so no
-    round evaluates a rate or a gradient on its own.  The face and BFGS
-    algebra is batched over the chains, row by row, so a chain's bits do
-    not depend on the others.  A chain has settled when the accepted
-    step raised F by at most ``cfg.inner_tol`` max(1, |F|), or every
-    trial failed within ``_rate_slack`` of F; it stops then, or when no
-    trial was accepted.  Its traces hold F at the start and at each
-    trial.
+    round, takes d = ``cfg.step_size`` lambda^2 grad F, lambda the
+    wavelength: grad F scales as 1 / lambda, so d scales with the
+    lengths.  Once one of its moves s, with gradient change y, shows
+    s . -y > 0, row j of ``H`` holds its BFGS estimate of the inverse
+    Hessian of -F, first scaled to -s.y / y.y (``_bfgs_updates``) and
+    clipped to lambda^2 [MIN_STEP, MAX_STEP], and d is the quasi-Newton
+    step on the face of the constraints that bind at x
+    (``_face_directions``, ``positions._face_projector``).  A direction
+    whose gain grad F . d is within the last bit of F
+    (``EPS`` max(1, |F|)) is set to 0, so a chain at a stationary point
+    of its face tries its own layout and stops there.  The trials of all
+    pending chains are one stack and one ``_layout_pass``: one
+    steering-vector evaluation and one batched pencil give every trial's
+    F, and the chains that accept their trial take its layout, F,
+    beamformer, rate and gradient from the same pass.  The start is one
+    pass too, so no round evaluates a rate or a gradient on its own.
+    The face and BFGS algebra is batched over the chains, row by row, so
+    a chain's bits do not depend on the others.  A chain has settled
+    when the accepted step raised F by at most ``cfg.inner_tol``
+    max(1, |F|), or every trial failed within ``_rate_slack`` of F; it
+    stops then, or when no trial was accepted.  Its traces hold F at the
+    start and at each trial.
 
     Returns:
         (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
@@ -232,10 +226,14 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
         pending = list(range(len(rows)))
         xp, gp, power = x0, g0, budgets
         # a chain without a curvature estimate steps along its gradient
-        dp, newton = cfg.step_size * g0, scaled[rows]
+        area = scenario.wavelength ** 2
+        dp, newton = cfg.step_size * area * g0, scaled[rows]
         if newton.any():
-            dp[newton] = _face_directions(
-                H[rows][newton], g0[newton],
+            # H scales as lambda^2; in squared wavelengths it keeps the size
+            # of the projector that ``_face_directions`` adds to it, which
+            # rounding would lose next to H at a large length unit
+            dp[newton] = area * _face_directions(
+                H[rows][newton] / area, g0[newton],
                 _face_projector(x0[newton], g0[newton], scenario))
         # a direction that can raise F by no more than its last bit is none
         flat = (np.einsum("ij,ij->i", g0, dp)
@@ -281,7 +279,8 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
         stop = [s or halted for s, halted in zip(settled, stalled)]
         # a stopped chain's estimate is updated too, and never read
         H[rows], scaled[rows] = _bfgs_updates(H[rows], scaled[rows],
-                                              X[rows] - x0, G[rows] - g0)
+                                              X[rows] - x0, G[rows] - g0,
+                                              area)
         return ([np.array(t) for t in traces], rates_before,
                 rate[rows].tolist(), settled, stop)
 
@@ -341,7 +340,7 @@ def _face_directions(H, G, P) -> np.ndarray:
     return (P @ (H @ (g - u)))[:, :, 0]
 
 
-def _bfgs_updates(H, scaled, S, Y):
+def _bfgs_updates(H, scaled, S, Y, area):
     """BFGS updates of the inverse-Hessian estimates ``H`` of -F.
 
     Rows of ``S`` are position steps and rows of ``Y`` the changes of
@@ -349,8 +348,9 @@ def _bfgs_updates(H, scaled, S, Y):
     is updated only where s . -y > 0; one not yet ``scaled`` is first
     set, in ``H`` itself, to -s.y / y.y times I (Nocedal and Wright's
     scaling, the shorter Barzilai-Borwein step), clipped to
-    [MIN_STEP, MAX_STEP].  The other rows get a zero update, which
-    leaves them unchanged.  Returns the new (H, scaled).
+    ``area`` [MIN_STEP, MAX_STEP], ``area`` the squared wavelength.  The
+    other rows get a zero update, which leaves them unchanged.  Returns
+    the new (H, scaled).
     """
     sy = -np.einsum("ij,ij->i", S, Y)
     ok = sy > 0.0
@@ -358,7 +358,8 @@ def _bfgs_updates(H, scaled, S, Y):
     if first.any():
         gamma = sy[first] / np.einsum("ij,ij->i", Y[first], Y[first])
         H[first] = (np.eye(H.shape[1])
-                    * np.clip(gamma, MIN_STEP, MAX_STEP)[:, None, None])
+                    * np.clip(gamma, area * MIN_STEP,
+                              area * MAX_STEP)[:, None, None])
     # H+ = V H V^T + rho s s^T with V = I - rho s (-y)^T; V = I where rho = 0
     rho_s = S * np.divide(1.0, sy, out=np.zeros_like(sy), where=ok)[:, None]
     V = np.eye(H.shape[1]) + rho_s[:, :, None] * Y[:, None, :]

@@ -21,10 +21,15 @@ stack of one in ``core``, so each row of these stacks has the bits of
 the same call on that sample alone.  The grid runs
 the solver's start-scan routine, ``best_gap_layout``: its seed pass,
 its enumerators of tuples and of runs of tuples, its table-driven
-bounds on whole runs and on tuples, and its scorer.  So the grid
-comparison reads the algorithm's rate from ``secrecy_rate`` at the
-returned solution, never from that scorer.  The oracles ship with the
-package (see the ``verify`` CLI command) so any scenario can be re-validated.
+bounds on whole runs and on tuples, its screen, which keeps one best
+layout per power and scores the mirrors of the layouts near it, and
+its scorer.  So the grid comparison reads the algorithm's rate from
+``secrecy_rate`` at the returned solution, never from that scorer.
+Every step scales with the wavelength, as the solver's steps and
+tolerances do: the finite-difference step is 1e-6 wavelengths and
+the grid step a fiftieth of one, so a scenario checks alike in any
+length unit.  The oracles ship with the package (see the ``verify``
+CLI command) so any scenario can be re-validated.
 """
 
 from __future__ import annotations
@@ -48,18 +53,20 @@ GRID_MAX_EVALS = 10_000_000
 SAMPLE_BLOCK_ROWS = 2048
 
 
-def fd_gradient(x, w, scenario: Scenario, h: float = 1e-6) -> np.ndarray:
+def fd_gradient(x, w, scenario: Scenario, h=None) -> np.ndarray:
     """Central-difference gradient of the unclamped objective.
 
     Component n is (Psi(x + h e_n) - Psi(x - h e_n)) / (2 h), evaluated
     without projection: this checks the smooth objective that the
-    analytic gradient differentiates, not the constrained update.
+    analytic gradient differentiates, not the constrained update.  The
+    step ``h`` is 1e-6 wavelengths by default.
 
     ``x`` and ``w`` are one layout and its beamformer, or (K, N) stacks
     that give one gradient per row.  All 2 K N perturbed layouts go to
     one ``objective_psi`` call; adding h I moves one coordinate of each
     and adds exact zeros to the others.
     """
+    h = 1e-6 * scenario.wavelength if h is None else h
     if not h > 0.0:
         raise ValueError("step h must be positive")
     xs, wv = np.asarray(x, dtype=float), np.asarray(w, dtype=complex)
@@ -144,13 +151,14 @@ def grid_search(scenario: Scenario, n: int, resolution: float):
     change the rate either, so ``best_gap_layout`` considers one layout
     of each mirror pair, and it solves the pencil only where a cheap
     upper bound on the rate can still reach the best; where one bound
-    rules out a whole run of layouts, it does not build them.  Every
-    layout it skips is certified below the best, so it returns the
-    optimum of the full grid.  Exact rate ties resolve to the
-    lexicographically smallest layout.  The layouts, and the runs of
-    them, come in blocks built from their ranks, so the memory does not
-    grow with the number of layouts at any N, even at N = 2 with
-    millions of levels.
+    rules out a whole run of layouts, it does not build them.  It scores
+    the mirror of each scored layout whose rate lies within rounding of
+    the running best.  Every layout it skips is certified below the
+    best, so it returns the optimum of the full grid.  Exact rate ties
+    resolve to the lexicographically smallest layout.  The layouts, and
+    the runs of them, come in blocks built from their ranks, and the
+    search keeps one best layout, so the memory does not grow with the
+    number of layouts at any N, even at N = 2 with millions of levels.
 
     Returns:
         (ndarray, ndarray, float): best grid positions, the optimal
@@ -241,10 +249,10 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
         "lift-identity", "pass" if err <= 1e-9 else "fail",
         f"max relative error {err:.3e} (tol 1e-09)"))
 
-    h = 1e-6
     X, W = _random_samples(20, n, scenario, rng)
     analytic = gradient_psi(X, W, scenario)
-    numeric = fd_gradient(X, W, scenario, h=h)
+    numeric = fd_gradient(X, W, scenario)
+    h = 1e-6 * scenario.wavelength
     # a central difference carries rounding noise of about eps S sqrt(N)/h,
     # S the sum of Psi's log2 terms; flooring the denominator at 1e6 times
     # that holds noise alone (all of the estimate at N = 1) to 1e-6

@@ -193,9 +193,9 @@ def _face_projector(X, G, scenario: Scenario) -> np.ndarray:
     y_n = x_n - (n-1) d_min, with 0 <= y_1 <= ... <= y_N <= L - (N-1) d_min,
     a constraint is active where two neighbours tie (their gap is d_min)
     or an antenna sits at an end of that interval, to within
-    ``FEASIBILITY_TOL``.  It binds when the gradient presses on it: the
-    velocity v nearest to G that keeps the layout feasible is the
-    isotonic regression of G over each run of ties (pool adjacent
+    ``FEASIBILITY_TOL`` wavelengths.  It binds when the gradient presses
+    on it: the velocity v nearest to G that keeps the layout feasible is
+    the isotonic regression of G over each run of ties (pool adjacent
     violators), clipped to v >= 0 at the lower end and to v <= 0 at the
     upper one.  A tie is released where v separates the pair, and an
     end where v pulls off it (v > 0 at the lower end, v < 0 at the
@@ -209,7 +209,8 @@ def _face_projector(X, G, scenario: Scenario) -> np.ndarray:
     """
     k, n = X.shape
     Y = X - scenario.min_spacing * np.arange(n)
-    tied = Y[:, 1:] - Y[:, :-1] <= FEASIBILITY_TOL
+    tol = FEASIBILITY_TOL * scenario.wavelength
+    tied = Y[:, 1:] - Y[:, :-1] <= tol
     same, v = None, G
     joined = merge = tied & (G[:, :-1] > G[:, 1:])
     while merge.any():
@@ -221,8 +222,7 @@ def _face_projector(X, G, scenario: Scenario) -> np.ndarray:
         merge = tied & ~joined & (v[:, :-1] > v[:, 1:])
         joined = joined | merge
     span = scenario.aperture - (n - 1) * scenario.min_spacing
-    free = ~np.where(v > 0.0, Y >= span - FEASIBILITY_TOL,
-                     Y <= FEASIBILITY_TOL)
+    free = ~np.where(v > 0.0, Y >= span - tol, Y <= tol)
     if same is None:  # no tie binds: every block is one antenna
         return free[:, :, None] * np.eye(n)
     return np.where(same & free[:, :, None] & free[:, None, :],
@@ -256,8 +256,10 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
     """Projected gradient ascent on Psi with the beamformer held fixed.
 
     Iterates x <- project(x + delta grad Psi(x)) with
-    delta = ``cfg.step_size`` until the per-iteration change of Psi falls
-    below ``cfg.inner_tol`` or ``cfg.max_inner_iters`` steps are taken.
+    delta = ``cfg.step_size`` lambda^2, lambda the wavelength, until the
+    per-iteration change of Psi falls below ``cfg.inner_tol`` or
+    ``cfg.max_inner_iters`` steps are taken.  grad Psi scales as
+    1 / lambda, so the steps scale with the lengths.
     ``cfg`` is required: a ``SolveConfig``, of which only those three
     fields are read.  One trig evaluation per step at the new iterate
     yields the beam gains, which give Psi and, for the chains that take
@@ -297,6 +299,7 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
     column = np.cos(scenario.angles)[:, None]
     scale = TWO_PI / scenario.wavelength
     two_k = 2.0 * scale * column
+    delta = cfg.step_size * scenario.wavelength ** 2
     sigma2 = scenario.noise_power
     trace = [objective_psi(X, W, scenario).tolist()]
     best_psi = list(trace[0])
@@ -305,7 +308,7 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
     terms = [g, q, *_lift_gains(g, q, C, D)]
     for _ in range(cfg.max_inner_iters):
         grad = _gradient(*terms, two_k, sigma2)
-        X = _project(np.sort(X + cfg.step_size * grad, axis=1), scenario)
+        X = _project(np.sort(X + delta * grad, axis=1), scenario)
         g, q = _phase_trig(X, column, scale)
         terms = [g, q, *_lift_gains(g, q, C, D)]
         gains = terms[-1]

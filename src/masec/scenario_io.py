@@ -113,7 +113,7 @@ def parse_run_spec(data: dict) -> RunSpec:
         geometry.setdefault(key, getattr(Scenario, key) * wavelength)
     try:
         scenario = Scenario(bob_angle=bob, eve_angles=eves, **geometry)
-        settings = {key: _require_int(tol, key, None)
+        settings = {key: _require_int(tol, key, None, minimum=1)
                     if key.startswith("max_") else _require_number(tol, key)
                     for key in tol}
         if "step_size" in data:

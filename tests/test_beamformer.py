@@ -15,7 +15,7 @@ from masec import (EigensolverError, QuadraticForms, Scenario, build_forms,
                    sample_beamformers, secrecy_rate, solve_beamformer,
                    steering_vector)
 from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
-                              MIRROR_RTOL, RUN_LEVELS, _canonical,
+                              RUN_LEVELS, _canonical,
                               _eve_pivots, _gap_blocks, _gap_runs,
                               _GapBounds, _last_pivot, _layout_pass, _mirror,
                               _pair_phases, _rate_bounds, _rate_slack,
@@ -601,8 +601,8 @@ class TestRateBound:
         # 99,975 levels: an enumerator that held a tuple of that many Python
         # ints peaked at 4.95 MB.  A screen that kept every row scored near
         # the best scored 18,374 and 198,129 rows at 99,975 and 999,975
-        # levels and peaked at 1.39 and 4.54 MB; the band it keeps now
-        # holds a few rows, and the seed pass sets it from the start
+        # levels and peaked at 1.39 and 4.54 MB; it now keeps one best row
+        # per power, and the seed pass raises it from the start
         scn = Scenario(bob_angle=np.pi / 2,
                        eve_angles=(0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi))
         scored = _count_rows(monkeypatch, masec.beamformer,
@@ -659,7 +659,7 @@ class TestBestGapLayout:
     @pytest.mark.parametrize("n,levels", [(3, None), (4, None), (2, 99_975)])
     def test_scores_no_row_twice(self, n, levels, monkeypatch):
         # the full pass leaves out the tuples that the seed pass screened,
-        # so no row, nor the mirror of a row in the band, is scored twice
+        # so no row, nor the mirror of a row near the best, is scored twice
         # at one power; the sweep_m3 scans at N = 3 and 4 (both powers)
         # scored 3 and 2 rows twice, and 92 of 2,562 at N = 2
         scored = []
@@ -714,7 +714,7 @@ class TestBestGapLayout:
     def test_scores_one_tuple_of_each_mirror_pair(self, name, monkeypatch):
         # at most the canonical half (plus the mirrors of the best) is
         # scored, and every canonical row left out is certified below the
-        # band of the best rate
+        # best rate less the slack, so neither it nor its mirror can win
         n, grid = MIRROR_WINNERS[name]
         scn, levels, step = grid()
         scored = self._record_rows(monkeypatch)
@@ -727,8 +727,7 @@ class TestBestGapLayout:
         left = np.array([row not in seen for row in map(tuple, X.tolist())])
         assert left.any()
         slack = _rate_slack(n, scn)
-        band = rate - MIRROR_RTOL * max(rate, 1.0) - slack
-        assert (_rate_bounds(X[left], scn) + slack < band).all()
+        assert (_rate_bounds(X[left], scn) + slack < rate - slack).all()
 
     def test_rescores_mirrors_of_every_near_best_row(self, monkeypatch):
         # rates that tie to rounding: the winner (2, 3) is non-canonical and
@@ -754,6 +753,37 @@ class TestBestGapLayout:
         [(x, rate)] = best_gap_layout(3, [scn], 6, step)
         assert rate == 1.0 + 4 * ulp
         assert np.array_equal(x, [0.0, 1.0, 1.75])
+
+    @pytest.mark.parametrize("above", [True, False],
+                             ids=["just-above", "at"])
+    def test_fpa_layout_wins_at_most_twice_the_slack(self, above,
+                                                     monkeypatch):
+        # a best rate just above 2 _rate_slack is a rate: the full grid's
+        # argmax (2, 3) wins, the mirror of the canonical row (1, 3); one at
+        # 2 _rate_slack is rounding noise, and the FPA layout wins with the
+        # rate scored for it
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        slack = _rate_slack(3, scn)
+        best = np.nextafter(2 * slack, np.inf) if above else 2 * slack
+        planted = {(0, 0): 0.25 * slack, (2, 3): best,
+                   (1, 3): best - 0.5 * slack}
+        step = 0.25
+
+        def planted_bounds(K):
+            return np.array([planted.get(tuple(k), 0.0) for k in K.tolist()])
+        monkeypatch.setattr(
+            masec.beamformer, "best_secrecy_rates",
+            lambda X, scenario: planted_bounds(_tuples(X, scn, step)))
+        monkeypatch.setattr(masec.beamformer, "_GapBounds",
+                            lambda *grid: lambda K, floors: [
+                                planted_bounds(K)])
+        [(x, rate)] = best_gap_layout(3, [scn], 6, step)
+        if above:
+            assert rate == best
+            assert np.array_equal(x, [0.0, 1.0, 1.75])
+        else:
+            assert rate == 0.25 * slack
+            assert np.array_equal(x, initial_positions(3, scn))
 
     def test_slack_widens_the_screen_and_the_mirror_band(self, monkeypatch):
         # planted rates and bounds that disagree by less than the slack: the
@@ -792,7 +822,7 @@ class TestBestGapLayout:
         [(x, rate)] = best_gap_layout(3, [scn], levels, step)
         # the 4,186 tuples take a seed pass on the even sub-grid first; it
         # holds neither W nor C, so C is first screened in a later block of
-        # the full pass than W, against W's band
+        # the full pass than W, against W's floor
         stride = _seed_stride(3, levels)
         seed = [stride * K for K in _gap_blocks(3, levels // stride)]
         block = {}

@@ -256,6 +256,19 @@ class TestScenarioFiles:
                          _write(tmp_path / "t.json", doc),
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["max_inner_iters", "max_outer_iters"])
+    def test_iteration_caps_must_be_positive(self, key, tmp_path):
+        # the file format states the rule SolveConfig enforces: 0 used to
+        # pass the "integer >= 0" check and then fail as "must be positive"
+        for bad in (-1, 0, 1.5):
+            doc = dict(PAPER_N4, tolerances={key: bad})
+            with pytest.raises(ScenarioFileError,
+                               match=f"'{key}' must be an integer >= 1"):
+                load_run_spec(_write(tmp_path / "s.json", doc))
+        doc = dict(PAPER_N4, tolerances={key: 1})
+        config = load_run_spec(_write(tmp_path / "s.json", doc)).config
+        assert getattr(config, key) == 1
+
 
 class TestBeampattern:
     def test_mrt_solution_peaks_at_bob(self, tmp_path):

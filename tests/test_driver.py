@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import masec.core
 import masec.driver
 import masec.positions
 from masec import (InfeasibleError, Scenario, SolveConfig,
-                   beam_gain, build_forms, initial_positions, objective_psi,
-                   optimal_beamformer,
-                   random_positions, secrecy_rate, solve, solve_fpa)
+                   beam_gain, build_forms, initial_positions, load_run_spec,
+                   objective_psi, optimal_beamformer, random_positions,
+                   run_verification, secrecy_rate, solve, solve_fpa)
 from masec.driver import solve_powers
 
 ALGORITHM_1 = SolveConfig(ascent="alternating")
 VALUE = SolveConfig(ascent="value")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestInitialPositions:
@@ -456,7 +458,7 @@ class TestQuasiNewton:
         Y = -np.einsum("kij,kj->ki", _spd(rng, 6, n), S)
         Y[4:] *= -1.0
         scaled = np.array([True] * 3 + [False] * 3)
-        new, now = masec.driver._bfgs_updates(H.copy(), scaled, S, Y)
+        new, now = masec.driver._bfgs_updates(H.copy(), scaled, S, Y, 1.0)
         assert list(now) == [True] * 4 + [False] * 2
         for k in range(4):
             assert np.allclose(new[k] @ -Y[k], S[k], rtol=1e-10)
@@ -468,15 +470,16 @@ class TestQuasiNewton:
         gamma = -(S[3] @ Y[3]) / (Y[3] @ Y[3])
         again, _ = masec.driver._bfgs_updates(gamma * np.eye(n)[None],
                                               np.array([True]), S[3:4],
-                                              Y[3:4])
+                                              Y[3:4], 1.0)
         assert np.allclose(new[3], again[0], rtol=1e-14)
 
     def test_first_scaling_is_clipped(self):
         s, y = np.array([[1.0, 0.0]]), np.array([[-1e-12, 0.0]])
         new, _ = masec.driver._bfgs_updates(np.eye(2)[None], np.array([False]),
-                                            s, y)
+                                            s, y, 1.0)
         capped, _ = masec.driver._bfgs_updates(
-            masec.driver.MAX_STEP * np.eye(2)[None], np.array([True]), s, y)
+            masec.driver.MAX_STEP * np.eye(2)[None], np.array([True]), s, y,
+            1.0)
         assert np.array_equal(new, capped)
 
 
@@ -521,3 +524,47 @@ class TestSolvePowers:
             solve_powers(3, [paper_n3, paper_n4])
         with pytest.raises(ValueError):
             solve_powers(3, [paper_n3, paper_n3], extra_starts=[None])
+
+
+def _in_unit(scn, lam):
+    """``scn`` with every length, the wavelength included, times ``lam``."""
+    return dataclasses.replace(scn, wavelength=lam * scn.wavelength,
+                               aperture=lam * scn.aperture,
+                               min_spacing=lam * scn.min_spacing)
+
+
+class TestUnitInvariance:
+    """Scaling every length by lambda leaves each rate as it is and scales
+    each layout by lambda: every step and tolerance of the solver and of
+    ``verify`` scales with the wavelength."""
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1e3, 1e6])
+    def test_solve_and_verify_do_not_depend_on_the_length_unit(self, lam):
+        # with absolute steps and tolerances the value ascent stopped after
+        # one round at 1e-6, 1e3 and 1e6, at the scan's rates, and verify
+        # failed fd-gradient on toy_n2 at 1e-6 and 1e-3; with the steps
+        # scaled but not the face solve's regularizer, the sweep_m3 cells
+        # at N = 7 raised "Singular matrix" at 1e6
+        toy = load_run_spec(SCENARIOS / "toy_n2.json").scenario
+        paper = load_run_spec(SCENARIOS / "paper_n3.json").scenario
+        sweep = load_run_spec(SCENARIOS / "sweep_m3.json").scenario
+        cells = [dataclasses.replace(sweep, power_budget=p)
+                 for p in (1.0, 10.0)]
+        runs = [(solve(n, scn, cfg), solve(n, _in_unit(scn, lam), cfg))
+                for n, scn, cfg in ((2, toy, VALUE), (2, toy, ALGORITHM_1),
+                                    (3, paper, VALUE))]
+        for n in (5, 7):
+            runs += zip(solve_powers(n, cells),
+                        solve_powers(n, [_in_unit(s, lam) for s in cells]))
+        for ref, scaled in runs:
+            assert scaled.final_rate == pytest.approx(ref.final_rate,
+                                                      rel=1e-9)
+            # the layout up to a shift and a mirror, which keep the rate:
+            # at N = 7 rounding picks either layout of a mirror pair
+            gaps, ref_gaps = np.diff(scaled.final_x) / lam, np.diff(
+                ref.final_x)
+            assert any(np.allclose(gaps, g, rtol=0.0,
+                                   atol=1e-9 * ref.final_x[-1])
+                       for g in (ref_gaps, ref_gaps[::-1]))
+        for n, scn in ((2, toy), (3, paper)):
+            assert run_verification(_in_unit(scn, lam), n).passed

@@ -64,6 +64,20 @@ class TestFdGradient:
             with pytest.raises(ValueError, match="dimensions disagree"):
                 fd_gradient(x, w, paper_n4)
 
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1e3])
+    def test_default_step_scales_with_the_wavelength(self, lam, paper_n4,
+                                                     make_beamformer):
+        # an absolute default step of 1e-6 erred by 116% at lambda = 1e-6
+        rng = np.random.default_rng(46)
+        x = random_positions(4, paper_n4, rng)
+        w = make_beamformer(4, paper_n4, rng)
+        scaled = dataclasses.replace(paper_n4, wavelength=lam,
+                                     aperture=lam * paper_n4.aperture,
+                                     min_spacing=lam * paper_n4.min_spacing)
+        assert np.allclose(lam * fd_gradient(lam * x, w, scaled),
+                           fd_gradient(x, w, paper_n4), rtol=1e-6,
+                           atol=1e-6)
+
     def test_rejects_bad_step(self, paper_n4):
         with pytest.raises(ValueError):
             fd_gradient([0.0, 0.5], [1.0, 0.0], paper_n4, h=0.0)
