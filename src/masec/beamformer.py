@@ -227,14 +227,16 @@ def optimal_beamformer(forms: QuadraticForms, scenario: Scenario,
     return solve_beamformer(forms, scenario, budget).beamformer
 
 
-def best_secrecy_rates(X, scenario: Scenario) -> np.ndarray:
+def best_secrecy_rates(X, scenario: Scenario, budget=None) -> np.ndarray:
     """Clamped optimal secrecy rate per candidate position row, batched.
 
     Row k of the (K, N) array ``X`` is one layout; the result is
     [log2 lambda_max]^+ of its pencil, i.e. the secrecy rate reached by
-    the optimal beamformer at that layout.
+    the optimal beamformer at that layout.  ``budget`` is P_A,
+    ``scenario.power_budget`` by default.
     """
-    eigvals = _pencil(build_forms(X, scenario), scenario.power_budget)
+    budget = scenario.power_budget if budget is None else budget
+    eigvals = _pencil(build_forms(X, scenario), budget)
     return np.maximum(np.log2(eigvals[:, -1]), 0.0)
 
 
@@ -254,27 +256,34 @@ def _pair_phases(x, scenario: Scenario) -> np.ndarray:
     return v[a].conj() * v[b]
 
 
-def _last_pivot(gram: np.ndarray, n: int, scenario: Scenario) -> np.ndarray:
+def _last_pivot(gram: np.ndarray, n: int, scenario: Scenario,
+                budgets) -> np.ndarray:
     """Last pivot of I + rho Gamma for a batch of N-antenna Gram matrices.
 
-    ``gram`` holds the entries of Gamma above the diagonal, shape (P, K)
-    in ``_pair_phases`` order (row-major above the diagonal); the
-    diagonal is N.  The LDL^H elimination is unrolled over the
-    (M+1) x (M+1) entries, each step one vector operation on all K rows,
-    and its last pivot is the Schur complement of the eavesdropper
-    block.  Gamma does not depend on the power: rho = P_A / sigma^2 is
-    read from ``scenario`` here, so one batch of entries serves a call
-    per power budget, and ``gram`` is left unchanged.
+    ``gram`` holds the entries of Gamma above the diagonal, shape
+    (M (M + 1) / 2, K) in ``_pair_phases`` order (row-major above the
+    diagonal); the diagonal is N.  The LDL^H elimination is unrolled
+    over the (M+1) x (M+1) entries, each step one vector operation on
+    all K rows and every power at once, rho = P_A / sigma^2 a column of
+    one row per budget of ``budgets``; ``gram`` is left unchanged.  The
+    last pivot is the Schur complement of the eavesdropper block, 1 + t
+    with t = rho a^H (I + rho E E^H)^-1 a, a = a(x, theta_0) and the
+    eavesdropper steering vectors the columns of E.  By Cauchy-Schwarz
+    in the (I + rho E E^H) inner product, t < lambda_max <= 1 + t, so
+    log2 of the pivot bounds the rate, and no N x N form is built.
+
+    Returns:
+        (P, K) array, one row of pivots for each of the P budgets.
 
     Raises:
         EigensolverError: a pivot is not positive and finite, where a
             Cholesky factorization would fail.
     """
-    rho = scenario.power_budget / scenario.noise_power
+    rho = np.asarray(budgets, dtype=float)[:, None] / scenario.noise_power
     size = scenario.num_eves + 1
     pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
-    upper = dict(zip(pairs, rho * gram))
-    pivots = [np.float64(1.0 + rho * n)] * size
+    upper = {pair: rho * entries for pair, entries in zip(pairs, gram)}
+    pivots = [1.0 + rho * n] * size
     for k in range(size):
         d = pivots[k]
         if not (d.min() > 0.0 and d.max() < np.inf):
@@ -288,7 +297,8 @@ def _last_pivot(gram: np.ndarray, n: int, scenario: Scenario) -> np.ndarray:
     return pivots[-1]
 
 
-def _eve_pivots(gram: np.ndarray, n: int, scenarios) -> list:
+def _eve_pivots(gram: np.ndarray, n: int, scenario: Scenario,
+                budgets) -> np.ndarray:
     """Least last pivot of I + rho Gamma over Bob and one eavesdropper.
 
     ``gram`` holds the M entries Gamma_0i between Bob and each
@@ -297,59 +307,34 @@ def _eve_pivots(gram: np.ndarray, n: int, scenarios) -> list:
     eavesdroppers only raises it, since (I + rho E E^H)^-1 is below
     (I + rho e_i e_i^H)^-1, so the least of these M pivots is at least
     ``_last_pivot``'s.  The largest |Gamma_0i|^2 does not depend on the
-    power, so one (K,) array of pivots per scenario, in order, comes
-    from one reduction (``_peak_pivots``).  Nothing is checked here: a
-    pivot that is not positive and finite is returned as it is.
+    power, so the (P, K) pivots of every budget come from one reduction
+    (``_peak_pivots``).  Nothing is checked here: a pivot that is not
+    positive and finite is returned as it is.
     """
     return _peak_pivots((gram.real ** 2 + gram.imag ** 2).max(axis=0), n,
-                        scenarios)
+                        scenario, budgets)
 
 
-def _peak_pivots(peak: np.ndarray, n: int, scenarios) -> list:
+def _peak_pivots(peak, n: int, scenario: Scenario, budgets) -> np.ndarray:
     """``_eve_pivots``' pivots from the largest |Gamma_0i|^2, ``peak``.
 
-    Each pivot is one expression in ``peak`` whose every rounded step is
-    monotone, so it never rises as ``peak`` does, in floating point too:
-    a lower bound on a tuple's computed ``peak`` gives an upper bound on
-    its computed pivot, and an upper bound a lower one.
+    One row per budget.  Each pivot is one expression in ``peak`` whose
+    every rounded step is monotone, so it never rises as ``peak`` does,
+    in floating point too: a lower bound on a tuple's computed ``peak``
+    gives an upper bound on its computed pivot, and an upper bound a
+    lower one.
     """
-    pivots = []
-    for scenario in scenarios:
-        rho = scenario.power_budget / scenario.noise_power
-        d = 1.0 + rho * n
-        pivots.append(d - rho * rho * peak / d)
-    return pivots
+    rho = np.asarray(budgets, dtype=float)[:, None] / scenario.noise_power
+    d = 1.0 + rho * n
+    return d - rho * rho * peak / d
 
 
-def _ruled_out(pivots, floors) -> np.ndarray:
-    """Mask of the rows whose pivot is positive and below 2^floor at
-    every power; NaN fails both comparisons and is never ruled out."""
-    low = True
-    for pivot, floor in zip(pivots, floors):
-        low = low & (pivot > 0.0) & (pivot < 2.0 ** floor)
-    return low
-
-
-def _rate_bounds(X, scenario: Scenario) -> np.ndarray:
-    """Upper bound log2(1 + t) on the secrecy rate of each layout row.
-
-    With rho = P_A / sigma^2, a = a(x, theta_0) and the eavesdropper
-    steering vectors as the columns of E, t = rho a^H (I + rho E E^H)^-1 a
-    satisfies t < lambda_max <= 1 + t by Cauchy-Schwarz in the
-    (I + rho E E^H) inner product.  1 + t is the Schur complement of the
-    eavesdropper block of I + rho Gamma, Gamma the Gram matrix of the
-    steering vectors ordered eavesdroppers first and Bob last, so it is
-    the pivot that ``_last_pivot`` returns; no N x N form is built.  The
-    computed bound and ``best_secrecy_rates`` keep these inequalities up
-    to ``_rate_slack``.  ``best_gap_layout`` gathers the Gram entries of
-    its grid from tables (``_GapBounds``) and runs the same elimination.
-
-    Raises:
-        EigensolverError: a pivot is not positive and finite.
-    """
-    X = np.asarray(X, dtype=float)
-    gram = _pair_phases(X, scenario).sum(axis=-1)
-    return np.log2(_last_pivot(gram, X.shape[-1], scenario))
+def _ruled_out(pivots: np.ndarray, floors) -> np.ndarray:
+    """Mask of the columns of the (P, K) ``pivots`` whose pivot is positive
+    and below 2^floor in every row, one floor per row; NaN fails both
+    comparisons and is never ruled out."""
+    tops = np.array([[2.0 ** floor] for floor in floors])
+    return ((pivots > 0.0) & (pivots < tops)).all(axis=0)
 
 
 def _rate_slack(n: int, scenario: Scenario, budget=None):
@@ -362,9 +347,9 @@ def _rate_slack(n: int, scenario: Scenario, budget=None):
     factors are a unit shift plus terms of total size up to
     rho N (M + 1), and their log2 arguments are at least 1.  On random
     layouts with rho up to 3e10 the two computations break the
-    inequalities of ``_rate_bounds`` by at most a tenth of this
-    allowance, with the Gram entries summed over the antennas or
-    gathered from ``_GapBounds``' tables.  It covers the
+    inequalities t < lambda_max <= 1 + t of ``_last_pivot`` by at most a
+    tenth of this allowance, with the Gram entries summed over the
+    antennas or gathered from ``_GapBounds``' tables.  It covers the
     one-eavesdropper bound of ``_eve_pivots`` too: on such layouts, with
     rho up to 3e10, that bound falls below the rate, or below
     ``_last_pivot``'s bound, by at most a nineteenth of this allowance.
@@ -549,26 +534,27 @@ def _gap_layouts(K: np.ndarray, scenario: Scenario, step: float) -> np.ndarray:
 class _GapBounds:
     """Each power's rate bounds on the tuples and the runs of a gap grid.
 
-    ``scenarios`` differ only in ``power_budget``.  Gap coordinate j
-    takes only ``levels + 1`` positions, so the pair phases P[j, k] of
-    each coordinate are tabulated once, and a tuple's Gram entries are
-    1 + sum_j P[j, k_j]: one gather and add per gap (``gram``).  The
+    The powers are the P entries of ``budgets``, and ``scenario`` holds
+    the rest of the instance.  Gap coordinate j takes only ``levels + 1``
+    positions, so the pair phases P[j, k] of each coordinate are
+    tabulated once, and a tuple's Gram entries are 1 + sum_j P[j, k_j]:
+    one gather and add per gap (``gram``).  The
     tables hold M (M + 1) / 2 (N - 1) (levels + 1) complex entries.  At
     N = 2 each level is one tuple and at N = 1 there is no block, so no
     table is built for N <= 2 and the entries are summed over the
-    antennas as in ``_rate_bounds``.  Neither depends on the power, so
-    each entry of a block is gathered once for every scenario.
+    antennas.  Neither depends on the power, so each entry of a block
+    is gathered once for every budget.
 
-    Called on a (K, N-1) block of tuples with one floor per scenario,
+    Called on a (K, N-1) block of tuples with one floor per budget,
     it bounds in two row stages.  First the M entries between Bob and
     the eavesdroppers give each power's one-eavesdropper pivot
     (``_eve_pivots``), whose log2 bounds the rate.  The rows that some
     power cannot rule out with it, a bound at or above that power's
-    floor, then gather their other entries and run ``_last_pivot``, the
-    bound of ``_rate_bounds``, at every power.  A cheap pivot that is
-    not positive and finite never rules a row out (``_ruled_out``), so
-    that row reaches ``_last_pivot``, which raises.  The call returns one
-    (K,) array of upper bounds per scenario, in order: ``_last_pivot``'s
+    floor, then gather their other entries and run ``_last_pivot`` at
+    every power.  A cheap pivot that is not positive and finite never
+    rules a row out (``_ruled_out``), so that row reaches
+    ``_last_pivot``, which raises.  The call returns a
+    (P, K) array of upper bounds, one row per budget: ``_last_pivot``'s
     on the rows that reached it and the one-eavesdropper bound, below
     that power's floor, on the others.  A floor of -inf gives
     ``_last_pivot``'s bound on every row.
@@ -580,31 +566,32 @@ class _GapBounds:
         EigensolverError: a pivot is not positive and finite.
     """
 
-    def __init__(self, n: int, scenarios, levels: int, step: float):
-        self.n, self.scenarios, self.step = n, scenarios, step
-        base = scenarios[0]
-        size = base.num_eves + 1
+    def __init__(self, n: int, scenario: Scenario, levels: int, step: float,
+                 budgets):
+        self.n, self.scenario = n, scenario
+        self.step, self.budgets = step, budgets
+        size = scenario.num_eves + 1
         self.bob = np.triu_indices(size, 1)[1] == size - 1  # Bob's pairs
         if n <= 2:
             return
         # row k of the grid: every gap coordinate at level k
         grid = _gap_layouts(
-            np.arange(levels + 1)[:, None].repeat(n - 1, axis=1), base,
+            np.arange(levels + 1)[:, None].repeat(n - 1, axis=1), scenario,
             step)[:, 1:]
-        phases = _pair_phases(grid.T, base).swapaxes(0, 1)
+        phases = _pair_phases(grid.T, scenario).swapaxes(0, 1)
         self.tables = phases[:, self.bob].copy(), phases[:, ~self.bob].copy()
         # the run stage (``runs``): antenna 3's positions, and the rate
         # kappa_i = (2 pi / lambda) |cos theta_0 - cos theta_i| at which the
         # phase of P_i turns with x_3, one row per eavesdropper
         self.x3 = grid[:, 1]
-        cos = np.cos(base.angles)[:, None]
-        self.kappa = (TWO_PI / base.wavelength) * np.abs(cos[1:] - cos[0])
+        cos = np.cos(scenario.angles)[:, None]
+        self.kappa = (TWO_PI / scenario.wavelength) * np.abs(cos[1:] - cos[0])
         eps = np.finfo(float).eps
         # a table entry's phase is off by a few ulps of its argument,
         # (2 pi / lambda) x cos theta with x <= L, and the phase of the
         # product P_i by twice that: ``turn`` covers both, in radians
-        self.turn = 64 * eps * (1.0 + TWO_PI * base.aperture
-                                / base.wavelength)
+        self.turn = 64 * eps * (1.0 + TWO_PI * scenario.aperture
+                                / scenario.wavelength)
         # a sum of N unit phases is off by at most N^2 eps, c_i and a
         # tuple's Gamma_0i alike; with the moduli of the phases, the
         # rounding of the arc's formula and of the squares, all is below
@@ -612,16 +599,16 @@ class _GapBounds:
         self.margin = 8 * eps * (n + 1) ** 2
         # every tuple has |Gamma_0i| <= N + margin, so where that gives a
         # positive, finite pivot at every power, so does every tuple
-        self.positive = all(
-            0.0 < p < np.inf for p in _peak_pivots(
-                np.float64(n + self.margin) ** 2, n, scenarios))
+        low = _peak_pivots(np.float64(n + self.margin) ** 2, n, scenario,
+                           budgets)
+        self.positive = bool(((low > 0.0) & (low < np.inf)).all())
 
     def gram(self, K):
         """The entries of Bob's pairs of the tuples ``K``, (M, K), and a
         function that returns the other entries of the rows it is given."""
         if self.n <= 2:
-            X = _gap_layouts(K, self.scenarios[0], self.step)
-            entries = _pair_phases(X, self.scenarios[0]).sum(axis=-1)
+            X = _gap_layouts(K, self.scenario, self.step)
+            entries = _pair_phases(X, self.scenario).sum(axis=-1)
             return (entries[self.bob],
                     lambda rows: entries[~self.bob][:, rows])
         return (_gather(self.tables[0], K, range(self.n - 1)),
@@ -632,15 +619,15 @@ class _GapBounds:
         """The two row stages on the tuples ``K``, one floor per power."""
         bob = self.bob
         bob_entries, others = self.gram(K)
-        pivots = _eve_pivots(bob_entries, self.n, self.scenarios)
+        pivots = _eve_pivots(bob_entries, self.n, self.scenario, self.budgets)
         rows = np.flatnonzero(~_ruled_out(pivots, floors))
         if len(rows):
             entries = np.empty((len(bob), len(rows)), dtype=complex)
             entries[bob] = bob_entries[:, rows]
             entries[~bob] = others(rows)
-            for pivot, scenario in zip(pivots, self.scenarios):
-                pivot[rows] = _last_pivot(entries, self.n, scenario)
-        return [np.log2(pivot) for pivot in pivots]
+            pivots[:, rows] = _last_pivot(entries, self.n, self.scenario,
+                                          self.budgets)
+        return np.log2(pivots)
 
     def runs(self, K, last):
         """Each power's upper bound on the cheap pivots of the runs (K, last).
@@ -663,10 +650,10 @@ class _GapBounds:
         nothing out.
 
         Returns:
-            list of (R,) arrays, one per scenario in order.
+            (P, R) array, one row per budget.
         """
         if not self.positive:
-            return [np.full(len(K), np.inf) for _ in self.scenarios]
+            return np.full((len(self.budgets), len(K)), np.inf)
         first = K[:, 1]
         mid = (first + last) // 2
         x = self.x3
@@ -678,7 +665,8 @@ class _GapBounds:
                        - self.kappa * h - self.turn, 0.0)
         low = np.sqrt((size - 1.0) ** 2 + 4.0 * size * np.sin(0.5 * g) ** 2)
         low = np.maximum(low - self.margin, 0.0)
-        return _peak_pivots((low * low).max(axis=0), self.n, self.scenarios)
+        return _peak_pivots((low * low).max(axis=0), self.n, self.scenario,
+                            self.budgets)
 
 
 def _gather(table, K, columns):
@@ -693,20 +681,23 @@ class _PowerScreen:
     """One power's side of ``best_gap_layout``.
 
     It holds the power's best rate and its tuple, and the FPA rate of the
-    all-zero tuple, which is scored first.  After each scored chunk it
-    scores the mirrors of the chunk rows whose rate lies within
+    all-zero tuple, which is scored first.  Every row is scored by
+    ``best_secrecy_rates`` at the power ``budget``.  After each scored
+    chunk it scores the mirrors of the chunk rows whose rate lies within
     ``_rate_slack`` of the running best and above it.  The highest rate
     is kept, and on an exact tie the lexicographically smallest tuple.
     Nothing is kept per row, so the screen's state does not grow with
     the rows near the best.
     """
 
-    def __init__(self, n: int, scenario: Scenario, layouts, rows: int):
-        self.scenario, self.layouts, self.rows = scenario, layouts, rows
-        self.slack = _rate_slack(n, scenario)
+    def __init__(self, n: int, scenario: Scenario, budget: float, layouts,
+                 rows: int):
+        self.scenario, self.budget = scenario, budget
+        self.layouts, self.rows = layouts, rows
+        self.slack = _rate_slack(n, scenario, budget)
         self.tuple = np.zeros((1, n - 1), dtype=np.intp)
-        self.fpa = self.best = float(
-            best_secrecy_rates(layouts(self.tuple), scenario)[0])
+        self.fpa = self.best = float(best_secrecy_rates(
+            layouts(self.tuple), scenario, budget)[0])
 
     def floor(self) -> float:
         """Least rate bound of a row whose rate, or its mirror's, can reach
@@ -734,7 +725,8 @@ class _PowerScreen:
     def _keep(self, K: np.ndarray) -> np.ndarray:
         """Score the tuples ``K``, and keep the highest of their rates and
         the best, the lexicographically smallest tuple on a tie."""
-        rates = best_secrecy_rates(self.layouts(K), self.scenario)
+        rates = best_secrecy_rates(self.layouts(K), self.scenario,
+                                   self.budget)
         top = float(rates.max())
         if top >= self.best:
             ties = K[rates == top]
@@ -756,15 +748,18 @@ class _PowerScreen:
         return best_x, rate
 
 
-def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
+def best_gap_layout(n: int, scenario: Scenario, levels: int, step: float,
+                    budgets=None) -> list:
     """Highest-rate layout on a gap grid with x_1 = 0, at each power.
 
-    ``scenarios`` is a sequence of scenarios that differ only in
-    ``power_budget``; the start scan and the grid oracle pass one.
-    Candidates are x_j = (j-1) d_min + step k_j, clipped at L, for every
-    non-decreasing integer tuple 0 <= k_2 <= ... <= k_N <= ``levels`` in
-    lexicographic order.  Exact rate ties keep the earliest tuple; N = 1
-    scores its single layout x = [0].
+    The powers are ``budgets``, a sequence of P_A values, by default
+    ``[scenario.power_budget]``; ``scenario`` holds the rest of the
+    instance.  ``sweep-n`` passes several budgets, the start scan of one
+    solve and the grid oracle one.  Candidates are
+    x_j = (j-1) d_min + step k_j, clipped at L, for every non-decreasing
+    integer tuple 0 <= k_2 <= ... <= k_N <= ``levels`` in lexicographic
+    order.  Exact rate ties keep the earliest tuple; N = 1 scores its
+    single layout x = [0].
 
     Mirroring a layout, x' = x_N - reverse(x) with the beamformer
     reverse(conj w), keeps every beam gain, so a tuple and the tuple of
@@ -797,9 +792,9 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     then, on the rows that it cannot rule out below some power's floor,
     by the unrolled elimination.  The tables and a block's Gram entries
     do not depend on the power, so they are built once for every
-    scenario; each power then screens the block with its own bounds,
+    budget; each power then screens the block with its own bounds,
     floor and running best (``_PowerScreen``), as a call with that
-    scenario alone would.  A row whose bound lies below the floor is
+    budget alone would.  A row whose bound lies below the floor is
     skipped: its rate is more than ``_rate_slack`` below the best, so
     neither it nor its mirror can win or tie.  The others are scored in
     order of decreasing bound, in chunks of about
@@ -816,17 +811,18 @@ def best_gap_layout(n: int, scenarios, levels: int, step: float) -> list:
     so no mirror that could win above that threshold is skipped.
 
     Returns:
-        list of (ndarray, float), one per scenario in order: the best
+        list of (ndarray, float), one per budget in order: the best
         layout, read-only, and its clamped rate.
     """
+    budgets = [scenario.power_budget] if budgets is None else budgets
     rows = max(1, CANDIDATE_CHUNK_ENTRIES // (n * n))
 
     def layouts(K):
-        return _gap_layouts(K, scenarios[0], step)
+        return _gap_layouts(K, scenario, step)
 
-    screens = [_PowerScreen(n, scenario, layouts, rows)
-               for scenario in scenarios]
-    rate_bounds = _GapBounds(n, scenarios, levels, step)
+    screens = [_PowerScreen(n, scenario, budget, layouts, rows)
+               for budget in budgets]
+    rate_bounds = _GapBounds(n, scenario, levels, step, budgets)
 
     def floors():
         return [screen.floor() for screen in screens]

@@ -132,8 +132,10 @@ def _cmd_beampattern(args) -> int:
 def _sweep_rows(spec: RunSpec, n: int, cells, restarts: int) -> list:
     """CSV rows of the (j, scenario) ``cells`` of one N, solved together.
 
-    Cell j draws its ``restarts`` starts from ``default_rng([seed, n, j])``,
-    and ``solve_powers`` runs every cell's chains in one lockstep solve.
+    Cell j is ``spec.scenario`` at power budget j of the sweep.  It draws
+    its ``restarts`` starts from ``default_rng([seed, n, j])``, and
+    ``solve_powers`` runs every cell's chains in one lockstep solve on
+    ``spec.scenario`` and the cells' budgets.
     """
     spec.scenario.check_feasible(n)
     starts = []
@@ -141,8 +143,9 @@ def _sweep_rows(spec: RunSpec, n: int, cells, restarts: int) -> list:
         rng = np.random.default_rng([spec.seed, n, j])
         starts.append(np.reshape([random_positions(n, scenario, rng)
                                   for _ in range(restarts)], (restarts, n)))
-    traces = solve_powers(n, [scenario for _, scenario in cells], spec.config,
-                          starts)
+    traces = solve_powers(n, spec.scenario,
+                          [scenario.power_budget for _, scenario in cells],
+                          spec.config, starts)
     return [(n, scenario.power_budget, trace.final_rate,
              solve_fpa(n, scenario)[1], "", int(trace.converged),
              trace.n_outer)

@@ -190,12 +190,20 @@ def steering_vector(x, theta, wavelength: float = 1.0) -> np.ndarray:
 
 
 def _stack_of_one(x, w):
-    """``x`` and ``w`` as (K, N) stacks, one row for one layout."""
+    """``x`` and ``w`` as (K, N) stacks, one row for one layout.
+
+    The one check of a (positions, beamformer) input: one layout and its
+    beamformer, or a (K, N) stack of each, both arrays of one shape,
+    non-empty, with finite positions.
+    """
     xs = np.asarray(x, dtype=float)
     wv = np.asarray(w, dtype=complex)
-    if xs.shape != wv.shape or xs.ndim > 2:
+    if xs.shape != wv.shape or not 1 <= xs.ndim <= 2 or not xs.size:
         raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
-                         "dimensions disagree")
+                         "dimensions disagree: need one non-empty layout "
+                         "or (K, N) stacks of one shape")
+    if not np.isfinite(xs).all():
+        raise ValueError("positions must be finite")
     return np.atleast_2d(xs), np.atleast_2d(wv)
 
 

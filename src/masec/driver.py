@@ -28,7 +28,6 @@ scanned layouts, so the solver never reports less than the FPA rate.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,9 +36,8 @@ import numpy as np
 
 from .beamformer import (_layout_pass, _levels_within, _rate_slack,
                          best_gap_layout, build_forms, optimal_beamformer)
-from .core import Scenario, secrecy_rate
-from .positions import (_check_starts, _face_projector, _project_euclidean,
-                        optimize_positions)
+from .core import Scenario, check_positions, secrecy_rate
+from .positions import _face_projector, _project_euclidean, optimize_positions
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
 # one solve may score, for N <= 4 and for larger N; past the budget the
@@ -150,22 +148,23 @@ def scan_start(n: int, scenario: Scenario) -> np.ndarray:
     it; exact rate ties keep the earliest tuple.  Without slack (N = 1
     or L = (N-1) d_min) the FPA layout is the only candidate.
     """
-    return _scan_starts(n, [scenario])[0]
+    return _scan_starts(n, scenario)[0]
 
 
-def _scan_starts(n: int, scenarios) -> list:
-    """``scan_start`` at each of ``scenarios``, from one screen.
+def _scan_starts(n: int, scenario: Scenario, budgets=None) -> list:
+    """``scan_start`` at each power of ``budgets``, from one screen.
 
-    The scenarios differ only in ``power_budget``, and the grid does not
-    depend on it: ``best_gap_layout`` screens it for every power at once.
+    ``budgets`` defaults to ``[scenario.power_budget]``.  The grid does
+    not depend on the power: ``best_gap_layout`` screens it for every
+    budget at once.  Returns one start per budget, in order.
     """
-    scenario = scenarios[0]
+    budgets = [scenario.power_budget] if budgets is None else budgets
     slack = scenario.aperture - (n - 1) * scenario.min_spacing
     levels = _scan_levels(n, slack, scenario) if n > 1 else 0
     if levels < 1:
-        return [initial_positions(n, s) for s in scenarios]
-    return [x for x, _ in best_gap_layout(n, scenarios, levels,
-                                          slack / levels)]
+        return [initial_positions(n, scenario)] * len(budgets)
+    return [x for x, _ in best_gap_layout(n, scenario, levels,
+                                          slack / levels, budgets)]
 
 
 def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
@@ -419,41 +418,42 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     return max(chains, key=lambda trace: trace.final_rate)
 
 
-def solve_powers(n: int, scenarios, cfg: SolveConfig = SolveConfig(),
-                 extra_starts=None) -> list:
-    """``solve`` at each of several power budgets, as one lockstep solve.
+def solve_powers(n: int, scenario: Scenario, budgets,
+                 cfg: SolveConfig = SolveConfig(), extra_starts=None) -> list:
+    """``solve`` at each power budget of ``budgets``, as one lockstep solve.
 
-    ``scenarios`` differ only in ``power_budget``.  One screen finds the
-    start scan of every power (``_scan_starts``).  Scenario i gets a
-    group of chains: its scan start, then the rows of
-    ``extra_starts[i]``, an optional (k, N) stack as in ``solve``.  All
-    groups run as chains of one loop, each chain with its group's
-    budget, so a round costs one batched call for every power.  A chain
-    follows the same iterates as in ``solve(n, scenarios[i], cfg,
-    extra_starts=extra_starts[i])``, so each result equals that solve,
+    ``scenario`` holds the rest of the instance; its own
+    ``power_budget`` is not read.  One screen finds the start scan of
+    every power (``_scan_starts``).  Budget i gets a group of chains:
+    its scan start, then the rows of ``extra_starts[i]``, an optional
+    (k, N) stack as in ``solve``.  All groups run as chains of one loop,
+    each chain with its group's budget, so a round costs one batched
+    call for every power.  A chain follows the same iterates as in
+    ``solve`` on ``scenario`` with ``power_budget=budgets[i]`` and
+    ``extra_starts=extra_starts[i]``, so each result equals that solve,
     bit for bit.
 
     Raises:
-        ValueError: the scenarios differ in more than the power, there
-            is not one entry of ``extra_starts`` per scenario, or a start
-            is rejected as in ``solve``.
+        ValueError: ``budgets`` is not a non-empty list of finite,
+            positive powers, there is not one entry of ``extra_starts``
+            per budget, or a start is rejected as in ``solve``.
 
     Returns:
-        list of OptimizationTrace, one per scenario in order: the first
+        list of OptimizationTrace, one per budget in order: the first
         chain of its group with the highest final rate.
     """
-    base = scenarios[0]
-    if any(dataclasses.replace(s, power_budget=base.power_budget) != base
-           for s in scenarios):
-        raise ValueError("the scenarios of one solve may differ only in "
-                         "power_budget")
+    budgets = np.asarray(budgets, dtype=float)
+    if budgets.ndim != 1 or not budgets.size or not (
+            np.isfinite(budgets) & (budgets > 0.0)).all():
+        raise ValueError(f"power budgets must be a non-empty list of finite, "
+                         f"positive values, got {budgets.tolist()}")
     if extra_starts is None:
-        extra_starts = [None] * len(scenarios)
+        extra_starts = [None] * len(budgets)
     groups = [_stack_starts(n, first, extra) for first, extra in
-              zip(_scan_starts(n, scenarios), extra_starts, strict=True)]
-    budget = np.repeat([s.power_budget for s in scenarios],
-                       [len(X) for X in groups])
-    chains = iter(_ascend_chains(np.vstack(groups), budget, base, cfg))
+              zip(_scan_starts(n, scenario, budgets), extra_starts,
+                  strict=True)]
+    budget = np.repeat(budgets, [len(X) for X in groups])
+    chains = iter(_ascend_chains(np.vstack(groups), budget, scenario, cfg))
     return [max(itertools.islice(chains, len(X)),
                 key=lambda trace: trace.final_rate) for X in groups]
 
@@ -498,7 +498,7 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     Returns:
         list of OptimizationTrace, one per chain in order.
     """
-    _check_starts(X, scenario)
+    check_positions(X, scenario, stack=True)
     chains = range(len(X))
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]

@@ -14,11 +14,18 @@ beamformer checks take the forms of five layouts as one (K, N, N)
 stack.  Stationarity scales the residual (A + S) w - lambda (B + S) w,
 S = I / P_A, by (||A + S|| + |lambda| ||B + S||) ||w||, the backward
 error of the eigenpair, so an exact eigenvector reads about eps at any
-power.  ``sample_beamformers`` scores each draw u unscaled, as
+power.  At high power that residual cannot tell lambda from lambda / 2,
+since w lies near the null space of B, so the same check also holds
+log2 of the Rayleigh quotient w^H (A + S) w / w^H (B + S) w to log2
+lambda within the rounding allowance of a rate,
+``beamformer._rate_slack``.  ``sample_beamformers`` scores each draw u
+unscaled, as
 u^H (I + P_A A) u / u^H (I + P_A B) u, which is the Rayleigh ratio at
 the power-feasible w along u.  A layout is a
 stack of one in ``core``, so each row of these stacks has the bits of
-the same call on that sample alone.  The grid runs
+the same call on that sample alone, and every (positions, beamformer)
+input is checked by the one rule of ``core._stack_of_one``.  The grid
+runs
 the solver's start-scan routine, ``best_gap_layout``: its seed pass,
 its enumerators of tuples and of runs of tuples, its table-driven
 bounds on whole runs and on tuples, its screen, which keeps one best
@@ -39,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformer import (best_gap_layout, build_forms, optimal_beamformer,
-                         solve_beamformer)
-from .core import Scenario, beam_gain
+from .beamformer import (_rate_slack, best_gap_layout, build_forms,
+                         optimal_beamformer, solve_beamformer)
+from .core import Scenario, _stack_of_one, beam_gain
 from .driver import SolveConfig, solve
 from .positions import gradient_psi, objective_psi, random_positions, real_lift
 
@@ -69,18 +76,14 @@ def fd_gradient(x, w, scenario: Scenario, h=None) -> np.ndarray:
     h = 1e-6 * scenario.wavelength if h is None else h
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    xs, wv = np.asarray(x, dtype=float), np.asarray(w, dtype=complex)
-    if xs.shape != wv.shape or not 1 <= xs.ndim <= 2:
-        raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
-                         "dimensions disagree")
-    X, W = np.atleast_2d(xs, wv)
+    X, W = _stack_of_one(x, w)
     k, n = X.shape
     step = h * np.eye(n)
     shifted = np.concatenate([X[:, None] + step, X[:, None] - step], axis=1)
     psi = objective_psi(shifted.reshape(-1, n), np.repeat(W, 2 * n, axis=0),
                         scenario).reshape(k, 2, n)
     grad = (psi[:, 0] - psi[:, 1]) / (2.0 * h)
-    return grad if xs.ndim == 2 else grad[0]
+    return grad if np.ndim(x) == 2 else grad[0]
 
 
 def sample_beamformers(forms, scenario: Scenario, count: int, seed):
@@ -147,8 +150,10 @@ def grid_search(scenario: Scenario, n: int, resolution: float):
     A shift of the array does not change the rate, so the grid fixes
     x_1 = 0 and widens each gap from d_min in steps of ``resolution``
     while the layout fits the aperture.  ``GRID_MAX_EVALS`` caps the
-    number of these layouts, whatever N.  Mirroring the array does not
-    change the rate either, so ``best_gap_layout`` considers one layout
+    number of these layouts, whatever N.  The search runs at the one
+    power ``scenario.power_budget``, ``best_gap_layout``'s default.
+    Mirroring the array does not change the rate either, so
+    ``best_gap_layout`` considers one layout
     of each mirror pair, and it solves the pencil only where a cheap
     upper bound on the rate can still reach the best; where one bound
     rules out a whole run of layouts, it does not build them.  It scores
@@ -174,7 +179,7 @@ def grid_search(scenario: Scenario, n: int, resolution: float):
         raise ValueError(f"grid too large: {total} evaluations exceed the cap "
                          f"{GRID_MAX_EVALS}")
 
-    [(positions, best_rate)] = best_gap_layout(n, [scenario], levels,
+    [(positions, best_rate)] = best_gap_layout(n, scenario, levels,
                                                resolution)
     w = optimal_beamformer(build_forms(positions, scenario), scenario)
     return positions, w, best_rate
@@ -234,8 +239,10 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     as one (K, N) stack.  The stationarity check solves its five layouts
     in one ``solve_beamformer`` call and scales each residual by the
     pencil's backward-error norm, (||A + S|| + |lambda| ||B + S||) ||w||
-    with S = I / P_A; the sampling check scores the same five layouts in
-    one ``sample_beamformers`` call, one seed each.
+    with S = I / P_A; it also fails where log2 of the Rayleigh quotient
+    of w differs from log2 lambda by more than ``_rate_slack``, and
+    reports both on its line.  The sampling check scores the same five
+    layouts in one ``sample_beamformers`` call, one seed each.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -279,17 +286,26 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     # backward error, under which an exact eigenpair reads near eps
     shift = np.eye(n) / scenario.power_budget
     A, B = forms.A + shift, forms.B + shift
-    resid = np.linalg.norm(A @ w - lam[:, None, None] * (B @ w), axis=(1, 2))
+    Aw, Bw = A @ w, B @ w
+    resid = np.linalg.norm(Aw - lam[:, None, None] * Bw, axis=(1, 2))
     resid /= np.linalg.norm(w, axis=(1, 2)) * (
         np.linalg.norm(A, 2, axis=(1, 2))
         + np.abs(lam) * np.linalg.norm(B, 2, axis=(1, 2)))
     resid_worst = float(np.max(resid))
+    # the Rayleigh quotient of w is lam up to the rounding of a rate,
+    # which catches a wrong lam where w is near the null space of B
+    wh = w.conj().swapaxes(1, 2)
+    quotient = (wh @ Aw).real / (wh @ Bw).real
+    gap_worst = float(np.max(np.abs(np.log2(quotient[:, 0, 0])
+                                    - np.log2(lam))))
+    slack = float(_rate_slack(n, scenario))
     best = sample_beamformers(forms, scenario, 10_000, seeds)
     margin_worst = float(np.min(lam - best))
     checks.append(VerifyCheck(
         "beamformer-stationarity",
-        "pass" if resid_worst <= 1e-8 else "fail",
-        f"max scaled residual {resid_worst:.3e} (tol 1e-08)"))
+        "pass" if resid_worst <= 1e-8 and gap_worst <= slack else "fail",
+        f"max scaled residual {resid_worst:.3e} (tol 1e-08), max log2 "
+        f"Rayleigh quotient gap {gap_worst:.3e} (tol {slack:.3e})"))
     checks.append(VerifyCheck(
         "beamformer-sampling",
         "pass" if margin_worst >= -1e-9 else "fail",

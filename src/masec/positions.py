@@ -57,12 +57,8 @@ def real_lift(x, w, scenario: Scenario) -> RealLift:
 
     (K, N) stacks of layouts and beamformers get one lift per row.
     """
-    xs, wv = np.asarray(x, dtype=float), np.asarray(w, dtype=complex)
-    if not np.isfinite(xs).all():
-        raise ValueError("positions must be finite")
-    if xs.shape != wv.shape or xs.ndim > 2:
-        raise ValueError(f"positions {xs.shape} and beamformer {wv.shape} "
-                         "dimensions disagree")
+    X, W = _stack_of_one(x, w)
+    xs, wv = (X, W) if np.ndim(x) == 2 else (X[0], W[0])
     g, q = _phase_trig(xs, np.cos(scenario.angles)[:, None],
                        TWO_PI / scenario.wavelength)
     u, z = wv.real[..., :, None], wv.imag[..., :, None]
@@ -246,12 +242,6 @@ def project_positions(x_raw, scenario: Scenario) -> np.ndarray:
     return arr
 
 
-def _check_starts(X, scenario: Scenario) -> None:
-    """Reject a row of ``X`` that is unsorted or that ``check_positions``
-    rejects."""
-    check_positions(X, scenario, stack=True)
-
-
 def optimize_positions(x0, w, scenario: Scenario, cfg):
     """Projected gradient ascent on Psi with the beamformer held fixed.
 
@@ -275,9 +265,10 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
     its row alone.
 
     Raises:
-        ValueError: ``x0`` and ``w`` are empty or differ in shape, a row
-            of ``x0`` is unsorted, or ``check_positions`` rejects it for
-            ``scenario`` (InfeasibleError for too many antennas).
+        ValueError: ``x0`` and ``w`` break the input rule of
+            ``core._stack_of_one``, a row of ``x0`` is unsorted, or
+            ``check_positions`` rejects it for ``scenario``
+            (InfeasibleError for too many antennas).
 
     Returns:
         (best, trace).  For one layout, the best (N,) layout and the
@@ -287,13 +278,8 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
         stopped; T is the number of steps of the longest chain.  The
         layouts are read-only.
     """
-    xs, ws = np.asarray(x0, dtype=float), np.asarray(w, dtype=complex)
-    if xs.shape != ws.shape or not 1 <= xs.ndim <= 2 or xs.size == 0:
-        raise ValueError(f"positions {xs.shape} and beamformers {ws.shape} "
-                         "must be one non-empty vector or (K, N) stacks "
-                         "of one shape")
-    X, W = np.atleast_2d(xs, ws)
-    _check_starts(X, scenario)
+    X, W = _stack_of_one(x0, w)
+    check_positions(X, scenario, stack=True)
     lift = real_lift(X, W, scenario)
     g, q, C, D = lift.g, lift.q, lift.C, lift.D
     column = np.cos(scenario.angles)[:, None]
@@ -334,7 +320,7 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
             chains = [chains[r] for r in keep]
     best_x.setflags(write=False)
     trace = np.array(trace)
-    if xs.ndim == 1:
+    if np.ndim(x0) == 1:
         return best_x[0], trace[:, 0]
     return best_x, trace
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from masec import Scenario, random_positions, real_lift
+from masec.beamformer import _last_pivot, _pair_phases
 from masec.positions import _gradient, _lift_gains
 
 
@@ -90,3 +91,26 @@ def lift_gradient():
                          *_lift_gains(lift.g, lift.q, lift.C, lift.D),
                          two_k[:, None], scn.noise_power)
     return gradient
+
+
+@pytest.fixture(scope="session")
+def rate_bounds():
+    """Reference upper bound log2(1 + t) on the secrecy rate of each layout
+    row, ``rate_bounds(X, scenario)``, that the gap scan's table-driven
+    bounds are checked against.
+
+    With rho = P_A / sigma^2, a = a(x, theta_0) and the eavesdropper
+    steering vectors as the columns of E, t = rho a^H (I + rho E E^H)^-1 a
+    satisfies t < lambda_max <= 1 + t by Cauchy-Schwarz in the
+    (I + rho E E^H) inner product.  1 + t is the last pivot of
+    I + rho Gamma (``_last_pivot``), here with the Gram entries summed
+    over the antennas, not gathered from the scan's tables.  The
+    computed bound and ``best_secrecy_rates`` keep these inequalities up
+    to ``_rate_slack``.
+    """
+    def bounds(X, scenario):
+        X = np.asarray(X, dtype=float)
+        gram = _pair_phases(X, scenario).sum(axis=-1)
+        return np.log2(_last_pivot(gram, X.shape[-1], scenario,
+                                   [scenario.power_budget])[0])
+    return bounds

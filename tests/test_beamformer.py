@@ -18,7 +18,7 @@ from masec.beamformer import (BOUND_BLOCK_ROWS, CANDIDATE_CHUNK_ENTRIES,
                               RUN_LEVELS, _canonical,
                               _eve_pivots, _gap_blocks, _gap_runs,
                               _GapBounds, _last_pivot, _layout_pass, _mirror,
-                              _pair_phases, _rate_bounds, _rate_slack,
+                              _pair_phases, _rate_slack,
                               _ruled_out, _run_rows, _seed_stride,
                               best_gap_layout, best_secrecy_rates)
 from masec.core import TWO_PI
@@ -291,7 +291,7 @@ def _assert_full_grid_argmax(n, scn, levels, step):
     rates = np.concatenate([best_secrecy_rates(X[i:i + 4096], scn)
                             for i in range(0, len(X), 4096)])
     j = int(np.argmax(rates))
-    [(x, rate)] = best_gap_layout(n, [scn], levels, step)
+    [(x, rate)] = best_gap_layout(n, scn, levels, step)
     assert np.array_equal(x, X[j])
     assert rate == rates[j]
     return j
@@ -437,7 +437,8 @@ class TestGapBlocks:
 
 
 class TestRateBound:
-    def test_bounds_match_cholesky_reference(self, make_scenario):
+    def test_bounds_match_cholesky_reference(self, make_scenario,
+                                             rate_bounds):
         # the elimination against LAPACK's Cholesky factor of I + rho Gamma,
         # whose last diagonal entry squared is the last pivot
         rng = np.random.default_rng(17)
@@ -455,22 +456,23 @@ class TestRateBound:
             chol = np.linalg.cholesky(np.eye(scn.num_eves + 1) + rho * gram)
             reference = 2.0 * np.log2(chol[:, -1, -1].real)
             slack = _rate_slack(n, scn)
-            assert np.abs(_GapBounds(n, [scn], levels, step)(K, [-np.inf])[0]
+            bounds = _GapBounds(n, scn, levels, step, [scn.power_budget])
+            assert np.abs(bounds(K, [-np.inf])[0]
                           - reference).max() <= slack
-            assert np.abs(_rate_bounds(X, scn) - reference).max() <= slack
+            assert np.abs(rate_bounds(X, scn) - reference).max() <= slack
 
     @pytest.mark.parametrize("power", [1e16, 1e17])
-    def test_nonpositive_pivot_raises(self, power):
+    def test_nonpositive_pivot_raises(self, power, rate_bounds):
         # Bob among the eavesdroppers: I + rho Gamma is singular up to
         # rounding, and its last pivot rounds to zero or below
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
                        power_budget=power)
         with pytest.raises(EigensolverError):
-            _rate_bounds(np.array([[0.0, 0.5], [0.0, 1.5]]), scn)
+            rate_bounds(np.array([[0.0, 0.5], [0.0, 1.5]]), scn)
         # the one-eavesdropper pivot rounds to zero or below as well, so no
         # floor rules the rows out before the full elimination raises
         for n, K in ((2, [[1], [3]]), (3, [[1, 4], [0, 2]])):
-            bounds = _GapBounds(n, [scn], 10, 0.3)
+            bounds = _GapBounds(n, scn, 10, 0.3, [power])
             for floor in (-np.inf, 0.0, np.inf):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -484,23 +486,25 @@ class TestRateBound:
         gram = np.zeros((3, 4), dtype=complex)
         gram[2, 1] = entry  # Gamma between the second eavesdropper and Bob
         with pytest.raises(EigensolverError):
-            _last_pivot(gram, 2, scn)
+            _last_pivot(gram, 2, scn, [scn.power_budget])
         # the same entries, gathered for four N = 2 tuples: row 1's
         # one-eavesdropper pivot is NaN or negative at both powers, so
         # neither floor rules it out, and no comparison or log2 warns
         monkeypatch.setattr(masec.beamformer, "_pair_phases",
                             lambda x, scenario: gram[..., None])
-        scns = [scn, dataclasses.replace(scn, power_budget=100.0)]
-        bounds = _GapBounds(2, scns, 3, 0.5)
+        budgets = [scn.power_budget, 100.0]
+        bounds = _GapBounds(2, scn, 3, 0.5, budgets)
         K = np.arange(4)[:, None]
-        assert not any(p[1] > 0.0 for p in _eve_pivots(gram[1:], 2, scns))
+        assert not (_eve_pivots(gram[1:], 2, scn, budgets)[:, 1] > 0.0).any()
         for floors in ([-np.inf] * 2, [0.0, 5.0], [np.inf] * 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(EigensolverError):
                     bounds(K, floors)
         gram[2, 1] = 0.0
-        assert np.array_equal(_last_pivot(gram, 2, scn), np.full(4, 3.0))
+        # 1 + rho N at each power, rho = 1 and 100
+        assert np.array_equal(_last_pivot(gram, 2, scn, budgets),
+                              np.repeat([[3.0], [201.0]], 4, axis=1))
         for floor in (-np.inf, np.inf):  # the full and the cheap bound
             assert np.array_equal(bounds(K, [floor] * 2)[0],
                                   np.full(4, np.log2(3.0)))
@@ -521,7 +525,8 @@ class TestRateBound:
             step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
             K = np.sort(rng.integers(0, levels + 1, size=(40, n - 1)), axis=1)
             X = _layouts(K, scn, step)
-            bounds = _GapBounds(n, [scn], levels, step)
+            budgets = [scn.power_budget]
+            bounds = _GapBounds(n, scn, levels, step, budgets)
             [cheap], [full] = bounds(K, [np.inf]), bounds(K, [-np.inf])
             rates = best_secrecy_rates(X, scn)
             slack = _rate_slack(n, scn)
@@ -529,7 +534,7 @@ class TestRateBound:
             assert (cheap >= full - slack).all()
             bob = np.triu_indices(scn.num_eves + 1, 1)[1] == scn.num_eves
             [summed] = np.log2(_eve_pivots(
-                _pair_phases(X, scn).sum(axis=-1)[bob], n, [scn]))
+                _pair_phases(X, scn).sum(axis=-1)[bob], n, scn, budgets))
             assert (summed + slack >= rates).all()
             # a floor keeps the full bound of the rows whose cheap bound
             # reaches it, and the cheap bound of the others
@@ -552,21 +557,20 @@ class TestRateBound:
             if trial % 6 == 0:  # Bob among the eavesdroppers
                 scn = dataclasses.replace(
                     scn, eve_angles=(*scn.eve_angles[1:], scn.bob_angle))
-            scns = [dataclasses.replace(scn, power_budget=float(
-                10.0 ** rng.uniform(-1.0, 10.0)))
-                for _ in range(int(rng.integers(1, 3)))]
+            budgets = 10.0 ** rng.uniform(-1.0, 10.0,
+                                          int(rng.integers(1, 3)))
             n = int(rng.integers(3, 9))
             top = max(k for k in range(1, 200)
                       if math.comb(k + n - 1, n - 1) <= 20_000)
             levels = int(rng.integers(1, top + 1))
             step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
-            bounds = _GapBounds(n, scns, levels, step)
+            bounds = _GapBounds(n, scn, levels, step, budgets)
             assert bounds.positive
             for K, last in _gap_runs(n, levels):
                 pivots = bounds.runs(K, last)
                 rows = _run_rows(K, last)
                 run = np.repeat(np.arange(len(K)), last - K[:, 1] + 1)
-                cheap = _eve_pivots(bounds.gram(rows)[0], n, scns)
+                cheap = _eve_pivots(bounds.gram(rows)[0], n, scn, budgets)
                 for pivot, row in zip(pivots, cheap):
                     assert np.isfinite(pivot).all()
                     assert (pivot[run] >= row).all()
@@ -588,13 +592,12 @@ class TestRateBound:
         # elimination, which raises
         scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
                        power_budget=1e16)
-        bounds = _GapBounds(3, [scn], 40, 0.1)
+        bounds = _GapBounds(3, scn, 40, 0.1, [scn.power_budget])
         assert not bounds.positive
         for K, last in _gap_runs(3, 40):
-            [pivot] = bounds.runs(K, last)
-            assert not _ruled_out([pivot], [np.inf]).any()
+            assert not _ruled_out(bounds.runs(K, last), [np.inf]).any()
         with pytest.raises(EigensolverError):
-            best_gap_layout(3, [scn], 100, 0.05)
+            best_gap_layout(3, scn, 100, 0.05)
 
     def test_memory_does_not_grow_with_levels_at_two_antennas(self,
                                                               monkeypatch):
@@ -611,7 +614,7 @@ class TestRateBound:
             scored["rows"] = 0
             tracemalloc.start()
             try:
-                best_gap_layout(2, [scn], levels,
+                best_gap_layout(2, scn, levels,
                                 (scn.aperture - scn.min_spacing) / levels)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -651,7 +654,7 @@ class TestBestGapLayout:
             bounded["rows"] += len(K)
             return rows_stage(self, K, floors)
         monkeypatch.setattr(_GapBounds, "__call__", counting)
-        _scan_starts(n, [_scan_grid(n, power)[0] for power in (1.0, 10.0)])
+        _scan_starts(n, _scan_grid(n, 1.0)[0], [1.0, 10.0])
         assert scored["rows"] < scored_cap
         assert eliminated["rows"] < eliminated_cap
         assert 0 < bounded["rows"] < {3: 12_000, 4: 4_000}[n]
@@ -664,17 +667,16 @@ class TestBestGapLayout:
         # scored 3 and 2 rows twice, and 92 of 2,562 at N = 2
         scored = []
 
-        def recording(X, scenario):
-            scored.extend((scenario.power_budget, *x) for x in X.tolist())
-            return best_secrecy_rates(X, scenario)
+        def recording(X, scenario, budget):
+            scored.extend((budget, *x) for x in X.tolist())
+            return best_secrecy_rates(X, scenario, budget)
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates", recording)
         if levels is None:
-            scns = [_scan_grid(n, power)[0] for power in (1.0, 10.0)]
-            _scan_starts(n, scns)
+            _scan_starts(n, _scan_grid(n, 1.0)[0], [1.0, 10.0])
         else:
             scn = Scenario(bob_angle=np.pi / 2, eve_angles=(
                 0.25 * np.pi, 0.425 * np.pi, 0.55 * np.pi))
-            best_gap_layout(n, [scn], levels,
+            best_gap_layout(n, scn, levels,
                             (scn.aperture - scn.min_spacing) / levels)
             assert _seed_stride(n, levels) > 1
         assert len(set(scored)) == len(scored) > 0
@@ -711,14 +713,15 @@ class TestBestGapLayout:
         assert (_canonical(pairs[0]) != _canonical(pairs[1])).all()
 
     @pytest.mark.parametrize("name", MIRROR_WINNERS)
-    def test_scores_one_tuple_of_each_mirror_pair(self, name, monkeypatch):
+    def test_scores_one_tuple_of_each_mirror_pair(self, name, monkeypatch,
+                                                  rate_bounds):
         # at most the canonical half (plus the mirrors of the best) is
         # scored, and every canonical row left out is certified below the
         # best rate less the slack, so neither it nor its mirror can win
         n, grid = MIRROR_WINNERS[name]
         scn, levels, step = grid()
         scored = self._record_rows(monkeypatch)
-        [(_, rate)] = best_gap_layout(n, [scn], levels, step)
+        [(_, rate)] = best_gap_layout(n, scn, levels, step)
         K = _all_tuples(n, levels)
         X = _layouts(K[_canonical(K)], scn, step)
         assert sum(map(len, scored)) <= len(X) + 4
@@ -727,7 +730,7 @@ class TestBestGapLayout:
         left = np.array([row not in seen for row in map(tuple, X.tolist())])
         assert left.any()
         slack = _rate_slack(n, scn)
-        assert (_rate_bounds(X[left], scn) + slack < rate - slack).all()
+        assert (rate_bounds(X[left], scn) + slack < rate - slack).all()
 
     def test_rescores_mirrors_of_every_near_best_row(self, monkeypatch):
         # rates that tie to rounding: the winner (2, 3) is non-canonical and
@@ -741,16 +744,16 @@ class TestBestGapLayout:
         def planted_bounds(K):
             return np.array([planted.get(tuple(k), 0.5) for k in K.tolist()])
 
-        def planted_rates(X, scenario):
+        def planted_rates(X, scenario, budget):
             return planted_bounds(_tuples(X, scn, step))
         # the planted rates serve as their own bounds, so the screen cannot
         # skip a planted row
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates",
                             planted_rates)
         monkeypatch.setattr(masec.beamformer, "_GapBounds",
-                            lambda *grid: lambda K, floors: [
-                                planted_bounds(K)])
-        [(x, rate)] = best_gap_layout(3, [scn], 6, step)
+                            lambda *grid: lambda K, floors:
+                            planted_bounds(K)[None])
+        [(x, rate)] = best_gap_layout(3, scn, 6, step)
         assert rate == 1.0 + 4 * ulp
         assert np.array_equal(x, [0.0, 1.0, 1.75])
 
@@ -773,11 +776,11 @@ class TestBestGapLayout:
             return np.array([planted.get(tuple(k), 0.0) for k in K.tolist()])
         monkeypatch.setattr(
             masec.beamformer, "best_secrecy_rates",
-            lambda X, scenario: planted_bounds(_tuples(X, scn, step)))
+            lambda X, scenario, budget: planted_bounds(_tuples(X, scn, step)))
         monkeypatch.setattr(masec.beamformer, "_GapBounds",
-                            lambda *grid: lambda K, floors: [
-                                planted_bounds(K)])
-        [(x, rate)] = best_gap_layout(3, [scn], 6, step)
+                            lambda *grid: lambda K, floors:
+                            planted_bounds(K)[None])
+        [(x, rate)] = best_gap_layout(3, scn, 6, step)
         if above:
             assert rate == best
             assert np.array_equal(x, [0.0, 1.0, 1.75])
@@ -800,7 +803,8 @@ class TestBestGapLayout:
                              for k in K.tolist()])
         monkeypatch.setattr(
             masec.beamformer, "best_secrecy_rates",
-            lambda X, scenario: planted_column(_tuples(X, scn, step), 0))
+            lambda X, scenario, budget: planted_column(_tuples(X, scn, step),
+                                                       0))
         blocks = []
 
         class Planted:
@@ -812,14 +816,14 @@ class TestBestGapLayout:
 
             def __call__(self, K, floors):
                 blocks.append(K)
-                return [planted_column(K, 1)]
+                return planted_column(K, 1)[None]
 
             def runs(self, K, last):
-                return [np.full(len(K), np.inf)]
+                return np.full((1, len(K)), np.inf)
         monkeypatch.setattr(masec.beamformer, "_GapBounds", Planted)
         monkeypatch.setattr(masec.beamformer, "_rate_slack",
-                            lambda n, scenario: slack)
-        [(x, rate)] = best_gap_layout(3, [scn], levels, step)
+                            lambda n, scenario, budget: slack)
+        [(x, rate)] = best_gap_layout(3, scn, levels, step)
         # the 4,186 tuples take a seed pass on the even sub-grid first; it
         # holds neither W nor C, so C is first screened in a later block of
         # the full pass than W, against W's floor
@@ -849,7 +853,7 @@ class TestBestGapLayout:
         scored = self._record_rows(monkeypatch)
         levels = 40
         step = (scn.aperture - 2 * scn.min_spacing) / levels
-        [(x, rate)] = best_gap_layout(3, [scn], levels, step)
+        [(x, rate)] = best_gap_layout(3, scn, levels, step)
         K = _all_tuples(3, levels)
         palindromes = levels // 2 + 1  # equal gaps, 2 k_2 = k_3 <= levels
         assert sum(map(len, scored)) <= (len(K) + palindromes) // 2
@@ -860,10 +864,11 @@ class TestBestGapLayout:
     @pytest.mark.parametrize("n,levels", [(1, 0), (2, 400), (3, 40)])
     def test_several_powers_match_one_power_calls(self, n, levels,
                                                   fig5_scenario, monkeypatch):
-        scns = [fig5_scenario(p) for p in (0.1, 1.0, 10.0, 1e6)]
-        slack = scns[0].aperture - (n - 1) * scns[0].min_spacing
+        scn, budgets = fig5_scenario(), [0.1, 1.0, 10.0, 1e6]
+        slack = scn.aperture - (n - 1) * scn.min_spacing
         step = slack / max(levels, 1)
-        alone = [best_gap_layout(n, [scn], levels, step)[0] for scn in scns]
+        alone = [best_gap_layout(n, fig5_scenario(p), levels, step)[0]
+                 for p in budgets]
         pair_phases = masec.beamformer._pair_phases
         tables = []
 
@@ -871,8 +876,8 @@ class TestBestGapLayout:
             tables.append(np.shape(x))
             return pair_phases(x, scenario)
         monkeypatch.setattr(masec.beamformer, "_pair_phases", recording)
-        joint = best_gap_layout(n, scns, levels, step)
-        assert len(joint) == len(scns)
+        joint = best_gap_layout(n, scn, levels, step, budgets)
+        assert len(joint) == len(budgets)
         for (x, rate), (x1, rate1) in zip(joint, alone):
             assert np.array_equal(x, x1) and rate == rate1
             assert not x.flags.writeable
@@ -884,22 +889,22 @@ class TestBestGapLayout:
     def test_several_powers_on_a_zero_rate_plateau(self):
         # Bob among the eavesdroppers: the FPA layout wins at each power
         powers = (1.0, 1e4, 1e10)
-        scns = [Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,),
-                         power_budget=p) for p in powers]
+        base = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
         levels = 40
-        step = (scns[0].aperture - 2 * scns[0].min_spacing) / levels
-        joint = best_gap_layout(3, scns, levels, step)
-        for scn, (x, rate) in zip(scns, joint):
+        step = (base.aperture - 2 * base.min_spacing) / levels
+        joint = best_gap_layout(3, base, levels, step, powers)
+        for power, (x, rate) in zip(powers, joint):
+            scn = dataclasses.replace(base, power_budget=power)
             assert np.array_equal(x, initial_positions(3, scn))
-            [(x1, rate1)] = best_gap_layout(3, [scn], levels, step)
+            [(x1, rate1)] = best_gap_layout(3, scn, levels, step)
             assert np.array_equal(x, x1) and rate == rate1
 
     @staticmethod
     def _record_rows(monkeypatch):
         scored = []
 
-        def recording(X, scenario):
+        def recording(X, scenario, budget):
             scored.append(X)
-            return best_secrecy_rates(X, scenario)
+            return best_secrecy_rates(X, scenario, budget)
         monkeypatch.setattr(masec.beamformer, "best_secrecy_rates", recording)
         return scored

@@ -5,11 +5,11 @@ import pytest
 
 from masec import (InfeasibleError, Scenario, SolveConfig,
                    beam_gain, build_forms, check_beamformer, check_positions,
-                   grid_search, initial_positions, load_solution,
-                   mrt_beamformer, optimal_beamformer, optimize_positions,
-                   project_positions, random_positions, rate_difference,
-                   real_lift, secrecy_rate, solve, solve_beamformer,
-                   solve_fpa, steering_vector)
+                   fd_gradient, gradient_psi, grid_search, initial_positions,
+                   load_solution, mrt_beamformer, objective_psi,
+                   optimal_beamformer, optimize_positions, project_positions,
+                   random_positions, rate_difference, real_lift, secrecy_rate,
+                   solve, solve_beamformer, solve_fpa, steering_vector)
 from masec.beamformer import best_gap_layout
 from masec.driver import scan_start
 
@@ -326,7 +326,7 @@ def _loaded(tmp_path):
     (float, lambda tmp: random_positions(3, SMALL, np.random.default_rng(0))),
     (float, lambda tmp: project_positions([1.5, 0.0, 0.2], SMALL)),
     (float, lambda tmp: scan_start(3, SMALL)),
-    (float, lambda tmp: best_gap_layout(3, [SMALL], 10, 0.1)[0][0]),
+    (float, lambda tmp: best_gap_layout(3, SMALL, 10, 0.1)[0][0]),
     (float, lambda tmp: optimize_positions(X3, W3, SMALL, SolveConfig())[0]),
     (float, lambda tmp: solve(3, SMALL, ALGORITHM_1).final_x),
     (complex, lambda tmp: solve(3, SMALL, ALGORITHM_1).final_w),
@@ -352,3 +352,40 @@ def test_layouts_and_beamformers_are_read_only_arrays(kind, make, tmp_path):
     assert type(arr) is np.ndarray
     assert arr.shape == (3,) and arr.dtype == kind
     assert not arr.flags.writeable
+
+
+PAIR_CALLS = {
+    "beam_gain": lambda x, w, scn: beam_gain(x, w, scn.bob_angle, scn),
+    "rate_difference": rate_difference,
+    "secrecy_rate": secrecy_rate,
+    "objective_psi": objective_psi,
+    "gradient_psi": gradient_psi,
+    "real_lift": real_lift,
+    "fd_gradient": fd_gradient,
+    "optimize_positions": lambda x, w, scn: optimize_positions(
+        x, w, scn, SolveConfig()),
+}
+
+
+@pytest.mark.parametrize("x, w, message", [
+    pytest.param([], [], "dimensions disagree", id="empty"),
+    pytest.param(np.empty((0, 2)), np.empty((0, 2)), "dimensions disagree",
+                 id="empty-stack"),
+    pytest.param(0.3, 1.0, "dimensions disagree", id="0-d"),
+    pytest.param([[[0.0, 0.7]]], [[[1.0, 0.0]]], "dimensions disagree",
+                 id="3-d"),
+    pytest.param([0.0, 0.7], [1.0, 0.0, 0.0], "dimensions disagree",
+                 id="mismatched"),
+    pytest.param([[0.0, 0.7]], [1.0, 0.0], "dimensions disagree",
+                 id="stack-and-layout"),
+    pytest.param([0.0, np.nan], [1.0, 0.0], "finite", id="not-finite"),
+])
+@pytest.mark.parametrize("fn", PAIR_CALLS)
+def test_every_positions_beamformer_input_is_checked_by_one_rule(fn, x, w,
+                                                                 message):
+    # one layout and its beamformer, or (K, N) stacks of one shape, non-empty
+    # and finite: an empty input once gave a rate of 0 or an empty gradient,
+    # and a 0-d one a gain
+    scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+    with pytest.raises(ValueError, match=message):
+        PAIR_CALLS[fn](x, w, scn)

@@ -495,7 +495,7 @@ class TestSolvePowers:
             rng = np.random.default_rng([0, n, j])
             extra.append(np.array([random_positions(n, scn, rng)
                                    for _ in range(2)]))
-        joint = solve_powers(n, scns, cfg, extra)
+        joint = solve_powers(n, fig5_scenario(), [1.0, 10.0], cfg, extra)
         assert len(joint) == 2
         for scn, starts, trace in zip(scns, extra, joint):
             alone = solve(n, scn, cfg, extra_starts=starts)
@@ -512,18 +512,25 @@ class TestSolvePowers:
     def test_sweep_m3_n6_converges_under_the_cap(self, fig5_scenario):
         # N = 6 at P_A = 1 once stopped at the 50-round cap
         cfg = SolveConfig()
-        traces = solve_powers(6, [fig5_scenario(1.0), fig5_scenario(10.0)])
+        traces = solve_powers(6, fig5_scenario(), [1.0, 10.0])
         for trace, reached in zip(traces, (2.80386273295, 5.92595554536)):
             assert trace.converged
             assert trace.n_outer < cfg.max_outer_iters
             assert trace.final_rate >= reached
 
-    def test_rejects_scenarios_that_differ_in_more_than_power(
-            self, paper_n3, paper_n4):
-        with pytest.raises(ValueError, match="only in power_budget"):
-            solve_powers(3, [paper_n3, paper_n4])
+    def test_rejects_extra_starts_not_one_per_budget(self, paper_n3):
         with pytest.raises(ValueError):
-            solve_powers(3, [paper_n3, paper_n3], extra_starts=[None])
+            solve_powers(3, paper_n3, [1.0, 10.0], extra_starts=[None])
+
+    @pytest.mark.parametrize("budgets", [[], [1.0, 0.0], [-1.0], [np.nan],
+                                         [np.inf], [[1.0, 10.0]]])
+    def test_rejects_budgets_that_are_not_positive_powers(self, paper_n3,
+                                                          budgets):
+        # as a list of scenario copies, each power was checked by Scenario;
+        # unchecked, these failed in the pencil, in a broadcast or with a
+        # division warning
+        with pytest.raises(ValueError, match="power budgets must be"):
+            solve_powers(3, paper_n3, budgets)
 
 
 def _in_unit(scn, lam):
@@ -548,14 +555,12 @@ class TestUnitInvariance:
         toy = load_run_spec(SCENARIOS / "toy_n2.json").scenario
         paper = load_run_spec(SCENARIOS / "paper_n3.json").scenario
         sweep = load_run_spec(SCENARIOS / "sweep_m3.json").scenario
-        cells = [dataclasses.replace(sweep, power_budget=p)
-                 for p in (1.0, 10.0)]
         runs = [(solve(n, scn, cfg), solve(n, _in_unit(scn, lam), cfg))
                 for n, scn, cfg in ((2, toy, VALUE), (2, toy, ALGORITHM_1),
                                     (3, paper, VALUE))]
         for n in (5, 7):
-            runs += zip(solve_powers(n, cells),
-                        solve_powers(n, [_in_unit(s, lam) for s in cells]))
+            runs += zip(solve_powers(n, sweep, [1.0, 10.0]),
+                        solve_powers(n, _in_unit(sweep, lam), [1.0, 10.0]))
         for ref, scaled in runs:
             assert scaled.final_rate == pytest.approx(ref.final_rate,
                                                       rel=1e-9)

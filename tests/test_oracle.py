@@ -417,6 +417,18 @@ class TestRunVerification:
         names = {c.name: c.status for c in report.checks}
         assert names[check] == "fail"
         assert not report.passed
+        if corruption == "eigenvalue":
+            # at high power w is near the null space of B, and a relative
+            # change of about 1e-10 in B makes (w, lam / 2) an exact pair at
+            # 1e10: the scaled residual and the samples passed it, and the
+            # Rayleigh quotient of w, held to the rounding of a rate, fails
+            for power in (1e10, 1e12):
+                report = run_verification(
+                    dataclasses.replace(paper_n4, power_budget=power), 4,
+                    seed=0, cfg=ALGORITHM_1)
+                names = {c.name: c.status for c in report.checks}
+                assert names["beamformer-stationarity"] == "fail"
+                assert not report.passed
 
     def test_deterministic(self, paper_n4):
         a = run_verification(paper_n4, 4, seed=7, cfg=ALGORITHM_1)

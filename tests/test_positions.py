@@ -3,13 +3,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from masec import (InfeasibleError, Scenario, SolveConfig, fd_gradient,
-                   gradient_psi, initial_positions, mrt_beamformer,
+from masec import (InfeasibleError, Scenario, SolveConfig, check_positions,
+                   fd_gradient, gradient_psi, initial_positions,
+                   mrt_beamformer,
                    objective_psi, optimize_positions, project_positions,
                    random_positions, rate_difference, real_lift,
                    secrecy_rate)
-from masec.positions import (_check_starts, _face_projector,
-                             _project_euclidean)
+from masec.positions import _face_projector, _project_euclidean
 
 TWO_PI = 2.0 * np.pi
 
@@ -528,7 +528,7 @@ class TestCheckStarts:
     @staticmethod
     def _error(X, scn):
         with pytest.raises(ValueError) as info:
-            _check_starts(np.array(X, dtype=float), scn)
+            check_positions(np.array(X, dtype=float), scn, stack=True)
         return type(info.value), str(info.value)
 
     def test_bad_row_in_a_stack_raises_its_own_error(self, paper_n4):

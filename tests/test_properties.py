@@ -14,8 +14,10 @@ from masec import (Scenario, SolveConfig, build_forms,
                    gradient_psi, objective_psi, random_positions,
                    rate_difference, secrecy_rate, solve, solve_beamformer,
                    solve_fpa, steering_vector)
-from masec.beamformer import (_GapBounds, _gap_layouts, _rate_bounds,
-                              _rate_slack, best_secrecy_rates)
+from masec.beamformer import (_eve_pivots, _gap_layouts, _gap_runs,
+                              _GapBounds, _last_pivot, _levels_within,
+                              _pair_phases, _peak_pivots, _rate_slack,
+                              best_gap_layout, best_secrecy_rates)
 from masec.driver import scan_start
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
@@ -108,11 +110,11 @@ def test_optimal_rate_within_power_bound(instance):
 
 @PROPERTY
 @given(instances(), st.floats(-3.0, 10.0))
-def test_rate_bound_brackets_the_scorer(instance, log_power):
+def test_rate_bound_brackets_the_scorer(rate_bounds, instance, log_power):
     # t < lambda_max <= 1 + t, up to the rounding slack of both computations
     scn, x, _ = instance
     scn = dataclasses.replace(scn, power_budget=10.0 ** log_power)
-    bound = _rate_bounds(x[None, :], scn)[0]
+    bound = rate_bounds(x[None, :], scn)[0]
     rate = best_secrecy_rates(x[None, :], scn)[0]
     slack = _rate_slack(x.size, scn)
     assert bound + slack >= rate
@@ -130,7 +132,7 @@ def test_grid_rate_bound_brackets_the_scorer(instance, log_power, levels, data):
     step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
     K = np.sort(data.draw(st.lists(st.integers(0, levels), min_size=n - 1,
                                    max_size=n - 1)))[None, :]
-    bounds = _GapBounds(n, [scn], levels, step)
+    bounds = _GapBounds(n, scn, levels, step, [scn.power_budget])
     bound = bounds(K, [-np.inf])[0][0]
     rate = best_secrecy_rates(_gap_layouts(K, scn, step), scn)[0]
     slack = _rate_slack(n, scn)
@@ -139,6 +141,50 @@ def test_grid_rate_bound_brackets_the_scorer(instance, log_power, levels, data):
     # the one-eavesdropper bound, which any floor above it returns
     cheap = bounds(K, [np.inf])[0][0]
     assert cheap + slack >= rate and cheap >= bound - slack
+
+
+@PROPERTY
+@given(instances(), st.lists(st.floats(-3.0, 10.0), min_size=1, max_size=3),
+       st.integers(1, 60), st.data())
+def test_several_budgets_match_one_budget_calls(instance, log_powers, levels,
+                                                data):
+    # each budget's row of a joint call has the bits of a call with that
+    # budget alone: the pivots, the row and run bounds of a gap grid, and
+    # the scan's layout and rate
+    scn, x, _ = instance
+    n = x.size
+    assume(n > 1)
+    budgets = [10.0 ** p for p in log_powers]
+    # at most 6,000 tuples: the grids above 4,096 take the seed pass and runs
+    levels = _levels_within(n, 6_000, levels)
+    step = (scn.aperture - (n - 1) * scn.min_spacing) / levels
+    K = np.sort(np.array(data.draw(st.lists(
+        st.lists(st.integers(0, levels), min_size=n - 1, max_size=n - 1),
+        min_size=1, max_size=6))), axis=1)
+    gram = _pair_phases(_gap_layouts(K, scn, step), scn).sum(axis=-1)
+    bob = np.triu_indices(scn.num_eves + 1, 1)[1] == scn.num_eves
+    peak = (np.abs(gram[bob]) ** 2).max(axis=0)
+    joint = _GapBounds(n, scn, levels, step, budgets)
+    for i, budget in enumerate(budgets):
+        alone = _GapBounds(n, scn, levels, step, [budget])
+        pairs = [(_last_pivot(gram, n, scn, budgets),
+                  _last_pivot(gram, n, scn, [budget])),
+                 (_peak_pivots(peak, n, scn, budgets),
+                  _peak_pivots(peak, n, scn, [budget])),
+                 (_eve_pivots(gram[bob], n, scn, budgets),
+                  _eve_pivots(gram[bob], n, scn, [budget])),
+                 (joint(K, [-np.inf] * len(budgets)), alone(K, [-np.inf])),
+                 (joint(K, [np.inf] * len(budgets)), alone(K, [np.inf]))]
+        if n > 2:
+            runs = next(_gap_runs(n, levels))
+            pairs.append((joint.runs(*runs), alone.runs(*runs)))
+        for got, expected in pairs:
+            assert np.array_equal(got[i], expected[0])
+    scans = best_gap_layout(n, scn, levels, step, budgets)
+    for budget, (x, rate) in zip(budgets, scans):
+        [(x1, rate1)] = best_gap_layout(
+            n, dataclasses.replace(scn, power_budget=budget), levels, step)
+        assert np.array_equal(x, x1) and rate == rate1
 
 
 @PROPERTY
