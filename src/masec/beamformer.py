@@ -64,7 +64,7 @@ def build_forms(x, scenario: Scenario) -> QuadraticForms:
     """Assemble the signal/leakage forms A and B at the given positions.
 
     ``x`` is one layout (N,) or a stack of layouts (K, N); the forms of
-    every angle come from a single ``steering_vector`` call.
+    every angle come from one steering evaluation (``core._angle_steering``).
     """
     return _forms(_angle_steering(x, scenario), scenario.noise_power)
 
@@ -187,7 +187,7 @@ def _layout_pass(X, scenario: Scenario, budget):
     """lambda_max of each layout, and its beamformer, rate and grad Psi.
 
     ``X`` is a (K, N) stack of layouts and ``budget`` a (K,) array of one
-    power budget per row.  One ``steering_vector`` evaluation gives the
+    power budget per row.  One steering evaluation gives the
     forms, whose pencil gives each row's top eigenvalue lambda_max.  The
     returned ``finish(rows)`` reads the rows ``rows`` (an index list or a
     slice) further from the same steering vectors and pencil: the
@@ -247,7 +247,7 @@ def _pair_phases(x, scenario: Scenario) -> np.ndarray:
     the (P,) + x.shape result is the pair a < b at ``np.triu_indices``
     position p, P = M (M + 1) / 2.  Summed over the antennas of a layout,
     row p is the Gram entry Gamma_ab = v_a^H v_b.  The entries come from
-    ``steering_vector``, as the scorer's forms do.
+    ``steering_vector``, with the bits of the scorer's steering vectors.
     """
     angles = np.roll(scenario.angles, -1)
     v = steering_vector(x, angles.reshape((-1,) + (1,) * np.ndim(x)),
@@ -584,7 +584,7 @@ class _GapBounds:
         # kappa_i = (2 pi / lambda) |cos theta_0 - cos theta_i| at which the
         # phase of P_i turns with x_3, one row per eavesdropper
         self.x3 = grid[:, 1]
-        cos = np.cos(scenario.angles)[:, None]
+        cos = scenario.cosines[:, None]
         self.kappa = (TWO_PI / scenario.wavelength) * np.abs(cos[1:] - cos[0])
         eps = np.finfo(float).eps
         # a table entry's phase is off by a few ulps of its argument,

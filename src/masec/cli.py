@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .beamformer import EigensolverError, build_forms, optimal_beamformer
-from .core import beam_gain, check_beamformer, check_positions
-from .driver import initial_positions, solve, solve_fpa, solve_powers
+from .core import beam_gain, check_beamformer, check_positions, secrecy_rate
+from .driver import initial_positions, solve, solve_powers
 from .oracle import run_verification
 from .positions import random_positions
 from .scenario_io import (RunSpec, ScenarioFileError, load_run_spec,
@@ -135,7 +135,9 @@ def _sweep_rows(spec: RunSpec, n: int, cells, restarts: int) -> list:
     Cell j is ``spec.scenario`` at power budget j of the sweep.  It draws
     its ``restarts`` starts from ``default_rng([seed, n, j])``, and
     ``solve_powers`` runs every cell's chains in one lockstep solve on
-    ``spec.scenario`` and the cells' budgets.
+    ``spec.scenario`` and the cells' budgets.  The FPA baseline of every
+    cell is one stacked solve, the uniform layout once per budget; each
+    row has the bits of ``solve_fpa`` on that cell alone.
     """
     spec.scenario.check_feasible(n)
     starts = []
@@ -143,13 +145,15 @@ def _sweep_rows(spec: RunSpec, n: int, cells, restarts: int) -> list:
         rng = np.random.default_rng([spec.seed, n, j])
         starts.append(np.reshape([random_positions(n, scenario, rng)
                                   for _ in range(restarts)], (restarts, n)))
-    traces = solve_powers(n, spec.scenario,
-                          [scenario.power_budget for _, scenario in cells],
-                          spec.config, starts)
-    return [(n, scenario.power_budget, trace.final_rate,
-             solve_fpa(n, scenario)[1], "", int(trace.converged),
+    budgets = np.array([scenario.power_budget for _, scenario in cells])
+    traces = solve_powers(n, spec.scenario, budgets, spec.config, starts)
+    X = np.broadcast_to(initial_positions(n, spec.scenario), (len(cells), n))
+    W = optimal_beamformer(build_forms(X, spec.scenario), spec.scenario,
+                           budgets)
+    fpa = secrecy_rate(X, W, spec.scenario).tolist()
+    return [(n, budget, trace.final_rate, rate, "", int(trace.converged),
              trace.n_outer)
-            for (_, scenario), trace in zip(cells, traces)]
+            for budget, trace, rate in zip(budgets.tolist(), traces, fpa)]
 
 
 def _cmd_sweep(args) -> int:

@@ -72,6 +72,15 @@ class Scenario:
         for theta in (self.bob_angle,) + self.eve_angles:
             if not np.isfinite(theta) or not 0.0 <= theta < np.pi:
                 raise ValueError(f"angles must lie in [0, pi), got {theta!r}")
+        # read-only arrays that every steering evaluation reads; a copy
+        # made by ``dataclasses.replace`` runs this again
+        angles = np.array((self.bob_angle,) + self.eve_angles)
+        cosines = np.cos(angles)
+        phases = 1j * (TWO_PI / self.wavelength) * cosines
+        for name, arr in (("_angles", angles), ("_cosines", cosines),
+                          ("_phases", phases)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_eves(self) -> int:
@@ -79,8 +88,22 @@ class Scenario:
 
     @property
     def angles(self) -> np.ndarray:
-        """All steering angles, Bob first."""
-        return np.array((self.bob_angle,) + self.eve_angles)
+        """All steering angles, Bob first, as a read-only array."""
+        return self._angles
+
+    @property
+    def cosines(self) -> np.ndarray:
+        """cos(theta_i) of every angle, Bob first, as a read-only array."""
+        return self._cosines
+
+    @property
+    def steering_phases(self) -> np.ndarray:
+        """j (2 pi / wavelength) cos(theta_i) of every angle, Bob first.
+
+        Entry i times a position is the phase of that antenna's entry in
+        ``steering_vector`` toward angle i, with the same bits.
+        """
+        return self._phases
 
     def check_feasible(self, n: int) -> None:
         """Require L >= (N - 1) d_min so the spacing constraint can hold."""
@@ -194,7 +217,7 @@ def _stack_of_one(x, w):
 
     The one check of a (positions, beamformer) input: one layout and its
     beamformer, or a (K, N) stack of each, both arrays of one shape,
-    non-empty, with finite positions.
+    non-empty, with finite positions and weights.
     """
     xs = np.asarray(x, dtype=float)
     wv = np.asarray(w, dtype=complex)
@@ -204,19 +227,25 @@ def _stack_of_one(x, w):
                          "or (K, N) stacks of one shape")
     if not np.isfinite(xs).all():
         raise ValueError("positions must be finite")
+    if not np.isfinite(wv).all():
+        raise ValueError("beamformer weights must be finite")
     return np.atleast_2d(xs), np.atleast_2d(wv)
 
 
 def _angle_steering(x, scenario: Scenario) -> np.ndarray:
     """Steering vectors of every angle, Bob first, at a layout or a stack.
 
-    One ``steering_vector`` call with the angles on a leading axis gives
-    an (M+1, N) array for one layout and an (M+1, K, N) array for a
-    (K, N) stack.
+    The scenario's ``steering_phases`` on a leading axis give an
+    (M+1, N) array for one layout and an (M+1, K, N) array for a (K, N)
+    stack, with the bits of one ``steering_vector`` call on a column of
+    the angles.  A ``Scenario`` holds finite angles and a positive
+    wavelength, so only the positions are checked.
     """
     xs = np.asarray(x, dtype=float)
-    return steering_vector(xs, scenario.angles.reshape((-1,) + (1,) * xs.ndim),
-                           scenario.wavelength)
+    if not np.isfinite(xs).all():
+        raise ValueError("positions must be finite")
+    return np.exp(scenario.steering_phases.reshape((-1,) + (1,) * xs.ndim)
+                  * xs)
 
 
 def _squared_inner(a, w):
@@ -277,7 +306,7 @@ def _psi_gradient(terms, c, gains, scenario: Scenario) -> np.ndarray:
     weights[0] = 1.0 / (sigma2 + gains[0])
     weights[1:] = -1.0 / (sigma2 + _angle_sum(gains[1:]))
     weights *= ((2.0 * TWO_PI / scenario.wavelength / LN2)
-                * np.cos(scenario.angles))[:, None]
+                * scenario.cosines)[:, None]
     return _angle_sum(weights[..., None] * (c[0][..., None] * terms[1]
                                             - c[1][..., None] * terms[0]))
 
@@ -308,8 +337,8 @@ def rate_difference(x, w, scenario: Scenario):
     does.  May be negative; the reported secrecy rate clamps it at zero.
     A float for one layout, a (K,) array for (K, N) stacks, as
     ``beam_gain`` takes them.  The gains of every angle come from one
-    ``steering_vector`` call, and each row of a stack has the bits of
-    that layout's own call.
+    steering evaluation (``_angle_steering``), and each row of a stack
+    has the bits of that layout's own call.
     """
     X, W = _stack_of_one(x, w)
     gains = _squared_inner(_angle_steering(X, scenario), W)[2]

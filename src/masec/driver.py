@@ -170,38 +170,43 @@ def _scan_starts(n: int, scenario: Scenario, budgets=None) -> list:
 def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     """The value ascent on the chains ``X``: its start and its round.
 
-    Row j of ``X``, ``W`` and ``G`` holds chain j's layout, its optimal
-    beamformer and the gradient of F there, ``F[j]`` the value
-    log2 lambda_max and ``budget[j]`` its power budget, which its
+    Row j of ``X`` and ``W`` holds chain j's layout and its optimal
+    beamformer, and ``budget[j]`` its power budget, which its
     beamformer solves and its ``_rate_slack`` read in place of
-    ``scenario.power_budget``; ``rate[j]`` is its secrecy rate.  A round
-    takes one projected ascent step on F for the chains ``rows``, in
-    place.  The trial x <- P(x + alpha d) starts at alpha = 1 and halves
-    until Armijo's test F(x') >= F(x) + ARMIJO_C grad F . (x' - x)
-    accepts it, at most ``MAX_HALVINGS`` times; P is the Euclidean
-    projection.  A chain without a curvature estimate, as in its first
-    round, takes d = ``cfg.step_size`` lambda^2 grad F, lambda the
-    wavelength: grad F scales as 1 / lambda, so d scales with the
-    lengths.  Once one of its moves s, with gradient change y, shows
-    s . -y > 0, row j of ``H`` holds its BFGS estimate of the inverse
-    Hessian of -F, first scaled to -s.y / y.y (``_bfgs_updates``) and
-    clipped to lambda^2 [MIN_STEP, MAX_STEP], and d is the quasi-Newton
-    step on the face of the constraints that bind at x
-    (``_face_directions``, ``positions._face_projector``).  A direction
-    whose gain grad F . d is within the last bit of F
-    (``EPS`` max(1, |F|)) is set to 0, so a chain at a stationary point
-    of its face tries its own layout and stops there.  The trials of all
-    pending chains are one stack and one ``_layout_pass``: one
-    steering-vector evaluation and one batched pencil give every trial's
-    F, and the chains that accept their trial take its layout, F,
-    beamformer, rate and gradient from the same pass.  The start is one
-    pass too, so no round evaluates a rate or a gradient on its own.
-    The face and BFGS algebra is batched over the chains, row by row, so
-    a chain's bits do not depend on the others.  A chain has settled
-    when the accepted step raised F by at most ``cfg.inner_tol``
-    max(1, |F|), or every trial failed within ``_rate_slack`` of F; it
-    stops then, or when no trial was accepted.  Its traces hold F at the
-    start and at each trial.
+    ``scenario.power_budget``.  A round takes one projected ascent step
+    on F = log2 lambda_max for the live chains ``rows``: those that did
+    not stop in an earlier round, in order.  The trial
+    x <- P(x + alpha d) starts at alpha = 1 and halves until Armijo's
+    test F(x') >= F(x) + ARMIJO_C grad F . (x' - x) accepts it, at most
+    ``MAX_HALVINGS`` times; P is the Euclidean projection.  A chain
+    without a curvature estimate, as in its first round, takes
+    d = ``cfg.step_size`` lambda^2 grad F, lambda the wavelength:
+    grad F scales as 1 / lambda, so d scales with the lengths.  Once
+    one of its moves s, with gradient change y, shows s . -y > 0, it
+    keeps a BFGS estimate H of the inverse Hessian of -F, first scaled
+    to -s.y / y.y (``_bfgs_updates``) and clipped to
+    lambda^2 [MIN_STEP, MAX_STEP], and d is the quasi-Newton step on
+    the face of the constraints that bind at x (``_face_directions``,
+    ``positions._face_projector``).  A direction whose gain grad F . d
+    is within the last bit of F (``EPS`` max(1, |F|)) is set to 0, so a
+    chain at a stationary point of its face tries its own layout and
+    stops there.  The trials of all pending chains are one stack and
+    one ``_layout_pass``: one steering-vector evaluation and one
+    batched pencil give every trial's F, and the chains that accept
+    their trial take its layout, F, beamformer, rate and gradient from
+    the same pass.  The start is one pass too, so no round evaluates a
+    rate or a gradient on its own.  The face and BFGS algebra is
+    batched over the chains, row by row, so a chain's bits do not
+    depend on the others.  A chain has settled when the accepted step
+    raised F by at most ``cfg.inner_tol`` max(1, |F|), or every trial
+    failed within ``_rate_slack`` of F; it stops then, or when no trial
+    was accepted.  Its traces hold F at the start and at each trial.
+
+    The live chains' layouts, beamformers, rates, gradients, F, budgets,
+    allowances, estimates H and ``scaled`` flags are compact arrays, one
+    row per live chain; a chain's row leaves them when it stops.  A
+    round writes its layouts and beamformers back to ``X`` and ``W``
+    once.
 
     Returns:
         (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
@@ -209,79 +214,87 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
         the beamformer is the rate before the round.
     """
     lam, finish = _layout_pass(X, scenario, budget)
-    F = [math.log2(v) for v in lam.tolist()]
-    W, rate, G = finish(slice(None))
+    W, rate, g = finish(slice(None))
     n = X.shape[1]
-    # each chain's inverse-Hessian estimate of -F, once it has one
-    H = np.zeros((len(X), n, n))
-    scaled = np.zeros(len(X), dtype=bool)
+    area = scenario.wavelength ** 2
+    first_step = cfg.step_size * area
+    # the live chains' layouts, beamformers, rates, gradients, F, budgets,
+    # allowances, and inverse-Hessian estimates of -F once they have one
+    live = [X, W, rate, g, np.array([math.log2(v) for v in lam.tolist()]),
+            budget, _rate_slack(n, scenario, budget),
+            np.zeros((len(X), n, n)), np.zeros(len(X), dtype=bool)]
 
     def ascend(rows, rates_before):
-        x0, g0, budgets = X[rows], G[rows], budget[rows]
-        f0 = [F[j] for j in rows]
-        traces = [[f] for f in f0]
-        stalled = [True] * len(rows)
-        # the chains i still searching, with their directions, steps, budgets
-        pending = list(range(len(rows)))
-        xp, gp, power = x0, g0, budgets
+        x0, w0, rate0, g0, f0, power, slack, H, scaled = live
+        traces = [[f] for f in f0.tolist()]
         # a chain without a curvature estimate steps along its gradient
-        area = scenario.wavelength ** 2
-        dp, newton = cfg.step_size * area * g0, scaled[rows]
-        if newton.any():
+        dp = first_step * g0
+        if scaled.any():
+            newton = slice(None) if scaled.all() else scaled
             # H scales as lambda^2; in squared wavelengths it keeps the size
             # of the projector that ``_face_directions`` adds to it, which
             # rounding would lose next to H at a large length unit
             dp[newton] = area * _face_directions(
-                H[rows][newton] / area, g0[newton],
+                H[newton] / area, g0[newton],
                 _face_projector(x0[newton], g0[newton], scenario))
         # a direction that can raise F by no more than its last bit is none
         flat = (np.einsum("ij,ij->i", g0, dp)
                 <= EPS * np.maximum(1.0, np.abs(f0)))
         dp[flat] = 0.0
-        alpha = np.ones(len(rows))
+        # the rows still searching, their layouts, gradients, directions and
+        # budgets; every pending trial has the same step alpha
+        pending, xp, gp, power_p = np.arange(len(x0)), x0, g0, power
+        alpha = 1.0
+        accepted = []  # (rows, layouts, F, (W, rates, grads)) of each pass
         for _ in range(MAX_HALVINGS + 1):
-            Z = _project_euclidean(xp + alpha[:, None] * dp, scenario)
+            Z = _project_euclidean(xp + alpha * dp, scenario)
             if flat is not None:
                 # a zero direction tries the layout itself, which it accepts
                 # at once: projecting it again could move tied antennas by
                 # rounding
                 Z[flat] = xp[flat]
                 flat = None
-            lam, finish = _layout_pass(Z, scenario, power)
-            rises = np.einsum("ij,ij->i", gp, Z - xp).tolist()
-            accepted, waiting = [], []
-            for r, (i, lam_r, rise) in enumerate(
-                    zip(pending, lam.tolist(), rises)):
-                f = math.log2(lam_r)
-                traces[i].append(f)
-                if f >= f0[i] + ARMIJO_C * rise:
-                    accepted.append(r)
-                    F[rows[i]] = f
-                    stalled[i] = False
-                else:
-                    waiting.append(r)
-            if accepted:
-                on = [rows[pending[r]] for r in accepted]
+            lam, finish = _layout_pass(Z, scenario, power_p)
+            f = [math.log2(v) for v in lam.tolist()]
+            for i, fi in zip(pending.tolist(), f):
+                traces[i].append(fi)
+            f = np.array(f)
+            ok = f >= f0[pending] + ARMIJO_C * np.einsum("ij,ij->i", gp,
+                                                         Z - xp)
+            if ok.all():
                 # a slice takes views where every trial is accepted
-                done = accepted if waiting else slice(None)
-                X[on] = Z[done]
-                W[on], rate[on], G[on] = finish(done)
-            if not waiting:
+                accepted.append((pending, Z, f, finish(slice(None))))
                 break
-            pending = [pending[r] for r in waiting]
-            xp, gp, dp, alpha, power = (xp[waiting], gp[waiting], dp[waiting],
-                                        0.5 * alpha[waiting], power[waiting])
+            if ok.any():
+                accepted.append((pending[ok], Z[ok], f[ok], finish(ok)))
+            wait = ~ok
+            pending, xp, gp, dp, power_p = (pending[wait], xp[wait],
+                                            gp[wait], dp[wait], power_p[wait])
+            alpha *= 0.5
+        stalled = np.ones(len(x0), dtype=bool)
+        if len(accepted) == 1 and len(accepted[0][0]) == len(x0):
+            x, f, (w, rate, g) = accepted[0][1:]
+            stalled[:] = False
+        else:
+            x, w, rate, g, f = (x0.copy(), w0.copy(), rate0.copy(), g0.copy(),
+                                f0.copy())
+            for on, Z, f_on, (w_on, rate_on, g_on) in accepted:
+                x[on], w[on], rate[on], g[on] = Z, w_on, rate_on, g_on
+                f[on], stalled[on] = f_on, False
         # a failed search whose trials stay within rounding of F is stationary
-        settled = [max(t[1:]) - t[0] <= _rate_slack(n, scenario, p) if halted
+        settled = [max(t[1:]) - t[0] <= s if halted
                    else t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0]))
-                   for t, halted, p in zip(traces, stalled, budgets.tolist())]
-        stop = [s or halted for s, halted in zip(settled, stalled)]
+                   for t, halted, s in zip(traces, stalled.tolist(),
+                                           slack.tolist())]
+        stop = np.array(settled) | stalled
         # a stopped chain's estimate is updated too, and never read
-        H[rows], scaled[rows] = _bfgs_updates(H[rows], scaled[rows],
-                                              X[rows] - x0, G[rows] - g0,
-                                              area)
-        return ([np.array(t) for t in traces], rates_before,
-                rate[rows].tolist(), settled, stop)
+        H, scaled = _bfgs_updates(H, scaled, x - x0, g - g0, area)
+        X[rows], W[rows] = x, w
+        live[:] = x, w, rate, g, f, power, slack, H, scaled
+        if stop.any():
+            live[:] = [a[~stop] for a in live]
+        return ([np.array(t) for t in traces], rates_before, rate.tolist(),
+                settled, stop.tolist())
 
     return W, rate.tolist(), ascend
 

@@ -59,7 +59,7 @@ def real_lift(x, w, scenario: Scenario) -> RealLift:
     """
     X, W = _stack_of_one(x, w)
     xs, wv = (X, W) if np.ndim(x) == 2 else (X[0], W[0])
-    g, q = _phase_trig(xs, np.cos(scenario.angles)[:, None],
+    g, q = _phase_trig(xs, scenario.cosines[:, None],
                        TWO_PI / scenario.wavelength)
     u, z = wv.real[..., :, None], wv.imag[..., :, None]
     u_t, z_t = wv.real[..., None, :], wv.imag[..., None, :]
@@ -282,7 +282,7 @@ def optimize_positions(x0, w, scenario: Scenario, cfg):
     check_positions(X, scenario, stack=True)
     lift = real_lift(X, W, scenario)
     g, q, C, D = lift.g, lift.q, lift.C, lift.D
-    column = np.cos(scenario.angles)[:, None]
+    column = scenario.cosines[:, None]
     scale = TWO_PI / scenario.wavelength
     two_k = 2.0 * scale * column
     delta = cfg.step_size * scenario.wavelength ** 2

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from masec import (ScenarioFileError, SolveConfig, beam_gain, build_forms,
                    mrt_beamformer, optimal_beamformer, run_verification,
                    secrecy_rate, solve)
 from masec.cli import main
-from masec.driver import solve_powers
+from masec.driver import solve_fpa, solve_powers
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -467,6 +469,23 @@ class TestSweep:
         for row in rows[1::2]:
             assert row[2:4] == ["", ""] and row[5:] == ["", ""]
             assert row[4].startswith("eigen decomposition failed")
+
+    @pytest.mark.parametrize("powers", [(1.0, 10.0), (1.0, 10.0, 100.0),
+                                        (1.0,)], ids=["1,10", "1,10,100", "1"])
+    def test_stacked_fpa_rows_equal_solve_fpa(self, powers, monkeypatch):
+        # the FPA baselines of one N are one stacked solve, and each row
+        # keeps the bits of solve_fpa on its cell alone
+        spec = load_run_spec(SCENARIOS / "sweep_m3.json")
+        cells = [(j, dataclasses.replace(spec.scenario, power_budget=p))
+                 for j, p in enumerate(powers)]
+        trace = SimpleNamespace(final_rate=0.0, converged=True, n_outer=1)
+        monkeypatch.setattr(masec.cli, "solve_powers",
+                            lambda n, scn, budgets, cfg, starts:
+                            [trace] * len(budgets))
+        for n in range(2, 9):
+            rows = masec.cli._sweep_rows(spec, n, cells, 0)
+            assert [row[3].hex() for row in rows] == [
+                solve_fpa(n, cell)[1].hex() for _, cell in cells]
 
     def test_bad_power_rejected_before_any_solve(self, tmp_path, capsys,
                                                  monkeypatch):

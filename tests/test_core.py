@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,8 @@ from masec import (InfeasibleError, Scenario, SolveConfig,
                    optimal_beamformer, optimize_positions, project_positions,
                    random_positions, rate_difference, real_lift, secrecy_rate,
                    solve, solve_beamformer, solve_fpa, steering_vector)
-from masec.beamformer import best_gap_layout
+from masec.beamformer import best_gap_layout, best_secrecy_rates
+from masec.core import TWO_PI, _angle_steering
 from masec.driver import scan_start
 
 ALGORITHM_1 = SolveConfig(ascent="alternating")
@@ -379,6 +381,10 @@ PAIR_CALLS = {
     pytest.param([[0.0, 0.7]], [1.0, 0.0], "dimensions disagree",
                  id="stack-and-layout"),
     pytest.param([0.0, np.nan], [1.0, 0.0], "finite", id="not-finite"),
+    pytest.param([0.0, 0.7], [np.nan, 1.0],
+                 "beamformer weights must be finite", id="nan-beamformer"),
+    pytest.param([0.0, 0.7], [np.inf, 1.0],
+                 "beamformer weights must be finite", id="inf-beamformer"),
 ])
 @pytest.mark.parametrize("fn", PAIR_CALLS)
 def test_every_positions_beamformer_input_is_checked_by_one_rule(fn, x, w,
@@ -389,3 +395,43 @@ def test_every_positions_beamformer_input_is_checked_by_one_rule(fn, x, w,
     scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
     with pytest.raises(ValueError, match=message):
         PAIR_CALLS[fn](x, w, scn)
+
+
+STEERING_CALLS = {
+    "steering_vector": lambda X, scn: steering_vector(X, scn.bob_angle,
+                                                      scn.wavelength),
+    "build_forms": build_forms,
+    "best_secrecy_rates": best_secrecy_rates,
+    "rate_difference": lambda X, scn: rate_difference(
+        X, np.ones(X.shape, dtype=complex), scn),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", STEERING_CALLS)
+def test_public_steering_callers_reject_non_finite_positions(fn, bad):
+    # the internal steering evaluation checks only the positions; each
+    # public entry point still rejects them, one layout or a stack
+    scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+    for X in (np.array([[0.0, bad]]), np.array([[0.0, 0.7], [0.0, bad]])):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            STEERING_CALLS[fn](X, scn)
+
+
+def test_replaced_scenario_gets_its_own_cached_phases():
+    scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 4, 0.6 * np.pi))
+    other = dataclasses.replace(scn, wavelength=2.0, eve_angles=(0.2,))
+    assert np.array_equal(other.angles, [np.pi / 3, 0.2])
+    assert np.array_equal(other.cosines, np.cos(other.angles))
+    assert np.array_equal(other.steering_phases,
+                          1j * (TWO_PI / 2.0) * np.cos(other.angles))
+    x = np.array([0.0, 0.7, 1.9])
+    for s in (scn, other):
+        assert not (s.angles.flags.writeable or s.cosines.flags.writeable
+                    or s.steering_phases.flags.writeable)
+        # the cached phases give the bits of steering_vector on the angles
+        assert np.array_equal(
+            _angle_steering(x, s),
+            steering_vector(x, s.angles[:, None], s.wavelength))
+    assert not np.array_equal(_angle_steering(x, other)[0],
+                              _angle_steering(x, scn)[0])

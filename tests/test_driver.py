@@ -387,7 +387,7 @@ class TestValueAscent:
     def test_one_pass_per_trial_stack(self, fig5_scenario, monkeypatch):
         # a trial stack's beamformers, rates and gradients come from the
         # one steering-vector evaluation and pencil of its line search
-        calls = {"steering_vector": 0, "_pencil": 0, "_layout_pass": 0}
+        calls = {"_angle_steering": 0, "_pencil": 0, "_layout_pass": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -397,8 +397,7 @@ class TestValueAscent:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, count)
 
-        for module, name in ((masec.core, "steering_vector"),
-                             (masec.beamformer, "steering_vector"),
+        for module, name in ((masec.beamformer, "_angle_steering"),
                              (masec.beamformer, "_pencil"),
                              (masec.driver, "_layout_pass")):
             counting(module, name)
@@ -407,7 +406,7 @@ class TestValueAscent:
         X = np.array([random_positions(5, scn, rng) for _ in range(4)])
         budget = np.full(len(X), scn.power_budget)
         W, rates, ascend = masec.driver._value_start(X, budget, scn, VALUE)
-        assert calls == {"steering_vector": 1, "_pencil": 1, "_layout_pass": 1}
+        assert calls == {"_angle_steering": 1, "_pencil": 1, "_layout_pass": 1}
         live, trials = list(range(len(X))), 0
         while live:
             calls.update(dict.fromkeys(calls, 0))
@@ -420,6 +419,25 @@ class TestValueAscent:
             live = [j for j, halt in zip(live, stop) if not halt]
             trials += stacks
         assert trials > 10
+
+    def test_non_finite_trial_layout_is_rejected(self, fig5_scenario,
+                                                 monkeypatch):
+        # the steering evaluation checks the positions of every trial stack,
+        # so a direction that is not finite raises instead of stalling
+        scn = fig5_scenario(10.0)
+        rng = np.random.default_rng(38)
+        X = np.array([random_positions(5, scn, rng) for _ in range(4)])
+        W, rates, ascend = masec.driver._value_start(
+            X, np.full(len(X), scn.power_budget), scn, VALUE)
+        live = list(range(len(X)))
+        # the first round's gradient steps give each chain its estimate
+        _, _, rates_x, _, stop = ascend(live, rates)
+        live = [j for j, halt in zip(live, stop) if not halt]
+        assert live
+        monkeypatch.setattr(masec.driver, "_face_directions",
+                            lambda H, G, P: np.full(G.shape, np.nan))
+        with pytest.raises(ValueError, match="positions must be finite"):
+            ascend(live, [rates_x[j] for j in live])
 
 
 def _spd(rng, k, n):
