@@ -28,6 +28,12 @@ LN2 = np.log(2.0)
 # (x + d_min) - x can fall short of d_min by a few ulp.
 FEASIBILITY_TOL = 1e-9
 
+# The lengths the arithmetic carries: for a wavelength in this range,
+# lambda^2 and 2 pi / lambda stay normal floats, and so do an aperture of
+# up to MAX_APERTURE_WAVELENGTHS wavelengths and the scan's step count
+WAVELENGTH_RANGE = (1e-150, 1e150)
+MAX_APERTURE_WAVELENGTHS = 1e150
+
 
 class InfeasibleError(ValueError):
     """Aperture cannot hold the requested antenna count at min spacing."""
@@ -46,8 +52,10 @@ class Scenario:
         eve_angles: angles of the colluding eavesdroppers, each in [0, pi).
         noise_power: receiver noise power sigma^2 (linear, > 0).
         power_budget: transmit power P_A (linear, > 0).
-        wavelength: carrier wavelength in length units (> 0).
-        aperture: right end L of the allowed segment [0, L].
+        wavelength: carrier wavelength in length units, within
+            ``WAVELENGTH_RANGE``.
+        aperture: right end L of the allowed segment [0, L], at most
+            ``MAX_APERTURE_WAVELENGTHS`` wavelengths.
         min_spacing: minimum distance d_min between any two antennas.
     """
 
@@ -69,6 +77,15 @@ class Scenario:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        lo, hi = WAVELENGTH_RANGE
+        if not lo <= self.wavelength <= hi:
+            raise ValueError(f"wavelength must lie in [{lo:g}, {hi:g}], "
+                             f"got {self.wavelength!r}")
+        if self.aperture > MAX_APERTURE_WAVELENGTHS * self.wavelength:
+            raise ValueError(
+                f"aperture must be at most {MAX_APERTURE_WAVELENGTHS:g} "
+                f"wavelengths, got {self.aperture!r} at wavelength "
+                f"{self.wavelength!r}")
         for theta in (self.bob_angle,) + self.eve_angles:
             if not np.isfinite(theta) or not 0.0 <= theta < np.pi:
                 raise ValueError(f"angles must lie in [0, pi), got {theta!r}")

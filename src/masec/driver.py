@@ -189,10 +189,10 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     the face of the constraints that bind at x (``_face_directions``,
     ``positions._face_projector``).  A direction whose gain grad F . d
     is within the last bit of F (``EPS`` max(1, |F|)) is set to 0, so a
-    chain at a stationary point of its face tries its own layout and
-    stops there.  The trials of all pending chains are one stack and
-    one ``_layout_pass``: one steering-vector evaluation and one
-    batched pencil give every trial's F, and the chains that accept
+    chain at a stationary point of its face tries P(x) = x, its own
+    layout, and stops there.  The trials of all pending chains are one
+    stack and one ``_layout_pass``: one steering-vector evaluation and
+    one batched pencil give every trial's F, and the chains that accept
     their trial take its layout, F, beamformer, rate and gradient from
     the same pass.  The start is one pass too, so no round evaluates a
     rate or a gradient on its own.  The face and BFGS algebra is
@@ -248,12 +248,6 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
         accepted = []  # (rows, layouts, F, (W, rates, grads)) of each pass
         for _ in range(MAX_HALVINGS + 1):
             Z = _project_euclidean(xp + alpha * dp, scenario)
-            if flat is not None:
-                # a zero direction tries the layout itself, which it accepts
-                # at once: projecting it again could move tied antennas by
-                # rounding
-                Z[flat] = xp[flat]
-                flat = None
             lam, finish = _layout_pass(Z, scenario, power_p)
             f = [math.log2(v) for v in lam.tolist()]
             for i, fi in zip(pending.tolist(), f):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .beamformer import (_rate_slack, best_gap_layout, build_forms,
                          optimal_beamformer, solve_beamformer)
-from .core import Scenario, _stack_of_one, beam_gain
+from .core import LN2, Scenario, _stack_of_one, beam_gain
 from .driver import SolveConfig, solve
 from .positions import gradient_psi, objective_psi, random_positions, real_lift
 
@@ -236,13 +236,17 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     wavelength.  A grid over the cap is a skip, at any N.
 
     The lift identity and the gradient check each evaluate their samples
-    as one (K, N) stack.  The stationarity check solves its five layouts
-    in one ``solve_beamformer`` call and scales each residual by the
-    pencil's backward-error norm, (||A + S|| + |lambda| ||B + S||) ||w||
-    with S = I / P_A; it also fails where log2 of the Rayleigh quotient
-    of w differs from log2 lambda by more than ``_rate_slack``, and
-    reports both on its line.  The sampling check scores the same five
-    layouts in one ``sample_beamformers`` call, one seed each.
+    as one (K, N) stack.  The gradient check divides each row by a power
+    of two near its largest entry before taking norms, which is exact,
+    so it reads the same far below unit SNR, where the gradient's
+    squared entries would underflow.  The stationarity check solves its
+    five layouts in one ``solve_beamformer`` call and scales each
+    residual by the pencil's backward-error norm,
+    (||A + S|| + |lambda| ||B + S||) ||w|| with S = I / P_A; it also
+    fails where log2 of the Rayleigh quotient of w differs from
+    log2 lambda by more than ``_rate_slack``, and reports both on its
+    line.  The sampling check scores the same five layouts in one
+    ``sample_beamformers`` call, one seed each.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -264,10 +268,16 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     # S the sum of Psi's log2 terms; flooring the denominator at 1e6 times
     # that holds noise alone (all of the estimate at N = 1) to 1e-6
     gains = [beam_gain(X, W, t, scenario) for t in scenario.angles]
-    size = (np.log2(1.0 + gains[0] / scenario.noise_power)
-            + np.log2(1.0 + sum(gains[1:]) / scenario.noise_power))
+    size = (np.log1p(gains[0] / scenario.noise_power)
+            + np.log1p(sum(gains[1:]) / scenario.noise_power)) / LN2
     noise = np.finfo(float).eps * size * math.sqrt(n) / h
-    scale = np.maximum(np.linalg.norm(numeric, axis=1), 1e6 * noise)
+    # each row is divided by a power of two near its largest entry, which
+    # is exact, so the norms square no entry below the smallest float
+    shift = -np.frexp(np.max(np.abs([analytic, numeric]), axis=(0, 2)))[1]
+    analytic = np.ldexp(analytic, shift[:, None])
+    numeric = np.ldexp(numeric, shift[:, None])
+    scale = np.maximum(np.linalg.norm(numeric, axis=1),
+                       1e6 * np.ldexp(noise, shift))
     err = float(np.max(np.linalg.norm(analytic - numeric, axis=1) / scale))
     checks.append(VerifyCheck(
         "fd-gradient", "pass" if err <= 1e-5 else "fail",

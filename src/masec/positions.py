@@ -146,18 +146,25 @@ def _project_euclidean(Z, scenario: Scenario) -> np.ndarray:
     0 <= y_1 <= ... <= y_N <= L - (N-1) d_min, and the nearest point is
     the isotonic regression of y (pool adjacent violators) clipped to
     that interval.  Unlike ``project_positions`` the rows are not sorted
-    first: antenna n stays antenna n.  A coordinate that is neither
-    pooled nor clipped is returned unchanged, so a feasible row maps to
-    itself: one array test finds those rows, and the pooling runs, one
-    row after another, on the others only.
+    first: antenna n stays antenna n.  A row whose y is non-decreasing
+    and inside that interval to within 16 eps L, the rounding of one
+    coordinate, is returned unchanged: one array test finds those rows,
+    and the pooling runs, one row after another, on the others only.
+    On those, a coordinate that is neither pooled nor clipped keeps its
+    bits, and a pooled block is rebuilt as its mean plus the offsets,
+    whose slack values differ from that mean by rounding only.  So the
+    projection is idempotent bit for bit: P(P(Z)) = P(Z).
     """
     n = Z.shape[1]
     offsets = scenario.min_spacing * np.arange(n)
     span = scenario.aperture - (n - 1) * scenario.min_spacing
+    # rebuilding a pooled block as its mean plus the offsets and taking
+    # them off again moves each slack value by about an ulp of L at most
+    tol = 16 * np.finfo(float).eps * scenario.aperture
     out = np.array(Z, dtype=float)
     Y = out - offsets
-    moved = np.flatnonzero(~((Y[:, 1:] >= Y[:, :-1]).all(axis=1)
-                             & (Y[:, 0] >= 0.0) & (Y[:, -1] <= span)))
+    moved = np.flatnonzero(~((Y[:, 1:] >= Y[:, :-1] - tol).all(axis=1)
+                             & (Y[:, 0] >= -tol) & (Y[:, -1] <= span + tol)))
     rows = out[moved].tolist()
     offsets = offsets.tolist()
     for row in rows:  # Python floats round as numpy's float64 does

@@ -158,6 +158,29 @@ class TestOptimize:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("lengths, message", [
+        # lambda^2 overflowed in the value ascent's first step: a traceback
+        ({"wavelength": 1e200}, "wavelength must lie in"),
+        # lambda^2 underflowed to 0, so the first step was 0: "converged"
+        # at 1.999973902 bps/Hz, where every other unit gives 2.000000000
+        ({"wavelength": 1e-200}, "wavelength must lie in"),
+        # 2 pi / lambda overflowed in Scenario: a RuntimeWarning
+        ({"wavelength": 1e-310}, "wavelength must lie in"),
+        # the scan's step count overflowed: an OverflowError
+        ({"wavelength": 1e-100, "aperture": 1e300}, "aperture must be at most"),
+    ])
+    def test_lengths_the_arithmetic_cannot_carry_exit_2(self, lengths,
+                                                        message, tmp_path,
+                                                        capsys):
+        doc = dict({"n_antennas": 3, "bob_angle_pi": 0.5,
+                    "eve_angles": [0.25], "seed": 0}, **lengths)
+        scenario = _write(tmp_path / "s.json", doc)
+        assert main(["optimize", "--scenario", scenario,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_shorter_run_removes_stale_inner_traces(self, tmp_path):
         # Algorithm 1 takes two rounds on this file, the value ascent one
         long_run = _write(tmp_path / "a.json",
@@ -521,6 +544,21 @@ class TestVerify:
         scenario = _write(tmp_path / "s.json", doc)
         assert main(["verify", "--scenario", scenario]) == 0
         assert "PASS  fd-gradient" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, changes", [
+        ("toy_n2", {"power_budget": 1e-200}),
+        ("paper_n3", {"power_budget": 1e-200}),
+        ("paper_n3", {"noise_power": 1e200}),
+    ])
+    def test_passes_far_below_unit_snr(self, name, changes, tmp_path,
+                                       capsys):
+        # log2(1 + G / sigma^2) rounded to 0 in the noise floor, and the
+        # norms squared gradient entries of 1e-200 to 0: FAIL with nan
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        scenario = _write(tmp_path / "s.json", dict(doc, **changes))
+        assert main(["verify", "--scenario", scenario]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  fd-gradient" in out and "FAIL" not in out
 
     def test_grid_comparison_uses_the_file_solver_settings(self, tmp_path,
                                                            capsys):

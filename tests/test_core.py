@@ -236,6 +236,28 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(**base)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(wavelength=1e200), "wavelength must lie in"),
+        (dict(wavelength=1.1e150, aperture=1e151), "wavelength must lie in"),
+        (dict(wavelength=1e-200, aperture=1e-199), "wavelength must lie in"),
+        (dict(wavelength=1e-310, aperture=1e-309), "wavelength must lie in"),
+        (dict(wavelength=1e-100, aperture=1e300), "aperture must be at most"),
+        (dict(aperture=2e150), "aperture must be at most"),
+    ])
+    def test_rejects_lengths_the_arithmetic_cannot_carry(self, kw, message):
+        base = dict(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        with pytest.raises(ValueError, match=message):
+            Scenario(**base, **kw)
+
+    @pytest.mark.parametrize("wavelength", [1e-150, 1e150])
+    def test_accepts_the_ends_of_the_wavelength_range(self, wavelength):
+        # lambda^2 and 2 pi / lambda are normal floats at both ends
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
+                       wavelength=wavelength, aperture=10.0 * wavelength,
+                       min_spacing=0.5 * wavelength)
+        for v in (scn.wavelength ** 2, TWO_PI / scn.wavelength):
+            assert np.finfo(float).tiny <= v <= np.finfo(float).max
+
     def test_feasibility_check(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         scn.check_feasible(21)  # (21 - 1) * 0.5 == L exactly

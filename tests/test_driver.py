@@ -373,6 +373,21 @@ class TestValueAscent:
         assert trace.converged
         assert trace.outer[1].rate_after_x == trace.outer[0].rate_after_x
 
+    def test_stationary_start_with_tied_antennas_stays_put(self):
+        # with Bob and the eavesdropper at one angle every layout is
+        # stationary: the gradient is 0, so the one trial is P(x0), which
+        # must be x0 itself.  x0 comes from pooling antennas 1 and 2, whose
+        # slack values then tie up to rounding, where a projection that is
+        # not idempotent moved antenna 1 by an ulp
+        scn = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
+        x0 = masec.positions._project_euclidean(np.array([[1.1, 0.7, 3.3]]),
+                                                scn)[0]
+        assert x0[1] - x0[0] == pytest.approx(scn.min_spacing)
+        trace = solve(3, scn, VALUE, x0=x0)
+        assert trace.n_outer == 1 and trace.converged
+        assert list(trace.inner[0]) == [trace.inner[0][0]] * 2
+        assert np.array_equal(trace.final_x, x0)
+
     def test_failed_line_search_stops_in_place(self, paper_n3, monkeypatch):
         # no trial can pass an Armijo test this strict
         monkeypatch.setattr(masec.driver, "ARMIJO_C", 1e9)

@@ -19,6 +19,7 @@ from masec.beamformer import (_eve_pivots, _gap_layouts, _gap_runs,
                               _pair_phases, _peak_pivots, _rate_slack,
                               best_gap_layout, best_secrecy_rates)
 from masec.driver import scan_start
+from masec.positions import _project_euclidean
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60,
                     database=None)
@@ -204,3 +205,36 @@ def test_solve_dominates_every_start(instance, from_scan, k, seed):
     assert rate >= best_secrecy_rates(starts, scn).max() - 1e-12
     if from_scan:
         assert rate >= solve_fpa(n, scn)[1] - 1e-12
+
+
+@st.composite
+def rows_to_project(draw):
+    """(scenario, (K, N) rows) whose slack values tie, leave [0, span] or fall.
+
+    Each slack value is one of a few shared levels, so rows tie, or a
+    value of its own; the values, in units of the span, reach half a
+    span past both ends, and come in any order.
+    """
+    lam = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    n = draw(st.integers(2, 8))
+    scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
+                   wavelength=lam, min_spacing=0.5 * lam,
+                   aperture=lam * draw(st.floats(0.5 * n, 12.0)))
+    span = scn.aperture - (n - 1) * scn.min_spacing
+    value = st.floats(-0.5, 1.5)
+    levels = draw(st.lists(value, min_size=1, max_size=3))
+    rows = draw(st.lists(st.lists(st.sampled_from(levels) | value,
+                                  min_size=n, max_size=n),
+                         min_size=1, max_size=8))
+    return scn, span * np.array(rows) + scn.min_spacing * np.arange(n)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(rows_to_project())
+def test_euclidean_projection_is_idempotent(instance):
+    # a pooled block is rebuilt as its mean plus the offsets, so its slack
+    # values tie up to rounding: a second projection keeps every bit
+    scn, Z = instance
+    P = _project_euclidean(Z, scn)
+    assert np.array_equal(_project_euclidean(P, scn), P)
+    assert np.array_equal(_project_euclidean(Z[::-1], scn), P[::-1])
