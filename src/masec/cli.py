@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    optimize     solve; writes trace CSVs and solution.json
+    optimize     solve; writes trace CSVs and solution.json, and prints
+                 the rate, the rounds and why the solve stopped
     beampattern  beam gain over [0, pi] for a solution or the FPA baseline
     sweep-n      secrecy rate vs antenna count for MA and FPA arrays
     verify       run the oracle suite against a scenario
@@ -94,7 +95,8 @@ def _cmd_optimize(args) -> int:
     write_solution(out / "solution.json", trace)
     status = "converged" if trace.converged else "NOT converged"
     print(f"secrecy rate {trace.final_rate:.9f} bps/Hz after "
-          f"{trace.n_outer} outer iterations ({status})")
+          f"{trace.n_outer} outer iterations ({status}, stopped by "
+          f"{trace.stop_reason})")
     return 0
 
 

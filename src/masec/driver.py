@@ -1,8 +1,15 @@
 """Ascent on antenna positions with the closed-form optimal beamformer.
 
-The start layout is the best point of a deterministic scan over the
-antenna gaps, scored by the optimal-beamformer rate.  Two ascents run
-from there, in rounds of one loop, each supplying its own round.
+No layout beats the rate bound log2(1 + N rho), rho = P_A / sigma^2, and
+a layout reaches it where every eavesdropper's steering vector is
+orthogonal to Bob's.  For N >= 2M the value ascent first seeks such a
+null among layouts symmetric about the aperture's centre
+(``_null_layout``); where one reaches the bound at a power, that is the
+solve at that power, and neither the scan nor an ascent runs.
+Otherwise the start layout is the best point of a deterministic scan
+over the antenna gaps, scored by the optimal-beamformer rate, and the
+paper's Algorithm 1 always starts there.  Two ascents run from the
+start, in rounds of one loop, each supplying its own round.
 ``"alternating"`` is the paper's Algorithm 1:
 each round solves the beamformer in closed form and then runs
 fixed-step projected gradient ascent on the positions.  Both steps can
@@ -18,16 +25,19 @@ spacing and aperture constraints that bind at its layout.  Each stack
 of trial layouts of its line search is one pass of
 ``beamformer._layout_pass``: one steering-vector evaluation gives
 lambda_max and, for an accepted layout, its beamformer, secrecy rate
-and next gradient.  Further starts
+and next gradient.  A value chain whose F reaches the bound within
+its rounding stops there.  Further starts
 run as chains of the same loop, in lockstep.  Each chain carries its
 own power budget, so ``solve_powers`` solves one antenna count at
-several budgets in one loop, from one start scan.  The fixed-position (FPA) baseline keeps
-the uniform layout and optimizes the beamformer once; it is one of the
-scanned layouts, so the solver never reports less than the FPA rate.
+several budgets in one loop, from one null search and one start scan.
+The fixed-position (FPA) baseline keeps the uniform layout and
+optimizes the beamformer once; it is one of the scanned layouts, so the
+solver never reports less than the FPA rate, and a null is at the bound.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,6 +64,15 @@ ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
 MIN_STEP, MAX_STEP = 1e-8, 1e3
 EPS = np.finfo(float).eps
+
+# Null search (``_null_layout``): its seeded random starts, its most
+# Levenberg-Marquardt iterations, its first damping, relative to the
+# trace of J^T J, and the residual per antenna under which a start
+# solves the null equations.
+NULL_STARTS = 32
+NULL_ITERS = 30
+NULL_DAMPING = 1e-3
+NULL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,12 @@ class OptimizationTrace:
     steps (alternating), or F at each trial step of the line search,
     the accepted one last (value).  The sequence of ``rate_after_x``
     values is non-decreasing up to floating-point noise.
+
+    ``stop_reason`` says why the solve stopped: ``"bound"`` where F
+    reached log2(1 + N rho) within ``_rate_slack``, which no layout can
+    beat; ``"tol"`` where its stop test held; ``"stalled"`` where a
+    line search accepted no trial; ``"cap"`` after ``max_outer_iters``
+    rounds.  ``converged`` is True for ``"bound"`` and ``"tol"``.
     """
 
     outer: list
@@ -114,6 +139,7 @@ class OptimizationTrace:
     final_w: np.ndarray
     final_rate: float
     converged: bool
+    stop_reason: str
 
     @property
     def n_outer(self) -> int:
@@ -167,6 +193,123 @@ def _scan_starts(n: int, scenario: Scenario, budgets=None) -> list:
                                           slack / levels, budgets)]
 
 
+def _null_layout(n: int, scenario: Scenario):
+    """A layout that nulls every eavesdropper toward Bob, or None.
+
+    Where Gamma_0i = sum_n exp(j kappa_i x_n) = 0 for every eavesdropper
+    i, kappa_i = (2 pi / lambda)(cos theta_i - cos theta_0), Bob's
+    steering vector is orthogonal to every eavesdropper's, and the
+    optimal beamformer reaches log2(1 + N rho), which no layout can beat
+    (full-gain null steering: Zhu, Ma, Ning and Zhang, IEEE Commun. Lett.
+    2023).  A layout symmetric about the aperture's centre c,
+    x = c -+ a_k for k = 1..m = floor(N/2), plus c itself for odd N, has
+    Gamma_0i = exp(j kappa_i c) r_i with the real
+    r_i = 2 sum_k cos(kappa_i a_k) + [N odd].  That leaves M real
+    equations in m unknowns, so a null is expected for N >= 2M, and
+    below that none is sought.
+
+    The search is a batched projected Levenberg-Marquardt method on
+    r(a) = 0, with J = dr/da.  Its ``NULL_STARTS`` starts are seeded,
+    uniform over the half-offsets the spacing and the half aperture
+    allow, so two calls give the same bits.  Each iteration tries, for
+    every start, a <- P(a - J^T (J J^T + mu I)^-1 r), the damped
+    Gauss-Newton step, with mu = nu tr(J^T J): relative to J, so the
+    search does not depend on the length unit.  P is
+    ``positions._project_euclidean`` on the half-offsets, a_1 >= d_min
+    (d_min / 2 for even N), a_k+1 - a_k >= d_min and a_m <= L / 2.  A
+    start takes a trial that lowers |r| and divides its nu by 10;
+    otherwise it keeps its point and multiplies nu by 10.  The search
+    ends at the first start whose every |r_i| is at most
+    ``NULL_RTOL`` N, or after ``NULL_ITERS`` iterations with None.
+    """
+    m, odd = n // 2, n % 2
+    d = scenario.min_spacing
+    inner = d if odd else 0.5 * d
+    span = 0.5 * scenario.aperture - inner - (m - 1) * d
+    phases = scenario.steering_phases.imag
+    kappa = (phases[1:] - phases[0])[:, None]
+    # an eavesdropper at Bob's angle has r_i = N, never 0
+    if m < len(kappa) or not span > 0.0 or not kappa.all():
+        return None
+    # the offsets a_k - inner, with the spacing, in [0, L / 2 - inner]
+    half = dataclasses.replace(scenario,
+                               aperture=0.5 * scenario.aperture - inner)
+    rng = np.random.default_rng(0)
+    U = (np.sort(rng.uniform(0.0, span, (NULL_STARTS, m)), axis=1)
+         + d * np.arange(m))
+
+    def residuals(U):
+        angle = kappa * (U[:, None, :] + inner)
+        return 2.0 * np.cos(angle).sum(axis=2) + odd, angle
+
+    r, angle = residuals(U)
+    cost = np.einsum("ij,ij->i", r, r)
+    nu = np.full(NULL_STARTS, NULL_DAMPING)
+    eye = np.eye(len(kappa))
+    for _ in range(NULL_ITERS):
+        J = -2.0 * kappa * np.sin(angle)
+        JJ = J @ J.transpose(0, 2, 1)
+        mu = nu * np.trace(JJ, axis1=1, axis2=2)
+        y = np.linalg.solve(JJ + mu[:, None, None] * eye, r[:, :, None])
+        Z = _project_euclidean(U - (J.transpose(0, 2, 1) @ y)[:, :, 0], half)
+        r_z, angle_z = residuals(Z)
+        cost_z = np.einsum("ij,ij->i", r_z, r_z)
+        ok = cost_z < cost
+        U[ok], r[ok], angle[ok], cost[ok] = (Z[ok], r_z[ok], angle_z[ok],
+                                             cost_z[ok])
+        nu = np.where(ok, 0.1 * nu, 10.0 * nu)
+        solved = np.flatnonzero(np.abs(r).max(axis=1) <= NULL_RTOL * n)
+        if solved.size:
+            a = U[solved[0]] + inner
+            c = 0.5 * scenario.aperture
+            x = np.concatenate([c - a[::-1], [c] * odd, c + a])
+            x.setflags(write=False)
+            return x
+    return None
+
+
+def _rate_ceiling(n: int, scenario: Scenario, budget) -> np.ndarray:
+    """log2(1 + N rho) less ``_rate_slack``, one per budget of ``budget``.
+
+    No layout's rate exceeds log2(1 + N rho), rho = P_A / sigma^2, so an
+    F at or above this value is at that bound up to rounding.
+    """
+    return (np.log2(1.0 + n * budget / scenario.noise_power)
+            - _rate_slack(n, scenario, budget))
+
+
+def _bound_traces(x, budgets, scenario: Scenario) -> list:
+    """The solve at the null layout ``x`` of each budget, or None.
+
+    One ``_layout_pass`` over ``x`` at every budget of the (P,) array
+    ``budgets`` gives each budget's lambda_max, beamformer and rate,
+    with the bits of that budget alone.  A budget whose F = log2
+    lambda_max reaches ``_rate_ceiling`` gets a trace of one round,
+    converged, with stop reason ``"bound"``: its inner trace holds F at
+    the start and at the one trial, the start itself, as a round at a
+    stationary point does.  The others get None.
+    """
+    n = len(x)
+    lam, finish = _layout_pass(np.broadcast_to(x, (len(budgets), n)),
+                               scenario, budgets)
+    W, rates, _ = finish(slice(None))
+    ceilings = _rate_ceiling(n, scenario, budgets).tolist()
+    traces = []
+    for v, ceiling, w, rate in zip(lam.tolist(), ceilings, W, rates.tolist()):
+        # a lambda_max that is not positive, or NaN, is no null
+        if not (v > 0.0 and math.log2(v) >= ceiling):
+            traces.append(None)
+            continue
+        w = w.copy()
+        w.setflags(write=False)
+        traces.append(OptimizationTrace(
+            outer=[OuterRecord(iteration=1, rate_after_w=rate,
+                               rate_after_x=rate)],
+            inner=[np.full(2, math.log2(v))], final_x=x, final_w=w,
+            final_rate=rate, converged=True, stop_reason="bound"))
+    return traces
+
+
 def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     """The value ascent on the chains ``X``: its start and its round.
 
@@ -200,13 +343,15 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     depend on the others.  A chain has settled when the accepted step
     raised F by at most ``cfg.inner_tol`` max(1, |F|), or every trial
     failed within ``_rate_slack`` of F; it stops then, or when no trial
-    was accepted.  Its traces hold F at the start and at each trial.
+    was accepted.  It also stops, converged, once its F after the round
+    is at least ``_rate_ceiling``: at the bound up to rounding, where no
+    step can gain.  Its traces hold F at the start and at each trial.
 
     The live chains' layouts, beamformers, rates, gradients, F, budgets,
-    allowances, estimates H and ``scaled`` flags are compact arrays, one
-    row per live chain; a chain's row leaves them when it stops.  A
-    round writes its layouts and beamformers back to ``X`` and ``W``
-    once.
+    allowances, ceilings, estimates H and ``scaled`` flags are compact
+    arrays, one row per live chain; a chain's row leaves them when it
+    stops.  A round writes its layouts and beamformers back to ``X`` and
+    ``W`` once.
 
     Returns:
         (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
@@ -219,13 +364,15 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     area = scenario.wavelength ** 2
     first_step = cfg.step_size * area
     # the live chains' layouts, beamformers, rates, gradients, F, budgets,
-    # allowances, and inverse-Hessian estimates of -F once they have one
+    # allowances, ceilings, and inverse-Hessian estimates of -F once they
+    # have one
     live = [X, W, rate, g, np.array([math.log2(v) for v in lam.tolist()]),
             budget, _rate_slack(n, scenario, budget),
+            _rate_ceiling(n, scenario, budget),
             np.zeros((len(X), n, n)), np.zeros(len(X), dtype=bool)]
 
     def ascend(rows, rates_before):
-        x0, w0, rate0, g0, f0, power, slack, H, scaled = live
+        x0, w0, rate0, g0, f0, power, slack, ceiling, H, scaled = live
         traces = [[f] for f in f0.tolist()]
         # a chain without a curvature estimate steps along its gradient
         dp = first_step * g0
@@ -280,15 +427,21 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
                    else t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0]))
                    for t, halted, s in zip(traces, stalled.tolist(),
                                            slack.tolist())]
-        stop = np.array(settled) | stalled
+        bound = f >= ceiling
+        converged = bound | np.array(settled)
+        reasons = ["bound" if at_bound else "tol" if ok else
+                   "stalled" if halted else None
+                   for at_bound, ok, halted in zip(bound.tolist(), settled,
+                                                   stalled.tolist())]
+        stop = converged | stalled
         # a stopped chain's estimate is updated too, and never read
         H, scaled = _bfgs_updates(H, scaled, x - x0, g - g0, area)
         X[rows], W[rows] = x, w
-        live[:] = x, w, rate, g, f, power, slack, H, scaled
+        live[:] = x, w, rate, g, f, power, slack, ceiling, H, scaled
         if stop.any():
             live[:] = [a[~stop] for a in live]
         return ([np.array(t) for t in traces], rates_before, rate.tolist(),
-                settled, stop.tolist())
+                converged.tolist(), reasons)
 
     return W, rate.tolist(), ascend
 
@@ -315,10 +468,10 @@ def _alternating_start(X, budget, scenario: Scenario, cfg: SolveConfig):
         X[rows], psi = optimize_positions(X[rows], W[rows], scenario, cfg)
         traces = [col[~np.isnan(col)] for col in psi.T]
         rates_x = secrecy_rate(X[rows], W[rows], scenario).tolist()
-        stop = [abs(after - before) <= cfg.outer_tol
-                for before, after in zip(rates_before, rates_x)]
+        settled = [abs(after - before) <= cfg.outer_tol
+                   for before, after in zip(rates_before, rates_x)]
         return (traces, [max(float(t[0]), 0.0) for t in traces], rates_x,
-                stop, stop)
+                settled, ["tol" if ok else None for ok in settled])
 
     return W, [math.nan] * len(X), ascend
 
@@ -384,8 +537,9 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
     With ``"value"`` each round takes one line-searched projected
     quasi-Newton step on F(x) = log2 lambda_max(x) (``_value_start``),
     along the gradient until a move shows curvature; a chain stops when
-    a round raises F by at most ``cfg.inner_tol`` max(1, |F|), or
-    when no trial step is accepted.  Either ascent also stops after
+    F reaches log2(1 + N rho) within ``_rate_slack``, when a round
+    raises F by at most ``cfg.inner_tol`` max(1, |F|), or when no
+    trial step is accepted.  Either ascent also stops after
     ``cfg.max_outer_iters`` rounds; ``converged`` is False then, and
     after a failed line search unless no trial rose above F by more
     than its rounding (``beamformer._rate_slack``).  The clamp [.]^+ is
@@ -405,9 +559,13 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
         x0: optional feasible starting layout (array-like).  The default
             is ``scan_start(n, scenario)``, which makes the result never
             fall below the FPA rate; ``x0=initial_positions(n, scenario)``
-            reproduces a run from the uniform FPA layout.
+            reproduces a run from the uniform FPA layout.  Without
+            ``x0`` the value ascent is ``solve_powers`` at
+            ``scenario.power_budget``: it returns a null layout that
+            reaches the bound, where it finds one, without a scan.
         extra_starts: optional (k, N) stack of further feasible layouts,
-            one chain each after the first start.
+            one chain each after the first start; none runs where a null
+            layout is returned.
 
     Raises:
         ValueError: a start has the wrong shape, is unsorted, or
@@ -418,8 +576,11 @@ def solve(n: int, scenario: Scenario, cfg: SolveConfig = SolveConfig(),
         rate: per-round rates, inner traces and the final solution.
         ``final_w`` is optimal at ``final_x`` in the value ascent.
     """
-    first = scan_start(n, scenario) if x0 is None else x0
-    X = _stack_starts(n, first, extra_starts)
+    if x0 is None:
+        return solve_powers(n, scenario, [scenario.power_budget], cfg,
+                            [extra_starts])[0]
+    X = _stack_starts(n, x0, extra_starts)
+    check_positions(X, scenario, stack=True)
     chains = _ascend_chains(X, np.full(len(X), scenario.power_budget),
                             scenario, cfg)
     return max(chains, key=lambda trace: trace.final_rate)
@@ -430,15 +591,22 @@ def solve_powers(n: int, scenario: Scenario, budgets,
     """``solve`` at each power budget of ``budgets``, as one lockstep solve.
 
     ``scenario`` holds the rest of the instance; its own
-    ``power_budget`` is not read.  One screen finds the start scan of
-    every power (``_scan_starts``).  Budget i gets a group of chains:
-    its scan start, then the rows of ``extra_starts[i]``, an optional
-    (k, N) stack as in ``solve``.  All groups run as chains of one loop,
-    each chain with its group's budget, so a round costs one batched
-    call for every power.  A chain follows the same iterates as in
-    ``solve`` on ``scenario`` with ``power_budget=budgets[i]`` and
-    ``extra_starts=extra_starts[i]``, so each result equals that solve,
-    bit for bit.
+    ``power_budget`` is not read.  The value ascent first seeks a null
+    layout (``_null_layout``), which does not depend on the power, so
+    one search serves every budget.  A budget whose rate there reaches
+    log2(1 + N rho) within ``_rate_slack`` (``_bound_traces``) takes it,
+    with its optimal beamformer, as its solve of one round: no layout
+    can beat it, so no scan and no chain runs for that budget, not even
+    from ``extra_starts``, which are still checked.  For the other
+    budgets, and for every budget in Algorithm 1, one screen finds the
+    start scan of every power (``_scan_starts``).  Such a budget i gets
+    a group of chains: its scan start, then the rows of
+    ``extra_starts[i]``, an optional (k, N) stack as in ``solve``.  All
+    groups run as chains of one loop, each chain with its group's
+    budget, so a round costs one batched call for every power.  A chain
+    follows the same iterates as in ``solve`` on ``scenario`` with
+    ``power_budget=budgets[i]`` and ``extra_starts=extra_starts[i]``,
+    so each result equals that solve, bit for bit.
 
     Raises:
         ValueError: ``budgets`` is not a non-empty list of finite,
@@ -456,13 +624,23 @@ def solve_powers(n: int, scenario: Scenario, budgets,
                          f"positive values, got {budgets.tolist()}")
     if extra_starts is None:
         extra_starts = [None] * len(budgets)
-    groups = [_stack_starts(n, first, extra) for first, extra in
-              zip(_scan_starts(n, scenario, budgets), extra_starts,
-                  strict=True)]
-    budget = np.repeat(budgets, [len(X) for X in groups])
-    chains = iter(_ascend_chains(np.vstack(groups), budget, scenario, cfg))
+    null = _null_layout(n, scenario) if cfg.ascent == "value" else None
+    found = ([None] * len(budgets) if null is None
+             else _bound_traces(null, budgets, scenario))
+    scan = np.array([trace is None for trace in found])
+    starts = iter(_scan_starts(n, scenario, budgets[scan]) if scan.any()
+                  else ())
+    groups = [_stack_starts(n, next(starts) if trace is None else null, extra)
+              for trace, extra in zip(found, extra_starts, strict=True)]
+    check_positions(np.vstack(groups), scenario, stack=True)
+    chained = [X for X, trace in zip(groups, found) if trace is None]
+    if not chained:
+        return found
+    budget = np.repeat(budgets[scan], [len(X) for X in chained])
+    chains = iter(_ascend_chains(np.vstack(chained), budget, scenario, cfg))
     return [max(itertools.islice(chains, len(X)),
-                key=lambda trace: trace.final_rate) for X in groups]
+                key=lambda trace: trace.final_rate) if trace is None
+            else trace for X, trace in zip(groups, found)]
 
 
 def _stack_starts(n: int, first, extra_starts) -> np.ndarray:
@@ -486,6 +664,7 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
 
     Row j of the (K, N) array ``X`` starts chain j, whose power budget is
     ``budget[j]``; ``scenario`` holds the rest of the instance.  The
+    caller checks the rows (``check_positions``).  The
     budget enters where a chain solves its beamformer and, in the value
     ascent, its stop test; the gradients, projections and rates read the
     beamformer and the noise power only.
@@ -495,7 +674,10 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     chain's rate at the start and the round ``ascend(rows,
     rates_before)``, which advances the live chains ``rows`` in place
     and returns, per chain, its trace, its rates after the beamformer
-    and after the positions, whether it converged and whether it stops.
+    and after the positions, whether it converged, and why it stops:
+    ``"bound"``, ``"tol"`` or ``"stalled"``, or None while it goes on.
+    A chain still going after ``cfg.max_outer_iters`` rounds stops with
+    ``"cap"``.
     ``rates_before`` are the rates after each chain's last round (at
     the start, in the first).  Algorithm 1 reads the end rates of all
     live chains from one ``secrecy_rate`` call on their stack, the value
@@ -505,25 +687,27 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     Returns:
         list of OptimizationTrace, one per chain in order.
     """
-    check_positions(X, scenario, stack=True)
     chains = range(len(X))
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]
     converged = [False for _ in chains]
+    reasons = ["cap" for _ in chains]
     W, rate, ascend = _ASCENT_STARTS[cfg.ascent](X, budget, scenario, cfg)
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
-        traces, rates_w, rates_x, settled, stop = ascend(
+        traces, rates_w, rates_x, settled, why = ascend(
             live, [rate[j] for j in live])
         going = []
-        for j, trace, rate_w, rate_x, ok, halt in zip(
-                live, traces, rates_w, rates_x, settled, stop):
+        for j, trace, rate_w, rate_x, ok, reason in zip(
+                live, traces, rates_w, rates_x, settled, why):
             rate[j], converged[j] = rate_x, ok
             outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
                                         rate_after_x=rate_x))
             inner[j].append(trace)
-            if not halt:
+            if reason is None:
                 going.append(j)
+            else:
+                reasons[j] = reason
         live = going
         if not live:
             break
@@ -534,7 +718,8 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
         w.setflags(write=False)
         results.append(OptimizationTrace(
             outer=outer[j], inner=inner[j], final_x=x, final_w=w,
-            final_rate=outer[j][-1].rate_after_x, converged=converged[j]))
+            final_rate=outer[j][-1].rate_after_x, converged=converged[j],
+            stop_reason=reasons[j]))
     return results
 
 

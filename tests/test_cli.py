@@ -195,6 +195,24 @@ class TestOptimize:
         assert [p.name for p in out.glob("trace_inner_*.csv")] == \
             ["trace_inner_1.csv"]
 
+    def test_status_line_names_the_stop_reason(self, tmp_path, capsys):
+        # toy_n2 (N = 2, M = 1) has a null; paper_n3 at one round is capped
+        capped = _write(tmp_path / "s.json",
+                        dict(json.loads((SCENARIOS / "paper_n3.json")
+                                        .read_text()),
+                             tolerances={"max_outer_iters": 1}))
+        for scenario, status in (
+                (str(SCENARIOS / "toy_n2.json"),
+                 "after 1 outer iterations (converged, stopped by bound)"),
+                (str(SCENARIOS / "paper_n3.json"),
+                 "(converged, stopped by tol)"),
+                (capped, "after 1 outer iterations (NOT converged, stopped "
+                         "by cap)")):
+            assert main(["optimize", "--scenario", scenario,
+                         "--out", str(tmp_path / "o")]) == 0
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and status in out
+
     def test_library_default_is_the_cli_run(self, tmp_path):
         scenario = str(SCENARIOS / "paper_n4.json")
         out = tmp_path / "out"

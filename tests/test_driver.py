@@ -9,9 +9,11 @@ import masec.core
 import masec.driver
 import masec.positions
 from masec import (InfeasibleError, Scenario, SolveConfig,
-                   beam_gain, build_forms, initial_positions, load_run_spec,
-                   objective_psi, optimal_beamformer, random_positions,
-                   run_verification, secrecy_rate, solve, solve_fpa)
+                   beam_gain, build_forms, check_positions,
+                   initial_positions, load_run_spec, objective_psi,
+                   optimal_beamformer, random_positions, run_verification,
+                   secrecy_rate, solve, solve_fpa, steering_vector)
+from masec.beamformer import best_secrecy_rates
 from masec.driver import solve_powers
 
 ALGORITHM_1 = SolveConfig(ascent="alternating")
@@ -519,7 +521,7 @@ class TestQuasiNewton:
 class TestSolvePowers:
     @pytest.mark.parametrize("cfg", [VALUE, ALGORITHM_1],
                              ids=["value", "alternating"])
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
     def test_matches_one_solve_per_power(self, n, cfg, fig5_scenario):
         # the sweep_m3 cells with two restarts each, as sweep-n runs them
         scns = [fig5_scenario(p) for p in (1.0, 10.0)]
@@ -566,6 +568,176 @@ class TestSolvePowers:
             solve_powers(3, paper_n3, budgets)
 
 
+def _restarts_kind(seed):
+    """An instance like the benchmark's ``restarts`` inputs: Bob in
+    [0.35, 0.65] pi and three eavesdroppers in [0.05, 0.95] pi, each at
+    least 0.15 pi from him, on [0, 10] at spacing 0.5."""
+    rng = np.random.default_rng(seed)
+    bob, eves = float(rng.uniform(0.35, 0.65)), []
+    while len(eves) < 3:
+        t = float(rng.uniform(0.05, 0.95))
+        if abs(t - bob) >= 0.15:
+            eves.append(t)
+    return Scenario(bob_angle=bob * np.pi,
+                    eve_angles=tuple(np.pi * np.array(eves)))
+
+
+def _bound(n, scn, budget):
+    """log2(1 + N rho) and its rounding allowance at ``budget``."""
+    return (np.log2(1.0 + n * budget / scn.noise_power),
+            masec.beamformer._rate_slack(n, scn, budget))
+
+
+def _assert_null(n, scn):
+    """``_null_layout`` gives a feasible, read-only layout whose every
+    Gamma_0i is 0 up to rounding, and whose rate is the bound."""
+    x = masec.driver._null_layout(n, scn)
+    assert x is not None and x.shape == (n,) and not x.flags.writeable
+    check_positions(x, scn)
+    a = [steering_vector(x, t, scn.wavelength) for t in scn.angles]
+    gamma = np.abs([np.vdot(a[0], a_i) for a_i in a[1:]])
+    # the search stops at 1e-12 N; rounding of the phases adds ~1e-14 N
+    assert gamma.max() <= 1e-11 * n
+    for budget in (1e-3, 1.0, 10.0, 1e6):
+        bound, slack = _bound(n, scn, budget)
+        rate = best_secrecy_rates(x[None], scn, budget)[0]
+        assert bound - slack <= rate <= bound + slack
+    return x
+
+
+class TestNullLayout:
+    """``_null_layout``: a symmetric layout that nulls every eavesdropper,
+    which the value ascent returns at the bound for N >= 2M."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_nulls_sweep_m3(self, n, fig5_scenario):
+        x = _assert_null(n, fig5_scenario())
+        # symmetric about the aperture's centre
+        assert np.allclose(x + x[::-1], fig5_scenario().aperture,
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nulls_random_instances(self, seed):
+        # 24 instances of the benchmark's restarts kind, N = 6, 7, 8
+        for n in (6, 7, 8):
+            _assert_null(n, _restarts_kind([seed, n]))
+
+    def test_nulls_at_n_equal_2m(self, paper_n4):
+        _assert_null(4, paper_n4)
+        _assert_null(2, Scenario(bob_angle=np.pi / 2,
+                                 eve_angles=(np.pi / 4,), aperture=2.0))
+
+    def test_none_below_2m(self, fig5_scenario, paper_n3, paper_n4):
+        for n in range(1, 6):
+            assert masec.driver._null_layout(n, fig5_scenario()) is None
+        assert masec.driver._null_layout(3, paper_n3) is None
+        # an eavesdropper at Bob's angle leaves Gamma_0i = N
+        same = Scenario(bob_angle=np.pi / 3, eve_angles=(np.pi / 3,))
+        assert masec.driver._null_layout(4, same) is None
+        # 21 antennas fill [0, 10] at d_min: no slack to move in
+        assert masec.driver._null_layout(21, paper_n4) is None
+
+    def test_same_bits_on_every_call(self, fig5_scenario):
+        for n in (6, 7, 8):
+            x = masec.driver._null_layout(n, fig5_scenario())
+            again = masec.driver._null_layout(n, fig5_scenario())
+            assert x.tobytes() == again.tobytes()
+
+
+class TestBoundShortcut:
+    """Where a null exists the value ascent returns it at the bound, in one
+    round, without the scan or a chain; a chain that reaches the bound
+    stops there."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_sweep_m3_cells_reach_the_bound(self, n, fig5_scenario):
+        # these cells once ended 1.8e-3 to 2.2e-2 below the bound after
+        # 8 to 30 rounds
+        x = masec.driver._null_layout(n, fig5_scenario())
+        traces = solve_powers(n, fig5_scenario(), [1.0, 10.0])
+        for trace, budget in zip(traces, (1.0, 10.0)):
+            scn = fig5_scenario(budget)
+            bound, slack = _bound(n, scn, budget)
+            assert trace.n_outer == 1 and trace.converged
+            assert trace.stop_reason == "bound"
+            assert bound - slack <= trace.final_rate <= bound + slack
+            assert np.array_equal(trace.final_x, x)
+            w = optimal_beamformer(build_forms(x, scn), scn)
+            assert np.array_equal(trace.final_w, w)
+            assert not trace.final_w.flags.writeable
+            assert trace.final_rate == secrecy_rate(x, w, scn)
+            assert list(trace.inner[0]) == [trace.inner[0][0]] * 2
+
+    def test_skips_the_scan_and_every_chain(self, fig5_scenario,
+                                            monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("ran where a null reaches the bound")
+        scn = fig5_scenario()
+        rng = np.random.default_rng(41)
+        extra = np.array([random_positions(7, scn, rng) for _ in range(3)])
+        monkeypatch.setattr(masec.driver, "_scan_starts", unused)
+        monkeypatch.setattr(masec.driver, "_ascend_chains", unused)
+        trace = solve(7, scn, extra_starts=extra)
+        assert trace.stop_reason == "bound"
+        # the restarts that do not run are still checked
+        extra[1, 2] = extra[1, 1]
+        with pytest.raises(ValueError, match="d_min"):
+            solve(7, scn, extra_starts=extra)
+
+    def test_algorithm_1_keeps_the_scan_start(self, fig5_scenario,
+                                              monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("Algorithm 1 sought a null")
+        monkeypatch.setattr(masec.driver, "_null_layout", unused)
+        scn = fig5_scenario()
+        cfg = SolveConfig(ascent="alternating", max_inner_iters=20,
+                          max_outer_iters=2)
+        trace = solve(6, scn, cfg)
+        assert trace.outer == solve(6, scn, cfg,
+                                    x0=masec.driver.scan_start(6, scn)).outer
+
+    def test_budget_short_of_the_bound_takes_the_scan(self, fig5_scenario,
+                                                      monkeypatch):
+        # a budget whose rate at the null falls short of the ceiling is
+        # solved from its scan start, as in a solve with no null
+        ceiling = masec.driver._rate_ceiling
+        monkeypatch.setattr(
+            masec.driver, "_rate_ceiling",
+            lambda n, scn, budget: np.where(np.asarray(budget) > 5.0, np.inf,
+                                            ceiling(n, scn, budget)))
+        low, high = solve_powers(6, fig5_scenario(), [1.0, 10.0])
+        assert low.stop_reason == "bound" and low.n_outer == 1
+        scn = fig5_scenario(10.0)
+        alone = solve(6, scn, x0=masec.driver.scan_start(6, scn))
+        assert high.stop_reason == "tol" and high.n_outer > 1
+        assert high.outer == alone.outer
+        assert np.array_equal(high.final_x, alone.final_x)
+
+    def test_chain_at_a_null_stops_at_the_bound(self, fig5_scenario):
+        # regression: a chain started at a null ends after one round,
+        # converged, with the bound as its stop reason
+        scn = fig5_scenario(10.0)
+        x0 = masec.driver._null_layout(7, scn)
+        trace = solve(7, scn, SolveConfig(inner_tol=1e-300), x0=x0)
+        bound, slack = _bound(7, scn, 10.0)
+        assert trace.n_outer == 1 and trace.converged
+        assert trace.stop_reason == "bound"
+        assert trace.final_rate >= bound - slack
+
+    def test_stop_reasons(self, paper_n3, monkeypatch):
+        capped = dataclasses.replace(VALUE, max_outer_iters=1)
+        for cfg, reason, converged in (
+                (VALUE, "tol", True), (capped, "cap", False),
+                (ALGORITHM_1, "tol", True),
+                (dataclasses.replace(ALGORITHM_1, max_outer_iters=1), "cap",
+                 False)):
+            trace = solve(3, paper_n3, cfg)
+            assert (trace.stop_reason, trace.converged) == (reason, converged)
+        monkeypatch.setattr(masec.driver, "ARMIJO_C", 1e9)
+        trace = solve(3, paper_n3, VALUE, x0=initial_positions(3, paper_n3))
+        assert (trace.stop_reason, trace.converged) == ("stalled", False)
+
+
 def _in_unit(scn, lam):
     """``scn`` with every length, the wavelength included, times ``lam``."""
     return dataclasses.replace(scn, wavelength=lam * scn.wavelength,
@@ -606,3 +778,18 @@ class TestUnitInvariance:
                        for g in (ref_gaps, ref_gaps[::-1]))
         for n, scn in ((2, toy), (3, paper)):
             assert run_verification(_in_unit(scn, lam), n).passed
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e6])
+    def test_null_shortcut_does_not_depend_on_the_length_unit(self, lam):
+        # the damping is relative to tr(J^T J): an absolute one changes the
+        # search's steps, and so the layout it returns, with the unit
+        sweep = load_run_spec(SCENARIOS / "sweep_m3.json").scenario
+        for n in (6, 7, 8):
+            ref = masec.driver._null_layout(n, sweep)
+            x = masec.driver._null_layout(n, _in_unit(sweep, lam))
+            assert np.allclose(x / lam, ref, rtol=0.0, atol=1e-9)
+            for a, b in zip(solve_powers(n, sweep, [1.0, 10.0]),
+                            solve_powers(n, _in_unit(sweep, lam),
+                                         [1.0, 10.0])):
+                assert a.stop_reason == b.stop_reason == "bound"
+                assert b.final_rate == pytest.approx(a.final_rate, rel=1e-12)
