@@ -25,7 +25,7 @@ import numpy as np
 
 from .beamformer import EigensolverError, build_forms, optimal_beamformer
 from .core import beam_gain, check_beamformer, check_positions, secrecy_rate
-from .driver import initial_positions, solve, solve_powers
+from .driver import initial_positions, solve, solve_fpa, solve_powers
 from .oracle import run_verification
 from .positions import random_positions
 from .scenario_io import (RunSpec, ScenarioFileError, load_run_spec,
@@ -106,7 +106,7 @@ def _cmd_beampattern(args) -> int:
         raise ScenarioFileError("--angles must be at least 2")
     if args.fpa:
         x = initial_positions(spec.n_antennas, spec.scenario)
-        w = optimal_beamformer(build_forms(x, spec.scenario), spec.scenario)
+        w = solve_fpa(spec.n_antennas, spec.scenario)[0]
     else:
         path = Path(args.solution) if args.solution else Path(args.out) / "solution.json"
         if not path.exists():

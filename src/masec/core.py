@@ -34,6 +34,13 @@ FEASIBILITY_TOL = 1e-9
 WAVELENGTH_RANGE = (1e-150, 1e150)
 MAX_APERTURE_WAVELENGTHS = 1e150
 
+# The powers the arithmetic carries: for P_A and sigma^2 in POWER_RANGE
+# and rho = P_A / sigma^2 in SNR_RANGE, the pencil's shift I / P_A, the
+# forms a a^H / sigma^2, the allowances and the rate bounds, which square
+# rho N, stay finite, and rho stays a normal float
+POWER_RANGE = (1e-300, 1e300)
+SNR_RANGE = (1e-300, 1e150)
+
 
 class InfeasibleError(ValueError):
     """Aperture cannot hold the requested antenna count at min spacing."""
@@ -50,8 +57,11 @@ class Scenario:
     Attributes:
         bob_angle: steering angle of the legitimate receiver, in [0, pi).
         eve_angles: angles of the colluding eavesdroppers, each in [0, pi).
-        noise_power: receiver noise power sigma^2 (linear, > 0).
-        power_budget: transmit power P_A (linear, > 0).
+        noise_power: receiver noise power sigma^2 (linear), within
+            ``POWER_RANGE``.
+        power_budget: transmit power P_A (linear), within
+            ``POWER_RANGE``, and P_A / sigma^2 within ``SNR_RANGE``
+            (``check_powers``).
         wavelength: carrier wavelength in length units, within
             ``WAVELENGTH_RANGE``.
         aperture: right end L of the allowed segment [0, L], at most
@@ -77,6 +87,7 @@ class Scenario:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        check_powers(self.power_budget, self.noise_power)
         lo, hi = WAVELENGTH_RANGE
         if not lo <= self.wavelength <= hi:
             raise ValueError(f"wavelength must lie in [{lo:g}, {hi:g}], "
@@ -131,6 +142,26 @@ class Scenario:
             raise InfeasibleError(
                 f"aperture {self.aperture} cannot hold {n} antennas at "
                 f"spacing {self.min_spacing} (needs {need})")
+
+
+def check_powers(budget, noise_power: float, name: str = "power_budget"):
+    """Raise a ValueError for powers the arithmetic cannot carry.
+
+    ``budget`` is one transmit power P_A or an array of them, called
+    ``name`` in the message.  Each P_A, and the noise power sigma^2,
+    must lie in ``POWER_RANGE``, and each rho = P_A / sigma^2 in
+    ``SNR_RANGE``; NaN lies in neither.  The ratio is a Python float
+    division, which overflows to inf and underflows to 0 without a
+    warning, so it fails its range instead.
+    """
+    sigma2 = float(noise_power)
+    for p in np.ravel(budget).tolist():
+        for what, value, (lo, hi) in (
+                (name, p, POWER_RANGE), ("noise_power", sigma2, POWER_RANGE),
+                (f"{name} / noise_power", p / sigma2, SNR_RANGE)):
+            if not lo <= value <= hi:
+                raise ValueError(f"{what} must be in [{lo:g}, {hi:g}], "
+                                 f"got {value!r}")
 
 
 def check_positions(values, scenario: Scenario, *,

@@ -46,7 +46,7 @@ import numpy as np
 
 from .beamformer import (_layout_pass, _levels_within, _rate_slack,
                          best_gap_layout, build_forms, optimal_beamformer)
-from .core import Scenario, check_positions, secrecy_rate
+from .core import Scenario, check_positions, check_powers, secrecy_rate
 from .positions import _face_projector, _project_euclidean, optimize_positions
 
 # Start scan: finest gap step (in wavelengths) and how many gap tuples
@@ -130,7 +130,8 @@ class OptimizationTrace:
     reached log2(1 + N rho) within ``_rate_slack``, which no layout can
     beat; ``"tol"`` where its stop test held; ``"stalled"`` where a
     line search accepted no trial; ``"cap"`` after ``max_outer_iters``
-    rounds.  ``converged`` is True for ``"bound"`` and ``"tol"``.
+    rounds.  ``converged`` is read from it: True exactly for
+    ``"bound"`` and ``"tol"``.
     """
 
     outer: list
@@ -138,8 +139,11 @@ class OptimizationTrace:
     final_x: np.ndarray
     final_w: np.ndarray
     final_rate: float
-    converged: bool
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("bound", "tol")
 
     @property
     def n_outer(self) -> int:
@@ -284,10 +288,10 @@ def _bound_traces(x, budgets, scenario: Scenario) -> list:
     One ``_layout_pass`` over ``x`` at every budget of the (P,) array
     ``budgets`` gives each budget's lambda_max, beamformer and rate,
     with the bits of that budget alone.  A budget whose F = log2
-    lambda_max reaches ``_rate_ceiling`` gets a trace of one round,
-    converged, with stop reason ``"bound"``: its inner trace holds F at
-    the start and at the one trial, the start itself, as a round at a
-    stationary point does.  The others get None.
+    lambda_max reaches ``_rate_ceiling`` gets a trace of one round with
+    stop reason ``"bound"``: its inner trace holds F at the start and at
+    the one trial, the start itself, as a round at a stationary point
+    does.  The others get None.
     """
     n = len(x)
     lam, finish = _layout_pass(np.broadcast_to(x, (len(budgets), n)),
@@ -306,7 +310,7 @@ def _bound_traces(x, budgets, scenario: Scenario) -> list:
             outer=[OuterRecord(iteration=1, rate_after_w=rate,
                                rate_after_x=rate)],
             inner=[np.full(2, math.log2(v))], final_x=x, final_w=w,
-            final_rate=rate, converged=True, stop_reason="bound"))
+            final_rate=rate, stop_reason="bound"))
     return traces
 
 
@@ -340,23 +344,23 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     the same pass.  The start is one pass too, so no round evaluates a
     rate or a gradient on its own.  The face and BFGS algebra is
     batched over the chains, row by row, so a chain's bits do not
-    depend on the others.  A chain has settled when the accepted step
-    raised F by at most ``cfg.inner_tol`` max(1, |F|), or every trial
-    failed within ``_rate_slack`` of F; it stops then, or when no trial
-    was accepted.  It also stops, converged, once its F after the round
-    is at least ``_rate_ceiling``: at the bound up to rounding, where no
-    step can gain.  Its traces hold F at the start and at each trial.
+    depend on the others.  A chain stops with ``"bound"`` once its F
+    after the round is at least ``_rate_ceiling``: at the bound up to
+    rounding, where no step can gain.  Otherwise it stops with
+    ``"tol"`` when the accepted step raised F by at most
+    ``cfg.inner_tol`` max(1, |F|), or every trial failed within
+    ``_rate_slack`` of F, and with ``"stalled"`` when no trial was
+    accepted.  Its traces hold F at the start and at each trial.
 
     The live chains' layouts, beamformers, rates, gradients, F, budgets,
     allowances, ceilings, estimates H and ``scaled`` flags are compact
     arrays, one row per live chain; a chain's row leaves them when it
     stops.  A round writes its layouts and beamformers back to ``X`` and
-    ``W`` once.
+    ``W`` once.  A chain's rate after the beamformer is its rate in
+    these arrays at the round's start: the beamformer is optimal there.
 
     Returns:
-        (W, rates, ascend) as ``_ascend_chains`` reads them; ``rates``
-        are the secrecy rates at the start, and each round's rate after
-        the beamformer is the rate before the round.
+        (W, ascend) as ``_ascend_chains`` reads them.
     """
     lam, finish = _layout_pass(X, scenario, budget)
     W, rate, g = finish(slice(None))
@@ -371,7 +375,7 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
             _rate_ceiling(n, scenario, budget),
             np.zeros((len(X), n, n)), np.zeros(len(X), dtype=bool)]
 
-    def ascend(rows, rates_before):
+    def ascend(rows):
         x0, w0, rate0, g0, f0, power, slack, ceiling, H, scaled = live
         traces = [[f] for f in f0.tolist()]
         # a chain without a curvature estimate steps along its gradient
@@ -423,27 +427,24 @@ def _value_start(X, budget, scenario: Scenario, cfg: SolveConfig):
                 x[on], w[on], rate[on], g[on] = Z, w_on, rate_on, g_on
                 f[on], stalled[on] = f_on, False
         # a failed search whose trials stay within rounding of F is stationary
-        settled = [max(t[1:]) - t[0] <= s if halted
-                   else t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0]))
-                   for t, halted, s in zip(traces, stalled.tolist(),
-                                           slack.tolist())]
-        bound = f >= ceiling
-        converged = bound | np.array(settled)
-        reasons = ["bound" if at_bound else "tol" if ok else
-                   "stalled" if halted else None
-                   for at_bound, ok, halted in zip(bound.tolist(), settled,
-                                                   stalled.tolist())]
-        stop = converged | stalled
+        reasons = []
+        for t, at_bound, halted, s in zip(traces, (f >= ceiling).tolist(),
+                                          stalled.tolist(), slack.tolist()):
+            settled = (max(t[1:]) - t[0] <= s if halted else
+                       t[-1] - t[0] <= cfg.inner_tol * max(1.0, abs(t[0])))
+            reasons.append("bound" if at_bound else "tol" if settled else
+                           "stalled" if halted else None)
         # a stopped chain's estimate is updated too, and never read
         H, scaled = _bfgs_updates(H, scaled, x - x0, g - g0, area)
         X[rows], W[rows] = x, w
         live[:] = x, w, rate, g, f, power, slack, ceiling, H, scaled
-        if stop.any():
-            live[:] = [a[~stop] for a in live]
-        return ([np.array(t) for t in traces], rates_before, rate.tolist(),
-                converged.tolist(), reasons)
+        going = np.array([reason is None for reason in reasons])
+        if not going.all():
+            live[:] = [a[going] for a in live]
+        return list(zip(map(np.array, traces), rate0.tolist(), rate.tolist(),
+                        reasons))
 
-    return W, rate.tolist(), ascend
+    return W, ascend
 
 
 def _alternating_start(X, budget, scenario: Scenario, cfg: SolveConfig):
@@ -452,28 +453,31 @@ def _alternating_start(X, budget, scenario: Scenario, cfg: SolveConfig):
     A round solves the beamformers of the chains ``rows`` in closed form
     at their budgets, then runs ``optimize_positions`` on their layouts,
     in place.  A chain's traces are its Psi values, and its rate after
-    the beamformer is Psi at the round's start, clamped.  It stops, and
-    has converged, when its end-of-round rate moved by at most
-    ``cfg.outer_tol``; the start rates are NaN, so no chain stops in its
-    first round.
+    the beamformer is Psi at the round's start, clamped.  The (K,) array
+    ``end`` keeps each chain's rate after its last round, NaN before the
+    first, so no chain stops in its first round; a chain stops with
+    ``"tol"`` when its end-of-round rate moved by at most
+    ``cfg.outer_tol``.
 
     Returns:
-        (W, rates, ascend) as ``_ascend_chains`` reads them.
+        (W, ascend) as ``_ascend_chains`` reads them.
     """
     W = np.zeros(X.shape, dtype=complex)
+    end = np.full(len(X), math.nan)
 
-    def ascend(rows, rates_before):
+    def ascend(rows):
         W[rows] = optimal_beamformer(build_forms(X[rows], scenario), scenario,
                                      budget[rows])
         X[rows], psi = optimize_positions(X[rows], W[rows], scenario, cfg)
-        traces = [col[~np.isnan(col)] for col in psi.T]
-        rates_x = secrecy_rate(X[rows], W[rows], scenario).tolist()
-        settled = [abs(after - before) <= cfg.outer_tol
-                   for before, after in zip(rates_before, rates_x)]
-        return (traces, [max(float(t[0]), 0.0) for t in traces], rates_x,
-                settled, ["tol" if ok else None for ok in settled])
+        rates = secrecy_rate(X[rows], W[rows], scenario)
+        # NaN before the first round fails the test
+        settled = (np.abs(rates - end[rows]) <= cfg.outer_tol).tolist()
+        end[rows] = rates
+        return [(t, max(float(t[0]), 0.0), rate, "tol" if ok else None)
+                for t, rate, ok in zip((col[~np.isnan(col)] for col in psi.T),
+                                       rates.tolist(), settled)]
 
-    return W, [math.nan] * len(X), ascend
+    return W, ascend
 
 
 _ASCENT_STARTS = {"alternating": _alternating_start, "value": _value_start}
@@ -609,19 +613,20 @@ def solve_powers(n: int, scenario: Scenario, budgets,
     so each result equals that solve, bit for bit.
 
     Raises:
-        ValueError: ``budgets`` is not a non-empty list of finite,
-            positive powers, there is not one entry of ``extra_starts``
-            per budget, or a start is rejected as in ``solve``.
+        ValueError: ``budgets`` is not a non-empty list of powers that
+            ``core.check_powers`` accepts with ``scenario.noise_power``,
+            there is not one entry of ``extra_starts`` per budget, or a
+            start is rejected as in ``solve``.
 
     Returns:
         list of OptimizationTrace, one per budget in order: the first
         chain of its group with the highest final rate.
     """
     budgets = np.asarray(budgets, dtype=float)
-    if budgets.ndim != 1 or not budgets.size or not (
-            np.isfinite(budgets) & (budgets > 0.0)).all():
-        raise ValueError(f"power budgets must be a non-empty list of finite, "
-                         f"positive values, got {budgets.tolist()}")
+    if budgets.ndim != 1 or not budgets.size:
+        raise ValueError(f"power budgets must be a non-empty list, "
+                         f"got {budgets.tolist()}")
+    check_powers(budgets, scenario.noise_power, "power budgets")
     if extra_starts is None:
         extra_starts = [None] * len(budgets)
     null = _null_layout(n, scenario) if cfg.ascent == "value" else None
@@ -670,19 +675,17 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     beamformer and the noise power only.
 
     One loop runs either ascent.  Its start function (``_value_start``
-    or ``_alternating_start``) returns the (K, N) beamformer stack, each
-    chain's rate at the start and the round ``ascend(rows,
-    rates_before)``, which advances the live chains ``rows`` in place
-    and returns, per chain, its trace, its rates after the beamformer
-    and after the positions, whether it converged, and why it stops:
+    or ``_alternating_start``) returns the (K, N) beamformer stack and
+    the round ``ascend(rows)``, which advances the live chains ``rows``
+    in place and returns one record per chain: its trace, its rates
+    after the beamformer and after the positions, and why it stops,
     ``"bound"``, ``"tol"`` or ``"stalled"``, or None while it goes on.
-    A chain still going after ``cfg.max_outer_iters`` rounds stops with
-    ``"cap"``.
-    ``rates_before`` are the rates after each chain's last round (at
-    the start, in the first).  Algorithm 1 reads the end rates of all
-    live chains from one ``secrecy_rate`` call on their stack, the value
-    ascent from the passes that gave each chain its layout; either way a
-    chain's rate has the bits of ``secrecy_rate`` on that chain alone.
+    Each start function keeps the rates its stop test reads.  A chain
+    still going after ``cfg.max_outer_iters`` rounds stops with
+    ``"cap"``.  Algorithm 1 reads the end rates of all live chains from
+    one ``secrecy_rate`` call on their stack, the value ascent from the
+    passes that gave each chain its layout; either way a chain's rate
+    has the bits of ``secrecy_rate`` on that chain alone.
 
     Returns:
         list of OptimizationTrace, one per chain in order.
@@ -690,17 +693,12 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
     chains = range(len(X))
     outer = [[] for _ in chains]
     inner = [[] for _ in chains]
-    converged = [False for _ in chains]
     reasons = ["cap" for _ in chains]
-    W, rate, ascend = _ASCENT_STARTS[cfg.ascent](X, budget, scenario, cfg)
+    W, ascend = _ASCENT_STARTS[cfg.ascent](X, budget, scenario, cfg)
     live = list(chains)
     for k in range(1, cfg.max_outer_iters + 1):
-        traces, rates_w, rates_x, settled, why = ascend(
-            live, [rate[j] for j in live])
         going = []
-        for j, trace, rate_w, rate_x, ok, reason in zip(
-                live, traces, rates_w, rates_x, settled, why):
-            rate[j], converged[j] = rate_x, ok
+        for j, (trace, rate_w, rate_x, reason) in zip(live, ascend(live)):
             outer[j].append(OuterRecord(iteration=k, rate_after_w=rate_w,
                                         rate_after_x=rate_x))
             inner[j].append(trace)
@@ -718,8 +716,7 @@ def _ascend_chains(X, budget, scenario: Scenario, cfg: SolveConfig) -> list:
         w.setflags(write=False)
         results.append(OptimizationTrace(
             outer=outer[j], inner=inner[j], final_x=x, final_w=w,
-            final_rate=outer[j][-1].rate_after_x, converged=converged[j],
-            stop_reason=reasons[j]))
+            final_rate=outer[j][-1].rate_after_x, stop_reason=reasons[j]))
     return results
 
 

@@ -296,6 +296,13 @@ def run_verification(scenario: Scenario, n: int, seed: int = 0,
     # backward error, under which an exact eigenpair reads near eps
     shift = np.eye(n) / scenario.power_budget
     A, B = forms.A + shift, forms.B + shift
+    # the scaled residual and the quotient below are homogeneous in (A, B)
+    # and in w, so A and B are divided by a power of two near B's largest
+    # entry and w by one near its norm: exact, and the squares the norms
+    # form stay finite at a small sigma^2
+    scale = 2.0 ** -np.frexp(np.abs(B).max())[1]
+    A, B = scale * A, scale * B
+    w = 2.0 ** -np.frexp(math.sqrt(scenario.power_budget))[1] * w
     Aw, Bw = A @ w, B @ w
     resid = np.linalg.norm(Aw - lam[:, None, None] * Bw, axis=(1, 2))
     resid /= np.linalg.norm(w, axis=(1, 2)) * (

@@ -181,6 +181,41 @@ class TestOptimize:
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("powers, message", [
+        # rho^2 |Gamma_0i|^2 overflowed in the rate bound at N = 2 and 3:
+        # a traceback; N = 1 ran, and the same rho is refused at every N
+        ({"n_antennas": 1, "power_budget": 1e160},
+         "power_budget / noise_power must be in"),
+        ({"n_antennas": 2, "power_budget": 1e160},
+         "power_budget / noise_power must be in"),
+        ({"power_budget": 1e160}, "power_budget / noise_power must be in"),
+        # I / P_A overflowed in the pencil
+        ({"power_budget": 1e-310}, "power_budget must be in"),
+        # 1 / sigma^2 overflowed in the allowance and in Psi
+        ({"noise_power": 1e-310}, "noise_power must be in"),
+        # rho N (M + 1) overflowed in the allowance, and a gain in verify
+        ({"n_antennas": 5, "power_budget": 1.7e308}, "power_budget must be in"),
+        ({"n_antennas": 8, "power_budget": 1.7e308}, "power_budget must be in"),
+        # rho underflowed to 0, then to a subnormal: the gradient check
+        # divided 0 by 0 (FAIL with nan), then read inf
+        ({"eve_angles": [0.25], "power_budget": 1e-200, "noise_power": 1e200},
+         "power_budget / noise_power must be in"),
+        ({"eve_angles": [0.25], "power_budget": 1e-160, "noise_power": 1e160},
+         "power_budget / noise_power must be in"),
+    ])
+    def test_powers_the_arithmetic_cannot_carry_exit_2(self, powers, message,
+                                                       tmp_path, capsys):
+        doc = dict({"n_antennas": 3, "bob_angle_pi": 0.5,
+                    "eve_angles": [0.25, 0.425, 0.55]}, **powers)
+        scenario = _write(tmp_path / "s.json", doc)
+        for command in (["optimize", "--out", str(tmp_path / "o")],
+                        ["verify"]):
+            assert main(command + ["--scenario", scenario]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_shorter_run_removes_stale_inner_traces(self, tmp_path):
         # Algorithm 1 takes two rounds on this file, the value ascent one
         long_run = _write(tmp_path / "a.json",
@@ -535,7 +570,9 @@ class TestSweep:
                             lambda *a, **k: calls.append(a)
                             or solve_powers(*a, **k))
         scenario = _write(tmp_path / "s.json", PAPER_N4)
-        for powers in ("1,nan", "1,inf"):
+        # past the range of powers a rate bound overflowed (1e300), and
+        # so did the pencil's shift I / P_A (1e-310): a traceback
+        for powers in ("1,nan", "1,inf", "1,1e300", "1e-310,1"):
             assert main(["sweep-n", "--scenario", scenario,
                          "--out", str(tmp_path / "o"), "--n-min", "2",
                          "--n-max", "2", "--powers", powers]) == 2

@@ -258,6 +258,45 @@ class TestScenarioValidation:
         for v in (scn.wavelength ** 2, TWO_PI / scn.wavelength):
             assert np.finfo(float).tiny <= v <= np.finfo(float).max
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(power_budget=1e-310), "power_budget must be in"),
+        (dict(power_budget=1.1e300, noise_power=1e300),
+         "power_budget must be in"),
+        (dict(noise_power=1e-310), "noise_power must be in"),
+        (dict(noise_power=1.1e300, power_budget=1e300),
+         "noise_power must be in"),
+        (dict(power_budget=1.1e150), "power_budget / noise_power must be in"),
+        (dict(power_budget=1e-300, noise_power=1.1),
+         "power_budget / noise_power must be in"),
+        # rho past the floats: to inf, to 0 and to a subnormal
+        (dict(power_budget=1e300, noise_power=1e-300),
+         "power_budget / noise_power must be in"),
+        (dict(power_budget=1e-200, noise_power=1e200),
+         "power_budget / noise_power must be in"),
+        (dict(power_budget=1e-160, noise_power=1e160),
+         "power_budget / noise_power must be in"),
+    ])
+    def test_rejects_powers_the_arithmetic_cannot_carry(self, kw, message):
+        base = dict(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
+        with pytest.raises(ValueError, match=message):
+            Scenario(**base, **kw)
+
+    @pytest.mark.parametrize("power_budget, noise_power", [
+        # the corners of the accepted range
+        (1e-300, 1e-300), (1e-300, 1.0), (1.0, 1e300), (1e300, 1e300),
+        (1e300, 1e150), (1e-150, 1e-300),
+        # the powers that the tests and CI run
+        (1e-200, 1.0), (1.0, 1e200), (1e16, 1.0), (1e-12, 1.0), (1.0, 1e6),
+    ])
+    def test_accepts_the_ends_of_the_power_ranges(self, power_budget,
+                                                  noise_power):
+        # I / P_A, the forms' 1 / sigma^2 and rho are normal floats
+        scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,),
+                       power_budget=power_budget, noise_power=noise_power)
+        for v in (1.0 / scn.power_budget, 1.0 / scn.noise_power,
+                  scn.power_budget / scn.noise_power):
+            assert np.finfo(float).tiny <= v <= np.finfo(float).max
+
     def test_feasibility_check(self):
         scn = Scenario(bob_angle=np.pi / 2, eve_angles=(np.pi / 4,))
         scn.check_feasible(21)  # (21 - 1) * 0.5 == L exactly

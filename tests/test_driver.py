@@ -422,18 +422,22 @@ class TestValueAscent:
         rng = np.random.default_rng(38)
         X = np.array([random_positions(5, scn, rng) for _ in range(4)])
         budget = np.full(len(X), scn.power_budget)
-        W, rates, ascend = masec.driver._value_start(X, budget, scn, VALUE)
+        W, ascend = masec.driver._value_start(X, budget, scn, VALUE)
         assert calls == {"_angle_steering": 1, "_pencil": 1, "_layout_pass": 1}
+        rates = secrecy_rate(X, W, scn).tolist()
         live, trials = list(range(len(X))), 0
         while live:
             calls.update(dict.fromkeys(calls, 0))
-            traces, _, rates_x, _, stop = ascend(live,
-                                                 [rates[j] for j in live])
-            stacks = max(len(t) for t in traces) - 1
+            records = ascend(live)
+            stacks = max(len(trace) for trace, *_ in records) - 1
             assert calls == dict.fromkeys(calls, stacks)
-            for j, rate in zip(live, rates_x):
-                assert rate == secrecy_rate(X[j], W[j], scn)
-            live = [j for j, halt in zip(live, stop) if not halt]
+            # a round starts at the rate the last one ended at
+            for j, (_, rate_w, rate_x, _) in zip(live, records):
+                assert rate_w == rates[j]
+                assert rate_x == secrecy_rate(X[j], W[j], scn)
+                rates[j] = rate_x
+            live = [j for j, (*_, reason) in zip(live, records)
+                    if reason is None]
             trials += stacks
         assert trials > 10
 
@@ -444,17 +448,17 @@ class TestValueAscent:
         scn = fig5_scenario(10.0)
         rng = np.random.default_rng(38)
         X = np.array([random_positions(5, scn, rng) for _ in range(4)])
-        W, rates, ascend = masec.driver._value_start(
+        _, ascend = masec.driver._value_start(
             X, np.full(len(X), scn.power_budget), scn, VALUE)
         live = list(range(len(X)))
         # the first round's gradient steps give each chain its estimate
-        _, _, rates_x, _, stop = ascend(live, rates)
-        live = [j for j, halt in zip(live, stop) if not halt]
+        live = [j for j, (*_, reason) in zip(live, ascend(live))
+                if reason is None]
         assert live
         monkeypatch.setattr(masec.driver, "_face_directions",
                             lambda H, G, P: np.full(G.shape, np.nan))
         with pytest.raises(ValueError, match="positions must be finite"):
-            ascend(live, [rates_x[j] for j in live])
+            ascend(live)
 
 
 def _spd(rng, k, n):
@@ -565,6 +569,17 @@ class TestSolvePowers:
         # unchecked, these failed in the pencil, in a broadcast or with a
         # division warning
         with pytest.raises(ValueError, match="power budgets must be"):
+            solve_powers(3, paper_n3, budgets)
+
+    @pytest.mark.parametrize("budgets, message", [
+        ([1.0, 1e-310], "power budgets must be in"),
+        ([1.0, 1e301], "power budgets must be in"),
+        ([1e151, 1.0], "power budgets / noise_power must be in"),
+    ])
+    def test_rejects_budgets_outside_the_power_range(self, paper_n3, budgets,
+                                                     message):
+        # the range that Scenario holds its own power to
+        with pytest.raises(ValueError, match=message):
             solve_powers(3, paper_n3, budgets)
 
 
